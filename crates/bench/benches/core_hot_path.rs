@@ -1,10 +1,10 @@
-//! Microbenchmarks of the simulation hot path: the slab event queue
-//! under a schedule/pop/cancel mix, peek under mass cancellation, and
-//! a mid-size churn world with tracing off (the sweep configuration)
-//! vs on — the workloads the inline-payload queue, lazy tracing, and
-//! allocation-free scheduler context were rewritten for. `neon bench
-//! <scenario>` measures the same path end to end and emits
-//! `BENCH_core.json` for the perf trajectory.
+//! Microbenchmarks of the simulation hot path: the event queue under a
+//! schedule/pop/cancel mix, alone and over ~800 staged far-future
+//! arrivals, peek under mass cancellation, and a mid-size churn world
+//! with tracing off (the sweep configuration) vs on — the workloads the
+//! radix-heap queue, lazy tracing, and allocation-free scheduler
+//! context were written for. `neon bench <scenario>` measures the same
+//! path end to end and emits `BENCH_core.json` for the perf trajectory.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use neon_core::cost::SchedParams;
@@ -44,46 +44,72 @@ fn churn_world(trace: bool) -> World {
     world
 }
 
+/// A deterministic xorshift64 stream.
+fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
+}
+
+/// 64k queue ops in the proportions the world loop produces: ~60%
+/// schedules within 1 us of now, ~20% cancels of a remembered token
+/// (step/engine tokens are cancelled often), ~20% pops. Returns the
+/// number of events popped.
+fn near_future_mix(q: &mut EventQueue<u64>, next: &mut impl FnMut() -> u64) -> u64 {
+    let mut tokens: Vec<u64> = Vec::new();
+    let mut popped = 0u64;
+    for i in 0..65_536u64 {
+        match next() % 10 {
+            0..=5 => {
+                let at = q.now() + SimDuration::from_nanos(next() % 1_000);
+                tokens.push(q.schedule(at, i));
+            }
+            6..=7 => {
+                if !tokens.is_empty() {
+                    let k = next() as usize % tokens.len();
+                    q.cancel(tokens.swap_remove(k));
+                }
+            }
+            _ => {
+                if q.pop().is_some() {
+                    popped += 1;
+                }
+            }
+        }
+    }
+    popped
+}
+
 fn bench(c: &mut Criterion) {
     c.bench_function("core_hot_path/queue_schedule_pop_cancel_64k", |b| {
         b.iter(|| {
-            // Deterministic mix: ~60% schedules, ~20% cancels of a
-            // remembered token, ~20% pops — the proportions the world
-            // loop produces (step/engine tokens are cancelled often).
             let mut q: EventQueue<u64> = EventQueue::new();
-            let mut tokens: Vec<u64> = Vec::new();
-            let mut state = 0x5EEDu64;
-            let mut next = || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            let mut popped = 0u64;
-            for i in 0..65_536u64 {
-                match next() % 10 {
-                    0..=5 => {
-                        let at = q.now() + SimDuration::from_nanos(next() % 1_000);
-                        tokens.push(q.schedule(at, i));
-                    }
-                    6..=7 => {
-                        if !tokens.is_empty() {
-                            let k = next() as usize % tokens.len();
-                            let tok = tokens.swap_remove(k);
-                            q.cancel(tok);
-                        }
-                    }
-                    _ => {
-                        if q.pop().is_some() {
-                            popped += 1;
-                        }
-                    }
-                }
-            }
+            let mut next = xorshift(0x5EED);
+            let mut popped = near_future_mix(&mut q, &mut next);
             while q.pop().is_some() {
                 popped += 1;
             }
             std::hint::black_box(popped)
+        })
+    });
+
+    c.bench_function("core_hot_path/queue_mix_over_800_staged_arrivals", |b| {
+        b.iter(|| {
+            // World-shaped: the scenario driver stages every arrival up
+            // front, so ~800 far-future keys (spread over a 16 s
+            // horizon) sit in the queue while the near-future mix runs.
+            // The mix alone keeps every key within 1 us of now and so
+            // never shows what those staged keys cost each pop.
+            let mut q: EventQueue<u64> = EventQueue::new();
+            let mut next = xorshift(0x5EED);
+            for i in 0..800u64 {
+                q.schedule(SimTime::from_nanos(next() % 16_000_000_000), i);
+            }
+            let popped = near_future_mix(&mut q, &mut next);
+            std::hint::black_box((popped, q.len()))
         })
     });
 

@@ -47,7 +47,7 @@ use neon_core::fleet::FleetPlacementKind;
 use neon_core::placement::PlacementKind;
 use neon_core::rebalance::RebalanceKind;
 use neon_core::telemetry::MetricsMode;
-use neon_scenario::{emit, parse_duration, sweep, toml_file, ScenarioSpec};
+use neon_scenario::{emit, parse_duration, sweep, toml_file, CellResult, ScenarioSpec};
 use neon_sim::SimDuration;
 
 struct Options {
@@ -493,7 +493,7 @@ fn cmd_bench(opts: &Options) -> ExitCode {
     eprintln!("benchmarking {} cells: serial first...", cells.len());
     let serial = sweep::run_serial(&cells);
     eprintln!("  serial:     {:>9.1} ms", serial.wall.as_secs_f64() * 1e3);
-    let events: u64 = serial.results.iter().map(|r| r.report.events).sum();
+    let events: u64 = serial.results.iter().map(CellResult::events).sum();
     // One parallel run per requested thread count (default: one run
     // at the host's available parallelism). Progress goes to stderr;
     // stdout carries only the JSON document (when no --out is given),

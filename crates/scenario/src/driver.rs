@@ -226,6 +226,17 @@ pub struct CellResult {
     pub fleet: Option<FleetReport>,
 }
 
+impl CellResult {
+    /// Simulated events of the cell, summed over all hosts
+    /// ([`CellResult::report`] alone holds only host 0 of a fleet).
+    pub fn events(&self) -> u64 {
+        match &self.fleet {
+            Some(fleet) => fleet.hosts.iter().map(|h| h.events).sum(),
+            None => self.report.events,
+        }
+    }
+}
+
 /// A uniform draw in `(0, 1]`, for inverse-transform sampling.
 fn unit_open(rng: &mut DetRng) -> f64 {
     let u = (rng.raw() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
@@ -1260,5 +1271,36 @@ mod tests {
             assert_eq!(a.rounds, b.rounds);
             assert_eq!(a.admitted, b.admitted);
         }
+    }
+
+    #[test]
+    fn fleet_cell_events_count_every_host() {
+        let spec = churn_spec().hosts(2);
+        let result = run_cell(
+            &spec,
+            SchedulerKind::DisengagedFairQueueing,
+            PlacementKind::LeastLoaded,
+            FleetPlacementKind::LeastLoaded,
+            RebalanceKind::Off,
+            FaultMode::None,
+            7,
+        );
+        let fleet = result.fleet.as_ref().expect("fleet cells carry a report");
+        let per_host: u64 = fleet.hosts.iter().map(|h| h.events).sum();
+        assert_eq!(result.events(), per_host);
+        assert!(
+            result.events() > result.report.events,
+            "host 1 ran events too, so host 0 alone undercounts"
+        );
+        let bare = run_cell(
+            &churn_spec(),
+            SchedulerKind::DisengagedFairQueueing,
+            PlacementKind::LeastLoaded,
+            FleetPlacementKind::LeastLoaded,
+            RebalanceKind::Off,
+            FaultMode::None,
+            7,
+        );
+        assert_eq!(bare.events(), bare.report.events);
     }
 }

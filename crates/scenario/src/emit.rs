@@ -17,7 +17,7 @@ use neon_core::fault::FaultMode;
 use neon_core::telemetry::SimStats;
 use neon_metrics::CounterKey as _;
 
-use crate::driver::CellSummary;
+use crate::driver::{CellResult, CellSummary};
 use crate::sweep::SweepOutcome;
 
 /// Escapes a string for a JSON literal.
@@ -294,7 +294,8 @@ migrations_in,migrations_out\n",
 /// second), overall and per reference scenario. `serial` and every
 /// entry of `parallel_runs` are runs of the *same* plan, so their
 /// event totals must agree — the document carries one event count and
-/// one throughput per run.
+/// one throughput per run. Fleet cells count the events of every host
+/// ([`CellResult::events`]).
 ///
 /// `row_rss` carries one instantaneous RSS sample per parallel run,
 /// taken by the caller right after that run finished (see
@@ -323,7 +324,7 @@ pub fn bench_json(
     parallel_runs: &[SweepOutcome],
     row_rss: &[Option<u64>],
 ) -> String {
-    let total_events: u64 = serial.results.iter().map(|r| r.report.events).sum();
+    let total_events: u64 = serial.results.iter().map(CellResult::events).sum();
     let serial_s = serial.wall.as_secs_f64();
     // The headline parallel run: the widest one (ties: the last).
     let headline = parallel_runs
@@ -413,7 +414,7 @@ pub fn bench_json(
         let mut peak_rss: Option<u64> = None;
         for c in cells {
             n += 1;
-            events += c.report.events;
+            events += c.events();
             wall += c.summary.elapsed.as_secs_f64();
             if let Some(rss) = c.summary.peak_rss_bytes {
                 peak_rss = Some(peak_rss.map_or(rss, |p| p.max(rss)));
@@ -1030,6 +1031,30 @@ mod tests {
             json.contains(&format!("\"peak_rss_bytes\": {}", 64 * 1024 * 1024)),
             "{json}"
         );
+    }
+
+    #[test]
+    fn bench_json_counts_every_fleet_host() {
+        // A fleet cell's `report` is host 0 only; the document must sum
+        // the events of every host.
+        let mut serial = outcome();
+        let cell = &mut serial.results[0];
+        let mut host1 = cell.report.clone();
+        host1.events = 1_000;
+        cell.fleet = Some(neon_core::fleet::FleetReport {
+            wall: cell.report.wall,
+            hosts: vec![cell.report.clone(), host1],
+            groups: vec![],
+            cross_host_migrations: 0,
+            cluster_transfer_stall: SimDuration::ZERO,
+            fleet_rejected: 0,
+            host_failures: 0,
+            fleet_lost_tasks: 0,
+            fleet_fault_recovered: 0,
+            host_degraded: SimDuration::ZERO,
+        });
+        let json = bench_json(&serial, &[], &[]);
+        assert_eq!(json.matches("\"sim_events\": 13345").count(), 2, "{json}");
     }
 
     #[test]

@@ -6,32 +6,57 @@
 //! tie-breaking). Stability is what makes whole-simulation determinism
 //! possible, so it is load-bearing, tested, and guaranteed.
 //!
-//! # Design: inline-payload slab
+//! # Design: monotone radix heap over an inline-payload slab
 //!
-//! Payloads live in a `Vec` slab with a free list; heap keys carry the
-//! payload's slot index and a per-slot generation counter, so every
-//! operation on the hot path is allocation- and hash-free:
+//! Payloads live in a `Vec` slab with a free list; queue keys carry the
+//! payload's slot index and a per-slot generation counter, so no
+//! operation hashes or looks anything up by key.
 //!
-//! - **schedule** pushes a 32-byte key and writes one slab slot —
-//!   amortized O(log n), no hashing (the previous design paid a SipHash
-//!   `HashMap` insert per event).
+//! Keys are ordered by the 128-bit *rank* `(at << 64) | seq` and kept in
+//! a monotone radix heap (Ahuja, Mehlhorn, Orlin & Tarjan, 1990). The
+//! heap remembers a *base*: the rank of the most recently popped event.
+//! A key lives in bucket `i`, where `i` is one plus the index of the
+//! highest bit in which its rank differs from the base (bucket 0 holds
+//! a rank equal to the base). Every key in bucket `i` is smaller than
+//! every key in bucket `i + 1`, so the minimum sits in the lowest
+//! non-empty bucket, found through a 129-bit occupancy mask.
+//!
+//! - **schedule** computes the bucket with one XOR and a leading-zero
+//!   count, pushes a 24-byte key and writes one slab slot. O(1).
 //! - **cancel** is O(1): bump the slot's generation and reclaim it. The
-//!   stale heap key is tombstoned implicitly — its generation no longer
-//!   matches — and is discarded when it surfaces.
-//! - **pop** drains stale tombstone keys lazily as they reach the top.
-//! - **peek_time** drains stale tops the same way, making it O(1) when
-//!   the top is live and amortized O(log n) overall (the previous
-//!   design scanned the *entire* heap on every peek).
+//!   stale key is tombstoned implicitly — its generation no longer
+//!   matches — and is discarded when a scan reaches it.
+//! - **pop** scans the lowest non-empty bucket for its minimum, makes
+//!   that rank the new base, and moves the bucket's other live keys
+//!   into lower buckets (they now agree with the base on more high
+//!   bits). A key only ever moves down, at most 128 times over its
+//!   life, so a pop's amortized cost does not grow with the number of
+//!   queued keys. Far-future keys (the
+//!   arrivals a scenario stages up front) sit untouched in high buckets
+//!   until the base approaches them, so they cost nothing per pop.
+//!
+//! **The monotonicity invariant.** A radix heap requires every key to be
+//! at least the base. The queue guarantees it: `schedule` refuses times
+//! before the last popped event, and `seq` grows strictly, so a new key
+//! ranks above every popped one. Two things must therefore never move
+//! the base, because `schedule` may legally insert a key between
+//! [`EventQueue::now`] and the rank they saw:
+//!
+//! - **a peek** — [`EventQueue::peek_time`] finds the minimum without
+//!   committing to it;
+//! - **a stale key** — a cancelled minimum is dropped, and the scan
+//!   repeats; only a live event that actually pops becomes the base.
 //!
 //! Cancellation tokens encode `(generation << 32) | slot`; a token
 //! becomes stale the moment its event fires or is cancelled, and a
 //! stale token can only be confused with a live one after a single slot
 //! is reused 2^32 times — unreachable in practice.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use crate::time::SimTime;
+
+/// One bucket per possible highest differing bit of a 128-bit rank,
+/// plus bucket 0 for a rank equal to the base.
+const BUCKETS: usize = 129;
 
 /// An event together with its scheduled firing time and a cancellation
 /// handle.
@@ -46,10 +71,10 @@ pub struct ScheduledEvent<E> {
     pub event: E,
 }
 
-/// Heap key: ordered by `(at, seq)` — `seq` is unique, so the slot and
-/// generation fields never influence the order; they exist to find and
-/// validate the payload without a lookup table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Queue key: ordered by [`Key::rank`], i.e. `(at, seq)` — `seq` is
+/// unique, so the slot and generation fields never influence the order;
+/// they exist to find and validate the payload without a lookup table.
+#[derive(Debug, Clone, Copy)]
 struct Key {
     at: SimTime,
     seq: u64,
@@ -57,10 +82,32 @@ struct Key {
     gen: u32,
 }
 
-/// One slab slot. A slot is *live* while a heap key carrying its
+impl Key {
+    fn rank(&self) -> u128 {
+        (u128::from(self.at.as_nanos()) << 64) | u128::from(self.seq)
+    }
+}
+
+/// The bucket of `rank` relative to `base`: one plus the index of the
+/// highest bit where they differ, or 0 when they are equal.
+fn bucket_of(rank: u128, base: u128) -> usize {
+    (128 - (rank ^ base).leading_zeros()) as usize
+}
+
+/// Sets bucket `b`'s bit in the occupancy mask.
+fn mark(occupied: &mut [u64; 3], b: usize) {
+    occupied[b / 64] |= 1 << (b % 64);
+}
+
+/// Clears bucket `b`'s bit in the occupancy mask.
+fn unmark(occupied: &mut [u64; 3], b: usize) {
+    occupied[b / 64] &= !(1 << (b % 64));
+}
+
+/// One slab slot. A slot is *live* while a queue key carrying its
 /// current generation exists; vacating the slot (pop or cancel) bumps
-/// the generation, which simultaneously invalidates the old heap key
-/// and any outstanding cancellation token.
+/// the generation, which simultaneously invalidates the old key and
+/// any outstanding cancellation token.
 #[derive(Debug)]
 struct Slot<E> {
     gen: u32,
@@ -84,24 +131,29 @@ struct Slot<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Key>>,
+    buckets: Box<[Vec<Key>; BUCKETS]>,
+    /// Bit `i` is set iff `buckets[i]` is non-empty.
+    occupied: [u64; 3],
+    /// Rank of the most recently popped event; every queued key ranks
+    /// at or above it.
+    base: u128,
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
     live: usize,
     next_seq: u64,
-    last_popped: SimTime,
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            buckets: Box::new(std::array::from_fn(|_| Vec::new())),
+            occupied: [0; 3],
+            base: 0,
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
             next_seq: 0,
-            last_popped: SimTime::ZERO,
         }
     }
 
@@ -114,10 +166,10 @@ impl<E> EventQueue<E> {
     /// time: the simulator may not schedule into its own past.
     pub fn schedule(&mut self, at: SimTime, event: E) -> u64 {
         assert!(
-            at >= self.last_popped,
+            at >= self.now(),
             "cannot schedule into the past: {} < {}",
             at,
-            self.last_popped
+            self.now()
         );
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -139,14 +191,18 @@ impl<E> EventQueue<E> {
             }
         };
         let gen = self.slots[slot as usize].gen;
-        self.heap.push(Reverse(Key { at, seq, slot, gen }));
+        let key = Key { at, seq, slot, gen };
+        let b = bucket_of(key.rank(), self.base);
+        self.buckets[b].push(key);
+        mark(&mut self.occupied, b);
         self.live += 1;
         ((gen as u64) << 32) | slot as u64
     }
 
     /// Cancels a previously scheduled event. Returns the payload if the
-    /// event had not yet fired or been cancelled. O(1): the heap is not
-    /// touched; the stale key is discarded lazily when it surfaces.
+    /// event had not yet fired or been cancelled. O(1): the buckets are
+    /// not touched; the stale key is discarded lazily when a scan
+    /// reaches it.
     pub fn cancel(&mut self, token: u64) -> Option<E> {
         let slot = (token & u32::MAX as u64) as usize;
         // lint: allow(narrowing-cast) — deliberate upper-half bit extraction
@@ -171,37 +227,69 @@ impl<E> EventQueue<E> {
     /// Removes and returns the next event in (time, schedule-order).
     /// Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(Reverse(key)) = self.heap.pop() {
-            let slot = &mut self.slots[key.slot as usize];
-            if slot.gen != key.gen {
+        let (b, i) = self.find_min()?;
+        let key = self.buckets[b].swap_remove(i);
+        // Only a live event that actually fires advances the base.
+        self.base = key.rank();
+        let (lower, upper) = self.buckets.split_at_mut(b);
+        for k in upper[0].drain(..) {
+            if self.slots[k.slot as usize].gen != k.gen {
                 continue; // cancelled: discard the stale key
             }
-            // lint: allow(unchecked-unwrap) — the generation match above
-            // proves the slot is live
-            let (at, event) = slot.payload.take().expect("live slot must hold a payload");
-            slot.gen = slot.gen.wrapping_add(1);
-            self.free.push(key.slot);
-            self.live -= 1;
-            debug_assert_eq!(at, key.at);
-            self.last_popped = at;
-            return Some((at, event));
+            let nb = bucket_of(k.rank(), self.base);
+            debug_assert!(nb < b, "a redistributed key must move down");
+            lower[nb].push(k);
+            mark(&mut self.occupied, nb);
         }
-        None
+        unmark(&mut self.occupied, b);
+        let slot = &mut self.slots[key.slot as usize];
+        // lint: allow(unchecked-unwrap) — find_min only returns live keys
+        let (at, event) = slot.payload.take().expect("live slot must hold a payload");
+        slot.gen = slot.gen.wrapping_add(1);
+        self.free.push(key.slot);
+        self.live -= 1;
+        debug_assert_eq!(at, key.at);
+        Some((at, event))
     }
 
     /// The firing time of the next live event, if any. Stale
-    /// (cancelled) keys sitting atop the heap are drained as a side
-    /// effect, so repeated peeks stay cheap even after mass
-    /// cancellation — each stale key is paid for exactly once, here or
-    /// in [`EventQueue::pop`].
+    /// (cancelled) keys met on the way are dropped as a side effect, so
+    /// repeated peeks stay cheap even after mass cancellation — each
+    /// stale key is paid for once, here or in [`EventQueue::pop`]. A
+    /// peek never moves the base: an event may still be scheduled
+    /// between [`EventQueue::now`] and the peeked time.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(Reverse(key)) = self.heap.peek() {
-            if self.slots[key.slot as usize].gen == key.gen {
-                return Some(key.at);
+        self.find_min().map(|(b, i)| self.buckets[b][i].at)
+    }
+
+    /// Locates the minimum live key: its bucket and index. Empties
+    /// buckets that hold only stale keys, and purges the stale keys of
+    /// a bucket whose minimum turned out stale, so the base is never
+    /// derived from a cancelled event.
+    fn find_min(&mut self) -> Option<(usize, usize)> {
+        loop {
+            let b = self.lowest_occupied()?;
+            let bucket = &mut self.buckets[b];
+            // Ranks are read from the contiguous bucket alone; the slab
+            // is consulted only for the winner.
+            let i = min_rank_index(bucket);
+            let k = bucket[i];
+            if self.slots[k.slot as usize].gen == k.gen {
+                return Some((b, i));
             }
-            self.heap.pop();
+            let slots = &self.slots;
+            bucket.retain(|k| slots[k.slot as usize].gen == k.gen);
+            if bucket.is_empty() {
+                unmark(&mut self.occupied, b);
+            }
         }
-        None
+    }
+
+    /// Index of the lowest non-empty bucket.
+    fn lowest_occupied(&self) -> Option<usize> {
+        (0..self.occupied.len())
+            .find(|&w| self.occupied[w] != 0)
+            .map(|w| w * 64 + self.occupied[w].trailing_zeros() as usize)
     }
 
     /// Number of live (not cancelled, not yet fired) events.
@@ -216,10 +304,10 @@ impl<E> EventQueue<E> {
 
     /// The time of the most recently popped event (simulation "now").
     pub fn now(&self) -> SimTime {
-        self.last_popped
+        SimTime::from_nanos((self.base >> 64) as u64)
     }
 
-    /// Empties the queue while keeping the slab, free list, and heap
+    /// Empties the queue while keeping the slab, free list, and bucket
     /// allocations, so a long-lived queue can be recycled across
     /// simulation runs without touching the allocator.
     ///
@@ -231,7 +319,11 @@ impl<E> EventQueue<E> {
     /// influence event order — only `(at, seq)` does — so reuse cannot
     /// perturb determinism.) All outstanding cancellation tokens die.
     pub fn clear(&mut self) {
-        self.heap.clear();
+        for bucket in self.buckets.iter_mut() {
+            bucket.clear();
+        }
+        self.occupied = [0; 3];
+        self.base = 0;
         for slot in &mut self.slots {
             if slot.payload.take().is_some() {
                 slot.gen = slot.gen.wrapping_add(1);
@@ -243,8 +335,21 @@ impl<E> EventQueue<E> {
         self.free.extend((0..self.slots.len() as u32).rev());
         self.live = 0;
         self.next_seq = 0;
-        self.last_popped = SimTime::ZERO;
     }
+}
+
+/// Index of the smallest rank in a non-empty bucket.
+fn min_rank_index(bucket: &[Key]) -> usize {
+    let mut best = 0;
+    let mut best_rank = bucket[0].rank();
+    for (i, k) in bucket.iter().enumerate().skip(1) {
+        let r = k.rank();
+        if r < best_rank {
+            best = i;
+            best_rank = r;
+        }
+    }
+    best
 }
 
 impl<E> Default for EventQueue<E> {
@@ -337,9 +442,9 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.peek_time(), Some(t(1_000_000)));
         // The stale keys were drained by the peek, not merely skipped:
-        // the heap now holds exactly the one live entry, so further
+        // the buckets now hold exactly the one live entry, so further
         // peeks and the final pop are O(1).
-        assert_eq!(q.heap.len(), 1);
+        assert_eq!(q.buckets.iter().map(Vec::len).sum::<usize>(), 1);
         assert_eq!(q.peek_time(), Some(t(1_000_000)));
         assert_eq!(q.pop(), Some((t(1_000_000), 42)));
         assert_eq!(q.peek_time(), None);
@@ -454,5 +559,88 @@ mod tests {
         assert_eq!(q.pop(), Some((t(15), 3)));
         assert_eq!(q.pop(), Some((t(20), 2)));
         let _ = SimDuration::ZERO; // silence unused import in some cfgs
+    }
+
+    #[test]
+    fn peek_does_not_advance_the_base() {
+        // A peek sees t(50) as the minimum; an event scheduled afterwards
+        // between now() and t(50) must still fire first.
+        let mut q = EventQueue::new();
+        q.schedule(t(10), 'a');
+        q.schedule(t(50), 'b');
+        assert_eq!(q.pop(), Some((t(10), 'a')));
+        assert_eq!(q.peek_time(), Some(t(50)));
+        q.schedule(t(20), 'c');
+        assert_eq!(q.peek_time(), Some(t(20)));
+        assert_eq!(q.pop(), Some((t(20), 'c')));
+        assert_eq!(q.pop(), Some((t(50), 'b')));
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn cancelled_minimum_does_not_advance_the_base() {
+        // The cancelled t(40) is the minimum of its bucket when the next
+        // scan reaches it; it must be dropped without becoming the base,
+        // so an event between now() and t(40) stays schedulable and
+        // fires first.
+        let mut q = EventQueue::new();
+        q.schedule(t(10), 'a');
+        let doomed = q.schedule(t(40), 'x');
+        q.schedule(t(1_000_000), 'z');
+        assert_eq!(q.pop(), Some((t(10), 'a')));
+        assert_eq!(q.cancel(doomed), Some('x'));
+        assert_eq!(q.peek_time(), Some(t(1_000_000)));
+        q.schedule(t(30), 'b');
+        assert_eq!(q.pop(), Some((t(30), 'b')));
+        assert_eq!(q.now(), t(30));
+        q.schedule(t(35), 'c');
+        assert_eq!(q.pop(), Some((t(35), 'c')));
+        assert_eq!(q.pop(), Some((t(1_000_000), 'z')));
+        assert!(q.is_empty());
+
+        // The same when the cancelled key is the last one: the pop that
+        // drops it finds nothing, and now() must not jump to its time.
+        let doomed = q.schedule(t(2_000_000), 'y');
+        assert_eq!(q.cancel(doomed), Some('y'));
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.now(), t(1_000_000));
+        q.schedule(t(1_500_000), 'd');
+        assert_eq!(q.pop(), Some((t(1_500_000), 'd')));
+    }
+
+    #[test]
+    fn far_future_and_extreme_times_keep_their_order() {
+        // Keys spread over every bucket: ties at now, sub-microsecond
+        // offsets, 2^40 ns, and times next to u64::MAX ns.
+        let mut q = EventQueue::new();
+        let far = SimTime::from_nanos(1 << 40);
+        let edge = SimTime::from_nanos(u64::MAX - 1);
+        q.schedule(SimTime::MAX, 6);
+        q.schedule(edge, 5);
+        q.schedule(far, 3);
+        q.schedule(SimTime::from_nanos(999), 1);
+        q.schedule(SimTime::ZERO, 0);
+        q.schedule(far, 4);
+        q.schedule(SimTime::from_nanos(1_000), 2);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(q.now(), SimTime::MAX);
+        q.schedule(SimTime::MAX, 7);
+        assert_eq!(q.pop(), Some((SimTime::MAX, 7)));
+    }
+
+    #[test]
+    fn clear_keeps_bucket_capacity() {
+        let mut q = EventQueue::new();
+        for i in 0..64 {
+            q.schedule(t(i * 1_000), i);
+        }
+        q.pop();
+        let capacity = |q: &EventQueue<u64>| -> usize { q.buckets.iter().map(Vec::capacity).sum() };
+        let before = capacity(&q);
+        q.clear();
+        assert_eq!(capacity(&q), before, "clear must not free bucket storage");
+        assert!(q.buckets.iter().all(Vec::is_empty));
+        assert_eq!(q.occupied, [0; 3]);
     }
 }

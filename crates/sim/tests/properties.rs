@@ -63,6 +63,13 @@ impl<E> ModelQueue<E> {
     fn now(&self) -> SimTime {
         self.last_popped
     }
+
+    fn clear(&mut self) {
+        self.heap.clear();
+        self.payloads.clear();
+        self.next_seq = 0;
+        self.last_popped = SimTime::ZERO;
+    }
 }
 
 fn fnv1a(hash: &mut u64, v: u64) {
@@ -252,6 +259,81 @@ proptest! {
             prop_assert_eq!(x, y);
             prop_assert!(x >= SimDuration::from_micros(70));
             prop_assert!(x <= SimDuration::from_micros(130));
+        }
+    }
+}
+
+/// The firing time for a schedule op of the wide-range model test:
+/// `class` picks a tie at now, a sub-microsecond offset, an offset up
+/// to 2^40 ns, or an absolute time within 1 µs of `u64::MAX` ns, so
+/// keys land in every radix bucket, including the top ones.
+fn wide_time(now: SimTime, class: u8, raw: u64) -> SimTime {
+    let ns = now.as_nanos();
+    match class {
+        0..=3 => now,
+        4..=9 => SimTime::from_nanos(ns.saturating_add(raw % 1_000)),
+        10..=14 => SimTime::from_nanos(ns.saturating_add(raw % ((1 << 40) + 1))),
+        _ => SimTime::from_nanos((u64::MAX - raw % 1_000).max(ns)),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
+
+    /// The queue agrees with the reference model when keys span the
+    /// whole time range — far-future and near-`u64::MAX` events next to
+    /// same-instant ties — and across `clear()`. Tokens taken before a
+    /// clear stay in play: the queue must refuse them, which the model
+    /// expresses by tagging each token with the clear epoch it was
+    /// issued in.
+    #[test]
+    fn wide_range_queue_matches_reference_model(
+        ops in proptest::collection::vec((0u8..32, 0u8..16, any::<u64>(), 0u64..10_000), 1..400),
+    ) {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut model: ModelQueue<u64> = ModelQueue::new();
+        let mut epoch = 0u64;
+        let mut q_tokens = Vec::new();
+        let mut m_tokens = Vec::new();
+        for (step, &(op, class, raw, pick)) in ops.iter().enumerate() {
+            match op {
+                0..=13 => {
+                    let at = wide_time(q.now(), class, raw);
+                    q_tokens.push(q.schedule(at, step as u64));
+                    m_tokens.push((epoch, model.schedule(at, step as u64)));
+                }
+                14..=18 => {
+                    if !q_tokens.is_empty() {
+                        let i = pick as usize % q_tokens.len();
+                        let a = q.cancel(q_tokens.swap_remove(i));
+                        let (e, seq) = m_tokens.swap_remove(i);
+                        let b = if e == epoch { model.cancel(seq) } else { None };
+                        prop_assert_eq!(a, b, "cancel outcomes diverged");
+                    }
+                }
+                19..=22 => {
+                    prop_assert_eq!(q.peek_time(), model.peek_time(), "peek diverged");
+                }
+                23..=30 => {
+                    prop_assert_eq!(q.pop(), model.pop(), "pop diverged");
+                    prop_assert_eq!(q.now(), model.now());
+                }
+                _ => {
+                    q.clear();
+                    model.clear();
+                    epoch += 1;
+                    prop_assert_eq!(q.now(), SimTime::ZERO);
+                }
+            }
+            prop_assert_eq!(q.len(), model.payloads.len());
+            prop_assert_eq!(q.is_empty(), model.payloads.is_empty());
+        }
+        loop {
+            let (a, b) = (q.pop(), model.pop());
+            prop_assert_eq!(&a, &b, "drain diverged");
+            if a.is_none() {
+                break;
+            }
         }
     }
 }

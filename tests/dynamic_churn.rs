@@ -221,19 +221,14 @@ fn parallel_sweep_matches_serial_and_scales_when_cores_exist() {
         assert_eq!(s.report.compute_busy, p.report.compute_busy);
     }
 
+    // Scaling is checked as fan-out only. Wall-clock speed depends on
+    // what else the host runs, so asserting on it made this test flaky;
+    // the benchmark's `scenario.sweep.speedup_2t` measures it instead.
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     if cores >= 2 {
         assert!(parallel.threads >= 2, "should fan out on a multicore box");
-        assert!(
-            parallel.wall < serial.wall,
-            "parallel sweep ({:?}) not faster than serial ({:?}) on {cores} cores",
-            parallel.wall,
-            serial.wall
-        );
-    } else {
-        eprintln!("single-core machine: speedup assertion skipped (equality still verified)");
     }
 }
 
