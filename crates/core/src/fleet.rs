@@ -36,8 +36,8 @@
 //!    (in deterministic record order) and run to the horizon; the
 //!    per-host [`RunReport`]s are merged into a [`FleetReport`], with
 //!    per-group telemetry combined losslessly via the mergeable
-//!    [`StreamingHistogram`] sketches — a million-tenant-round fleet
-//!    run stays in bounded memory under
+//!    [`StreamingHistogram`](neon_metrics::StreamingHistogram) sketches
+//!    — a million-tenant-round fleet run stays in bounded memory under
 //!    [`MetricsMode::Streaming`](crate::telemetry::MetricsMode).
 //!
 //! The ledger tracks planned context/channel occupancy, not workload
@@ -49,54 +49,21 @@
 //! applies underneath and may refuse an arrival the ledger accepted.
 //!
 //! A **single-host fleet is transparent**: the cluster tier has no
-//! decision to make, so every arrival flows straight to the host —
-//! mirroring how a single-device [`World`] bypasses its placement
-//! policy. The fleet golden-trace tests pin that a 1-host fleet is
-//! byte-identical to a bare `World` for every scheduler × placement.
+//! decision to make, so every arrival is staged straight on the host
+//! at call time — mirroring how a single-device [`World`] bypasses its
+//! placement policy. The fleet golden-trace tests pin that a 1-host
+//! fleet is byte-identical to a bare `World` for every scheduler ×
+//! placement.
 
+pub use neon_gpu::HostId;
 use neon_gpu::{ClusterInterconnect, GpuError, TaskId};
-use neon_metrics::{Distribution, StreamingHistogram};
+use neon_metrics::Distribution;
 use neon_sim::{SimDuration, SimTime};
 
 use crate::fault::{FaultKind, FaultPlan};
-use crate::report::{GroupReport, RunReport};
+use crate::report::{round_distribution, GroupReport, RunReport};
 use crate::workload::BoxedWorkload;
 use crate::world::World;
-
-/// Identifies one host (one [`World`]) of a fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct HostId(u32);
-
-impl HostId {
-    /// A host id from its index.
-    pub fn new(raw: u32) -> Self {
-        HostId(raw)
-    }
-
-    /// The raw index.
-    pub fn raw(self) -> u32 {
-        self.0
-    }
-
-    /// The index as `usize`.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-
-    /// A host id from a table index, checking that it fits the 32-bit
-    /// id space instead of silently truncating.
-    pub fn from_index(index: usize) -> Self {
-        // lint: allow(unchecked-unwrap) — fleets are bounded far below
-        // 2^32 hosts; overflowing the id space is unrecoverable.
-        HostId(u32::try_from(index).expect("host index exceeds u32"))
-    }
-}
-
-impl std::fmt::Display for HostId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "host{}", self.0)
-    }
-}
 
 /// Cluster-observable load of one host at a placement instant — the
 /// fleet analogue of [`DeviceLoad`](crate::placement::DeviceLoad),
@@ -496,7 +463,7 @@ pub struct FleetReport {
     pub hosts: Vec<RunReport>,
     /// Per-workload-name telemetry merged across hosts (streaming mode
     /// only; empty in exact mode), via lossless
-    /// [`StreamingHistogram::merge`].
+    /// [`StreamingHistogram::merge`](neon_metrics::StreamingHistogram::merge).
     pub groups: Vec<GroupReport>,
     /// Tenants the fleet moved between hosts.
     pub cross_host_migrations: u64,
@@ -552,33 +519,14 @@ impl FleetReport {
     /// [`Distribution`], whichever metrics mode produced the run
     /// (mirrors [`RunReport::round_distribution`]).
     pub fn round_distribution(&self) -> Box<dyn Distribution> {
-        if self
-            .hosts
-            .iter()
-            .any(|h| h.tasks.iter().any(|t| !t.rounds.is_empty()))
-        {
-            let mut all: Vec<SimDuration> = Vec::new();
-            for h in &self.hosts {
-                for t in &h.tasks {
-                    all.extend_from_slice(&t.rounds);
-                }
-            }
-            Box::new(neon_metrics::Summary::of(&all))
-        } else {
-            let mut merged = StreamingHistogram::new();
-            for h in &self.hosts {
-                for t in &h.tasks {
-                    merged.merge(&t.rounds_hist);
-                }
-            }
-            Box::new(merged)
-        }
+        round_distribution(self.hosts.iter().flat_map(|h| &h.tasks))
     }
 }
 
 /// Merges per-host [`GroupReport`]s by workload name, in
 /// first-appearance order across hosts. Lossless: the underlying
-/// [`StreamingHistogram`] buckets add bucket-wise.
+/// [`StreamingHistogram`](neon_metrics::StreamingHistogram) buckets add
+/// bucket-wise.
 pub fn merge_groups(hosts: &[RunReport]) -> Vec<GroupReport> {
     let mut merged: Vec<GroupReport> = Vec::new();
     for host in hosts {
@@ -603,6 +551,7 @@ pub fn merge_groups(hosts: &[RunReport]) -> Vec<GroupReport> {
 /// intra-host placement), hand them to [`Fleet::new`], stage tenants
 /// with [`Fleet::add_task`] / [`Fleet::spawn_task_at`] /
 /// [`Fleet::spawn_migratable_for`], and call [`Fleet::run`] once.
+/// [`Fleet::into_hosts`] hands the worlds back for reuse.
 pub struct Fleet {
     hosts: Vec<World>,
     placement: Box<dyn FleetPlacement>,
@@ -624,7 +573,8 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// A fleet over the given freshly built host worlds.
+    /// A fleet over the given host worlds, each freshly built or
+    /// [`World::reset`] and not yet staged.
     ///
     /// # Panics
     ///
@@ -797,6 +747,16 @@ impl Fleet {
         factory: Option<WorkloadFactory>,
     ) {
         assert!(!self.started, "spawn after Fleet::run");
+        if !self.multi() {
+            // A lone host has no routing to plan: stage on it now, so a
+            // 1-host fleet sees every call in exactly the order a bare
+            // world would, however adds and spawns interleave.
+            match lifetime {
+                Some(l) => self.hosts[0].spawn_task_for(at, workload, l),
+                None => self.hosts[0].spawn_task_at(at, workload),
+            }
+            return;
+        }
         self.spawns.push(FleetSpawn {
             at,
             lifetime,
@@ -812,14 +772,12 @@ impl Fleet {
     /// The cluster-level planning pass: routes every recorded spawn to
     /// a host (or rejects it), and lets the rebalance policy name
     /// cross-host migrations at departures. Single-host fleets skip
-    /// planning entirely — everything flows to host 0, unconditionally,
-    /// so the host's own admission control is the only gate (and the
-    /// staged program is byte-identical to a bare world's).
+    /// planning entirely: their spawns were staged on host 0 as they
+    /// were recorded, so the host's own admission control is the only
+    /// gate (and the staged program is byte-identical to a bare
+    /// world's).
     fn plan(&mut self, horizon: SimDuration) {
         if !self.multi() {
-            for s in &mut self.spawns {
-                s.host = Some(0);
-            }
             return;
         }
         // (time, seq) orders the pass: seq is allocation order, so
@@ -1088,9 +1046,8 @@ impl Fleet {
         self.started = true;
         self.plan(horizon);
         // Stage every routed spawn, in record order (continuations
-        // follow the original spawns in migration order) — for a
-        // single host this is exactly the order a bare world would
-        // have seen the same calls.
+        // follow the original spawns in migration order). A single
+        // host has none left: its spawns were staged at call time.
         for i in 0..self.spawns.len() {
             let Some(host) = self.spawns[i].host else {
                 continue;
@@ -1125,6 +1082,12 @@ impl Fleet {
             fleet_fault_recovered: self.fleet_fault_recovered,
             host_degraded: self.host_degraded,
         }
+    }
+
+    /// Dissolves the fleet into its host worlds, so a caller can
+    /// [`World::reset`] and reuse them for the next fleet.
+    pub fn into_hosts(self) -> Vec<World> {
+        self.hosts
     }
 }
 

@@ -265,19 +265,29 @@ impl RunReport {
     /// per-task histograms otherwise. This is the single interface
     /// report consumers use for percentiles.
     pub fn round_distribution(&self) -> Box<dyn Distribution> {
-        if self.tasks.iter().any(|t| !t.rounds.is_empty()) {
-            let mut all: Vec<SimDuration> = Vec::new();
-            for t in &self.tasks {
-                all.extend_from_slice(&t.rounds);
-            }
-            Box::new(neon_metrics::Summary::of(&all))
-        } else {
-            let mut merged = StreamingHistogram::new();
-            for t in &self.tasks {
-                merged.merge(&t.rounds_hist);
-            }
-            Box::new(merged)
+        round_distribution(&self.tasks)
+    }
+}
+
+/// The round durations of `tasks` as one [`Distribution`]: the exact
+/// per-task vectors when any task kept them, the merged per-task
+/// histograms otherwise. Shared by [`RunReport::round_distribution`]
+/// and [`FleetReport::round_distribution`](crate::fleet::FleetReport::round_distribution).
+pub(crate) fn round_distribution<'a, I>(tasks: I) -> Box<dyn Distribution>
+where
+    I: IntoIterator<Item = &'a TaskReport>,
+    I::IntoIter: Clone,
+{
+    let tasks = tasks.into_iter();
+    if tasks.clone().any(|t| !t.rounds.is_empty()) {
+        let all: Vec<SimDuration> = tasks.flat_map(|t| t.rounds.iter().copied()).collect();
+        Box::new(neon_metrics::Summary::of(&all))
+    } else {
+        let mut merged = StreamingHistogram::new();
+        for t in tasks {
+            merged.merge(&t.rounds_hist);
         }
+        Box::new(merged)
     }
 }
 

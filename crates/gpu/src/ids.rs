@@ -71,6 +71,12 @@ id_type! {
 }
 
 id_type! {
+    /// One host (one simulated multi-device machine) of a fleet. Device,
+    /// context and channel ids are per host.
+    HostId, "host"
+}
+
+id_type! {
     /// A GPU request queue plus its software infrastructure (command
     /// buffer, ring buffer, channel register).
     ChannelId, "ch"

@@ -63,6 +63,6 @@ pub use channel::{Channel, ChannelState};
 pub use config::GpuConfig;
 pub use device::{AbortSummary, CompletedRequest, DispatchOutcome, Gpu, GpuError};
 pub use engine::EngineClass;
-pub use ids::{ChannelId, ContextId, DeviceId, RequestId, TaskId};
+pub use ids::{ChannelId, ContextId, DeviceId, HostId, RequestId, TaskId};
 pub use request::{Request, RequestKind, SubmitSpec};
 pub use topology::{ClusterInterconnect, DeviceSlotSpec, InterconnectParams, LinkTier, Topology};

@@ -1,18 +1,23 @@
 //! Executes one scenario cell: a (scenario, scheduler, placement,
-//! fleet placement, rebalance, seed) tuple.
+//! fleet placement, rebalance, faults, seed) tuple.
 //!
-//! The driver expands every tenant group into concrete arrival
-//! instants and lifetimes (deterministically, from the cell's seed),
-//! stages them on a [`World`] — single- or multi-device, per the
-//! spec's `devices` — or, when the spec asks for `hosts > 1`, on a
-//! [`Fleet`] of worlds behind cluster-level placement — runs to the
-//! horizon, and condenses the [`RunReport`] (or [`FleetReport`]) into
-//! a [`CellSummary`] suitable for tables and JSON.
+//! Every cell runs on a [`Fleet`]: one host world for an ordinary
+//! scenario — single- or multi-device, per the spec's `devices` — or
+//! `hosts > 1` worlds behind cluster-level placement. A 1-host fleet is
+//! transparent (golden-pinned as byte-identical to a bare [`World`]),
+//! so there is one cell path. The driver expands every tenant group
+//! into concrete arrival instants and lifetimes (deterministically,
+//! from the cell's seed), stages them on the fleet, runs to the
+//! horizon, and condenses the [`FleetReport`] into a [`CellSummary`]
+//! suitable for tables and JSON. A [`CellRunner`] recycles its host
+//! worlds across cells through [`World::reset`]; [`run_cell`] is a
+//! fresh runner.
 //!
 //! Arrival and lifetime draws depend only on (seed, group index,
 //! member index) — never on the scheduler, placement policy, or host
 //! count — so every policy in a sweep faces exactly the same churn.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use neon_core::fault::{FaultMode, FaultPlan};
@@ -22,7 +27,7 @@ use neon_core::rebalance::RebalanceKind;
 use neon_core::sched::SchedulerKind;
 use neon_core::world::{World, WorldConfig};
 use neon_core::RunReport;
-use neon_gpu::{DeviceId, DeviceSlotSpec, GpuConfig, Topology};
+use neon_gpu::{DeviceId, GpuConfig};
 use neon_metrics::jain_index;
 use neon_sim::{DetRng, SimDuration, SimTime};
 
@@ -130,7 +135,8 @@ pub struct CellSummary {
     /// Devices in the cell's world (summed across hosts on fleet
     /// cells).
     pub devices: usize,
-    /// Hosts in the cell (1 = one bare world, the legacy path).
+    /// Hosts in the cell's fleet (1 = a lone host, byte-identical to a
+    /// bare world).
     pub hosts: usize,
     /// Tasks admitted over the run (including those that departed).
     pub admitted: usize,
@@ -213,16 +219,18 @@ pub struct CellSummary {
 pub struct CellResult {
     /// Condensed outcome.
     pub summary: CellSummary,
-    /// The raw simulation report. On fleet cells (`hosts > 1`) this is
-    /// host 0's report; the full picture is in [`CellResult::fleet`].
+    /// The raw simulation report. On multi-host cells (`hosts > 1`)
+    /// this is host 0's report; the full picture is in
+    /// [`CellResult::fleet`].
     pub report: RunReport,
     /// The cell's event trace rendered as JSON Lines, when the spec
     /// asked for capture ([`ScenarioSpec::capture_trace`] /
     /// `neon run --trace-out`). `None` otherwise (traces are per-world,
-    /// so fleet cells don't capture one).
+    /// so multi-host cells don't capture one).
     pub trace_jsonl: Option<String>,
     /// The whole-fleet outcome when the cell ran a multi-host fleet;
-    /// `None` on the single-host path.
+    /// `None` on single-host cells, whose one host report is
+    /// [`CellResult::report`].
     pub fleet: Option<FleetReport>,
 }
 
@@ -279,48 +287,28 @@ fn lifetime(group: &TenantGroup, rng: &mut DetRng) -> Option<SimDuration> {
     }
 }
 
-/// Nearest-rank percentile of a sorted sample (`q` in percent). The
-/// summary path now goes through [`RunReport::round_distribution`];
-/// this stays as the tests' independent oracle.
-#[cfg(test)]
-fn percentile(sorted: &[SimDuration], q: f64) -> SimDuration {
-    if sorted.is_empty() {
-        return SimDuration::ZERO;
-    }
-    let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// The scenario's fault plan filtered to `faults`, or `None` when the
-/// mode (or the plan) injects nothing — keeping fault-free cells on
-/// the exact pre-fault code path.
-fn cell_fault_plan(spec: &ScenarioSpec, faults: FaultMode) -> Option<FaultPlan> {
-    if faults == FaultMode::None {
-        return None;
-    }
-    Some(spec.fault_plan().filtered(faults).world_plan())
-}
-
-/// The [`WorldConfig`] a cell's world runs under.
-fn cell_config(
+/// The [`WorldConfig`] of one cell host with `devices` devices, carrying
+/// the world-scope slice of the cell's fault `plan` (`None` keeps
+/// fault-free cells on the exact pre-fault code path).
+fn host_config(
     spec: &ScenarioSpec,
+    devices: usize,
     rebalance: RebalanceKind,
-    faults: FaultMode,
+    plan: Option<&FaultPlan>,
     seed: u64,
-    device_params: &[neon_core::cost::SchedParams],
 ) -> WorldConfig {
-    let topology = spec.topology();
+    let topology = spec.host_topology(devices);
     WorldConfig {
-        faults: cell_fault_plan(spec, faults),
-        devices: if topology.is_none() && spec.devices > 1 {
-            vec![neon_gpu::GpuConfig::default(); spec.devices]
+        faults: plan.map(FaultPlan::world_plan),
+        devices: if topology.is_none() && devices > 1 {
+            vec![GpuConfig::default(); devices]
         } else {
             Vec::new()
         },
         topology,
         cost: spec.cost.clone().unwrap_or_default(),
         params: spec.params.clone().unwrap_or_default(),
-        device_params: device_params.to_vec(),
+        device_params: spec.host_params(devices),
         rebalance,
         seed,
         record_requests: spec.record_requests,
@@ -330,71 +318,67 @@ fn cell_config(
     }
 }
 
-/// The per-device scheduler a cell runs: the sweep axis policy, or the
-/// spec's custom factory when one is installed.
-fn cell_scheduler(
-    spec: &ScenarioSpec,
-    scheduler: SchedulerKind,
-    device_params: &[neon_core::cost::SchedParams],
-    dev: DeviceId,
-) -> Box<dyn neon_core::sched::Scheduler> {
-    let params = device_params[dev.index()].clone();
-    match spec.custom_scheduler {
-        Some(factory) => factory.build(params),
-        None => scheduler.build(params),
-    }
+/// Builds a member of `group`'s workload.
+fn build_member(group: &TenantGroup) -> neon_core::BoxedWorkload {
+    group
+        .build_member()
+        // lint: allow(unchecked-unwrap) — spec.validate() ran before any
+        // workload build on this path
+        .expect("validated spec workloads must build")
 }
 
-/// Stages the spec's tenant groups on `world` and runs to the horizon.
-/// Returns the report plus the count of closed-loop members turned
-/// away before the run started.
-fn stage_and_run(world: &mut World, spec: &ScenarioSpec, seed: u64) -> (RunReport, u64) {
+/// Stages the spec's tenant groups on `fleet`. Returns the count of
+/// closed-loop members turned away before the run started.
+///
+/// Closed-loop members present from the start take the classic
+/// admission path (staggered first steps), so a purely static scenario
+/// reproduces the legacy harnesses byte for byte. Every other arrival
+/// is staged migratable (a factory rebuilding the member's workload),
+/// letting a fleet rebalance policy move it across hosts. Pinned
+/// groups exist only on single-host cells (validation), so they stage
+/// straight on host 0's world.
+fn stage(fleet: &mut Fleet, spec: &ScenarioSpec, seed: u64) -> u64 {
     let mut prerun_rejected = 0u64;
     let mut root = DetRng::seed_from(seed ^ 0x5CEA_7A11);
     for (gi, group) in spec.groups.iter().enumerate() {
         let mut rng = root.fork(gi as u64 + 1);
         let arrivals = arrival_times(group, &mut rng);
-        let pin = group.device.map(DeviceId::new);
+        // One copy of the group backs every migratable member's factory.
+        let mut shared: Option<Arc<TenantGroup>> = None;
         for at in arrivals {
-            let workload = group
-                .build_member()
-                // lint: allow(unchecked-unwrap) — spec.validate() ran before
-                // any workload build on this path
-                .expect("validated spec workloads must build");
             let stay = lifetime(group, &mut rng);
+            let pin = group.device.map(DeviceId::new);
             if at == SimTime::ZERO && stay.is_none() {
-                // Closed-loop members present from the start take the
-                // classic admission path (staggered first steps), so a
-                // purely static scenario reproduces the legacy
-                // harnesses byte for byte.
-                let admitted = match pin {
-                    Some(d) => world.add_task_pinned(workload, d),
-                    None => world.add_task(workload),
+                let rejected = match pin {
+                    Some(d) => fleet
+                        .host_mut(0)
+                        .add_task_pinned(build_member(group), d)
+                        .is_err(),
+                    None => fleet.add_task(build_member(group)).is_err(),
                 };
-                if admitted.is_err() {
-                    prerun_rejected += 1;
+                prerun_rejected += u64::from(rejected);
+            } else if let Some(d) = pin {
+                let host = fleet.host_mut(0);
+                match stay {
+                    Some(stay) => host.spawn_task_for_on(at, build_member(group), stay, d),
+                    None => host.spawn_task_at_on(at, build_member(group), d),
                 }
             } else {
-                match (stay, pin) {
-                    (Some(stay), Some(d)) => world.spawn_task_for_on(at, workload, stay, d),
-                    (Some(stay), None) => world.spawn_task_for(at, workload, stay),
-                    (None, Some(d)) => world.spawn_task_at_on(at, workload, d),
-                    (None, None) => world.spawn_task_at(at, workload),
+                let g = Arc::clone(shared.get_or_insert_with(|| Arc::new(group.clone())));
+                let factory: WorkloadFactory = Box::new(move || build_member(&g));
+                match stay {
+                    Some(stay) => fleet.spawn_migratable_for(at, factory, stay),
+                    None => fleet.spawn_migratable_at(at, factory),
                 }
             }
         }
     }
-    let report = world.run(spec.horizon);
-    (report, prerun_rejected)
+    prerun_rejected
 }
 
 /// Runs one (scenario, scheduler, placement, fleet placement,
-/// rebalance, seed) cell to its horizon, constructing a fresh
-/// [`World`] (or [`Fleet`] when the spec has `hosts > 1`) for it.
-///
-/// This is the reference path; sweep workers use a [`CellRunner`],
-/// which recycles one world across cells and is proven equivalent by
-/// the runner-equivalence tests.
+/// rebalance, faults, seed) cell to its horizon on freshly built host
+/// worlds: a new [`CellRunner`]'s first cell.
 ///
 /// # Panics
 ///
@@ -410,36 +394,7 @@ pub fn run_cell(
     faults: FaultMode,
     seed: u64,
 ) -> CellResult {
-    let started = Instant::now();
-    if spec.hosts > 1 {
-        return run_fleet_cell(
-            spec,
-            scheduler,
-            placement,
-            fleet_placement,
-            rebalance,
-            faults,
-            seed,
-            started,
-        );
-    }
-    let device_params = spec.device_params();
-    let config = cell_config(spec, rebalance, faults, seed, &device_params);
-    let mut world = if spec.devices > 1 {
-        World::with_devices(config, placement.build(), |dev| {
-            cell_scheduler(spec, scheduler, &device_params, dev)
-        })
-    } else {
-        // Single-device scenarios take the exact legacy constructor
-        // path, keeping static scenarios byte-identical to the old
-        // harnesses.
-        World::new(
-            config,
-            cell_scheduler(spec, scheduler, &device_params, DeviceId::new(0)),
-        )
-    };
-    finish_cell(
-        &mut world,
+    CellRunner::new().run(
         spec,
         scheduler,
         placement,
@@ -447,215 +402,29 @@ pub fn run_cell(
         rebalance,
         faults,
         seed,
-        started,
     )
 }
 
-/// Shared tail of the fresh and recycled cell paths: trace arming,
-/// staging, the run itself, and summarization.
-#[allow(clippy::too_many_arguments)]
-fn finish_cell(
-    world: &mut World,
-    spec: &ScenarioSpec,
-    scheduler: SchedulerKind,
-    placement: PlacementKind,
-    fleet_placement: FleetPlacementKind,
-    rebalance: RebalanceKind,
-    faults: FaultMode,
-    seed: u64,
-    started: Instant,
-) -> CellResult {
-    if spec.capture_trace {
-        world.trace.set_enabled(true);
-    }
-    let (report, prerun_rejected) = stage_and_run(world, spec, seed);
-    let elapsed = started.elapsed();
-    let trace_jsonl = spec.capture_trace.then(|| world.trace.to_jsonl());
-    let summary = summarize(
-        spec,
-        scheduler,
-        placement,
-        fleet_placement,
-        rebalance,
-        faults,
-        seed,
-        &report,
-        prerun_rejected,
-        elapsed,
-    );
-    CellResult {
-        summary,
-        report,
-        trace_jsonl,
-        fleet: None,
-    }
-}
-
-/// Builds one host's fresh [`World`] for a fleet cell. Hosts are
-/// homogeneous inside (default devices); the spec's interconnect, if
-/// any, applies within every host.
-#[allow(clippy::too_many_arguments)]
-fn fleet_host_world(
-    spec: &ScenarioSpec,
-    scheduler: SchedulerKind,
-    placement: PlacementKind,
-    rebalance: RebalanceKind,
-    faults: FaultMode,
-    seed: u64,
-    host_devices: usize,
-) -> World {
-    let device_params = vec![spec.params.clone().unwrap_or_default(); host_devices];
-    let topology = spec.interconnect.clone().map(|ic| {
-        Topology::new(
-            (0..host_devices)
-                .map(|_| DeviceSlotSpec::near(GpuConfig::default()))
-                .collect(),
-            ic,
-        )
-    });
-    let config = WorldConfig {
-        faults: cell_fault_plan(spec, faults),
-        devices: if topology.is_none() && host_devices > 1 {
-            vec![GpuConfig::default(); host_devices]
-        } else {
-            Vec::new()
-        },
-        topology,
-        cost: spec.cost.clone().unwrap_or_default(),
-        params: spec.params.clone().unwrap_or_default(),
-        device_params: device_params.clone(),
-        rebalance,
-        seed,
-        record_requests: spec.record_requests,
-        metrics: spec.metrics,
-        sample_every: spec.sample_every,
-        ..WorldConfig::default()
-    };
-    if host_devices > 1 {
-        World::with_devices(config, placement.build(), |dev| {
-            cell_scheduler(spec, scheduler, &device_params, dev)
-        })
-    } else {
-        World::new(
-            config,
-            cell_scheduler(spec, scheduler, &device_params, DeviceId::new(0)),
-        )
-    }
-}
-
-/// Stages the spec's tenant groups on `fleet` and runs to the horizon
-/// — the fleet mirror of [`stage_and_run`], with the identical RNG
-/// discipline, so every host count faces the same arrival/lifetime
-/// schedule. All scheduled arrivals are staged migratable (a factory
-/// rebuilding the member's workload), letting the fleet rebalance
-/// policy move them across hosts.
-fn stage_fleet_and_run(fleet: &mut Fleet, spec: &ScenarioSpec, seed: u64) -> (FleetReport, u64) {
-    let mut prerun_rejected = 0u64;
-    let mut root = DetRng::seed_from(seed ^ 0x5CEA_7A11);
-    for (gi, group) in spec.groups.iter().enumerate() {
-        let mut rng = root.fork(gi as u64 + 1);
-        let arrivals = arrival_times(group, &mut rng);
-        for at in arrivals {
-            let stay = lifetime(group, &mut rng);
-            if at == SimTime::ZERO && stay.is_none() {
-                let workload = group
-                    .build_member()
-                    // lint: allow(unchecked-unwrap) — spec.validate() ran
-                    // before any workload build on this path
-                    .expect("validated spec workloads must build");
-                if fleet.add_task(workload).is_err() {
-                    prerun_rejected += 1;
-                }
-            } else {
-                let g = group.clone();
-                let factory: WorkloadFactory = Box::new(move || {
-                    g.build_member()
-                        // lint: allow(unchecked-unwrap) — spec.validate() ran
-                        // before any workload build on this path
-                        .expect("validated spec workloads must build")
-                });
-                match stay {
-                    Some(stay) => fleet.spawn_migratable_for(at, factory, stay),
-                    None => fleet.spawn_migratable_at(at, factory),
-                }
-            }
-        }
-    }
-    let report = fleet.run(spec.horizon);
-    (report, prerun_rejected)
-}
-
-/// The fleet counterpart of the [`run_cell`] body: builds one fresh
-/// [`World`] per host, wraps them in a [`Fleet`], stages, runs, and
-/// summarizes.
-#[allow(clippy::too_many_arguments)]
-fn run_fleet_cell(
-    spec: &ScenarioSpec,
-    scheduler: SchedulerKind,
-    placement: PlacementKind,
-    fleet_placement: FleetPlacementKind,
-    rebalance: RebalanceKind,
-    faults: FaultMode,
-    seed: u64,
-    started: Instant,
-) -> CellResult {
-    let hosts: Vec<World> = spec
-        .host_device_counts()
-        .iter()
-        .map(|&dh| fleet_host_world(spec, scheduler, placement, rebalance, faults, seed, dh))
-        .collect();
-    let mut fleet = Fleet::new(
-        hosts,
-        fleet_placement.build(),
-        spec.fleet_rebalance.build(),
-        spec.cluster.clone().unwrap_or_default(),
-    );
-    if faults != FaultMode::None {
-        fleet.set_faults(spec.fault_plan().filtered(faults));
-    }
-    let (report, prerun_rejected) = stage_fleet_and_run(&mut fleet, spec, seed);
-    let elapsed = started.elapsed();
-    let summary = summarize_fleet(
-        spec,
-        scheduler,
-        placement,
-        fleet_placement,
-        rebalance,
-        faults,
-        seed,
-        &report,
-        prerun_rejected,
-        elapsed,
-    );
-    let host0 = report.hosts[0].clone();
-    CellResult {
-        summary,
-        report: host0,
-        trace_jsonl: None,
-        fleet: Some(report),
-    }
-}
-
-/// A reusable cell executor: builds one [`World`] on first use and
-/// [`World::reset`]s it for every subsequent cell, so a sweep worker
-/// pays world construction (event-queue slab, trace ring, task table)
-/// once instead of per cell. Results are byte-identical to
-/// [`run_cell`] — pinned by the runner-equivalence and world-reuse
-/// tests.
+/// The cell executor: builds each host [`World`] on first use and
+/// [`World::reset`]s it for every later cell, so a sweep worker pays
+/// world construction (event-queue slab, trace ring, task table) once
+/// per host instead of per cell. Results are byte-identical to fresh
+/// worlds — pinned by the runner-equivalence and world-reuse tests.
 #[derive(Default)]
 pub struct CellRunner {
-    world: Option<World>,
+    /// Host worlds kept from earlier cells, as many as the widest
+    /// fleet so far.
+    pool: Vec<World>,
 }
 
 impl CellRunner {
-    /// A runner with no world yet; the first cell builds it.
+    /// A runner with no worlds yet; the first cell builds them.
     pub fn new() -> Self {
         CellRunner::default()
     }
 
-    /// Runs one cell, recycling this runner's world. Fleet cells
-    /// (`hosts > 1`) build their hosts fresh each time — a `Fleet`
-    /// runs once by design — leaving the recycled world untouched.
+    /// Runs one cell: builds or recycles its host worlds, wraps them in
+    /// a [`Fleet`], stages, runs and summarizes.
     #[allow(clippy::too_many_arguments)]
     pub fn run(
         &mut self,
@@ -668,32 +437,51 @@ impl CellRunner {
         seed: u64,
     ) -> CellResult {
         let started = Instant::now();
-        if spec.hosts > 1 {
-            return run_fleet_cell(
-                spec,
-                scheduler,
-                placement,
-                fleet_placement,
-                rebalance,
-                faults,
-                seed,
-                started,
-            );
+        let fault_plan = (faults != FaultMode::None).then(|| spec.fault_plan().filtered(faults));
+        let hosts: Vec<World> = spec
+            .host_device_counts()
+            .into_iter()
+            .map(|devices| {
+                let config = host_config(spec, devices, rebalance, fault_plan.as_ref(), seed);
+                let params = config.device_params.clone();
+                // The sweep axis policy, or the spec's custom factory
+                // when one is installed.
+                let make_sched = |dev: DeviceId| {
+                    let params = params[dev.index()].clone();
+                    match spec.custom_scheduler {
+                        Some(factory) => factory.build(params),
+                        None => scheduler.build(params),
+                    }
+                };
+                match self.pool.pop() {
+                    Some(mut world) => {
+                        world.reset(config, placement.build(), make_sched);
+                        world
+                    }
+                    None => World::with_devices(config, placement.build(), make_sched),
+                }
+            })
+            .collect();
+        // Traces are per world: only a lone host's is captured.
+        let capture_trace = spec.capture_trace && hosts.len() == 1;
+        let mut fleet = Fleet::new(
+            hosts,
+            fleet_placement.build(),
+            spec.fleet_rebalance.build(),
+            spec.cluster.clone().unwrap_or_default(),
+        );
+        if let Some(plan) = fault_plan {
+            fleet.set_faults(plan);
         }
-        let device_params = spec.device_params();
-        let config = cell_config(spec, rebalance, faults, seed, &device_params);
-        let make_sched = |dev: DeviceId| cell_scheduler(spec, scheduler, &device_params, dev);
-        let world = match self.world.as_mut() {
-            Some(world) => {
-                world.reset(config, placement.build(), make_sched);
-                world
-            }
-            None => self
-                .world
-                .insert(World::with_devices(config, placement.build(), make_sched)),
-        };
-        finish_cell(
-            world,
+        if capture_trace {
+            fleet.host_mut(0).trace.set_enabled(true);
+        }
+        let prerun_rejected = stage(&mut fleet, spec, seed);
+        let mut report = fleet.run(spec.horizon);
+        let elapsed = started.elapsed();
+        let trace_jsonl = capture_trace.then(|| fleet.host(0).trace.to_jsonl());
+        self.pool.extend(fleet.into_hosts());
+        let summary = summarize(
             spec,
             scheduler,
             placement,
@@ -701,8 +489,21 @@ impl CellRunner {
             rebalance,
             faults,
             seed,
-            started,
-        )
+            &report,
+            prerun_rejected,
+            elapsed,
+        );
+        let (report, fleet) = if report.hosts.len() == 1 {
+            (report.hosts.swap_remove(0), None)
+        } else {
+            (report.hosts[0].clone(), Some(report))
+        };
+        CellResult {
+            summary,
+            report,
+            trace_jsonl,
+            fleet,
+        }
     }
 }
 
@@ -715,14 +516,15 @@ fn summarize(
     rebalance: RebalanceKind,
     faults_mode: FaultMode,
     seed: u64,
-    report: &RunReport,
+    fleet: &FleetReport,
     prerun_rejected: u64,
     elapsed: std::time::Duration,
 ) -> CellSummary {
+    let tasks = || fleet.hosts.iter().flat_map(|h| &h.tasks);
+    let sum = |f: fn(&RunReport) -> u64| fleet.hosts.iter().map(f).sum::<u64>();
+    let sum_duration = |f: fn(&RunReport) -> SimDuration| fleet.hosts.iter().map(f).sum();
     let min_presence = spec.horizon / 20;
-    let shares: Vec<f64> = report
-        .tasks
-        .iter()
+    let shares: Vec<f64> = tasks()
         .filter(|t| t.presence(spec.horizon) >= min_presence)
         .map(|t| {
             let presence = t.presence(spec.horizon);
@@ -736,170 +538,23 @@ fn summarize(
     };
     // One interface for percentiles whatever the metrics mode: exact
     // vectors when present, merged per-task histograms otherwise.
-    let rounds = report.round_distribution();
-    CellSummary {
-        scenario: spec.name.clone(),
-        scheduler,
-        placement,
-        fleet_placement,
-        rebalance,
-        faults_mode,
-        seed,
-        horizon: spec.horizon,
-        devices: spec.devices,
-        hosts: 1,
-        admitted: report.tasks.len(),
-        rejected: report.rejected_admissions + prerun_rejected,
-        departed: report
-            .tasks
-            .iter()
-            .filter(|t| t.finished_at.is_some() && !t.killed)
-            .count(),
-        killed: report.tasks.iter().filter(|t| t.killed).count(),
-        total_rounds: rounds.count(),
-        completed_requests: report.tasks.iter().map(|t| t.completed_requests).sum(),
-        faults: report.faults,
-        direct_submits: report.direct_submits,
-        utilization: report.utilization(),
-        fairness,
-        round_p50: rounds.quantile(50.0),
-        round_p95: rounds.quantile(95.0),
-        round_p99: rounds.quantile(99.0),
-        migrations: report.migrations,
-        transfer_stall: report.transfer_stall,
-        cross_host_migrations: 0,
-        cluster_transfer_stall: SimDuration::ZERO,
-        fleet_rejected: 0,
-        injected_faults: report.injected_faults,
-        watchdog_kills: report.watchdog_kills,
-        fault_retries: report.fault_retries,
-        recovered_tasks: report.recovered_tasks,
-        lost_tasks: report.lost_tasks,
-        hot_removes: report.hot_removes,
-        degraded: report.degraded,
-        per_device: report
-            .devices
-            .iter()
-            .map(|d| DeviceSummary {
-                device: d.device,
-                utilization: d.utilization(spec.horizon),
-                rejected: d.rejected,
-                tenants: d.tenants,
-                migrations_in: d.migrations_in,
-                migrations_out: d.migrations_out,
-                transfer_stall: d.transfer_stall,
-            })
-            .collect(),
-        per_host: Vec::new(),
-        elapsed,
-        peak_rss_bytes: peak_rss_bytes(),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn summarize_fleet(
-    spec: &ScenarioSpec,
-    scheduler: SchedulerKind,
-    placement: PlacementKind,
-    fleet_placement: FleetPlacementKind,
-    rebalance: RebalanceKind,
-    faults_mode: FaultMode,
-    seed: u64,
-    fleet: &FleetReport,
-    prerun_rejected: u64,
-    elapsed: std::time::Duration,
-) -> CellSummary {
-    let min_presence = spec.horizon / 20;
-    let shares: Vec<f64> = fleet
+    let rounds = fleet.round_distribution();
+    let per_device: Vec<DeviceSummary> = fleet
         .hosts
         .iter()
-        .flat_map(|h| h.tasks.iter())
-        .filter(|t| t.presence(spec.horizon) >= min_presence)
-        .map(|t| {
-            let presence = t.presence(spec.horizon);
-            t.usage.as_micros_f64() / presence.as_micros_f64().max(1.0)
+        .flat_map(|h| &h.devices)
+        .map(|d| DeviceSummary {
+            device: d.device,
+            utilization: d.utilization(spec.horizon),
+            rejected: d.rejected,
+            tenants: d.tenants,
+            migrations_in: d.migrations_in,
+            migrations_out: d.migrations_out,
+            transfer_stall: d.transfer_stall,
         })
         .collect();
-    let fairness = if shares.is_empty() {
-        1.0
-    } else {
-        jain_index(&shares)
-    };
-    let rounds = fleet.round_distribution();
-    let sum_duration = |f: &dyn Fn(&RunReport) -> SimDuration| {
+    let per_host = if fleet.hosts.len() > 1 {
         fleet
-            .hosts
-            .iter()
-            .fold(SimDuration::ZERO, |acc, h| acc + f(h))
-    };
-    CellSummary {
-        scenario: spec.name.clone(),
-        scheduler,
-        placement,
-        fleet_placement,
-        rebalance,
-        faults_mode,
-        seed,
-        horizon: spec.horizon,
-        devices: spec.host_device_counts().iter().sum(),
-        hosts: fleet.hosts.len(),
-        admitted: fleet.hosts.iter().map(|h| h.tasks.len()).sum(),
-        rejected: fleet.rejected_admissions() + prerun_rejected,
-        departed: fleet
-            .hosts
-            .iter()
-            .flat_map(|h| h.tasks.iter())
-            .filter(|t| t.finished_at.is_some() && !t.killed)
-            .count(),
-        killed: fleet
-            .hosts
-            .iter()
-            .flat_map(|h| h.tasks.iter())
-            .filter(|t| t.killed)
-            .count(),
-        total_rounds: rounds.count(),
-        completed_requests: fleet
-            .hosts
-            .iter()
-            .flat_map(|h| h.tasks.iter())
-            .map(|t| t.completed_requests)
-            .sum(),
-        faults: fleet.hosts.iter().map(|h| h.faults).sum(),
-        direct_submits: fleet.hosts.iter().map(|h| h.direct_submits).sum(),
-        utilization: fleet.utilization(),
-        fairness,
-        round_p50: rounds.quantile(50.0),
-        round_p95: rounds.quantile(95.0),
-        round_p99: rounds.quantile(99.0),
-        migrations: fleet.hosts.iter().map(|h| h.migrations).sum(),
-        transfer_stall: sum_duration(&|h| h.transfer_stall),
-        cross_host_migrations: fleet.cross_host_migrations,
-        cluster_transfer_stall: fleet.cluster_transfer_stall,
-        fleet_rejected: fleet.fleet_rejected,
-        injected_faults: fleet.hosts.iter().map(|h| h.injected_faults).sum::<u64>()
-            + fleet.host_failures,
-        watchdog_kills: fleet.hosts.iter().map(|h| h.watchdog_kills).sum(),
-        fault_retries: fleet.hosts.iter().map(|h| h.fault_retries).sum(),
-        recovered_tasks: fleet.hosts.iter().map(|h| h.recovered_tasks).sum::<u64>()
-            + fleet.fleet_fault_recovered,
-        lost_tasks: fleet.hosts.iter().map(|h| h.lost_tasks).sum::<u64>() + fleet.fleet_lost_tasks,
-        hot_removes: fleet.hosts.iter().map(|h| h.hot_removes).sum(),
-        degraded: sum_duration(&|h| h.degraded) + fleet.host_degraded,
-        per_device: fleet
-            .hosts
-            .iter()
-            .flat_map(|h| h.devices.iter())
-            .map(|d| DeviceSummary {
-                device: d.device,
-                utilization: d.utilization(spec.horizon),
-                rejected: d.rejected,
-                tenants: d.tenants,
-                migrations_in: d.migrations_in,
-                migrations_out: d.migrations_out,
-                transfer_stall: d.transfer_stall,
-            })
-            .collect(),
-        per_host: fleet
             .hosts
             .iter()
             .enumerate()
@@ -911,7 +566,50 @@ fn summarize_fleet(
                 rejected: h.rejected_admissions,
                 rounds: h.round_distribution().count(),
             })
-            .collect(),
+            .collect()
+    } else {
+        Vec::new()
+    };
+    CellSummary {
+        scenario: spec.name.clone(),
+        scheduler,
+        placement,
+        fleet_placement,
+        rebalance,
+        faults_mode,
+        seed,
+        horizon: spec.horizon,
+        devices: per_device.len(),
+        hosts: fleet.hosts.len(),
+        admitted: tasks().count(),
+        rejected: fleet.rejected_admissions() + prerun_rejected,
+        departed: tasks()
+            .filter(|t| t.finished_at.is_some() && !t.killed)
+            .count(),
+        killed: tasks().filter(|t| t.killed).count(),
+        total_rounds: rounds.count(),
+        completed_requests: tasks().map(|t| t.completed_requests).sum(),
+        faults: sum(|h| h.faults),
+        direct_submits: sum(|h| h.direct_submits),
+        utilization: fleet.utilization(),
+        fairness,
+        round_p50: rounds.quantile(50.0),
+        round_p95: rounds.quantile(95.0),
+        round_p99: rounds.quantile(99.0),
+        migrations: sum(|h| h.migrations),
+        transfer_stall: sum_duration(|h| h.transfer_stall),
+        cross_host_migrations: fleet.cross_host_migrations,
+        cluster_transfer_stall: fleet.cluster_transfer_stall,
+        fleet_rejected: fleet.fleet_rejected,
+        injected_faults: sum(|h| h.injected_faults) + fleet.host_failures,
+        watchdog_kills: sum(|h| h.watchdog_kills),
+        fault_retries: sum(|h| h.fault_retries),
+        recovered_tasks: sum(|h| h.recovered_tasks) + fleet.fleet_fault_recovered,
+        lost_tasks: sum(|h| h.lost_tasks) + fleet.fleet_lost_tasks,
+        hot_removes: sum(|h| h.hot_removes),
+        degraded: sum_duration(|h| h.degraded) + fleet.host_degraded,
+        per_device,
+        per_host,
         elapsed,
         peak_rss_bytes: peak_rss_bytes(),
     }
@@ -922,6 +620,17 @@ mod tests {
     use super::*;
     use crate::spec::{TenantGroup, WorkloadSpec};
     use neon_core::cost::SchedParams;
+
+    /// Nearest-rank percentile of a sorted sample (`q` in percent). The
+    /// summary path goes through [`FleetReport::round_distribution`];
+    /// this is the tests' independent oracle.
+    fn percentile(sorted: &[SimDuration], q: f64) -> SimDuration {
+        if sorted.is_empty() {
+            return SimDuration::ZERO;
+        }
+        let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
+        sorted[rank.clamp(1, sorted.len()) - 1]
+    }
 
     fn us(v: u64) -> SimDuration {
         SimDuration::from_micros(v)
@@ -1302,5 +1011,138 @@ mod tests {
             7,
         );
         assert_eq!(bare.events(), bare.report.events);
+    }
+
+    #[test]
+    fn recycled_runner_matches_fresh_cells_across_shapes() {
+        use neon_core::fault::{FaultConfig, FaultKind};
+        use neon_core::fleet::FleetRebalanceKind;
+        let ms = SimDuration::from_millis;
+        let pinned = ScenarioSpec::new("pinned", ms(60))
+            .devices(2)
+            .group(
+                TenantGroup::new(
+                    "left",
+                    WorkloadSpec::FixedLoop {
+                        service: us(100),
+                        gap: us(5),
+                        rounds: None,
+                    },
+                )
+                .count(2)
+                .device(0)
+                .params(SchedParams {
+                    sampling_requests: 96,
+                    ..SchedParams::default()
+                }),
+            )
+            .group(
+                TenantGroup::new(
+                    "right",
+                    WorkloadSpec::Throttle {
+                        request: us(250),
+                        off_ratio: 0.0,
+                        jitter: 0.0,
+                    },
+                )
+                .count(2)
+                .device(1)
+                .arrival(ArrivalSpec::Staggered { gap: ms(5) })
+                .lifetime(LifetimeSpec::Fixed(ms(30))),
+            );
+        let chaos = churn_spec()
+            .devices(2)
+            .hosts(2)
+            .fault_config(FaultConfig {
+                watchdog: Some(ms(2)),
+                ..FaultConfig::default()
+            })
+            .fault(ms(10), FaultKind::TaskHang { task: None })
+            .fault(
+                ms(20),
+                FaultKind::DeviceRemove {
+                    device: DeviceId::new(1),
+                },
+            )
+            .fault(ms(40), FaultKind::HostFail { host: 1 })
+            .fault(ms(80), FaultKind::HostRecover { host: 1 });
+        let cells = [
+            (churn_spec(), FaultMode::None),
+            (churn_spec().hosts(4), FaultMode::None),
+            (
+                churn_spec()
+                    .host_with_devices(2)
+                    .host_with_devices(1)
+                    .fleet_rebalance(FleetRebalanceKind::CountDiff),
+                FaultMode::None,
+            ),
+            (pinned, FaultMode::None),
+            (chaos, FaultMode::All),
+            (churn_spec().capture_trace(true), FaultMode::None),
+            (churn_spec(), FaultMode::None),
+        ];
+        let timeless = |r: &CellResult| {
+            let mut s = r.summary.clone();
+            s.elapsed = std::time::Duration::ZERO;
+            s.peak_rss_bytes = None;
+            format!("{s:?}")
+        };
+        let host_events = |r: &CellResult| match &r.fleet {
+            Some(f) => f.hosts.iter().map(|h| h.events).collect(),
+            None => vec![r.report.events],
+        };
+        let mut runner = CellRunner::new();
+        for (i, (spec, faults)) in cells.iter().enumerate() {
+            spec.validate().unwrap();
+            let run = |runner: &mut CellRunner| {
+                runner.run(
+                    spec,
+                    SchedulerKind::DisengagedFairQueueing,
+                    PlacementKind::LeastLoaded,
+                    FleetPlacementKind::RoundRobin,
+                    RebalanceKind::Off,
+                    *faults,
+                    7,
+                )
+            };
+            let recycled = run(&mut runner);
+            let fresh = run(&mut CellRunner::new());
+            assert_eq!(timeless(&recycled), timeless(&fresh), "cell {i}: summary");
+            assert_eq!(recycled.trace_jsonl, fresh.trace_jsonl, "cell {i}: trace");
+            assert_eq!(host_events(&recycled), host_events(&fresh), "cell {i}");
+            assert_eq!(recycled.events(), fresh.events(), "cell {i}: events");
+            assert_eq!(recycled.summary.hosts, spec.hosts, "cell {i}: hosts");
+            assert_eq!(
+                recycled.fleet.is_some(),
+                spec.hosts > 1,
+                "cell {i}: only multi-host cells carry a fleet report"
+            );
+            assert_eq!(recycled.trace_jsonl.is_some(), spec.capture_trace);
+        }
+        assert_eq!(runner.pool.len(), 4, "the pool keeps the widest fleet");
+        let chaos = &cells[4].0;
+        let faulted = run_cell(
+            chaos,
+            SchedulerKind::DisengagedFairQueueing,
+            PlacementKind::LeastLoaded,
+            FleetPlacementKind::RoundRobin,
+            RebalanceKind::Off,
+            FaultMode::All,
+            7,
+        );
+        let s = &faulted.summary;
+        assert!(
+            s.watchdog_kills >= 1 && s.hot_removes >= 1 && s.injected_faults >= 3,
+            "the fault cell must exercise world and host faults: {s:?}"
+        );
+        // The last cell ran after the trace-capture cell: no world the
+        // runner keeps may still be tracing, or hold that cell's trace.
+        for world in &runner.pool {
+            assert!(
+                !world.trace.is_enabled(),
+                "tracing leaked into a later cell"
+            );
+            assert!(world.trace.is_empty(), "a stale trace survived");
+        }
     }
 }

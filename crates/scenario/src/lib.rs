@@ -18,14 +18,16 @@
 //!   plus `topology.*` interconnect timing), and the sweep axes
 //!   (seeds × schedulers × placement policies × rebalance policies).
 //!   Build programmatically or load from TOML ([`toml_file`]).
-//! - [`driver`] — [`run_cell`]: expands one (scenario, scheduler,
-//!   seed) cell onto a [`neon_core::world::World`], using the world's
-//!   dynamic admission (`spawn_task_at` / `spawn_task_for`) so
+//! - [`driver`] — [`CellRunner`] / [`run_cell`]: expands one
+//!   (scenario, scheduler, seed, …) cell onto a
+//!   [`neon_core::fleet::Fleet`] of recycled host worlds (one host
+//!   unless the spec asks for more), using dynamic admission
+//!   (`spawn_task_at` / `spawn_task_for`) so
 //!   arrivals contend for device resources at the instant they show
 //!   up — and may be rejected, §6.3-style. Produces a [`CellSummary`].
 //! - [`sweep`] — [`sweep::plan`] / [`sweep::run_parallel`]: fans the
 //!   cell matrix out over scoped OS threads, one deterministic
-//!   `World` per cell, with results in plan order and bit-identical
+//!   fleet per cell, with results in plan order and bit-identical
 //!   to a serial run.
 //! - [`emit`] — JSON, CSV and table rendering of sweep outcomes.
 //!

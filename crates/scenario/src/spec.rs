@@ -324,10 +324,11 @@ pub struct ScenarioSpec {
     /// Interconnect transfer timing (the `topology.*` keys in TOML).
     /// `None` means free data movement — the flat pre-topology model.
     pub interconnect: Option<InterconnectParams>,
-    /// Number of hosts in each cell's fleet (default 1 — one bare
-    /// [`neon_core::world::World`], the untouched single-host path).
-    /// With more, every cell builds a [`neon_core::fleet::Fleet`] of
-    /// identical hosts, each with [`ScenarioSpec::devices`] devices.
+    /// Number of hosts in each cell's [`neon_core::fleet::Fleet`]
+    /// (default 1 — a lone host, which the fleet makes transparent:
+    /// byte-identical to a bare [`neon_core::world::World`]). With more,
+    /// every cell runs identical hosts, each with
+    /// [`ScenarioSpec::devices`] devices, behind cluster placement.
     pub hosts: usize,
     /// Per-host device counts (`[[host]]` blocks in TOML) for
     /// heterogeneous host sizes. Empty means [`ScenarioSpec::hosts`]
@@ -551,16 +552,18 @@ impl ScenarioSpec {
         self
     }
 
-    /// The host topology this scenario describes, if it describes one:
-    /// `None` when there are neither device slots nor interconnect
-    /// parameters (the flat legacy path). Call only on a validated
-    /// spec.
-    pub fn topology(&self) -> Option<Topology> {
+    /// The topology of one host with `devices` devices, if the scenario
+    /// describes one: its `[[device]]` slots when it has them (only
+    /// single-host scenarios may), else `devices` default GPUs behind
+    /// the interconnect; `None` when there are neither device slots nor
+    /// interconnect parameters (the flat legacy path). Call only on a
+    /// validated spec.
+    pub fn host_topology(&self, devices: usize) -> Option<Topology> {
         if self.device_slots.is_empty() && self.interconnect.is_none() {
             return None;
         }
         let slots = if self.device_slots.is_empty() {
-            (0..self.devices)
+            (0..devices)
                 .map(|_| DeviceSlotSpec::near(GpuConfig::default()))
                 .collect()
         } else {
@@ -606,10 +609,10 @@ impl ScenarioSpec {
         self
     }
 
-    /// Device count of every host, in host order. Call only on a
-    /// validated spec.
+    /// Device count of every host, in host order. A lone host has
+    /// [`ScenarioSpec::devices`] devices. Call only on a validated spec.
     pub fn host_device_counts(&self) -> Vec<usize> {
-        if self.host_devices.is_empty() {
+        if self.host_devices.is_empty() || self.hosts == 1 {
             vec![self.devices; self.hosts]
         } else {
             self.host_devices.clone()
@@ -662,12 +665,13 @@ impl ScenarioSpec {
             * self.effective_fault_modes().len()
     }
 
-    /// Effective [`SchedParams`] per device: the scenario-wide override
-    /// (or the defaults), with pinned-group overrides applied to their
-    /// devices. Call only on a validated spec.
-    pub fn device_params(&self) -> Vec<SchedParams> {
+    /// Effective [`SchedParams`] per device of a host with `devices`
+    /// devices: the scenario-wide override (or the defaults), with
+    /// pinned-group overrides applied to their devices (only
+    /// single-host scenarios pin). Call only on a validated spec.
+    pub fn host_params(&self, devices: usize) -> Vec<SchedParams> {
         let base = self.params.clone().unwrap_or_default();
-        let mut per_device = vec![base; self.devices];
+        let mut per_device = vec![base; devices];
         for g in &self.groups {
             if let (Some(d), Some(p)) = (g.device, &g.params) {
                 per_device[d as usize] = p.clone();
@@ -1041,7 +1045,7 @@ mod tests {
             )
             .group(TenantGroup::new("b", throttle));
         spec.validate().unwrap();
-        let params = spec.device_params();
+        let params = spec.host_params(spec.devices);
         assert_eq!(params[0].sampling_requests, 96);
         assert_eq!(params[1].sampling_requests, 32);
         assert_eq!(spec.cell_count(), 7, "placement axis multiplies cells");

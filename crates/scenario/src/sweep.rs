@@ -13,9 +13,10 @@
 //!   balanced shares without any shared counter.
 //! - A worker drains its own deque from the front; when empty, it
 //!   steals one cell from the *back* of the busiest victim's deque.
-//! - Each worker recycles a single [`World`](neon_core::world::World)
-//!   across its cells through a [`CellRunner`], and buffers results in
-//!   its own pre-sized `Vec` — no per-cell locking. Buffers are merged
+//! - Each worker runs its cells through one [`CellRunner`], which
+//!   recycles its host [`World`](neon_core::world::World)s — one, or as
+//!   many as the widest fleet cell — across cells, and buffers results
+//!   in its own pre-sized `Vec` — no per-cell locking. Buffers are merged
 //!   into plan order once, at the end.
 //!
 //! Determinism comes from the *output discipline*, not the execution
@@ -105,7 +106,7 @@ pub struct SweepOutcome {
 }
 
 /// Runs every cell on the calling thread, in plan order, recycling one
-/// `World` across cells.
+/// [`CellRunner`]'s host worlds across cells.
 pub fn run_serial(cells: &[SweepCell]) -> SweepOutcome {
     let started = Instant::now();
     let mut runner = CellRunner::new();
@@ -213,8 +214,8 @@ fn chunk_plan(cells: &[SweepCell], threads: usize) -> Vec<VecDeque<usize>> {
 }
 
 /// Runs the plan across `threads` work-stealing workers (defaulting to
-/// the machine's available parallelism), each recycling one `World`
-/// across its cells. Results are identical to [`run_serial`] for every
+/// the machine's available parallelism), each recycling its
+/// [`CellRunner`]'s host worlds across its cells. Results are identical to [`run_serial`] for every
 /// thread count — see the module docs for why.
 pub fn run_parallel(cells: &[SweepCell], threads: Option<usize>) -> SweepOutcome {
     let threads = threads

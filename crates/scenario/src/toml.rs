@@ -1564,7 +1564,7 @@ params.sampling_requests = 96
         assert_eq!(group_params.sampling_requests, 96);
         // Group overrides start from the scenario-level params.
         assert_eq!(group_params.sampling_max, SimDuration::from_millis(3));
-        let per_device = spec.device_params();
+        let per_device = spec.host_params(spec.devices);
         assert_eq!(per_device[3].sampling_requests, 96);
         assert_eq!(per_device[0].sampling_requests, 32);
         assert_eq!(spec.cell_count(), 3);
@@ -1683,7 +1683,7 @@ working_set = "128MB"
         // 4 GB/s ≈ 4295 bytes/µs.
         assert!((inter.cross_numa_bpus - 4294.967296).abs() < 1e-6);
         assert_eq!(spec.groups[0].working_set, Some(128 << 20));
-        let topo = spec.topology().expect("topology present");
+        let topo = spec.host_topology(spec.devices).expect("topology present");
         assert_eq!(topo.len(), 2);
         assert_eq!(
             topo.tier(0, 1),

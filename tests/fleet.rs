@@ -12,7 +12,7 @@ use disengaged_scheduling::core::telemetry::MetricsMode;
 use disengaged_scheduling::core::workload::FixedLoop;
 use disengaged_scheduling::core::world::{World, WorldConfig};
 use disengaged_scheduling::core::SchedulerKind;
-use disengaged_scheduling::gpu::{ClusterInterconnect, GpuConfig};
+use disengaged_scheduling::gpu::{ClusterInterconnect, DeviceId, GpuConfig};
 use disengaged_scheduling::metrics::{Distribution, StreamingHistogram};
 use disengaged_scheduling::workloads::Throttle;
 use neon_sim::{SimDuration, SimTime};
@@ -133,6 +133,51 @@ fn one_host_fleet_is_byte_identical_to_bare_world() {
             assert_eq!(fleet_report.cross_host_migrations, 0, "{tag}");
             assert_eq!(fleet_report.fleet_rejected, 0, "{tag}");
         }
+    }
+}
+
+/// A 1-host fleet stages each spawn on its host at call time, so calls
+/// through the fleet and calls straight on its host world (as the
+/// scenario driver makes for device-pinned groups) reach the host in
+/// exactly the interleaved order a bare world would see — down to the
+/// trace bytes, even for same-instant arrivals.
+#[test]
+fn one_host_fleet_keeps_interleaved_call_order() {
+    let pin = DeviceId::new(1);
+    for kind in SchedulerKind::ALL {
+        let mut bare = host_world(kind, PlacementKind::LeastLoaded, 0x1D7E);
+        let mut fleet = Fleet::new(
+            vec![host_world(kind, PlacementKind::LeastLoaded, 0x1D7E)],
+            FleetPlacementKind::LeastLoaded.build(),
+            FleetRebalanceKind::Off.build(),
+            ClusterInterconnect::free(),
+        );
+        bare.trace.set_enabled(true);
+        fleet.host_mut(0).trace.set_enabled(true);
+        let at = SimTime::ZERO + ms(5);
+        bare.spawn_task_for(at, Box::new(Throttle::new(us(900))), ms(30));
+        fleet.spawn_task_for(at, Box::new(Throttle::new(us(900))), ms(30));
+        bare.add_task(Box::new(Throttle::new(us(150)))).unwrap();
+        fleet.add_task(Box::new(Throttle::new(us(150)))).unwrap();
+        bare.spawn_task_at_on(at, Box::new(Throttle::new(us(250))), pin);
+        let host = fleet.host_mut(0);
+        host.spawn_task_at_on(at, Box::new(Throttle::new(us(250))), pin);
+        bare.spawn_task_at(at, Box::new(Throttle::new(us(400))));
+        fleet.spawn_task_at(at, Box::new(Throttle::new(us(400))));
+        let bare_report = bare.run(ms(60));
+        let fleet_report = fleet.run(ms(60));
+        let tasks = |r: &disengaged_scheduling::core::RunReport| {
+            r.tasks
+                .iter()
+                .map(|t| (t.id, t.name.clone(), t.device))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(tasks(&fleet_report.hosts[0]), tasks(&bare_report), "{kind}");
+        assert_eq!(
+            trace_hash(fleet.host(0)),
+            trace_hash(&bare),
+            "{kind}: interleaved staging drifted from the bare world"
+        );
     }
 }
 

@@ -144,19 +144,21 @@ use disengaged_scheduling::scenario::{sweep, ScenarioSpec, SweepCell, TenantGrou
 use neon_sim::SimTime;
 
 /// A skew-prone sweep plan: scenarios of widely varying cost (horizon ×
-/// tenant count both drawn by the caller), two schedulers, per-scenario
-/// seeds — the shape that makes naive static partitioning imbalanced
-/// and forces the runner to steal.
-fn skewed_plan(shapes: &[(u64, u32)], seeds: &[u64]) -> Vec<SweepCell> {
+/// tenant count × host count all drawn by the caller), two schedulers,
+/// per-scenario seeds — the shape that makes naive static partitioning
+/// imbalanced and forces the runner to steal. Mixed host counts make
+/// every worker recycle fleet hosts across cells of different widths.
+fn skewed_plan(shapes: &[(u64, u32, usize)], seeds: &[u64]) -> Vec<SweepCell> {
     let specs: Vec<ScenarioSpec> = shapes
         .iter()
         .enumerate()
-        .map(|(i, &(horizon_ms, tenants))| {
+        .map(|(i, &(horizon_ms, tenants, hosts))| {
             ScenarioSpec::new(
                 format!("skew-{i}-{horizon_ms}ms"),
                 SimDuration::from_millis(horizon_ms),
             )
             .seeds(seeds.to_vec())
+            .hosts(hosts)
             .schedulers(vec![
                 SchedulerKind::Direct,
                 SchedulerKind::DisengagedFairQueueing,
@@ -178,8 +180,8 @@ fn skewed_plan(shapes: &[(u64, u32)], seeds: &[u64]) -> Vec<SweepCell> {
 }
 
 /// Every simulation-derived field must agree between two runs of the
-/// same plan; host-timing fields (`elapsed`, `peak_rss_bytes`) are the
-/// only permitted difference.
+/// same plan, on every host of a fleet cell; host-timing fields
+/// (`elapsed`, `peak_rss_bytes`) are the only permitted difference.
 macro_rules! assert_cells_equivalent {
     ($assert:ident, $a:expr, $b:expr) => {
         $assert!($a.results.len() == $b.results.len());
@@ -211,8 +213,27 @@ macro_rules! assert_cells_equivalent {
             $assert!(ss.round_p99 == ps.round_p99);
             $assert!(ss.migrations == ps.migrations);
             $assert!(ss.transfer_stall == ps.transfer_stall);
-            $assert!(s.report.events == p.report.events, "{}: events", ss.scenario);
+            $assert!(ss.hosts == ps.hosts);
+            $assert!(ss.cross_host_migrations == ps.cross_host_migrations);
+            $assert!(ss.fleet_rejected == ps.fleet_rejected);
+            $assert!(s.events() == p.events(), "{}: events", ss.scenario);
             $assert!(s.report.compute_busy == p.report.compute_busy);
+            $assert!(ss.per_device.len() == ps.per_device.len());
+            $assert!(ss.per_host.len() == ps.per_host.len());
+            for (ha, hb) in ss.per_host.iter().zip(&ps.per_host) {
+                $assert!(ha.host == hb.host);
+                $assert!(ha.devices == hb.devices);
+                $assert!(ha.utilization == hb.utilization);
+                $assert!(ha.admitted == hb.admitted, "{}: host admitted", ss.scenario);
+                $assert!(ha.rejected == hb.rejected);
+                $assert!(ha.rounds == hb.rounds, "{}: host rounds", ss.scenario);
+            }
+            let host_events = |r: &disengaged_scheduling::scenario::CellResult| {
+                r.fleet
+                    .as_ref()
+                    .map(|f| f.hosts.iter().map(|h| h.events).collect::<Vec<_>>())
+            };
+            $assert!(host_events(s) == host_events(p), "{}: per-host events", ss.scenario);
             for (da, db) in ss.per_device.iter().zip(&ps.per_device) {
                 $assert!(da.device == db.device);
                 $assert!(da.utilization == db.utilization);
@@ -238,7 +259,7 @@ proptest! {
     #[test]
     fn work_stealing_sweep_matches_serial_for_any_thread_count(
         threads in 1usize..=16,
-        shapes in proptest::collection::vec((1u64..=8, 1u32..=3), 2..5),
+        shapes in proptest::collection::vec((1u64..=8, 1u32..=3, 1usize..=3), 2..5),
         seeds in proptest::collection::vec(0u64..1_000, 1..3),
     ) {
         let cells = skewed_plan(&shapes, &seeds);
