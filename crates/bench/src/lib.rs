@@ -1,1 +1,1 @@
-//! Criterion benches for the disengaged-scheduling experiments (see benches/).
+//! Criterion benches over the simulation substrate (see benches/).

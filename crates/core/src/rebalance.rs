@@ -19,7 +19,7 @@
 //!   what the move costs, so a departure storm on a heterogeneous
 //!   topology can shuttle the same task across a cross-NUMA link
 //!   repeatedly. Kept as the measurable baseline; byte-identical to
-//!   the pre-subsystem `rebalance = true` behavior.
+//!   the pre-subsystem boolean rebalance toggle when it was on.
 //! - [`CostAware`] — the paper's "measure, then act only when it
 //!   pays" premise (§4's disengagement applied to migration): move
 //!   only when the observed queueing-delay gain, amortized over a
@@ -358,15 +358,6 @@ impl RebalanceKind {
             .into_iter()
             .find(|k| k.to_string() == label)
     }
-
-    /// The kind a legacy `rebalance = true/false` toggle means.
-    pub fn from_legacy_bool(on: bool) -> RebalanceKind {
-        if on {
-            RebalanceKind::CountDiff
-        } else {
-            RebalanceKind::Off
-        }
-    }
 }
 
 impl std::fmt::Display for RebalanceKind {
@@ -626,10 +617,5 @@ mod tests {
             Some(RebalanceKind::CostAware)
         );
         assert_eq!(RebalanceKind::from_label("warp-drive"), None);
-        assert_eq!(
-            RebalanceKind::from_legacy_bool(true),
-            RebalanceKind::CountDiff
-        );
-        assert_eq!(RebalanceKind::from_legacy_bool(false), RebalanceKind::Off);
     }
 }

@@ -88,8 +88,8 @@ pub struct WorldConfig {
     pub start_stagger: SimDuration,
     /// The departure-triggered rebalancing policy (multi-device worlds
     /// only; pinned tasks never move). [`RebalanceKind::Off`] by
-    /// default; [`RebalanceKind::CountDiff`] reproduces the legacy
-    /// `rebalance = true` population heuristic byte for byte;
+    /// default; [`RebalanceKind::CountDiff`] reproduces the population
+    /// heuristic of the retired boolean rebalance toggle byte for byte;
     /// [`RebalanceKind::CostAware`] migrates only when the estimated
     /// queueing-delay gain beats the interconnect transfer cost.
     pub rebalance: RebalanceKind,

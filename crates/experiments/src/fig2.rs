@@ -10,7 +10,8 @@
 //! this harness rides `neon-scenario`'s parallel sweep runner: one
 //! request-recording single-cell scenario per application, fanned out
 //! across OS threads and read back in plan order. The results are
-//! identical to the old serial loop (equivalence-tested below).
+//! identical to running each application on one bare `World` (tested
+//! below against the test-only `pairwise::reference_run`).
 
 use neon_core::sched::SchedulerKind;
 use neon_metrics::Log2Cdf;
@@ -18,7 +19,7 @@ use neon_scenario::{sweep, ScenarioSpec, TenantGroup, WorkloadSpec};
 use neon_sim::SimDuration;
 use neon_workloads::app;
 
-use crate::runner;
+use crate::pairwise;
 
 /// Number of log₂ bins (the paper's x-axis reaches 2¹⁷ µs).
 pub const BINS: usize = 18;
@@ -35,8 +36,8 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            horizon: runner::ALONE_HORIZON,
-            seed: runner::DEFAULT_SEED,
+            horizon: pairwise::ALONE_HORIZON,
+            seed: pairwise::DEFAULT_SEED,
         }
     }
 }
@@ -147,24 +148,31 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::RunSpec;
+    use neon_core::world::WorldConfig;
 
     #[test]
     fn sweep_runner_port_matches_the_serial_path() {
-        // The scenario-backed run() must reproduce the legacy serial
-        // run_alone loop exactly: same request-recording flag, seed
-        // and admission path, so the CDFs are bin-for-bin identical.
+        // The scenario-backed run() must reproduce the bare-World
+        // reference exactly: same request-recording flag, seed and
+        // admission path, so the CDFs are bin-for-bin identical.
         let cfg = Config {
             horizon: SimDuration::from_millis(200),
             ..Config::default()
         };
         let rows = run(&cfg);
         for (row, name) in rows.iter().zip(applications()) {
-            let run_spec = RunSpec::new(SchedulerKind::Direct, cfg.horizon)
-                .with_seed(cfg.seed)
-                .recording();
+            let config = WorldConfig {
+                seed: cfg.seed,
+                record_requests: true,
+                ..WorldConfig::default()
+            };
             let spec = app::app_by_name(name).unwrap();
-            let report = runner::run_alone(&run_spec, Box::new(spec.build()));
+            let report = pairwise::reference_run(
+                SchedulerKind::Direct,
+                config,
+                vec![Box::new(spec.build())],
+                cfg.horizon,
+            );
             let task = &report.tasks[0];
             let mut inter_arrival = Log2Cdf::new(BINS);
             inter_arrival.extend(

@@ -11,7 +11,9 @@
 //! each (application, scheduler) cell is an independent deterministic
 //! `World`, fanned out across OS threads. Cells are built as static
 //! (all-at-start, run-forever) scenarios, which take the classic
-//! admission path — results are identical to the old serial loop.
+//! admission path — results are identical to running each cell on one
+//! bare `World` (tested below against the test-only
+//! `pairwise::reference_run`).
 
 use neon_core::sched::SchedulerKind;
 use neon_metrics::Table;
@@ -19,7 +21,7 @@ use neon_scenario::{sweep, ScenarioSpec, TenantGroup, WorkloadSpec};
 use neon_sim::SimDuration;
 use neon_workloads::app::all_apps;
 
-use crate::runner;
+use crate::pairwise;
 
 /// Configuration of the Figure 4 sweep.
 #[derive(Debug, Clone)]
@@ -35,8 +37,8 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            horizon: runner::ALONE_HORIZON,
-            seed: runner::DEFAULT_SEED,
+            horizon: pairwise::ALONE_HORIZON,
+            seed: pairwise::DEFAULT_SEED,
             schedulers: vec![
                 SchedulerKind::Timeslice,
                 SchedulerKind::DisengagedTimeslice,
@@ -95,14 +97,14 @@ pub fn run(cfg: &Config) -> Vec<Row> {
     apps.iter()
         .enumerate()
         .map(|(i, app)| {
-            let base = runner::mean_round(&outcome.results[i * per_app].report, 0);
+            let base = pairwise::mean_round(&outcome.results[i * per_app].report, 0);
             let slowdowns = cfg
                 .schedulers
                 .iter()
                 .enumerate()
                 .map(|(j, &kind)| {
                     let report = &outcome.results[i * per_app + 1 + j].report;
-                    (kind, runner::mean_round(report, 0).ratio(base))
+                    (kind, pairwise::mean_round(report, 0).ratio(base))
                 })
                 .collect();
             Row {
@@ -135,13 +137,26 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::RunSpec;
+    use neon_core::world::WorldConfig;
+
+    /// Mean round of Table 1's `app` running alone under `kind` on the
+    /// bare-World reference.
+    fn reference_round(cfg: &Config, app: &str, kind: SchedulerKind) -> SimDuration {
+        let app = neon_workloads::app::app_by_name(app).unwrap();
+        let config = WorldConfig {
+            seed: cfg.seed,
+            ..WorldConfig::default()
+        };
+        let report =
+            pairwise::reference_run(kind, config, vec![Box::new(app.build())], cfg.horizon);
+        pairwise::mean_round(&report, 0)
+    }
 
     #[test]
     fn sweep_runner_port_matches_the_serial_path() {
-        // The scenario-backed run() must reproduce the legacy serial
-        // computation exactly (static cells take the same admission
-        // path and seed).
+        // The scenario-backed run() must reproduce the bare-World
+        // reference exactly (static cells take the same admission path
+        // and seed).
         let cfg = Config {
             horizon: SimDuration::from_millis(200),
             schedulers: vec![SchedulerKind::DisengagedTimeslice],
@@ -156,12 +171,8 @@ mod tests {
             .slowdown(SchedulerKind::DisengagedTimeslice)
             .expect("measured");
 
-        let app = neon_workloads::app::app_by_name("BinarySearch").unwrap();
-        let direct = RunSpec::new(SchedulerKind::Direct, cfg.horizon).with_seed(cfg.seed);
-        let base = runner::mean_round(&runner::run_alone(&direct, Box::new(app.build())), 0);
-        let spec =
-            RunSpec::new(SchedulerKind::DisengagedTimeslice, cfg.horizon).with_seed(cfg.seed);
-        let round = runner::mean_round(&runner::run_alone(&spec, Box::new(app.build())), 0);
+        let base = reference_round(&cfg, "BinarySearch", SchedulerKind::Direct);
+        let round = reference_round(&cfg, "BinarySearch", SchedulerKind::DisengagedTimeslice);
         let serial = round.ratio(base);
         assert_eq!(ported, serial, "ported {ported} vs serial {serial}");
     }
@@ -174,17 +185,26 @@ mod tests {
         };
         // Full sweep is covered by integration tests; keep the unit
         // test to one representative application for speed.
-        let app = neon_workloads::app::app_by_name("FastWalshTransform").unwrap();
-        let direct = RunSpec::new(SchedulerKind::Direct, cfg.horizon).with_seed(cfg.seed);
-        let base = runner::mean_round(&runner::run_alone(&direct, Box::new(app.build())), 0);
-        for (kind, bound) in [
+        let bounds = [
             (SchedulerKind::Timeslice, 1.45),
             (SchedulerKind::DisengagedTimeslice, 1.06),
             (SchedulerKind::DisengagedFairQueueing, 1.09),
-        ] {
-            let spec = RunSpec::new(kind, cfg.horizon).with_seed(cfg.seed);
-            let round = runner::mean_round(&runner::run_alone(&spec, Box::new(app.build())), 0);
-            let slowdown = round.ratio(base);
+        ];
+        let mut axis = vec![SchedulerKind::Direct];
+        axis.extend(bounds.iter().map(|&(kind, _)| kind));
+        let spec = ScenarioSpec::new("FastWalshTransform", cfg.horizon)
+            .seeds(vec![cfg.seed])
+            .schedulers(axis)
+            .group(TenantGroup::new(
+                "FastWalshTransform",
+                WorkloadSpec::App {
+                    name: "FastWalshTransform".to_string(),
+                },
+            ));
+        let outcome = sweep::run_parallel(&sweep::plan([spec]), None);
+        let round = |k: usize| pairwise::mean_round(&outcome.results[k].report, 0);
+        for (k, &(kind, bound)) in bounds.iter().enumerate() {
+            let slowdown = round(k + 1).ratio(round(0));
             assert!(
                 slowdown < bound,
                 "{}: slowdown {slowdown:.3} above bound {bound}",

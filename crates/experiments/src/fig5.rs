@@ -10,15 +10,15 @@
 //! so this harness rides `neon-scenario`'s parallel sweep runner: one
 //! scenario per request size whose scheduler axis is direct access
 //! followed by the compared policies, read back in plan order. The
-//! results are identical to the old serial loop (equivalence-tested
-//! below).
+//! results are identical to running each cell on one bare `World`
+//! (tested below against the test-only `pairwise::reference_run`).
 
 use neon_core::sched::SchedulerKind;
 use neon_metrics::Table;
 use neon_scenario::{sweep, ScenarioSpec, TenantGroup, WorkloadSpec};
 use neon_sim::SimDuration;
 
-use crate::runner;
+use crate::pairwise;
 
 /// Configuration of the Figure 5 sweep.
 #[derive(Debug, Clone)]
@@ -36,8 +36,8 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            horizon: runner::ALONE_HORIZON,
-            seed: runner::DEFAULT_SEED,
+            horizon: pairwise::ALONE_HORIZON,
+            seed: pairwise::DEFAULT_SEED,
             sizes: vec![
                 SimDuration::from_micros(19),
                 SimDuration::from_micros(50),
@@ -127,12 +127,12 @@ pub fn run(cfg: &Config) -> Vec<Row> {
         .enumerate()
         .map(|(i, &size)| {
             let at = |k: usize| &outcome.results[i * axis.len() + k].report;
-            let base = runner::mean_round(at(0), 0);
+            let base = pairwise::mean_round(at(0), 0);
             let slowdowns = cfg
                 .schedulers
                 .iter()
                 .enumerate()
-                .map(|(k, &kind)| (kind, runner::mean_round(at(k + 1), 0).ratio(base)))
+                .map(|(k, &kind)| (kind, pairwise::mean_round(at(k + 1), 0).ratio(base)))
                 .collect();
             Row { size, slowdowns }
         })
@@ -161,13 +161,13 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::RunSpec;
+    use neon_core::world::WorldConfig;
     use neon_workloads::throttle;
 
     #[test]
     fn sweep_runner_port_matches_the_serial_path() {
-        // The scenario-backed run() must reproduce the legacy serial
-        // run_alone loop exactly — same seed, workload jitter and
+        // The scenario-backed run() must reproduce the bare-World
+        // reference exactly — same seed, workload jitter and
         // admission path — so every slowdown ratio is bit-identical.
         let cfg = Config {
             horizon: SimDuration::from_millis(250),
@@ -179,14 +179,19 @@ mod tests {
             ..Config::default()
         };
         let rows = run(&cfg);
+        let alone = |kind: SchedulerKind, size: SimDuration| {
+            let config = WorldConfig {
+                seed: cfg.seed,
+                ..WorldConfig::default()
+            };
+            let workload = Box::new(throttle::saturating(size));
+            let report = pairwise::reference_run(kind, config, vec![workload], cfg.horizon);
+            pairwise::mean_round(&report, 0)
+        };
         for (row, &size) in rows.iter().zip(&cfg.sizes) {
-            let direct = RunSpec::new(SchedulerKind::Direct, cfg.horizon).with_seed(cfg.seed);
-            let base_report = runner::run_alone(&direct, Box::new(throttle::saturating(size)));
-            let base = runner::mean_round(&base_report, 0);
+            let base = alone(SchedulerKind::Direct, size);
             for &(kind, slowdown) in &row.slowdowns {
-                let spec = RunSpec::new(kind, cfg.horizon).with_seed(cfg.seed);
-                let report = runner::run_alone(&spec, Box::new(throttle::saturating(size)));
-                let serial = runner::mean_round(&report, 0).ratio(base);
+                let serial = alone(kind, size).ratio(base);
                 assert_eq!(slowdown, serial, "{size} under {}", kind.label());
             }
         }

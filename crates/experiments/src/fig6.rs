@@ -12,17 +12,18 @@
 //! (app, size, scheduler) mix are independent deterministic cells
 //! fanned out across OS threads. Mixes are static all-at-start
 //! scenarios, which take the classic admission path — results are
-//! identical to the old serial loop (equivalence-tested below).
+//! identical to running each mix on one bare `World` (tested below
+//! against the test-only `pairwise::reference_compare`).
 
 use neon_core::cost::SchedParams;
 use neon_core::sched::SchedulerKind;
 use neon_core::workload::BoxedWorkload;
-use neon_metrics::{fairness, Table};
+use neon_metrics::Table;
 use neon_scenario::{sweep, ScenarioSpec, TenantGroup, WorkloadSpec};
 use neon_sim::SimDuration;
 use neon_workloads::{app, throttle};
 
-use crate::runner;
+use crate::pairwise;
 
 /// Configuration of the Figure 6 sweep.
 #[derive(Debug, Clone)]
@@ -91,8 +92,8 @@ impl AppFamily {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            horizon: runner::MIX_HORIZON,
-            seed: runner::DEFAULT_SEED,
+            horizon: pairwise::MIX_HORIZON,
+            seed: pairwise::DEFAULT_SEED,
             throttle_sizes: throttle::figure6_sizes(),
             schedulers: SchedulerKind::PAPER.to_vec(),
             apps: AppFamily::ALL.to_vec(),
@@ -126,43 +127,23 @@ fn app_group(family: AppFamily) -> TenantGroup {
     )
 }
 
-fn throttle_group(size: SimDuration) -> TenantGroup {
-    TenantGroup::new(
-        format!("throttle-{size}"),
-        WorkloadSpec::Throttle {
-            request: size,
-            off_ratio: 0.0,
-            // Throttle's constructor default; spelled out because the
-            // scenario spec's default of 0.0 would diverge from the
-            // serial harness this port must reproduce exactly.
-            jitter: 0.02,
-        },
-    )
-}
-
 /// Runs the full sweep through the parallel sweep runner: one block of
 /// standalone direct-access baselines, then one scenario per
 /// (app, size) pair whose scheduler axis is the figure's columns.
 pub fn run(cfg: &Config) -> Vec<Row> {
-    let mut specs = Vec::new();
     // Standalone baselines, one single-cell scenario per distinct
     // workload (apps first, then throttle sizes).
-    for &family in &cfg.apps {
-        specs.push(
-            ScenarioSpec::new(format!("alone:{}", family.name()), runner::ALONE_HORIZON)
-                .seeds(vec![cfg.seed])
-                .schedulers(vec![SchedulerKind::Direct])
-                .group(app_group(family)),
-        );
-    }
-    for &size in &cfg.throttle_sizes {
-        specs.push(
-            ScenarioSpec::new(format!("alone:throttle-{size}"), runner::ALONE_HORIZON)
-                .seeds(vec![cfg.seed])
-                .schedulers(vec![SchedulerKind::Direct])
-                .group(throttle_group(size)),
-        );
-    }
+    let mut specs: Vec<ScenarioSpec> = cfg
+        .apps
+        .iter()
+        .map(|&family| app_group(family))
+        .chain(
+            cfg.throttle_sizes
+                .iter()
+                .map(|&size| pairwise::throttle_group(size, 0.0)),
+        )
+        .map(|g| pairwise::baseline(g, cfg.seed))
+        .collect();
     // The mixes: scenario-major over (app, size), scheduler-minor.
     for &family in &cfg.apps {
         for &size in &cfg.throttle_sizes {
@@ -170,7 +151,7 @@ pub fn run(cfg: &Config) -> Vec<Row> {
                 .seeds(vec![cfg.seed])
                 .schedulers(cfg.schedulers.clone())
                 .group(app_group(family))
-                .group(throttle_group(size));
+                .group(pairwise::throttle_group(size, 0.0));
             if family.is_combined() {
                 // Combined compute+graphics applications get the larger
                 // sampling budget the paper uses (96 vs 32 requests).
@@ -186,43 +167,25 @@ pub fn run(cfg: &Config) -> Vec<Row> {
     let outcome = sweep::run_parallel(&cells, None);
 
     // Baselines occupy the first |apps| + |sizes| cells, in push order.
-    let app_alone = |i: usize| runner::mean_round(&outcome.results[i].report, 0);
-    let throttle_alone =
-        |j: usize| runner::mean_round(&outcome.results[cfg.apps.len() + j].report, 0);
+    let alone = |cell: usize| pairwise::mean_round(&outcome.results[cell].report, 0);
     let mix_base = cfg.apps.len() + cfg.throttle_sizes.len();
     let per_pair = cfg.schedulers.len();
 
     let mut rows = Vec::new();
     for (i, &family) in cfg.apps.iter().enumerate() {
         for (j, &size) in cfg.throttle_sizes.iter().enumerate() {
+            let baselines = [alone(i), alone(cfg.apps.len() + j)];
             for (k, &scheduler) in cfg.schedulers.iter().enumerate() {
                 let cell = mix_base + (i * cfg.throttle_sizes.len() + j) * per_pair + k;
-                let report = &outcome.results[cell].report;
-                // A starved co-runner (zero rounds) reads as an
-                // infinite slowdown, as in the serial harness.
-                let concurrent = |idx: usize| {
-                    report.tasks[idx]
-                        .mean_round(runner::WARMUP)
-                        .unwrap_or(SimDuration::ZERO)
-                };
-                let pairs = [
-                    (app_alone(i), concurrent(0)),
-                    (throttle_alone(j), concurrent(1)),
-                ];
-                let norm = |(alone, conc): (SimDuration, SimDuration)| {
-                    if conc.is_zero() {
-                        f64::INFINITY
-                    } else {
-                        fairness::slowdown(alone, conc)
-                    }
-                };
+                let concurrent = pairwise::concurrent_rounds(&outcome.results[cell].report);
+                let (slowdowns, efficiency) = pairwise::compare(&baselines, &concurrent);
                 rows.push(Row {
                     app: family.name(),
                     throttle_size: size,
                     scheduler,
-                    app_slowdown: norm(pairs[0]),
-                    throttle_slowdown: norm(pairs[1]),
-                    efficiency: fairness::concurrency_efficiency(&pairs),
+                    app_slowdown: slowdowns[0],
+                    throttle_slowdown: slowdowns[1],
+                    efficiency,
                 });
             }
         }
@@ -252,8 +215,7 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pairwise::{self, PairwiseConfig};
-    use neon_workloads::throttle;
+    use neon_core::world::WorldConfig;
 
     /// A reduced sweep used by the heavier assertions in
     /// `tests/figures.rs`; here we only sanity-check plumbing.
@@ -274,10 +236,10 @@ mod tests {
 
     #[test]
     fn sweep_runner_port_matches_the_serial_pairwise_path() {
-        // The scenario-backed run() must reproduce the legacy serial
-        // pairwise computation exactly, including the oclParticles
-        // sampling-budget override (static cells take the same
-        // admission path and seed).
+        // The scenario-backed run() must reproduce the bare-World
+        // reference exactly, including the oclParticles sampling-budget
+        // override (static cells take the same admission path and
+        // seed).
         let size = SimDuration::from_micros(430);
         let cfg = Config {
             horizon: SimDuration::from_millis(500),
@@ -288,28 +250,30 @@ mod tests {
         };
         let rows = run(&cfg);
 
-        let mut cache = runner::AloneCache::new(runner::ALONE_HORIZON, cfg.seed);
         for (row, family) in rows.iter().zip(cfg.apps.iter()) {
-            let params = family.is_combined().then(|| SchedParams {
-                sampling_requests: 96,
-                ..SchedParams::default()
-            });
-            let pair = PairwiseConfig {
-                scheduler: SchedulerKind::DisengagedFairQueueing,
-                workloads: vec![family.build(), Box::new(throttle::saturating(size))],
-                horizon: cfg.horizon,
-                seed: cfg.seed,
-                cost: None,
-                params,
+            let params = if family.is_combined() {
+                SchedParams {
+                    sampling_requests: 96,
+                    ..SchedParams::default()
+                }
+            } else {
+                SchedParams::default()
             };
-            let serial = pairwise::run_with_cache(&pair, &mut cache);
-            assert_eq!(row.app_slowdown, serial.tasks[0].slowdown, "{}", row.app);
-            assert_eq!(
-                row.throttle_slowdown, serial.tasks[1].slowdown,
-                "{}",
-                row.app
+            let config = WorldConfig {
+                params,
+                seed: cfg.seed,
+                ..WorldConfig::default()
+            };
+            let (_, slowdowns, efficiency) = pairwise::reference_compare(
+                SchedulerKind::DisengagedFairQueueing,
+                config,
+                vec![family.build(), Box::new(throttle::saturating(size))],
+                cfg.horizon,
+                pairwise::ALONE_HORIZON,
             );
-            assert_eq!(row.efficiency, serial.efficiency, "{}", row.app);
+            assert_eq!(row.app_slowdown, slowdowns[0], "{}", row.app);
+            assert_eq!(row.throttle_slowdown, slowdowns[1], "{}", row.app);
+            assert_eq!(row.efficiency, efficiency, "{}", row.app);
         }
     }
 }

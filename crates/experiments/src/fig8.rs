@@ -9,15 +9,16 @@
 //! Each scheduler column and each standalone baseline is an
 //! independent deterministic cell, so the harness rides
 //! `neon-scenario`'s parallel sweep runner; the four-way mix is a
-//! static all-at-start scenario and reproduces the old serial loop
-//! exactly (equivalence-tested below).
+//! static all-at-start scenario and reproduces one bare `World` running
+//! the mix exactly (tested below against the test-only
+//! `pairwise::reference_compare`).
 
 use neon_core::sched::SchedulerKind;
-use neon_metrics::{fairness, Table};
+use neon_metrics::Table;
 use neon_scenario::{sweep, ScenarioSpec, TenantGroup, WorkloadSpec};
 use neon_sim::SimDuration;
 
-use crate::runner;
+use crate::pairwise;
 
 /// Configuration of the Figure 8 run.
 #[derive(Debug, Clone)]
@@ -36,7 +37,7 @@ impl Default for Config {
     fn default() -> Self {
         Config {
             horizon: SimDuration::from_millis(3_000),
-            seed: runner::DEFAULT_SEED,
+            seed: pairwise::DEFAULT_SEED,
             throttle_size: SimDuration::from_micros(1_700),
             schedulers: SchedulerKind::PAPER.to_vec(),
         }
@@ -55,16 +56,7 @@ pub struct Row {
 }
 
 fn groups(cfg: &Config) -> Vec<TenantGroup> {
-    let mut groups = vec![TenantGroup::new(
-        "throttle",
-        WorkloadSpec::Throttle {
-            request: cfg.throttle_size,
-            off_ratio: 0.0,
-            // Throttle's constructor default; the scenario-spec default
-            // of 0.0 would diverge from the serial harness.
-            jitter: 0.02,
-        },
-    )];
+    let mut groups = vec![pairwise::throttle_group(cfg.throttle_size, 0.0)];
     for app in ["BinarySearch", "DCT", "FFT"] {
         groups.push(TenantGroup::new(
             app,
@@ -83,12 +75,7 @@ pub fn run(cfg: &Config) -> Vec<Row> {
     let members = groups(cfg);
     let mut specs: Vec<ScenarioSpec> = members
         .iter()
-        .map(|g| {
-            ScenarioSpec::new(format!("alone:{}", g.name), runner::ALONE_HORIZON)
-                .seeds(vec![cfg.seed])
-                .schedulers(vec![SchedulerKind::Direct])
-                .group(g.clone())
-        })
+        .map(|g| pairwise::baseline(g.clone(), cfg.seed))
         .collect();
     let mut mix = ScenarioSpec::new("fig8-mix", cfg.horizon)
         .seeds(vec![cfg.seed])
@@ -102,29 +89,24 @@ pub fn run(cfg: &Config) -> Vec<Row> {
     let outcome = sweep::run_parallel(&cells, None);
 
     let alone: Vec<SimDuration> = (0..members.len())
-        .map(|i| runner::mean_round(&outcome.results[i].report, 0))
+        .map(|i| pairwise::mean_round(&outcome.results[i].report, 0))
         .collect();
     cfg.schedulers
         .iter()
         .enumerate()
         .map(|(k, &scheduler)| {
             let report = &outcome.results[members.len() + k].report;
-            let mut pairs = Vec::new();
-            let mut slowdowns = Vec::new();
-            for (i, t) in report.tasks.iter().enumerate() {
-                let concurrent = t.mean_round(runner::WARMUP).unwrap_or(SimDuration::ZERO);
-                let slowdown = if concurrent.is_zero() {
-                    f64::INFINITY
-                } else {
-                    fairness::slowdown(alone[i], concurrent)
-                };
-                pairs.push((alone[i], concurrent));
-                slowdowns.push((t.name.clone(), slowdown));
-            }
+            let (slowdowns, efficiency) =
+                pairwise::compare(&alone, &pairwise::concurrent_rounds(report));
             Row {
                 scheduler,
-                slowdowns,
-                efficiency: fairness::concurrency_efficiency(&pairs),
+                slowdowns: report
+                    .tasks
+                    .iter()
+                    .map(|t| t.name.clone())
+                    .zip(slowdowns)
+                    .collect(),
+                efficiency,
             }
         })
         .collect()
@@ -154,7 +136,7 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pairwise::{self, PairwiseConfig};
+    use neon_core::world::WorldConfig;
     use neon_workloads::{app, throttle};
 
     #[test]
@@ -182,24 +164,25 @@ mod tests {
         };
         let rows = run(&cfg);
 
-        let pair = PairwiseConfig {
-            scheduler: SchedulerKind::DisengagedFairQueueing,
-            workloads: vec![
+        let (report, slowdowns, efficiency) = pairwise::reference_compare(
+            SchedulerKind::DisengagedFairQueueing,
+            WorldConfig {
+                seed: cfg.seed,
+                ..WorldConfig::default()
+            },
+            vec![
                 Box::new(throttle::saturating(cfg.throttle_size)),
                 Box::new(app::binary_search()),
                 Box::new(app::dct()),
                 Box::new(app::fft()),
             ],
-            horizon: cfg.horizon,
-            seed: cfg.seed,
-            cost: None,
-            params: None,
-        };
-        let serial = pairwise::run(&pair);
-        assert_eq!(rows[0].efficiency, serial.efficiency);
-        for (ported, old) in rows[0].slowdowns.iter().zip(&serial.tasks) {
-            assert_eq!(ported.0, old.name);
-            assert_eq!(ported.1, old.slowdown, "{}", old.name);
+            cfg.horizon,
+            pairwise::ALONE_HORIZON,
+        );
+        assert_eq!(rows[0].efficiency, efficiency);
+        for ((ported, task), old) in rows[0].slowdowns.iter().zip(&report.tasks).zip(&slowdowns) {
+            assert_eq!(ported.0, task.name);
+            assert_eq!(ported.1, *old, "{}", task.name);
         }
     }
 }

@@ -12,15 +12,15 @@
 //! every (off ratio, scheduler) mix are independent deterministic
 //! cells fanned out across OS threads. Mixes are static all-at-start
 //! scenarios, which take the classic admission path — results are
-//! identical to the old serial pairwise loop (equivalence-tested
-//! below).
+//! identical to running each mix on one bare `World` (tested below
+//! against the test-only `pairwise::reference_compare`).
 
 use neon_core::sched::SchedulerKind;
-use neon_metrics::{fairness, Table};
+use neon_metrics::Table;
 use neon_scenario::{sweep, ScenarioSpec, TenantGroup, WorkloadSpec};
 use neon_sim::SimDuration;
 
-use crate::runner;
+use crate::pairwise;
 
 /// Configuration of the Figure 9/10 sweep.
 #[derive(Debug, Clone)]
@@ -40,8 +40,8 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            horizon: runner::MIX_HORIZON,
-            seed: runner::DEFAULT_SEED,
+            horizon: pairwise::MIX_HORIZON,
+            seed: pairwise::DEFAULT_SEED,
             throttle_size: SimDuration::from_micros(430),
             off_ratios: vec![0.0, 0.2, 0.4, 0.6, 0.8],
             schedulers: SchedulerKind::PAPER.to_vec(),
@@ -73,36 +73,17 @@ fn dct_group() -> TenantGroup {
     )
 }
 
-fn throttle_group(size: SimDuration, off: f64) -> TenantGroup {
-    TenantGroup::new(
-        format!("throttle-{size}-off{off}"),
-        WorkloadSpec::Throttle {
-            request: size,
-            off_ratio: off,
-            // Throttle's constructor default; spelled out because the
-            // scenario spec's default of 0.0 would diverge from the
-            // serial harness this port must reproduce exactly.
-            jitter: 0.02,
-        },
-    )
-}
-
 /// Runs the sweep through the parallel sweep runner: one block of
 /// standalone direct-access baselines (DCT, then one Throttle per off
 /// ratio), then one scenario per off ratio whose scheduler axis is the
 /// figure's columns.
 pub fn run(cfg: &Config) -> Vec<Row> {
-    let mut specs = vec![ScenarioSpec::new("alone:DCT", runner::ALONE_HORIZON)
-        .seeds(vec![cfg.seed])
-        .schedulers(vec![SchedulerKind::Direct])
-        .group(dct_group())];
+    let mut specs = vec![pairwise::baseline(dct_group(), cfg.seed)];
     for &off in &cfg.off_ratios {
-        specs.push(
-            ScenarioSpec::new(format!("alone:throttle-off{off}"), runner::ALONE_HORIZON)
-                .seeds(vec![cfg.seed])
-                .schedulers(vec![SchedulerKind::Direct])
-                .group(throttle_group(cfg.throttle_size, off)),
-        );
+        specs.push(pairwise::baseline(
+            pairwise::throttle_group(cfg.throttle_size, off),
+            cfg.seed,
+        ));
     }
     for &off in &cfg.off_ratios {
         specs.push(
@@ -110,46 +91,30 @@ pub fn run(cfg: &Config) -> Vec<Row> {
                 .seeds(vec![cfg.seed])
                 .schedulers(cfg.schedulers.clone())
                 .group(dct_group())
-                .group(throttle_group(cfg.throttle_size, off)),
+                .group(pairwise::throttle_group(cfg.throttle_size, off)),
         );
     }
     let cells = sweep::plan(specs);
     let outcome = sweep::run_parallel(&cells, None);
 
     // Baselines occupy the first 1 + |off_ratios| cells, in push order.
-    let dct_alone = runner::mean_round(&outcome.results[0].report, 0);
-    let throttle_alone = |j: usize| runner::mean_round(&outcome.results[1 + j].report, 0);
+    let alone = |cell: usize| pairwise::mean_round(&outcome.results[cell].report, 0);
     let mix_base = 1 + cfg.off_ratios.len();
     let per_mix = cfg.schedulers.len();
 
     let mut rows = Vec::new();
     for (j, &off) in cfg.off_ratios.iter().enumerate() {
+        let baselines = [alone(0), alone(1 + j)];
         for (k, &scheduler) in cfg.schedulers.iter().enumerate() {
             let report = &outcome.results[mix_base + j * per_mix + k].report;
-            // A starved co-runner (zero rounds) reads as an infinite
-            // slowdown, as in the serial harness.
-            let concurrent = |idx: usize| {
-                report.tasks[idx]
-                    .mean_round(runner::WARMUP)
-                    .unwrap_or(SimDuration::ZERO)
-            };
-            let pairs = [
-                (dct_alone, concurrent(0)),
-                (throttle_alone(j), concurrent(1)),
-            ];
-            let norm = |(alone, conc): (SimDuration, SimDuration)| {
-                if conc.is_zero() {
-                    f64::INFINITY
-                } else {
-                    fairness::slowdown(alone, conc)
-                }
-            };
+            let (slowdowns, efficiency) =
+                pairwise::compare(&baselines, &pairwise::concurrent_rounds(report));
             rows.push(Row {
                 off_ratio: off,
                 scheduler,
-                dct_slowdown: norm(pairs[0]),
-                throttle_slowdown: norm(pairs[1]),
-                efficiency: fairness::concurrency_efficiency(&pairs),
+                dct_slowdown: slowdowns[0],
+                throttle_slowdown: slowdowns[1],
+                efficiency,
             });
         }
     }
@@ -178,7 +143,7 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pairwise::{self, PairwiseConfig};
+    use neon_core::world::WorldConfig;
     use neon_workloads::{app, throttle};
 
     #[test]
@@ -214,9 +179,9 @@ mod tests {
 
     #[test]
     fn sweep_runner_port_matches_the_serial_pairwise_path() {
-        // The scenario-backed run() must reproduce the legacy serial
-        // pairwise computation exactly (static cells take the same
-        // admission path and seed).
+        // The scenario-backed run() must reproduce the bare-World
+        // reference exactly (static cells take the same admission path
+        // and seed).
         let cfg = Config {
             horizon: SimDuration::from_millis(600),
             off_ratios: vec![0.0, 0.6],
@@ -225,29 +190,29 @@ mod tests {
         };
         let rows = run(&cfg);
 
-        let mut cache = runner::AloneCache::new(runner::ALONE_HORIZON, cfg.seed);
         for (row, &off) in rows.iter().zip(cfg.off_ratios.iter()) {
-            let pair = PairwiseConfig {
-                scheduler: SchedulerKind::DisengagedFairQueueing,
-                workloads: vec![
+            let (_, slowdowns, efficiency) = pairwise::reference_compare(
+                SchedulerKind::DisengagedFairQueueing,
+                WorldConfig {
+                    seed: cfg.seed,
+                    ..WorldConfig::default()
+                },
+                vec![
                     Box::new(app::dct()),
                     Box::new(throttle::nonsaturating(cfg.throttle_size, off)),
                 ],
-                horizon: cfg.horizon,
-                seed: cfg.seed,
-                cost: None,
-                params: None,
-            };
-            let serial = pairwise::run_with_cache(&pair, &mut cache);
-            assert_eq!(
-                row.dct_slowdown, serial.tasks[0].slowdown,
-                "off {off}: DCT diverged from the serial path"
+                cfg.horizon,
+                pairwise::ALONE_HORIZON,
             );
             assert_eq!(
-                row.throttle_slowdown, serial.tasks[1].slowdown,
-                "off {off}: Throttle diverged from the serial path"
+                row.dct_slowdown, slowdowns[0],
+                "off {off}: DCT diverged from the reference"
             );
-            assert_eq!(row.efficiency, serial.efficiency, "off {off}");
+            assert_eq!(
+                row.throttle_slowdown, slowdowns[1],
+                "off {off}: Throttle diverged from the reference"
+            );
+            assert_eq!(row.efficiency, efficiency, "off {off}");
         }
     }
 }

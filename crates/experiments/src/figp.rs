@@ -31,7 +31,7 @@ use neon_scenario::{
 };
 use neon_sim::SimDuration;
 
-use crate::runner;
+use crate::pairwise;
 
 /// Configuration of the placement-quality sweep.
 #[derive(Debug, Clone)]
@@ -55,7 +55,7 @@ impl Default for Config {
     fn default() -> Self {
         Config {
             horizon: SimDuration::from_millis(400),
-            seeds: vec![runner::DEFAULT_SEED],
+            seeds: vec![pairwise::DEFAULT_SEED],
             schedulers: vec![SchedulerKind::Direct, SchedulerKind::DisengagedFairQueueing],
             placements: Self::placements(),
             rebalances: vec![RebalanceKind::CountDiff, RebalanceKind::CostAware],

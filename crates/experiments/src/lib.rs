@@ -19,10 +19,13 @@
 //! | [`sec63`] | §6.3 — channel/context exhaustion DoS and the C/D policy |
 //! | [`figp`] | Figure P (beyond the paper) — placement quality on symmetric vs heterogeneous multi-GPU topologies |
 //! | [`ablation`] | design-choice sweeps (free-run multiplier, sampling budget, trap cost, polling period) |
+//! | [`pairwise`] | the §5.3 methodology the multiprogrammed harnesses share: Throttle group, direct-access baseline cell, slowdown/efficiency comparison |
 //!
-//! Each module exposes `run(&Config) -> Vec<Row>` (pure data) and a
-//! `render` function producing the table printed by the corresponding
-//! binary in `src/bin/`.
+//! Each harness module exposes `run(&Config) -> Vec<Row>` (pure data)
+//! and a `render` function producing the table printed by the
+//! corresponding binary in `src/bin/`. Every harness builds its runs as
+//! `neon-scenario` cells and executes them through the parallel sweep
+//! runner; only §6.3, which drives the device layer directly, does not.
 
 pub mod ablation;
 pub mod fig10;
@@ -35,7 +38,6 @@ pub mod fig8;
 pub mod fig9;
 pub mod figp;
 pub mod pairwise;
-pub mod runner;
 pub mod sec3;
 pub mod sec63;
 pub mod table1;

@@ -15,8 +15,8 @@
 //! trapping stacks install [`TrapPerRequest`] through the spec's
 //! custom-scheduler hook and override the fault cost through its cost
 //! model, one single-cell scenario per (size, stack) point, read back
-//! in plan order. The results are identical to the old serial loop
-//! (equivalence-tested below).
+//! in plan order. The results are identical to hand-built bare
+//! `World`s running the same stacks (tested below).
 
 use neon_core::cost::{CostModel, SchedParams};
 use neon_core::sched::{FaultDecision, Scheduler, SchedulerKind};
@@ -26,7 +26,7 @@ use neon_metrics::Table;
 use neon_scenario::{sweep, ScenarioSpec, TenantGroup, WorkloadSpec};
 use neon_sim::SimDuration;
 
-use crate::runner;
+use crate::pairwise;
 
 /// A stack that traps on every submission and lets it through — the
 /// syscall-per-request architecture of the comparison.
@@ -69,8 +69,8 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            horizon: runner::ALONE_HORIZON,
-            seed: runner::DEFAULT_SEED,
+            horizon: pairwise::ALONE_HORIZON,
+            seed: pairwise::DEFAULT_SEED,
             sizes: vec![
                 SimDuration::from_micros(10),
                 SimDuration::from_micros(20),
@@ -220,13 +220,13 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::RunSpec;
+    use neon_core::world::WorldConfig;
     use neon_workloads::throttle;
 
-    /// The legacy serial reference: a hand-built world running
+    /// The trapping-stack reference: a hand-built world running
     /// [`TrapPerRequest`] at the given fault cost.
     fn serial_trap_rate(cfg: &Config, size: SimDuration, cost: CostModel) -> f64 {
-        let config = neon_core::world::WorldConfig {
+        let config = WorldConfig {
             cost,
             seed: cfg.seed,
             ..Default::default()
@@ -241,8 +241,8 @@ mod tests {
 
     #[test]
     fn sweep_runner_port_matches_the_serial_path() {
-        // The scenario-backed run() must reproduce the legacy serial
-        // loop exactly: the custom-scheduler cells must build the
+        // The scenario-backed run() must reproduce the bare-World
+        // references exactly: the custom-scheduler cells must build the
         // same world as the hand-constructed trapping stacks.
         let cfg = Config {
             horizon: SimDuration::from_millis(150),
@@ -252,10 +252,15 @@ mod tests {
         let base_cost = CostModel::default();
         let rows = run(&cfg);
         for (row, &size) in rows.iter().zip(&cfg.sizes) {
-            let direct = RunSpec::new(SchedulerKind::Direct, cfg.horizon).with_seed(cfg.seed);
-            let report = runner::run_alone(
-                &direct,
-                Box::new(throttle::saturating(size).with_jitter(0.0)),
+            let direct = WorldConfig {
+                seed: cfg.seed,
+                ..WorldConfig::default()
+            };
+            let report = pairwise::reference_run(
+                SchedulerKind::Direct,
+                direct,
+                vec![Box::new(throttle::saturating(size).with_jitter(0.0))],
+                cfg.horizon,
             );
             let direct_rate = report.tasks[0].completed_requests as f64 / cfg.horizon.as_secs_f64();
             assert_eq!(row.direct_rate, direct_rate, "{size} direct");

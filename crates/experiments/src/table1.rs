@@ -11,8 +11,9 @@
 //! Each application's standalone run is an independent deterministic
 //! cell, so the harness rides `neon-scenario`'s parallel sweep
 //! runner: one request-recording single-cell scenario per application,
-//! read back in plan order. The results are identical to the old
-//! serial loop (equivalence-tested below).
+//! read back in plan order. The results are identical to running each
+//! application on one bare `World` (tested below against the test-only
+//! `pairwise::reference_run`).
 
 use neon_core::sched::SchedulerKind;
 use neon_core::RunReport;
@@ -22,7 +23,7 @@ use neon_scenario::{sweep, ScenarioSpec, TenantGroup, WorkloadSpec};
 use neon_sim::SimDuration;
 use neon_workloads::app::{all_apps, AppSpec};
 
-use crate::runner;
+use crate::pairwise;
 
 /// Configuration of the Table 1 harness.
 #[derive(Debug, Clone)]
@@ -36,8 +37,8 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            horizon: runner::ALONE_HORIZON,
-            seed: runner::DEFAULT_SEED,
+            horizon: pairwise::ALONE_HORIZON,
+            seed: pairwise::DEFAULT_SEED,
         }
     }
 }
@@ -116,7 +117,7 @@ pub fn run(cfg: &Config) -> Vec<Row> {
 
 fn measure(app: &AppSpec, report: &RunReport) -> Row {
     let task = &report.tasks[0];
-    let round = runner::mean_round(report, 0);
+    let round = pairwise::mean_round(report, 0);
     // Exclude trivial (aux) requests, which the paper's measurement
     // cannot see: they are never checked for completion. Anything at or
     // below 2µs of service is the aux class. Combined applications
@@ -195,12 +196,12 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::RunSpec;
+    use neon_core::world::WorldConfig;
 
     #[test]
     fn sweep_runner_port_matches_the_serial_path() {
-        // The scenario-backed run() must reproduce the legacy serial
-        // run_alone loop exactly: identical recorded request streams,
+        // The scenario-backed run() must reproduce the bare-World
+        // reference exactly: identical recorded request streams,
         // so every measured figure is bit-identical.
         let cfg = Config {
             horizon: SimDuration::from_millis(250),
@@ -208,10 +209,17 @@ mod tests {
         };
         let rows = run(&cfg);
         for (row, app) in rows.iter().zip(all_apps().iter()) {
-            let spec = RunSpec::new(SchedulerKind::Direct, cfg.horizon)
-                .with_seed(cfg.seed)
-                .recording();
-            let report = runner::run_alone(&spec, Box::new(app.build()));
+            let config = WorldConfig {
+                seed: cfg.seed,
+                record_requests: true,
+                ..WorldConfig::default()
+            };
+            let report = pairwise::reference_run(
+                SchedulerKind::Direct,
+                config,
+                vec![Box::new(app.build())],
+                cfg.horizon,
+            );
             let serial = measure(app, &report);
             assert_eq!(
                 row.measured_round_us, serial.measured_round_us,

@@ -7,7 +7,7 @@
 //!                             [--rebalance R[,R...]] [--faults M[,M...]] [--quiet]
 //!                             [--metrics exact|streaming] [--sample-every DUR]
 //!                             [--timeline FILE] [--trace-out FILE]
-//! neon check <scenario.toml>... [--strict]
+//! neon check <scenario.toml>...
 //! neon bench <scenario.toml>... [--threads N[,N...]] [--out FILE]
 //! ```
 //!
@@ -17,8 +17,7 @@
 //!   `--out`).
 //! - `check` parses and validates files and prints the expanded plan.
 //!   The loader rejects unknown or misplaced keys outright (with a
-//!   "did you mean" hint); `--strict` additionally turns compatibility
-//!   notes — legacy spellings that still parse — into errors.
+//!   "did you mean" hint).
 //! - `bench` runs the same plan serially, then once in parallel per
 //!   requested thread count (`--threads 1,2,4,8`; default: one run at
 //!   the host's available parallelism), reports the wall-clock
@@ -53,8 +52,6 @@ use neon_sim::SimDuration;
 struct Options {
     files: Vec<PathBuf>,
     serial: bool,
-    /// `check --strict`: compatibility notes become errors.
-    strict: bool,
     /// `--threads` accepts a comma list; `run` requires a single
     /// value, `bench` sweeps one parallel run per entry.
     threads: Option<Vec<usize>>,
@@ -80,7 +77,7 @@ const USAGE: &str = "usage:
                               [--rebalance R[,R...]] [--faults M[,M...]] [--quiet]
                               [--metrics exact|streaming] [--sample-every DUR]
                               [--timeline FILE] [--trace-out FILE]
-  neon check <scenario.toml>... [--strict] [--devices N] [--hosts N] [--placement P[,P...]]
+  neon check <scenario.toml>... [--devices N] [--hosts N] [--placement P[,P...]]
                                 [--fleet-placement F[,F...]] [--rebalance R[,R...]]
                                 [--faults M[,M...]]
   neon bench <scenario.toml>... [--out FILE] [--threads N[,N...]]
@@ -123,7 +120,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         files: Vec::new(),
         serial: false,
-        strict: false,
         threads: None,
         out: None,
         csv: None,
@@ -143,7 +139,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--serial" => opts.serial = true,
-            "--strict" => opts.strict = true,
             "--quiet" => opts.quiet = true,
             "--threads" => {
                 let v = it.next().ok_or("--threads needs a value")?;
@@ -336,12 +331,7 @@ fn load_specs(opts: &Options) -> Result<Vec<ScenarioSpec>, String> {
 fn cmd_check(opts: &Options) -> ExitCode {
     match load_specs(opts) {
         Ok(specs) => {
-            let mut notes = 0usize;
             for spec in &specs {
-                for note in &spec.compat_notes {
-                    notes += 1;
-                    eprintln!("{}: note: {note}", spec.name);
-                }
                 println!(
                     "{}: {} group(s), horizon {}, {} host(s) × {} device(s), \
                      {} scheduler(s) × {} placement(s) × {} fleet placement(s) × \
@@ -369,10 +359,6 @@ fn cmd_check(opts: &Options) -> ExitCode {
                         g.name, g.count, g.workload
                     );
                 }
-            }
-            if opts.strict && notes > 0 {
-                eprintln!("neon: --strict: {notes} compatibility note(s) above are fatal");
-                return ExitCode::FAILURE;
             }
             ExitCode::SUCCESS
         }

@@ -347,9 +347,9 @@ pub struct ScenarioSpec {
     /// Placement policies to sweep (default least-loaded only; moot —
     /// but harmless — on single-device scenarios).
     pub placements: Vec<PlacementKind>,
-    /// Rebalancing policies to sweep (default off only). TOML's legacy
-    /// `rebalance = true` maps to a single [`RebalanceKind::CountDiff`]
-    /// entry.
+    /// Rebalancing policies to sweep (default off only). TOML takes a
+    /// label, `"all"` or an array of labels; `"count-diff"` is the old
+    /// boolean toggle's heuristic, byte for byte.
     pub rebalances: Vec<RebalanceKind>,
     /// Scenario-wide [`SchedParams`] override (every device, unless a
     /// pinned group overrides its device).
@@ -397,10 +397,6 @@ pub struct ScenarioSpec {
     pub fault_modes: Vec<FaultMode>,
     /// The tenant groups.
     pub groups: Vec<TenantGroup>,
-    /// Compatibility notes collected while loading (e.g. the legacy
-    /// `rebalance = true` boolean). Harmless by default; `neon check`
-    /// prints them as warnings and `--strict` turns them into errors.
-    pub compat_notes: Vec<String>,
 }
 
 impl ScenarioSpec {
@@ -433,7 +429,6 @@ impl ScenarioSpec {
             fault_config: FaultConfig::default(),
             fault_modes: Vec::new(),
             groups: Vec::new(),
-            compat_notes: Vec::new(),
         }
     }
 

@@ -22,8 +22,8 @@
 //! `"round-robin"`, `"fewest-tenants"`, `"pinned:<device>"`).
 //! The `rebalance` key is an axis too: `"all"`, a label (`"off"`,
 //! `"count-diff"`, `"cost-aware"` — `"cost"` for short), or an array
-//! of labels; the legacy booleans still parse (`true` →
-//! `"count-diff"`, `false` → `"off"`).
+//! of labels. A boolean is rejected: `"count-diff"` replaces the old
+//! `true` byte for byte, and `"off"` replaces `false`.
 //!
 //! Telemetry: `metrics = "exact"` (default) or `"streaming"` selects
 //! the metrics pipeline, and `sample_every = "<duration>"` switches
@@ -945,8 +945,6 @@ fn rebalances_from(root: &Table) -> Result<Vec<RebalanceKind>, SpecError> {
     };
     match root.get("rebalance") {
         None => Ok(vec![RebalanceKind::Off]),
-        // Legacy toggle: true was the count-diff heuristic.
-        Some(Value::Bool(on)) => Ok(vec![RebalanceKind::from_legacy_bool(*on)]),
         Some(Value::Str(s)) => match s.as_str() {
             "all" => Ok(RebalanceKind::ALL.to_vec()),
             other => parse_label(other).map(|k| vec![k]),
@@ -960,9 +958,17 @@ fn rebalances_from(root: &Table) -> Result<Vec<RebalanceKind>, SpecError> {
                 ))),
             })
             .collect(),
-        Some(other) => Err(SpecError(format!(
-            "rebalance must be \"all\", a label, an array, or a legacy boolean; got {other:?}"
-        ))),
+        Some(other) => {
+            let labels: Vec<String> = RebalanceKind::ALL
+                .iter()
+                .map(|k| format!("{:?}", k.to_string()))
+                .collect();
+            Err(SpecError(format!(
+                "rebalance must be \"all\", one of the labels {}, or an array of \
+                 them; got {other:?}",
+                labels.join(", ")
+            )))
+        }
     }
 }
 
@@ -1386,13 +1392,6 @@ pub fn from_toml(text: &str, fallback_name: &str) -> Result<ScenarioSpec, SpecEr
         };
         spec.groups.push(group);
     }
-    if matches!(root.get("rebalance"), Some(Value::Bool(_))) {
-        spec.compat_notes.push(
-            "rebalance takes a policy label; the boolean form is legacy \
-             (true → \"count-diff\", false → \"off\")"
-                .to_string(),
-        );
-    }
     spec.validate()?;
     Ok(spec)
 }
@@ -1508,7 +1507,7 @@ name = "multi"
 horizon = "100ms"
 devices = 4
 placement = ["least-loaded", "round-robin", "pinned:2"]
-rebalance = true
+rebalance = "count-diff"
 schedulers = ["disengaged-fq"]
 params.sampling_max = "3ms"
 params.freerun_max = "80ms"
@@ -1536,7 +1535,7 @@ params.sampling_requests = 96
         assert_eq!(
             spec.rebalances,
             vec![RebalanceKind::CountDiff],
-            "legacy rebalance = true maps to the count-diff heuristic"
+            "a single label is a one-entry axis"
         );
         assert_eq!(
             spec.placements,
@@ -1571,7 +1570,7 @@ params.sampling_requests = 96
     }
 
     #[test]
-    fn rebalance_axis_parses_labels_arrays_and_legacy_booleans() {
+    fn rebalance_axis_parses_labels_and_arrays_and_rejects_booleans() {
         let with_rebalance = |v: &str| {
             format!(
                 "horizon = \"10ms\"\ndevices = 2\nrebalance = {v}\n\
@@ -1579,8 +1578,8 @@ params.sampling_requests = 96
             )
         };
         let cases = [
-            ("true", vec![RebalanceKind::CountDiff]),
-            ("false", vec![RebalanceKind::Off]),
+            ("\"count-diff\"", vec![RebalanceKind::CountDiff]),
+            ("\"off\"", vec![RebalanceKind::Off]),
             ("\"cost\"", vec![RebalanceKind::CostAware]),
             ("\"cost-aware\"", vec![RebalanceKind::CostAware]),
             ("\"all\"", RebalanceKind::ALL.to_vec()),
@@ -1603,6 +1602,10 @@ params.sampling_requests = 96
         .unwrap();
         assert_eq!(off.rebalances, vec![RebalanceKind::Off]);
         assert!(from_toml(&with_rebalance("\"warp-drive\""), "x").is_err());
+        for boolean in ["true", "false"] {
+            let rejected = from_toml(&with_rebalance(boolean), "x");
+            assert!(rejected.is_err(), "rebalance = {boolean} must not load");
+        }
     }
 
     #[test]
@@ -1643,7 +1646,7 @@ name = "hetero"
 horizon = "50ms"
 placement = ["locality-first", "cost-min"]
 schedulers = ["direct"]
-rebalance = true
+rebalance = "count-diff"
 topology.interconnect = "pcie-gen3"
 topology.cross_numa_gbps = 4.0
 topology.same_switch_latency = "5us"
@@ -1979,18 +1982,20 @@ request = "200us"
     }
 
     #[test]
-    fn legacy_rebalance_boolean_earns_a_compat_note() {
+    fn legacy_rebalance_boolean_is_rejected() {
         let with_rebalance = |v: &str| {
             format!(
                 "horizon = \"10ms\"\ndevices = 2\nrebalance = {v}\n\
                  [[group]]\nworkload = \"throttle\"\nrequest = \"1ms\"\n"
             )
         };
-        let spec = from_toml(&with_rebalance("true"), "x").unwrap();
-        assert_eq!(spec.compat_notes.len(), 1, "{:?}", spec.compat_notes);
-        assert!(spec.compat_notes[0].contains("legacy"));
-        let spec = from_toml(&with_rebalance("\"count-diff\""), "x").unwrap();
-        assert!(spec.compat_notes.is_empty());
+        for value in ["true", "false"] {
+            let e = from_toml(&with_rebalance(value), "x").unwrap_err();
+            assert!(e.0.contains("rebalance must be"), "{e}");
+            for label in ["\"off\"", "\"count-diff\"", "\"cost-aware\""] {
+                assert!(e.0.contains(label), "{e} lacks {label}");
+            }
+        }
     }
 
     #[test]

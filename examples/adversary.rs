@@ -17,11 +17,9 @@
 //!    is exhausted; the §6.3 allocation policy contains it.
 
 use disengaged_scheduling::core::cost::SchedParams;
-use disengaged_scheduling::core::world::{World, WorldConfig};
 use disengaged_scheduling::core::SchedulerKind;
 use disengaged_scheduling::experiments::sec63;
-use disengaged_scheduling::workloads::adversary::{Batcher, InfiniteLoop};
-use disengaged_scheduling::workloads::app;
+use disengaged_scheduling::scenario::{sweep, ScenarioSpec, TenantGroup, WorkloadSpec};
 use neon_sim::SimDuration;
 
 fn main() {
@@ -30,20 +28,30 @@ fn main() {
     channel_dos_scenario();
 }
 
+/// DCT first, then `attacker`, for one simulated second.
+fn victim_and(attacker: WorkloadSpec) -> ScenarioSpec {
+    ScenarioSpec::new("adversary", SimDuration::from_secs(1))
+        .seeds(vec![0x5EED])
+        .group(TenantGroup::new(
+            "DCT",
+            WorkloadSpec::App {
+                name: "DCT".to_string(),
+            },
+        ))
+        .group(TenantGroup::new("attacker", attacker))
+}
+
 fn batcher_scenario() {
     println!("== 1. Greedy batcher (10ms requests) vs DCT ==");
-    for scheduler in [SchedulerKind::Direct, SchedulerKind::DisengagedTimeslice] {
-        let mut world = World::new(
-            WorldConfig::default(),
-            scheduler.build(SchedParams::default()),
-        );
-        world.add_task(Box::new(app::dct())).expect("room");
-        world
-            .add_task(Box::new(Batcher::new(SimDuration::from_millis(10))))
-            .expect("room");
-        let report = world.run(SimDuration::from_secs(1));
-        let dct = report.tasks[0].usage;
-        let batcher = report.tasks[1].usage;
+    let schedulers = vec![SchedulerKind::Direct, SchedulerKind::DisengagedTimeslice];
+    let spec = victim_and(WorkloadSpec::Batcher {
+        batch: SimDuration::from_millis(10),
+    })
+    .schedulers(schedulers.clone());
+    let outcome = sweep::run_parallel(&sweep::plan([spec]), None);
+    for (scheduler, cell) in schedulers.iter().zip(&outcome.results) {
+        let dct = cell.report.tasks[0].usage;
+        let batcher = cell.report.tasks[1].usage;
         println!(
             "  {:<16} DCT got {:>7.1}ms of GPU, batcher {:>7.1}ms",
             scheduler.label(),
@@ -56,26 +64,18 @@ fn batcher_scenario() {
 
 fn infinite_loop_scenario() {
     println!("== 2. Infinite-loop request (kill after the documented limit) ==");
-    let params = SchedParams {
+    let spec = victim_and(WorkloadSpec::InfiniteLoop {
+        warmup_rounds: 20,
+        request: SimDuration::from_micros(100),
+    })
+    .schedulers(vec![SchedulerKind::DisengagedTimeslice])
+    .params(SchedParams {
         // A short limit so the example finishes quickly.
         overlong_limit: SimDuration::from_millis(50),
         ..SchedParams::default()
-    };
-    let mut world = World::new(
-        WorldConfig {
-            params: params.clone(),
-            ..WorldConfig::default()
-        },
-        SchedulerKind::DisengagedTimeslice.build(params),
-    );
-    world.add_task(Box::new(app::dct())).expect("room");
-    world
-        .add_task(Box::new(InfiniteLoop::new(
-            20,
-            SimDuration::from_micros(100),
-        )))
-        .expect("room");
-    let report = world.run(SimDuration::from_secs(1));
+    });
+    let outcome = sweep::run_parallel(&sweep::plan([spec]), None);
+    let report = &outcome.results[0].report;
     let victim = &report.tasks[0];
     let attacker = &report.tasks[1];
     println!(

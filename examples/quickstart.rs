@@ -13,34 +13,46 @@
 //! schedulers restore ~2x fair sharing at a few percent overhead.
 
 use disengaged_scheduling::core::SchedulerKind;
-use disengaged_scheduling::experiments::pairwise::{self, PairwiseConfig};
-use disengaged_scheduling::workloads::{app, throttle};
+use disengaged_scheduling::experiments::pairwise;
+use disengaged_scheduling::scenario::{sweep, ScenarioSpec, TenantGroup, WorkloadSpec};
 use neon_sim::SimDuration;
 
 fn main() {
+    let seed = 42;
+    let dct = TenantGroup::new(
+        "DCT",
+        WorkloadSpec::App {
+            name: "DCT".to_string(),
+        },
+    );
+    let throttle = pairwise::throttle_group(SimDuration::from_micros(1700), 0.0);
+    // Two direct-access baselines, then the mix under each scheduler.
+    let specs = [
+        pairwise::baseline(dct.clone(), seed),
+        pairwise::baseline(throttle.clone(), seed),
+        ScenarioSpec::new("quickstart", SimDuration::from_secs(2))
+            .seeds(vec![seed])
+            .schedulers(SchedulerKind::PAPER.to_vec())
+            .group(dct)
+            .group(throttle),
+    ];
+    let outcome = sweep::run_parallel(&sweep::plan(specs), None);
+    let alone = [0, 1].map(|i| pairwise::mean_round(&outcome.results[i].report, 0));
+
     println!("DCT vs Throttle(1.7ms), 2s simulated per scheduler\n");
     println!(
         "{:<16} {:>14} {:>20} {:>12}",
         "scheduler", "DCT slowdown", "Throttle slowdown", "efficiency"
     );
-    for scheduler in SchedulerKind::PAPER {
-        let result = pairwise::run(&PairwiseConfig {
-            scheduler,
-            workloads: vec![
-                Box::new(app::dct()),
-                Box::new(throttle::saturating(SimDuration::from_micros(1700))),
-            ],
-            horizon: SimDuration::from_secs(2),
-            seed: 42,
-            cost: None,
-            params: None,
-        });
+    for (scheduler, mix) in SchedulerKind::PAPER.iter().zip(&outcome.results[2..]) {
+        let concurrent = pairwise::concurrent_rounds(&mix.report);
+        let (slowdowns, efficiency) = pairwise::compare(&alone, &concurrent);
         println!(
             "{:<16} {:>13.2}x {:>19.2}x {:>12.2}",
             scheduler.label(),
-            result.tasks[0].slowdown,
-            result.tasks[1].slowdown,
-            result.efficiency
+            slowdowns[0],
+            slowdowns[1],
+            efficiency
         );
     }
     println!(

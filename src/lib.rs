@@ -29,26 +29,30 @@
 //! # Quickstart
 //!
 //! ```no_run
-//! use disengaged_scheduling::experiments::pairwise::{self, PairwiseConfig};
 //! use disengaged_scheduling::core::SchedulerKind;
-//! use disengaged_scheduling::workloads::{app, throttle};
+//! use disengaged_scheduling::experiments::pairwise;
+//! use disengaged_scheduling::scenario::{sweep, ScenarioSpec, TenantGroup, WorkloadSpec};
 //! use neon_sim::SimDuration;
 //!
-//! // DCT vs a large-request Throttle under Disengaged Fair Queueing.
-//! let result = pairwise::run(&PairwiseConfig {
-//!     scheduler: SchedulerKind::DisengagedFairQueueing,
-//!     workloads: vec![
-//!         Box::new(app::dct()),
-//!         Box::new(throttle::saturating(SimDuration::from_micros(430))),
-//!     ],
-//!     horizon: SimDuration::from_secs(2),
-//!     seed: 1,
-//!     cost: None,
-//!     params: None,
-//! });
-//! for task in &result.tasks {
-//!     println!("{}: slowdown {:.2}x", task.name, task.slowdown);
+//! // DCT vs a large-request Throttle under Disengaged Fair Queueing,
+//! // each compared against running alone with direct device access.
+//! let dct = TenantGroup::new("DCT", WorkloadSpec::App { name: "DCT".into() });
+//! let throttle = pairwise::throttle_group(SimDuration::from_micros(430), 0.0);
+//! let mix = ScenarioSpec::new("dct+throttle", SimDuration::from_secs(2))
+//!     .seeds(vec![1])
+//!     .schedulers(vec![SchedulerKind::DisengagedFairQueueing])
+//!     .group(dct.clone())
+//!     .group(throttle.clone());
+//! let specs = [pairwise::baseline(dct, 1), pairwise::baseline(throttle, 1), mix];
+//! let outcome = sweep::run_parallel(&sweep::plan(specs), None);
+//!
+//! let alone = [0, 1].map(|i| pairwise::mean_round(&outcome.results[i].report, 0));
+//! let report = &outcome.results[2].report;
+//! let (slowdowns, efficiency) = pairwise::compare(&alone, &pairwise::concurrent_rounds(report));
+//! for (task, slowdown) in report.tasks.iter().zip(slowdowns) {
+//!     println!("{}: slowdown {slowdown:.2}x", task.name);
 //! }
+//! println!("concurrency efficiency {efficiency:.2}");
 //! ```
 
 pub use neon_core as core;
