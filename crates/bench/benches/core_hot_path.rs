@@ -3,14 +3,17 @@
 //! arrivals, peek under mass cancellation, and a mid-size churn world
 //! with tracing off (the sweep configuration) vs on — the workloads the
 //! radix-heap queue, lazy tracing, and allocation-free scheduler
-//! context were written for. `neon bench <scenario>` measures the same
-//! path end to end and emits `BENCH_core.json` for the perf trajectory.
+//! context were written for — plus `StreamingHistogram::record` on a
+//! repeating stream (the repeat-bucket hint's hit) and a wide random
+//! one (its miss). `neon bench <scenario>` measures the same path end
+//! to end and emits `BENCH_core.json` for the perf trajectory.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use neon_core::cost::SchedParams;
 use neon_core::sched::SchedulerKind;
 use neon_core::workload::FixedLoop;
 use neon_core::world::{World, WorldConfig};
+use neon_metrics::StreamingHistogram;
 use neon_sim::{EventQueue, SimDuration, SimTime};
 
 fn us(v: u64) -> SimDuration {
@@ -83,7 +86,38 @@ fn near_future_mix(q: &mut EventQueue<u64>, next: &mut impl FnMut() -> u64) -> u
     popped
 }
 
+/// Records every sample into a copy of `seed`; returns its bucket
+/// count so the work is not optimized away.
+fn record_all(seed: &StreamingHistogram, samples: &[SimDuration]) -> usize {
+    let mut h = seed.clone();
+    for &s in samples {
+        h.record(s);
+    }
+    h.buckets_used()
+}
+
 fn bench(c: &mut Criterion) {
+    // 64k samples each, into a histogram already holding the wide
+    // stream's thousands of buckets (so a lookup is a real search): a
+    // constant 10 us stream, as a fixed-loop tenant's service times
+    // are, and a wide random one (up to ~18 minutes) that almost never
+    // repeats a bucket.
+    let repeat = vec![us(10); 65_536];
+    let mut next = xorshift(0x5EED);
+    let spread: Vec<SimDuration> = (0..65_536)
+        .map(|_| SimDuration::from_nanos(next() >> 24))
+        .collect();
+    let mut seed = StreamingHistogram::new();
+    for &s in &spread {
+        seed.record(s);
+    }
+    c.bench_function("core_hot_path/hist_record/repeat", |b| {
+        b.iter(|| std::hint::black_box(record_all(&seed, &repeat)))
+    });
+    c.bench_function("core_hot_path/hist_record/spread", |b| {
+        b.iter(|| std::hint::black_box(record_all(&seed, &spread)))
+    });
+
     c.bench_function("core_hot_path/queue_schedule_pop_cancel_64k", |b| {
         b.iter(|| {
             let mut q: EventQueue<u64> = EventQueue::new();

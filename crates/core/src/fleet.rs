@@ -61,7 +61,7 @@ use neon_metrics::Distribution;
 use neon_sim::{SimDuration, SimTime};
 
 use crate::fault::{FaultKind, FaultPlan};
-use crate::report::{round_distribution, GroupReport, RunReport};
+use crate::report::{groups_of, round_distribution, GroupReport, RunReport};
 use crate::workload::BoxedWorkload;
 use crate::world::World;
 
@@ -461,8 +461,9 @@ pub struct FleetReport {
     pub wall: SimDuration,
     /// Per-host outcomes, in host-id order.
     pub hosts: Vec<RunReport>,
-    /// Per-workload-name telemetry merged across hosts (streaming mode
-    /// only; empty in exact mode), via lossless
+    /// Per-workload-name telemetry across hosts (streaming mode only;
+    /// empty in exact mode), derived at report time from every
+    /// streaming host's tasks in host order, via lossless
     /// [`StreamingHistogram::merge`](neon_metrics::StreamingHistogram::merge).
     pub groups: Vec<GroupReport>,
     /// Tenants the fleet moved between hosts.
@@ -521,28 +522,6 @@ impl FleetReport {
     pub fn round_distribution(&self) -> Box<dyn Distribution> {
         round_distribution(self.hosts.iter().flat_map(|h| &h.tasks))
     }
-}
-
-/// Merges per-host [`GroupReport`]s by workload name, in
-/// first-appearance order across hosts. Lossless: the underlying
-/// [`StreamingHistogram`](neon_metrics::StreamingHistogram) buckets add
-/// bucket-wise.
-pub fn merge_groups(hosts: &[RunReport]) -> Vec<GroupReport> {
-    let mut merged: Vec<GroupReport> = Vec::new();
-    for host in hosts {
-        for g in &host.groups {
-            match merged.iter_mut().find(|m| m.name == g.name) {
-                Some(m) => {
-                    m.members += g.members;
-                    m.rounds.merge(&g.rounds);
-                    m.service.merge(&g.service);
-                    m.interarrival.merge(&g.interarrival);
-                }
-                None => merged.push(g.clone()),
-            }
-        }
-    }
-    merged
 }
 
 /// A fleet of hosts behind cluster-level admission and placement.
@@ -1069,7 +1048,14 @@ impl Fleet {
             }
         }
         let hosts: Vec<RunReport> = self.hosts.iter_mut().map(|w| w.run(horizon)).collect();
-        let groups = merge_groups(&hosts);
+        // A host reports groups only in streaming mode (and only if it
+        // admitted anyone), so this skips exact hosts' tasks.
+        let groups = groups_of(
+            hosts
+                .iter()
+                .filter(|h| !h.groups.is_empty())
+                .flat_map(|h| &h.tasks),
+        );
         FleetReport {
             wall: horizon,
             hosts,

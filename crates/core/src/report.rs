@@ -107,10 +107,14 @@ impl TaskReport {
 }
 
 /// Aggregated per-group telemetry: one entry per distinct workload
-/// name, maintained only in
+/// name, reported only in
 /// [`MetricsMode::Streaming`](crate::telemetry::MetricsMode) (the
 /// exact path keeps per-task vectors instead, from which groups can be
 /// recomputed).
+///
+/// Groups are derived at report time, not recorded live: each sketch
+/// is the lossless [`StreamingHistogram::merge`] of its members'
+/// per-task sketches, so a run pays for one record per sample.
 #[derive(Debug, Clone, Default)]
 pub struct GroupReport {
     /// The workload/application name shared by the group's members.
@@ -230,7 +234,9 @@ pub struct RunReport {
     /// windows, rebalance decisions), under stable emission labels.
     pub stats: SimStats,
     /// Per-workload-name telemetry (streaming mode only; empty in
-    /// exact mode).
+    /// exact mode), derived at report time from
+    /// [`RunReport::tasks`]: first-admission order, one member per
+    /// task with that name, sketches merged from the members'.
     pub groups: Vec<GroupReport>,
     /// The sampler's bounded device timeline (empty unless
     /// [`WorldConfig::sample_every`](crate::world::WorldConfig) was
@@ -289,6 +295,34 @@ where
         }
         Box::new(merged)
     }
+}
+
+/// The per-workload-name groups of `tasks`, in first-appearance order:
+/// `members` counts the tasks with each name and every sketch is the
+/// merge of the members' sketches. Shared by [`RunReport::groups`] and
+/// [`FleetReport::groups`](crate::fleet::FleetReport::groups).
+pub(crate) fn groups_of<'a>(tasks: impl IntoIterator<Item = &'a TaskReport>) -> Vec<GroupReport> {
+    let mut groups: Vec<GroupReport> = Vec::new();
+    for t in tasks {
+        // Group count is bounded by the number of distinct workload
+        // shapes (small), so a linear scan suffices.
+        let g = match groups.iter().position(|g| g.name == t.name) {
+            Some(g) => g,
+            None => {
+                groups.push(GroupReport {
+                    name: t.name.clone(),
+                    ..GroupReport::default()
+                });
+                groups.len() - 1
+            }
+        };
+        let g = &mut groups[g];
+        g.members += 1;
+        g.rounds.merge(&t.rounds_hist);
+        g.service.merge(&t.service_hist);
+        g.interarrival.merge(&t.interarrival_hist);
+    }
+    groups
 }
 
 #[cfg(test)]

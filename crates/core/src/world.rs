@@ -43,7 +43,7 @@ use crate::cost::{CostModel, SchedParams};
 use crate::fault::{FaultConfig, FaultKind, FaultPlan};
 use crate::placement::{DeviceLoad, LeastLoaded, Placement};
 use crate::rebalance::{Migration, MigrationCandidate, Rebalance, RebalanceKind};
-use crate::report::{DeviceReport, GroupReport, RunReport, TaskReport};
+use crate::report::{groups_of, DeviceReport, RunReport, TaskReport};
 use crate::sched::{FaultDecision, NullScheduler, Scheduler};
 use crate::telemetry::{
     labels, DeviceSample, MetricsMode, SimStats, StatKey, Timeline, TimelineSample,
@@ -271,9 +271,6 @@ struct TaskRt {
     // Streaming-mode aggregation ([`MetricsMode::Streaming`]): the
     // exact vectors above stay empty and every sample folds into these
     // fixed-memory sketches instead.
-    /// Index into `World::groups` (per-workload-name aggregate);
-    /// unused (0) in exact mode.
-    group: usize,
     /// Previous device-submit instant, for interarrival gaps.
     last_submit: Option<SimTime>,
     rounds_hist: StreamingHistogram,
@@ -396,9 +393,6 @@ pub struct World {
     /// Hot-path counters stay as the plain fields above and are folded
     /// in at [`World::report`].
     stats: SimStats,
-    /// Per-workload-name aggregates (streaming mode only; empty in
-    /// exact mode).
-    groups: Vec<GroupReport>,
     /// Bounded ring of periodic device snapshots (empty unless
     /// [`WorldConfig::sample_every`] is set).
     timeline: Timeline,
@@ -481,7 +475,6 @@ impl World {
             transfer_stall: SimDuration::ZERO,
             events: 0,
             stats: SimStats::new(),
-            groups: Vec::new(),
             timeline,
             last_sample_at: SimTime::ZERO,
             pending_hangs: 0,
@@ -604,7 +597,6 @@ impl World {
         self.transfer_stall = SimDuration::ZERO;
         self.events = 0;
         self.stats = SimStats::new();
-        self.groups.clear();
         self.last_sample_at = SimTime::ZERO;
         self.pending_hangs = 0;
         self.pending_submit_errors = 0;
@@ -929,26 +921,6 @@ impl World {
         let mut seed_rng = DetRng::seed_from(self.config.seed);
         let rng = seed_rng.fork(id.raw() as u64 + 1);
         let name = workload.name().to_string();
-        // Streaming mode aggregates per workload name as well as per
-        // task; group count is bounded by the number of distinct
-        // workload shapes (small), so a linear scan suffices.
-        let group = if self.config.metrics == MetricsMode::Streaming {
-            match self.groups.iter().position(|g| g.name == name) {
-                Some(g) => g,
-                None => {
-                    self.groups.push(GroupReport {
-                        name: name.clone(),
-                        ..GroupReport::default()
-                    });
-                    self.groups.len() - 1
-                }
-            }
-        } else {
-            0
-        };
-        if self.config.metrics == MetricsMode::Streaming {
-            self.groups[group].members += 1;
-        }
         self.tasks.push(TaskRt {
             id,
             name,
@@ -986,7 +958,6 @@ impl World {
             submit_times: shell.submit_times,
             service_times: shell.service_times,
             service_kinds: shell.service_kinds,
-            group,
             last_submit: None,
             rounds_hist: StreamingHistogram::new(),
             service_hist: StreamingHistogram::new(),
@@ -1249,13 +1220,8 @@ impl World {
                 let len = self.now.saturating_duration_since(task.round_start);
                 match self.config.metrics {
                     MetricsMode::Exact => task.rounds.push(len),
-                    MetricsMode::Streaming => {
-                        task.rounds_hist.record(len);
-                        let group = task.group;
-                        self.groups[group].rounds.record(len);
-                    }
+                    MetricsMode::Streaming => task.rounds_hist.record(len),
                 }
-                let task = &mut self.tasks[id.index()];
                 task.round_start = self.now;
                 self.schedule_step(id, SimDuration::from_nanos(1));
             }
@@ -1358,10 +1324,7 @@ impl World {
                     if let Some(prev) = task.last_submit {
                         let gap = self.now.saturating_duration_since(prev);
                         task.interarrival_hist.record(gap);
-                        let group = task.group;
-                        self.groups[group].interarrival.record(gap);
                     }
-                    let task = &mut self.tasks[id.index()];
                     task.last_submit = Some(self.now);
                 }
             }
@@ -1391,12 +1354,7 @@ impl World {
                         task.service_kinds.push(done.request.kind);
                     }
                 }
-                MetricsMode::Streaming => {
-                    let service = done.request.service;
-                    task.service_hist.record(service);
-                    let group = task.group;
-                    self.groups[group].service.record(service);
-                }
+                MetricsMode::Streaming => task.service_hist.record(done.request.service),
             }
         }
         // Wake the submitter if it was waiting on this completion
@@ -2287,6 +2245,10 @@ impl World {
             })
             .collect();
         let degraded: SimDuration = device_degraded.iter().copied().sum();
+        let groups = match self.config.metrics {
+            MetricsMode::Exact => Vec::new(),
+            MetricsMode::Streaming => groups_of(&tasks),
+        };
         RunReport {
             scheduler,
             wall: horizon,
@@ -2333,7 +2295,7 @@ impl World {
             degraded,
             events: self.events,
             stats,
-            groups: std::mem::take(&mut self.groups),
+            groups,
             timeline: std::mem::take(&mut self.timeline),
         }
     }

@@ -28,6 +28,19 @@
 //! [`StreamingHistogram::MAX_BUCKETS`] (7424) buckets, so a `u16`
 //! indexes them; storage is a sparse sorted vec that only pays for
 //! octaves actually touched.
+//!
+//! # Recording cost
+//!
+//! Simulated streams repeat themselves: a fixed-loop tenant's service
+//! times and round lengths land in the same bucket sample after
+//! sample. So the histogram remembers the index of the bucket it last
+//! bumped, and [`record_n`](StreamingHistogram::record_n) compares
+//! that entry's key with the new sample's bucket before falling back
+//! to a binary search. The index is only a hint: it is used solely when
+//! the key at that index matches, so a hint made stale by an insert or
+//! a [`merge`](StreamingHistogram::merge) just misses and searches.
+//! Contents are therefore exactly what the search alone would build,
+//! and equality ignores the hint.
 
 use neon_sim::SimDuration;
 
@@ -92,7 +105,7 @@ const SUB_COUNT: u64 = 1 << SUB_BITS;
 /// let err = (p50 - 50_000.0).abs() / 50_000.0;
 /// assert!(err <= StreamingHistogram::RELATIVE_ERROR_BOUND);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct StreamingHistogram {
     /// Sparse `(bucket, count)` pairs, sorted by bucket index.
     buckets: Vec<(u16, u64)>,
@@ -100,7 +113,26 @@ pub struct StreamingHistogram {
     sum: u128,
     min: u64,
     max: u64,
+    /// Index into `buckets` of the last recorded bucket: a lookup
+    /// hint only, validated by its key before use (see "Recording
+    /// cost" in the module docs), so it is not part of the contents.
+    hint: usize,
 }
+
+/// Equality is over contents — buckets, count, sum, min and max — and
+/// ignores the lookup hint, so two histograms that saw the same
+/// samples in different orders compare equal.
+impl PartialEq for StreamingHistogram {
+    fn eq(&self, other: &Self) -> bool {
+        self.buckets == other.buckets
+            && self.count == other.count
+            && self.sum == other.sum
+            && self.min == other.min
+            && self.max == other.max
+    }
+}
+
+impl Eq for StreamingHistogram {}
 
 impl StreamingHistogram {
     /// Mantissa bits per octave: each power-of-two range is split into
@@ -184,10 +216,22 @@ impl StreamingHistogram {
         self.count += n;
         self.sum += v as u128 * n as u128;
         let bucket = Self::bucket_of(v);
-        match self.buckets.binary_search_by_key(&bucket, |&(b, _)| b) {
-            Ok(i) => self.buckets[i].1 += n,
-            Err(i) => self.buckets.insert(i, (bucket, n)),
+        if let Some(entry) = self.buckets.get_mut(self.hint) {
+            if entry.0 == bucket {
+                entry.1 += n;
+                return;
+            }
         }
+        self.hint = match self.buckets.binary_search_by_key(&bucket, |&(b, _)| b) {
+            Ok(i) => {
+                self.buckets[i].1 += n;
+                i
+            }
+            Err(i) => {
+                self.buckets.insert(i, (bucket, n));
+                i
+            }
+        };
     }
 
     /// Folds `other` into `self`; the result is indistinguishable from
@@ -276,6 +320,8 @@ impl Distribution for StreamingHistogram {
 mod tests {
     use super::*;
     use crate::Summary;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn ns(v: u64) -> SimDuration {
         SimDuration::from_nanos(v)
@@ -401,5 +447,172 @@ mod tests {
         }
         assert_eq!(h.mean(), ns(25));
         assert_eq!(h.total(), ns(100));
+    }
+
+    #[test]
+    fn equality_ignores_the_hint() {
+        let (a, b) = (ns(10_000), ns(3));
+        let mut ab = StreamingHistogram::new();
+        ab.record(a);
+        ab.record(b);
+        let mut ba = StreamingHistogram::new();
+        ba.record(b);
+        ba.record(a);
+        // Both end on their last sample's bucket, at different indexes.
+        assert_ne!(ab.hint, ba.hint);
+        assert_eq!(ab, ba);
+    }
+
+    /// The reference model: bucket counts in a sorted map, plus the
+    /// exact count, sum, min and max of everything recorded.
+    #[derive(Default)]
+    struct Model {
+        buckets: BTreeMap<u16, u64>,
+        count: u64,
+        sum: u128,
+        min: u64,
+        max: u64,
+    }
+
+    impl Model {
+        fn record_n(&mut self, v: u64, n: u64) {
+            if n == 0 {
+                return;
+            }
+            self.min = if self.count == 0 { v } else { self.min.min(v) };
+            self.max = self.max.max(v);
+            self.count += n;
+            self.sum += v as u128 * n as u128;
+            *self
+                .buckets
+                .entry(StreamingHistogram::bucket_of(v))
+                .or_default() += n;
+        }
+
+        fn merge(&mut self, other: &Model) {
+            for (&b, &n) in &other.buckets {
+                *self.buckets.entry(b).or_default() += n;
+            }
+            if other.count > 0 {
+                self.min = if self.count == 0 {
+                    other.min
+                } else {
+                    self.min.min(other.min)
+                };
+                self.max = self.max.max(other.max);
+            }
+            self.count += other.count;
+            self.sum += other.sum;
+        }
+
+        /// Nearest-rank bucket midpoint, clamped to `[min, max]`.
+        fn quantile(&self, p: f64) -> u64 {
+            if self.count == 0 {
+                return 0;
+            }
+            let rank = (((p / 100.0) * self.count as f64).ceil() as u64).max(1);
+            let mut seen = 0;
+            for (&b, &n) in &self.buckets {
+                seen += n;
+                if seen >= rank {
+                    return StreamingHistogram::representative(b).clamp(self.min, self.max);
+                }
+            }
+            self.max
+        }
+    }
+
+    fn value() -> impl Strategy<Value = u64> {
+        // Narrow ranges make neighbouring buckets common, so a hint
+        // that accepted a near miss would show.
+        prop_oneof![
+            0u64..8,
+            9_900u64..10_100,
+            Just(10_000u64),
+            0u64..50_000_000,
+            any::<u64>(),
+        ]
+    }
+
+    fn assert_matches(h: &StreamingHistogram, m: &Model) -> Result<(), String> {
+        let buckets: Vec<(u16, u64)> = m.buckets.iter().map(|(&b, &n)| (b, n)).collect();
+        prop_assert_eq!(&h.buckets, &buckets);
+        prop_assert_eq!(h.count(), m.count);
+        prop_assert_eq!(h.sum, m.sum);
+        prop_assert_eq!(h.min().as_nanos(), if m.count == 0 { 0 } else { m.min });
+        prop_assert_eq!(h.max().as_nanos(), m.max);
+        for tenth in 0..=1000u32 {
+            let p = f64::from(tenth) / 10.0;
+            prop_assert_eq!(h.quantile(p).as_nanos(), m.quantile(p), "p{}", p);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Any interleaving of `record`, `record_n` (zero counts
+        /// included) and `merge`, with long runs of one value that
+        /// keep the hint hot, builds exactly the reference model.
+        #[test]
+        fn interleavings_match_the_reference_model(
+            ops in proptest::collection::vec(
+                (
+                    0u8..3,
+                    value(),
+                    0u64..64,
+                    proptest::collection::vec((value(), 0u64..3), 0..8),
+                ),
+                0..40,
+            ),
+        ) {
+            let mut h = StreamingHistogram::new();
+            let mut m = Model::default();
+            for (kind, v, len, pairs) in ops {
+                match kind {
+                    // A run of `len` single records of one value.
+                    0 => {
+                        for _ in 0..len {
+                            h.record(ns(v));
+                            m.record_n(v, 1);
+                        }
+                    }
+                    // One bump of `len % 5` samples, zero included.
+                    1 => {
+                        h.record_n(ns(v), len % 5);
+                        m.record_n(v, len % 5);
+                    }
+                    // Merge a histogram that recorded `pairs`.
+                    _ => {
+                        let mut other = StreamingHistogram::new();
+                        let mut other_model = Model::default();
+                        for (v, n) in pairs {
+                            other.record_n(ns(v), n);
+                            other_model.record_n(v, n);
+                        }
+                        h.merge(&other);
+                        m.merge(&other_model);
+                    }
+                }
+                assert_matches(&h, &m)?;
+            }
+        }
+
+        /// The same samples in any order give equal histograms,
+        /// whatever bucket each one's hint was left on.
+        #[test]
+        fn order_does_not_change_contents(
+            raw in proptest::collection::vec(value(), 1..200),
+            rotate in 0usize..200,
+        ) {
+            let mut forward = StreamingHistogram::new();
+            for &v in &raw {
+                forward.record(ns(v));
+            }
+            let mut reordered = StreamingHistogram::new();
+            let k = rotate % raw.len();
+            for &v in raw[k..].iter().chain(&raw[..k]).rev() {
+                reordered.record(ns(v));
+            }
+            prop_assert_eq!(forward, reordered);
+        }
     }
 }

@@ -8,7 +8,7 @@
 //!                             [--metrics exact|streaming] [--sample-every DUR]
 //!                             [--timeline FILE] [--trace-out FILE]
 //! neon check <scenario.toml>...
-//! neon bench <scenario.toml>... [--threads N[,N...]] [--out FILE]
+//! neon bench <scenario.toml>... [--threads N[,N...]] [--trials N] [--out FILE]
 //! ```
 //!
 //! - `run` executes every (scenario × scheduler × placement × fleet
@@ -18,12 +18,14 @@
 //! - `check` parses and validates files and prints the expanded plan.
 //!   The loader rejects unknown or misplaced keys outright (with a
 //!   "did you mean" hint).
-//! - `bench` runs the same plan serially, then once in parallel per
-//!   requested thread count (`--threads 1,2,4,8`; default: one run at
-//!   the host's available parallelism), reports the wall-clock
-//!   speedups and simulator throughput (simulated events per host
-//!   second), and emits the machine-readable perf-trajectory document
-//!   (stdout, or `--out BENCH_core.json`).
+//! - `bench` runs the same plan once serially as a warm-up, then
+//!   `--trials N` times (default 1) a serial run followed by one
+//!   parallel run per requested thread count (`--threads 1,2,4,8`;
+//!   default: one run at the host's available parallelism). It reports
+//!   the median wall-clock speedups and simulator throughput
+//!   (simulated events per host second) with their p10/p90 spread, and
+//!   emits the machine-readable perf-trajectory document (stdout, or
+//!   `--out BENCH_core.json`).
 //!
 //! `--devices`, `--hosts`, `--placement`, `--fleet-placement`,
 //! `--rebalance` and `--faults` override the scenario files, so any
@@ -55,6 +57,8 @@ struct Options {
     /// `--threads` accepts a comma list; `run` requires a single
     /// value, `bench` sweeps one parallel run per entry.
     threads: Option<Vec<usize>>,
+    /// `bench` only: measured trials after the warm-up pass.
+    trials: Option<usize>,
     out: Option<PathBuf>,
     csv: Option<PathBuf>,
     quiet: bool,
@@ -80,7 +84,7 @@ const USAGE: &str = "usage:
   neon check <scenario.toml>... [--devices N] [--hosts N] [--placement P[,P...]]
                                 [--fleet-placement F[,F...]] [--rebalance R[,R...]]
                                 [--faults M[,M...]]
-  neon bench <scenario.toml>... [--out FILE] [--threads N[,N...]]
+  neon bench <scenario.toml>... [--out FILE] [--threads N[,N...]] [--trials N]
                                 [--devices N] [--placement P[,P...]] [--rebalance R[,R...]]
 
 Scenario files describe tenant groups (workload, arrival process,
@@ -103,6 +107,8 @@ replaces heterogeneous [[device]] topologies and any topology.*
 interconnect timing with a flat free-interconnect host of that size;
 --hosts N replaces any [[host]] blocks with N identical hosts of
 --devices (or the scenario's devices =) GPUs each.
+bench runs a serial warm-up, then --trials N (default 1) interleaved
+serial and parallel trials, and reports medians with p10/p90 spread.
 Telemetry: --metrics exact|streaming picks the percentile pipeline
 (streaming bounds per-task memory), --timeline FILE enables the
 periodic device sampler and writes its output (JSON, or CSV when FILE
@@ -121,6 +127,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         files: Vec::new(),
         serial: false,
         threads: None,
+        trials: None,
         out: None,
         csv: None,
         quiet: false,
@@ -148,6 +155,14 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     return Err("--threads entries must be at least 1".into());
                 }
                 opts.threads = Some(list);
+            }
+            "--trials" => {
+                let v = it.next().ok_or("--trials needs a value")?;
+                let n: usize = v.parse().map_err(|_| "bad --trials value".to_string())?;
+                if n == 0 {
+                    return Err("--trials must be at least 1".into());
+                }
+                opts.trials = Some(n);
             }
             "--devices" => {
                 let v = it.next().ok_or("--devices needs a value")?;
@@ -385,6 +400,10 @@ fn cmd_run(opts: &Options) -> ExitCode {
         }
         None => None,
     };
+    if opts.trials.is_some() {
+        eprintln!("neon: --trials is for bench");
+        return ExitCode::FAILURE;
+    }
     let cells = sweep::plan(specs);
     let outcome = if opts.serial {
         sweep::run_serial(&cells)
@@ -476,43 +495,55 @@ fn cmd_bench(opts: &Options) -> ExitCode {
         }
     };
     let cells = sweep::plan(specs);
-    eprintln!("benchmarking {} cells: serial first...", cells.len());
-    let serial = sweep::run_serial(&cells);
-    eprintln!("  serial:     {:>9.1} ms", serial.wall.as_secs_f64() * 1e3);
-    let events: u64 = serial.results.iter().map(CellResult::events).sum();
-    // One parallel run per requested thread count (default: one run
-    // at the host's available parallelism). Progress goes to stderr;
-    // stdout carries only the JSON document (when no --out is given),
-    // so `neon bench ... > file.json` works.
+    let trial_count = opts.trials.unwrap_or(1);
+    eprintln!(
+        "benchmarking {} cells: a serial warm-up, then {trial_count} trial(s)...",
+        cells.len()
+    );
+    // The warm-up pass is not timed into the document; its results
+    // carry the plan's simulated events (every run of the plan
+    // simulates the same ones).
+    let plan = sweep::run_serial(&cells);
+    let events: u64 = plan.results.iter().map(CellResult::events).sum();
+    // Each trial: a serial run, then one parallel run per requested
+    // thread count (default: one run at the host's available
+    // parallelism), back to back so each speedup pairs runs that saw
+    // the same host conditions. Progress goes to stderr; stdout
+    // carries only the JSON document (when no --out is given), so
+    // `neon bench ... > file.json` works.
     let thread_counts: Vec<Option<usize>> = match &opts.threads {
         Some(list) => list.iter().map(|&t| Some(t)).collect(),
         None => vec![None],
     };
-    let mut parallel_runs = Vec::with_capacity(thread_counts.len());
-    let mut row_rss = Vec::with_capacity(thread_counts.len());
-    for want in thread_counts {
-        let run = sweep::run_parallel(&cells, want);
-        // Per-row footprint: an instantaneous RSS sample taken as this
-        // run completes, so rows don't inherit the process high-water
-        // mark reached by earlier (or wider) runs.
-        row_rss.push(neon_scenario::current_rss_bytes());
-        let speedup = serial.wall.as_secs_f64() / run.wall.as_secs_f64().max(1e-9);
+    let mut trials = Vec::with_capacity(trial_count);
+    for n in 1..=trial_count {
+        let mut trial = emit::BenchTrial::new(&sweep::run_serial(&cells));
+        let serial_s = trial.serial.as_secs_f64();
         eprintln!(
-            "  threads {:>2}: {:>9.1} ms, speedup {speedup:.2}x",
-            run.threads,
-            run.wall.as_secs_f64() * 1e3,
+            "  trial {n}: serial {:>9.1} ms, {:.2}M events/s",
+            serial_s * 1e3,
+            events as f64 / 1e6 / serial_s.max(1e-9),
         );
-        parallel_runs.push(run);
+        for want in &thread_counts {
+            let run = sweep::run_parallel(&cells, *want);
+            // Per-row footprint: an instantaneous RSS sample taken as
+            // this run completes, so rows don't inherit the process
+            // high-water mark reached by earlier (or wider) runs.
+            trial.push(&run, neon_scenario::current_rss_bytes());
+            eprintln!(
+                "    threads {:>2}: {:>9.1} ms, speedup {:.2}x",
+                run.threads,
+                run.wall.as_secs_f64() * 1e3,
+                serial_s / run.wall.as_secs_f64().max(1e-9),
+            );
+        }
+        trials.push(trial);
     }
-    eprintln!(
-        "  {:.2}M simulated events, {:.2}M events/s serial",
-        events as f64 / 1e6,
-        events as f64 / 1e6 / serial.wall.as_secs_f64().max(1e-9),
-    );
+    eprintln!("  {:.2}M simulated events per run", events as f64 / 1e6);
     // The perf-trajectory document (conventionally BENCH_core.json):
-    // events/sec and wall time, overall, per thread count, and per
-    // reference scenario.
-    let json = emit::bench_json(&serial, &parallel_runs, &row_rss);
+    // median events/sec and wall time with their spread, overall, per
+    // thread count, and per reference scenario.
+    let json = emit::bench_json(&plan, &trials);
     match &opts.out {
         Some(path) => {
             if let Err(e) = std::fs::write(path, &json) {

@@ -12,6 +12,7 @@
 //! CSV carries the same per-cell summary fields, one row per cell.
 
 use std::fmt::Write as _;
+use std::time::Duration;
 
 use neon_core::fault::FaultMode;
 use neon_core::telemetry::SimStats;
@@ -288,54 +289,128 @@ migrations_in,migrations_out\n",
     o
 }
 
+/// Host measurements of one `neon bench` trial: a serial run of the
+/// plan followed by one parallel run per requested thread count.
+/// Trials keep only times and RSS samples, so running many of them
+/// does not hold many sweeps' results in memory.
+#[derive(Debug, Clone)]
+pub struct BenchTrial {
+    /// The serial run's whole-plan wall time.
+    pub serial: Duration,
+    /// Each cell's host time in the serial run, in plan order.
+    pub cells: Vec<Duration>,
+    /// Each parallel run's worker threads, wall time and current-RSS
+    /// sample (taken as the run completed; `None` off Linux), in run
+    /// order.
+    pub parallel: Vec<(usize, Duration, Option<u64>)>,
+}
+
+impl BenchTrial {
+    /// Starts a trial from its serial run.
+    pub fn new(serial: &SweepOutcome) -> Self {
+        BenchTrial {
+            serial: serial.wall,
+            cells: serial.results.iter().map(|r| r.summary.elapsed).collect(),
+            parallel: Vec::new(),
+        }
+    }
+
+    /// Adds the trial's next parallel run and the RSS sampled after it.
+    pub fn push(&mut self, run: &SweepOutcome, rss: Option<u64>) {
+        self.parallel.push((run.threads, run.wall, rss));
+    }
+}
+
+/// One parallel configuration of a bench, summarized over trials:
+/// `[p10, median, p90]` of its wall time (seconds) and of its speedup
+/// over the same trial's serial run.
+struct ThreadsRow {
+    threads: usize,
+    wall: [f64; 3],
+    speedup: [f64; 3],
+    rss: Option<u64>,
+}
+
+/// Nearest-rank p10, median and p90 of `values` (zeros when empty).
+fn spread(values: &[f64]) -> [f64; 3] {
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    [0.1, 0.5, 0.9].map(|p| {
+        let rank = ((p * v.len() as f64).ceil() as usize).clamp(1, v.len().max(1));
+        v.get(rank - 1).copied().unwrap_or(0.0)
+    })
+}
+
 /// Serializes a `neon bench` run as the machine-readable perf
 /// trajectory document (`BENCH_core.json`): wall times, simulated
 /// discrete-event counts and simulator throughput (events per host
-/// second), overall and per reference scenario. `serial` and every
-/// entry of `parallel_runs` are runs of the *same* plan, so their
-/// event totals must agree — the document carries one event count and
-/// one throughput per run. Fleet cells count the events of every host
+/// second), overall and per reference scenario. `plan` is a serial
+/// run of the plan (the warm-up pass), which supplies the cells'
+/// simulated results; `trials` holds the host times of every measured
+/// trial, each a run of that *same* plan, so the document carries one
+/// event count. Fleet cells count the events of every host
 /// ([`CellResult::events`]).
 ///
-/// `row_rss` carries one instantaneous RSS sample per parallel run,
-/// taken by the caller right after that run finished (see
-/// [`crate::driver::current_rss_bytes`]); missing entries emit `null`.
-///
-/// Schema `neon-bench-core/3`:
+/// Schema `neon-bench-core/4`:
 /// - the header carries a `schema` tag, a reproducible
-///   (revision-free) `created_by` string, and the `scenario_set` the
+///   (revision-free) `created_by` string, the `scenario_set` the
 ///   plan covered, so trajectory tooling can detect plan drift
-///   between snapshots;
-/// - the legacy headline fields (`threads`, `parallel_ms`,
-///   `speedup`, `events_per_sec_parallel`) describe the widest
-///   parallel run, and `threads_sweep` carries one row per parallel
-///   run — `threads`, `parallel_ms`, `speedup`, `events_per_sec`,
-///   `peak_rss_bytes` — in the order the runs executed;
-/// - each `threads_sweep` row's `peak_rss_bytes` is a **per-row
-///   current-RSS sample** (Linux `VmRSS`, read as that run
-///   completed), so rows are comparable to each other and can go
-///   down as well as up. Schema `/2` reported the run-wide `VmHWM`
-///   high-water mark here — a monotone per-process counter that made
-///   later rows inherit earlier rows' footprint; per-scenario rows
-///   still report the high-water mark (`VmHWM` max over the
-///   scenario's serial cells). `null` off Linux.
-pub fn bench_json(
-    serial: &SweepOutcome,
-    parallel_runs: &[SweepOutcome],
-    row_rss: &[Option<u64>],
-) -> String {
-    let total_events: u64 = serial.results.iter().map(CellResult::events).sum();
-    let serial_s = serial.wall.as_secs_f64();
-    // The headline parallel run: the widest one (ties: the last).
-    let headline = parallel_runs
+///   between snapshots, and the number of `trials`;
+/// - every time, speedup and throughput is the **median** over trials
+///   (nearest rank). A speedup pairs each trial's serial and parallel
+///   runs, which ran back to back, before taking the median. The
+///   `*_p10`/`*_p90` keys give the spread of the same per-trial values;
+/// - the headline fields (`threads`, `parallel_ms`, `speedup`,
+///   `events_per_sec_parallel`) describe the widest parallel run, and
+///   `threads_sweep` carries one row per parallel run — `threads`,
+///   `parallel_ms`, `speedup`, `events_per_sec`, `peak_rss_bytes` and
+///   their spread — in the order the runs executed;
+/// - each `threads_sweep` row's `peak_rss_bytes` is the median of
+///   **per-row current-RSS samples** (Linux `VmRSS`, read as each
+///   trial's run completed), so rows are comparable to each other and
+///   can go down as well as up; per-scenario rows report the
+///   high-water mark (`VmHWM` max over the scenario's cells in
+///   `plan`). `null` off Linux.
+pub fn bench_json(plan: &SweepOutcome, trials: &[BenchTrial]) -> String {
+    let total_events: u64 = plan.results.iter().map(CellResult::events).sum();
+    let serial: Vec<f64> = trials.iter().map(|t| t.serial.as_secs_f64()).collect();
+    let [serial_p10, serial_s, serial_p90] = spread(&serial);
+    let runs = trials.first().map_or(0, |t| t.parallel.len());
+    let rows: Vec<ThreadsRow> = (0..runs)
+        .map(|k| {
+            let walls: Vec<f64> = trials
+                .iter()
+                .map(|t| t.parallel[k].1.as_secs_f64())
+                .collect();
+            let speedups: Vec<f64> = walls
+                .iter()
+                .zip(&serial)
+                .map(|(w, s)| s / w.max(1e-9))
+                .collect();
+            let rss: Vec<f64> = trials
+                .iter()
+                .filter_map(|t| t.parallel[k].2)
+                .map(|b| b as f64)
+                .collect();
+            ThreadsRow {
+                threads: trials[0].parallel[k].0,
+                wall: spread(&walls),
+                speedup: spread(&speedups),
+                rss: (!rss.is_empty()).then(|| spread(&rss)[1] as u64),
+            }
+        })
+        .collect();
+    // The headline parallel run: the widest one (ties: the last); the
+    // serial run itself when there was none.
+    let (threads, [_, headline_s, _], [speedup_p10, speedup, speedup_p90]) = rows
         .iter()
         .enumerate()
-        .max_by_key(|(i, run)| (run.threads, *i))
-        .map(|(_, run)| run)
-        .unwrap_or(serial);
-    let headline_s = headline.wall.as_secs_f64();
+        .max_by_key(|(i, row)| (row.threads, *i))
+        .map_or((1, [serial_s; 3], [1.0; 3]), |(_, row)| {
+            (row.threads, row.wall, row.speedup)
+        });
     let mut scenario_set: Vec<&str> = Vec::new();
-    for r in &serial.results {
+    for r in &plan.results {
         let name = r.summary.scenario.as_str();
         if !scenario_set.contains(&name) {
             scenario_set.push(name);
@@ -345,7 +420,7 @@ pub fn bench_json(
     o.push_str("{\n");
     let _ = writeln!(
         o,
-        "  \"schema\": \"neon-bench-core/3\", \"created_by\": \"neon bench\",",
+        "  \"schema\": \"neon-bench-core/4\", \"created_by\": \"neon bench\",",
     );
     let _ = writeln!(
         o,
@@ -358,16 +433,25 @@ pub fn bench_json(
     );
     let _ = writeln!(
         o,
-        "  \"bench\": \"core\", \"cells\": {}, \"threads\": {},",
-        serial.results.len(),
-        headline.threads,
+        "  \"bench\": \"core\", \"cells\": {}, \"threads\": {threads},",
+        plan.results.len(),
     );
     let _ = writeln!(
         o,
         "  \"serial_ms\": {}, \"parallel_ms\": {}, \"speedup\": {},",
         json_f64(serial_s * 1e3),
         json_f64(headline_s * 1e3),
-        json_f64(serial_s / headline_s.max(1e-9)),
+        json_f64(speedup),
+    );
+    let _ = writeln!(
+        o,
+        "  \"trials\": {}, \"serial_ms_p10\": {}, \"serial_ms_p90\": {}, \
+\"speedup_p10\": {}, \"speedup_p90\": {},",
+        trials.len(),
+        json_f64(serial_p10 * 1e3),
+        json_f64(serial_p90 * 1e3),
+        json_f64(speedup_p10),
+        json_f64(speedup_p90),
     );
     let _ = writeln!(
         o,
@@ -378,23 +462,24 @@ pub fn bench_json(
         json_f64(total_events as f64 / headline_s.max(1e-9)),
     );
     o.push_str("  \"threads_sweep\": [\n");
-    let thread_rows: Vec<String> = parallel_runs
+    let thread_rows: Vec<String> = rows
         .iter()
-        .enumerate()
-        .map(|(i, run)| {
-            let run_s = run.wall.as_secs_f64();
+        .map(|row| {
+            let [wall_p10, wall, wall_p90] = row.wall;
+            let [speedup_p10, speedup, speedup_p90] = row.speedup;
             format!(
                 "    {{\"threads\": {}, \"parallel_ms\": {}, \"speedup\": {}, \
-\"events_per_sec\": {}, \"peak_rss_bytes\": {}}}",
-                run.threads,
-                json_f64(run_s * 1e3),
-                json_f64(serial_s / run_s.max(1e-9)),
-                json_f64(total_events as f64 / run_s.max(1e-9)),
-                row_rss
-                    .get(i)
-                    .copied()
-                    .flatten()
-                    .map_or("null".to_string(), |b| b.to_string()),
+\"events_per_sec\": {}, \"peak_rss_bytes\": {}, \"parallel_ms_p10\": {}, \
+\"parallel_ms_p90\": {}, \"speedup_p10\": {}, \"speedup_p90\": {}}}",
+                row.threads,
+                json_f64(wall * 1e3),
+                json_f64(speedup),
+                json_f64(total_events as f64 / wall.max(1e-9)),
+                row.rss.map_or("null".to_string(), |b| b.to_string()),
+                json_f64(wall_p10 * 1e3),
+                json_f64(wall_p90 * 1e3),
+                json_f64(speedup_p10),
+                json_f64(speedup_p90),
             )
         })
         .collect();
@@ -402,29 +487,24 @@ pub fn bench_json(
     o.push_str("\n  ],\n");
     o.push_str("  \"scenarios\": [\n");
     let mut rows: Vec<String> = Vec::new();
-    let mut seen: Vec<&str> = Vec::new();
-    for r in &serial.results {
-        let name = r.summary.scenario.as_str();
-        if seen.contains(&name) {
-            continue;
-        }
-        seen.push(name);
-        let cells = serial.results.iter().filter(|c| c.summary.scenario == name);
-        let (mut n, mut events, mut wall) = (0u64, 0u64, 0.0f64);
-        let mut peak_rss: Option<u64> = None;
-        for c in cells {
-            n += 1;
-            events += c.events();
-            wall += c.summary.elapsed.as_secs_f64();
-            if let Some(rss) = c.summary.peak_rss_bytes {
-                peak_rss = Some(peak_rss.map_or(rss, |p| p.max(rss)));
-            }
-        }
+    for &name in &scenario_set {
+        let in_scenario = |i: &usize| plan.results[*i].summary.scenario == name;
+        let cells: Vec<usize> = (0..plan.results.len()).filter(in_scenario).collect();
+        let events: u64 = cells.iter().map(|&i| plan.results[i].events()).sum();
+        let peak_rss = cells
+            .iter()
+            .filter_map(|&i| plan.results[i].summary.peak_rss_bytes)
+            .max();
+        let walls: Vec<f64> = trials
+            .iter()
+            .map(|t| cells.iter().map(|&i| t.cells[i].as_secs_f64()).sum())
+            .collect();
+        let wall = spread(&walls)[1];
         rows.push(format!(
             "    {{\"scenario\": \"{}\", \"cells\": {}, \"sim_events\": {}, \
 \"serial_ms\": {}, \"events_per_sec\": {}, \"peak_rss_bytes\": {}}}",
             json_escape(name),
-            n,
+            cells.len(),
             events,
             json_f64(wall * 1e3),
             json_f64(events as f64 / wall.max(1e-9)),
@@ -821,11 +901,21 @@ mod tests {
         }
     }
 
+    /// One bench trial: `serial`, then each parallel run with the RSS
+    /// sampled after it.
+    fn trial(serial: &SweepOutcome, parallel: &[(&SweepOutcome, Option<u64>)]) -> BenchTrial {
+        let mut t = BenchTrial::new(serial);
+        for &(run, rss) in parallel {
+            t.push(run, rss);
+        }
+        t
+    }
+
     #[test]
     fn bench_json_reports_events_per_sec() {
         let serial = outcome();
         let parallel = outcome();
-        let json = bench_json(&serial, std::slice::from_ref(&parallel), &[]);
+        let json = bench_json(&serial, &[trial(&serial, &[(&parallel, None)])]);
         assert!(json.contains("\"bench\": \"core\""), "{json}");
         assert!(json.contains("\"sim_events\": 12345"), "{json}");
         assert!(json.contains("\"events_per_sec_serial\""), "{json}");
@@ -845,8 +935,10 @@ mod tests {
         let wide = outcome(); // 4 threads, 15 ms
         let json = bench_json(
             &serial,
-            &[narrow, wide],
-            &[Some(9_000_000), Some(7_500_000)],
+            &[trial(
+                &serial,
+                &[(&narrow, Some(9_000_000)), (&wide, Some(7_500_000))],
+            )],
         );
         assert!(json.contains("\"threads_sweep\": ["), "{json}");
         // One row per parallel run, in execution order.
@@ -879,8 +971,43 @@ mod tests {
     fn bench_json_rows_without_a_sample_emit_null() {
         let serial = outcome();
         let run = outcome();
-        let json = bench_json(&serial, std::slice::from_ref(&run), &[None]);
+        let json = bench_json(&serial, &[trial(&serial, &[(&run, None)])]);
         assert!(json.contains("\"peak_rss_bytes\": null"), "{json}");
+    }
+
+    #[test]
+    fn bench_json_reports_medians_and_spread_over_trials() {
+        let at = |serial_ms: u64, parallel_ms: u64| {
+            let mut serial = outcome();
+            serial.wall = Duration::from_millis(serial_ms);
+            let mut run = outcome(); // 4 threads
+            run.wall = Duration::from_millis(parallel_ms);
+            trial(&serial, &[(&run, Some(parallel_ms))])
+        };
+        // Paired speedups 1.0, 2.0 and 0.5: the median pairs runs
+        // within a trial, not the median walls (20 / 10 = 2.0).
+        let json = bench_json(&outcome(), &[at(10, 10), at(20, 10), at(30, 60)]);
+        assert!(
+            json.contains(
+                "\"serial_ms\": 20.000000, \"parallel_ms\": 10.000000, \"speedup\": 1.000000,\n"
+            ),
+            "{json}"
+        );
+        assert!(
+            json.contains(
+                "\"trials\": 3, \"serial_ms_p10\": 10.000000, \"serial_ms_p90\": 30.000000, \
+\"speedup_p10\": 0.500000, \"speedup_p90\": 2.000000,"
+            ),
+            "{json}"
+        );
+        assert!(
+            json.contains(
+                "{\"threads\": 4, \"parallel_ms\": 10.000000, \"speedup\": 1.000000, \
+\"events_per_sec\": 1234500.000000, \"peak_rss_bytes\": 10, \"parallel_ms_p10\": 10.000000, \
+\"parallel_ms_p90\": 60.000000, \"speedup_p10\": 0.500000, \"speedup_p90\": 2.000000}"
+            ),
+            "{json}"
+        );
     }
 
     #[test]
@@ -1053,14 +1180,14 @@ mod tests {
             fleet_fault_recovered: 0,
             host_degraded: SimDuration::ZERO,
         });
-        let json = bench_json(&serial, &[], &[]);
+        let json = bench_json(&serial, &[trial(&serial, &[])]);
         assert_eq!(json.matches("\"sim_events\": 13345").count(), 2, "{json}");
     }
 
     #[test]
     fn bench_json_carries_schema_and_scenario_set() {
-        let json = bench_json(&outcome(), std::slice::from_ref(&outcome()), &[Some(1)]);
-        assert!(json.contains("\"schema\": \"neon-bench-core/3\""), "{json}");
+        let json = bench_json(&outcome(), &[trial(&outcome(), &[(&outcome(), Some(1))])]);
+        assert!(json.contains("\"schema\": \"neon-bench-core/4\""), "{json}");
         assert!(json.contains("\"created_by\": \"neon bench\""), "{json}");
         assert!(
             json.contains("\"scenario_set\": [\"say \\\"hi\\\", ok\"]"),

@@ -312,6 +312,86 @@ fn million_round_streaming_fleet_stays_bounded() {
     assert!(spin.rounds.buckets_used() <= StreamingHistogram::MAX_BUCKETS);
 }
 
+/// Fleet groups are derived from every host's tasks in host order:
+/// one group per workload name in first-admission order, counting its
+/// tasks on all hosts (a migrated tenant's continuation included) and
+/// merging their rounds and completed requests.
+#[test]
+fn streaming_fleet_groups_are_derived_from_member_tasks() {
+    let host = |seed: u64| {
+        let config = WorldConfig {
+            seed,
+            metrics: MetricsMode::Streaming,
+            ..WorldConfig::default()
+        };
+        World::new(config, SchedulerKind::Direct.build(SchedParams::default()))
+    };
+    let mut fleet = Fleet::new(
+        vec![host(0xA), host(0xB)],
+        FleetPlacementKind::FewestTenants.build(),
+        FleetRebalanceKind::CountDiff.build(),
+        ClusterInterconnect::free(),
+    );
+    // The churny_fleet shape with named tenants: arrivals alternate
+    // hosts, and the short-lived "late" tenants' departures make
+    // count-diff move one "mover".
+    for (i, name) in ["mover", "late", "mover", "late"].into_iter().enumerate() {
+        let at = SimTime::ZERO + ms(i as u64 + 1);
+        if name == "mover" {
+            fleet.spawn_migratable_at(
+                at,
+                Box::new(|| Box::new(FixedLoop::endless("mover", us(150), us(5))) as _),
+            );
+        } else {
+            fleet.spawn_task_for(
+                at,
+                Box::new(FixedLoop::endless("late", us(90), us(5))),
+                ms(10),
+            );
+        }
+    }
+    let report = fleet.run(ms(100));
+    assert_eq!(report.cross_host_migrations, 1);
+    let tasks: Vec<_> = report.hosts.iter().flat_map(|h| &h.tasks).collect();
+    let order: Vec<&str> = report.groups.iter().map(|g| g.name.as_str()).collect();
+    let mut first_seen: Vec<&str> = Vec::new();
+    for t in &tasks {
+        if !first_seen.contains(&t.name.as_str()) {
+            first_seen.push(&t.name);
+        }
+    }
+    assert_eq!(
+        order, first_seen,
+        "groups in first-admission order, host by host"
+    );
+    for g in &report.groups {
+        let members: Vec<_> = tasks.iter().filter(|t| t.name == g.name).collect();
+        assert_eq!(g.members as usize, members.len(), "{}", g.name);
+        assert_eq!(
+            g.service.count(),
+            members.iter().map(|t| t.completed_requests).sum::<u64>(),
+            "{} service samples",
+            g.name
+        );
+        assert_eq!(
+            g.rounds.count() as usize,
+            members.iter().map(|t| t.rounds_completed()).sum::<usize>(),
+            "{} rounds",
+            g.name
+        );
+    }
+    // The migrated mover restages as a new task: three "mover" tasks.
+    assert_eq!(
+        report
+            .groups
+            .iter()
+            .find(|g| g.name == "mover")
+            .unwrap()
+            .members,
+        3
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 32,

@@ -96,6 +96,45 @@ fn streaming_mode_keeps_per_task_memory_bounded() {
     assert_eq!(members as usize, report.tasks.len());
 }
 
+/// Streaming groups are derived from the member tasks: one group per
+/// workload name in first-admission order, counting its tasks, and
+/// merging their rounds and completed requests.
+#[test]
+fn streaming_groups_are_derived_from_member_tasks() {
+    for kind in SchedulerKind::ALL {
+        let report = churn_world(kind, config_with(MetricsMode::Streaming)).run(ms(200));
+        let mut first_seen: Vec<&str> = Vec::new();
+        for t in &report.tasks {
+            if !first_seen.contains(&t.name.as_str()) {
+                first_seen.push(&t.name);
+            }
+        }
+        let order: Vec<&str> = report.groups.iter().map(|g| g.name.as_str()).collect();
+        assert_eq!(order, first_seen, "{kind}: groups in first-admission order");
+        assert_eq!(
+            order.len(),
+            2,
+            "{kind}: the churn mix has two workload names"
+        );
+        for g in &report.groups {
+            let members: Vec<_> = report.tasks.iter().filter(|t| t.name == g.name).collect();
+            assert_eq!(g.members as usize, members.len(), "{kind}: {}", g.name);
+            assert_eq!(
+                g.service.count(),
+                members.iter().map(|t| t.completed_requests).sum::<u64>(),
+                "{kind}: {} service samples",
+                g.name
+            );
+            assert_eq!(
+                g.rounds.count() as usize,
+                members.iter().map(|t| t.rounds_completed()).sum::<usize>(),
+                "{kind}: {} rounds",
+                g.name
+            );
+        }
+    }
+}
+
 #[test]
 fn exact_mode_leaves_streaming_structures_empty() {
     let report = churn_world(
