@@ -1,9 +1,12 @@
-//! Microbenchmarks of the simulation hot path: the event queue under a
-//! schedule/pop/cancel mix, alone and over ~800 staged far-future
-//! arrivals, peek under mass cancellation, and a mid-size churn world
-//! with tracing off (the sweep configuration) vs on — the workloads the
-//! radix-heap queue, lazy tracing, and allocation-free scheduler
-//! context were written for — plus `StreamingHistogram::record` on a
+//! Microbenchmarks of the simulation hot path: the event queue under
+//! the world's hold pattern (pop an event, schedule its successor) at
+//! ~20 and ~400 live events, under a schedule/pop/cancel mix alone and
+//! over ~800 staged far-future arrivals, peek under mass cancellation
+//! (the last three are the worst cases of the queue's bounded near
+//! tier), and a mid-size churn world with tracing off (the sweep
+//! configuration) vs on — the workloads the queue, lazy tracing, and
+//! allocation-free scheduler context were written for — plus
+//! `StreamingHistogram::record` on a
 //! repeating stream (the repeat-bucket hint's hit) and a wide random
 //! one (its miss). `neon bench <scenario>` measures the same path end
 //! to end and emits `BENCH_core.json` for the perf trajectory.
@@ -86,6 +89,41 @@ fn near_future_mix(q: &mut EventQueue<u64>, next: &mut impl FnMut() -> u64) -> u
     popped
 }
 
+/// The world loop's usual stream: pop an event and schedule its
+/// successor. `tasks` near-future events cycle behind 800 staged
+/// arrivals spread over a 16 s horizon. ~85% of successors follow
+/// within 64 ns, so they are the new minimum (the other events are
+/// ~microseconds apart); the rest land up to `2 * tasks` us ahead. A
+/// staged arrival pops without a successor. Returns the number of
+/// events popped.
+fn hold_pattern(tasks: u64, pops: u64) -> u64 {
+    const STAGED: u64 = u64::MAX;
+    let mut q: EventQueue<u64> = EventQueue::new();
+    let mut next = xorshift(0x5EED);
+    for _ in 0..800 {
+        q.schedule(SimTime::from_nanos(next() % 16_000_000_000), STAGED);
+    }
+    for task in 0..tasks {
+        q.schedule(SimTime::from_nanos(next() % (tasks * 1_000)), task);
+    }
+    let mut popped = 0;
+    while popped < pops {
+        let Some((at, task)) = q.pop() else { break };
+        popped += 1;
+        if task == STAGED {
+            continue;
+        }
+        let r = next();
+        let delay = if r % 100 < 85 {
+            1 + (r >> 8) % 64
+        } else {
+            (r >> 8) % (tasks * 2_000)
+        };
+        q.schedule(at + SimDuration::from_nanos(delay), task);
+    }
+    popped
+}
+
 /// Records every sample into a copy of `seed`; returns its bucket
 /// count so the work is not optimized away.
 fn record_all(seed: &StreamingHistogram, samples: &[SimDuration]) -> usize {
@@ -117,6 +155,12 @@ fn bench(c: &mut Criterion) {
     c.bench_function("core_hot_path/hist_record/spread", |b| {
         b.iter(|| std::hint::black_box(record_all(&seed, &spread)))
     });
+
+    for tasks in [20, 400] {
+        c.bench_function(&format!("core_hot_path/queue_hold_pattern/{tasks}"), |b| {
+            b.iter(|| std::hint::black_box(hold_pattern(tasks, 65_536)))
+        });
+    }
 
     c.bench_function("core_hot_path/queue_schedule_pop_cancel_64k", |b| {
         b.iter(|| {

@@ -61,7 +61,7 @@ use neon_metrics::Distribution;
 use neon_sim::{SimDuration, SimTime};
 
 use crate::fault::{FaultKind, FaultPlan};
-use crate::report::{groups_of, round_distribution, GroupReport, RunReport};
+use crate::report::{groups_of, round_count, round_distribution, GroupReport, RunReport};
 use crate::workload::BoxedWorkload;
 use crate::world::World;
 
@@ -502,7 +502,7 @@ impl FleetReport {
 
     /// Rounds completed across the whole fleet, in either metrics mode.
     pub fn total_rounds(&self) -> u64 {
-        self.round_distribution().count()
+        round_count(self.hosts.iter().flat_map(|h| &h.tasks))
     }
 
     /// Admissions refused anywhere: at the cluster boundary plus on

@@ -273,6 +273,12 @@ impl RunReport {
     pub fn round_distribution(&self) -> Box<dyn Distribution> {
         round_distribution(&self.tasks)
     }
+
+    /// The number of rounds in [`RunReport::round_distribution`],
+    /// counted without building it.
+    pub fn total_rounds(&self) -> u64 {
+        round_count(&self.tasks)
+    }
 }
 
 /// The round durations of `tasks` as one [`Distribution`]: the exact
@@ -287,13 +293,29 @@ where
     let tasks = tasks.into_iter();
     if tasks.clone().any(|t| !t.rounds.is_empty()) {
         let all: Vec<SimDuration> = tasks.flat_map(|t| t.rounds.iter().copied()).collect();
-        Box::new(neon_metrics::Summary::of(&all))
+        Box::new(neon_metrics::Summary::from_vec(all))
     } else {
         let mut merged = StreamingHistogram::new();
         for t in tasks {
             merged.merge(&t.rounds_hist);
         }
         Box::new(merged)
+    }
+}
+
+/// The number of rounds in [`round_distribution`] of `tasks`, counted
+/// without building it: exact rounds when any task kept them, histogram
+/// counts otherwise.
+pub(crate) fn round_count<'a, I>(tasks: I) -> u64
+where
+    I: IntoIterator<Item = &'a TaskReport>,
+    I::IntoIter: Clone,
+{
+    let tasks = tasks.into_iter();
+    if tasks.clone().any(|t| !t.rounds.is_empty()) {
+        tasks.map(|t| t.rounds.len() as u64).sum()
+    } else {
+        tasks.map(|t| t.rounds_hist.count()).sum()
     }
 }
 
@@ -360,6 +382,28 @@ mod tests {
         assert_eq!(r.mean_round(0.1), Some(SimDuration::from_micros(10)));
         // Without warmup it is included.
         assert_eq!(r.mean_round(0.0), Some(SimDuration::from_micros(109)));
+    }
+
+    #[test]
+    fn round_count_matches_the_distribution_it_skips() {
+        let exact = [
+            report_with_rounds(vec![30, 10, 20]),
+            report_with_rounds(vec![]),
+            report_with_rounds(vec![5]),
+        ];
+        assert_eq!(round_count(&exact), 4);
+        assert_eq!(round_count(&exact), round_distribution(&exact).count());
+        let mut streaming = [report_with_rounds(vec![]), report_with_rounds(vec![])];
+        for (i, t) in streaming.iter_mut().enumerate() {
+            for _ in 0..=i {
+                t.rounds_hist.record(SimDuration::from_micros(7));
+            }
+        }
+        assert_eq!(round_count(&streaming), 3);
+        assert_eq!(
+            round_count(&streaming),
+            round_distribution(&streaming).count()
+        );
     }
 
     #[test]

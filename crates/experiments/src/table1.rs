@@ -130,8 +130,8 @@ fn measure(app: &AppSpec, report: &RunReport) -> Row {
             .map(|(s, _)| *s)
             .collect()
     };
-    let compute = Summary::of(&by_kind(RequestKind::Compute));
-    let graphics = Summary::of(&by_kind(RequestKind::Graphics));
+    let compute = Summary::from_vec(by_kind(RequestKind::Compute));
+    let graphics = Summary::from_vec(by_kind(RequestKind::Graphics));
     // Graphics-only apps (glxgears) report their graphics mean in the
     // main request column, matching Table 1's single figure for them.
     let measured_request_us = if compute.is_empty() {

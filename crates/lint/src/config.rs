@@ -239,8 +239,9 @@ pub fn is_bin_path(rel_path: &str) -> bool {
         || rel_path.ends_with("/build.rs")
 }
 
-/// Test-target paths, skipped by every rule: `tests/`, `benches/`,
-/// `examples/` directory components anywhere in the path.
+/// Test-target paths, skipped by every rule except those that check
+/// test code (`wall-clock-assert`): `tests/`, `benches/`, `examples/`
+/// directory components anywhere in the path.
 pub fn is_test_path(rel_path: &str) -> bool {
     rel_path
         .split('/')

@@ -6,13 +6,13 @@
 //! tests run: no unordered hash iteration in sim-affecting crates, no
 //! wall-clock reads in sim code, no silently-truncating casts, no
 //! eager `format!` at trace sites, no unjustified panics in library
-//! code.
+//! code — and, in test code too, no assertion on host time.
 //!
 //! Structure:
 //!
 //! - [`lexer`]: a small hand-rolled Rust lexer (comments, strings,
 //!   raw strings, char-vs-lifetime) so rules match tokens, never text;
-//! - [`rules`]: the rule engine and the five shipped rules, with
+//! - [`rules`]: the rule engine and the seven shipped rules, with
 //!   `// lint: allow(rule) — why` suppression;
 //! - [`config`]: `lint.toml` per-crate scoping.
 //!
@@ -35,7 +35,8 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Number of `.rs` files checked (after exclusions).
     pub files_checked: usize,
-    /// Number of `.rs` files skipped as tests/benches/examples.
+    /// Number of `.rs` files under tests/benches/examples: exempt from
+    /// every rule except those that check test code.
     pub files_skipped: usize,
 }
 
@@ -55,7 +56,8 @@ impl Report {
         let files_with: std::collections::BTreeSet<&str> =
             self.findings.iter().map(|f| f.file.as_str()).collect();
         out.push_str(&format!(
-            "neon-lint: {} finding{} across {} file{} ({} files checked, {} test files exempt)\n",
+            "neon-lint: {} finding{} across {} file{} ({} files checked, {} test files \
+             checked by test-code rules only)\n",
             self.findings.len(),
             if self.findings.len() == 1 { "" } else { "s" },
             files_with.len(),
@@ -75,16 +77,19 @@ pub fn lint_tree(root: &Path, config: &Config) -> std::io::Result<Report> {
     let mut report = Report::default();
     for rel in files {
         let rel_str = rel.to_string_lossy().replace('\\', "/");
-        if config::is_test_path(&rel_str) {
+        // Test files see only the rules that check test code.
+        let test_file = config::is_test_path(&rel_str);
+        if test_file {
             report.files_skipped += 1;
-            continue;
+        } else {
+            report.files_checked += 1;
         }
         let active: Vec<&'static str> = rules::RULES
             .iter()
+            .filter(|r| r.test_code || !test_file)
             .map(|r| r.name)
             .filter(|name| config.rule_applies(name, &rel_str))
             .collect();
-        report.files_checked += 1;
         if active.is_empty() {
             continue;
         }

@@ -1,11 +1,12 @@
-//! The rule engine: six determinism & accounting rules over a token
+//! The rule engine: seven determinism & accounting rules over a token
 //! stream, with `// lint: allow(rule) — why` suppression.
 //!
 //! Rules run on [`crate::lexer`] output, so comments and every literal
 //! form are invisible to them by construction. Code under
 //! `#[cfg(test)]` and files under `tests/`, `benches/` or `examples/`
 //! are exempt: the rules guard the *simulation's* determinism and the
-//! library's accounting, not test scaffolding.
+//! library's accounting, not test scaffolding. The exception is
+//! `wall-clock-assert`, which guards the tests themselves.
 
 use crate::lexer::{self, Comment, Tok, Token};
 
@@ -45,6 +46,10 @@ pub struct RuleInfo {
     /// Long-form documentation (shown by `--explain`), including the
     /// historical bug in this repo the rule guards against.
     pub explain: &'static str,
+    /// Whether the rule also checks test code — files under `tests/`,
+    /// `benches/` or `examples/` and `#[cfg(test)]` items — which the
+    /// other rules exempt.
+    pub test_code: bool,
 }
 
 /// Every rule the engine knows, in diagnostic order.
@@ -73,6 +78,7 @@ History: the PR 5 queue rewrite removed a per-event `HashMap` from the
 hot path, and the PR 5–8 reviews repeatedly flagged unordered-iteration
 hazards in `sim`, `core` and `gpu` (the DFQ free-run charge map was a
 live example); this rule makes those reviews mechanical.",
+        test_code: false,
     },
     RuleInfo {
         name: "wall-clock",
@@ -97,6 +103,7 @@ deliberate exception with `// lint: allow(wall-clock) — <why>`.
 History: the PR 7 work-stealing sweep runner is byte-identical to
 serial *only* because no sim-side code can observe which worker or
 wall moment ran a cell; this rule keeps it that way.",
+        test_code: false,
     },
     RuleInfo {
         name: "narrowing-cast",
@@ -121,6 +128,7 @@ History: PR 8 fixed seven silent `as u32` truncation sites in the
 scenario TOML loader — `device = 4294967296` pinned a group to device
 0 instead of erroring. This rule is that bug class, caught at the
 source level.",
+        test_code: false,
     },
     RuleInfo {
         name: "eager-trace",
@@ -142,6 +150,7 @@ History: PR 5's hot-path overhaul migrated every eager `format!`
 trace site in `world.rs` and the schedulers to `record_with`, part of
 the -57% wall-time win on the reference churn sweep; this rule stops
 new eager sites from creeping back in.",
+        test_code: false,
     },
     RuleInfo {
         name: "unchecked-unwrap",
@@ -165,6 +174,7 @@ History: repeated review rounds (PR 2, PR 4) hardened `expect` sites
 in the placement and migration paths after near-miss panics on empty
 rotations; the allow-comments this rule demands are those reviews'
 conclusions, written down next to the code.",
+        test_code: false,
     },
     RuleInfo {
         name: "panic-path",
@@ -195,6 +205,42 @@ killing an entire chaos sweep; validation moved into the scenario
 loader's keyed errors and the remaining run-start guard now carries
 its justification inline. This rule keeps new abort sites from
 creeping into the sim crates unexamined.",
+        test_code: false,
+    },
+    RuleInfo {
+        name: "wall-clock-assert",
+        summary: "an assertion must not compare host time",
+        explain: "\
+wall-clock-assert: flag host time compared inside an assertion, in
+test code too.
+
+A test that asserts on how fast something ran on the host —
+`assert!(parallel.wall < serial.wall)`, `assert!(start.elapsed() <
+budget)` — passes or fails with the machine's load and core count,
+not with the code. On a shared or single-core runner it flakes, and a
+flaky tier-1 test trains everyone to re-run failures instead of
+reading them. Simulated results are deterministic, so tests should
+assert on them; host speed belongs to the benchmark (`perfbench/`),
+which reports medians and spread instead of a pass/fail bit.
+
+The rule fires inside `assert!`, `assert_*!`, `debug_assert*!` and
+`prop_assert*!` invocations that compare (`_eq`/`_ne` forms, or a
+`<`, `>`, `==`, `!=` in the arguments) and mention a host-time
+measurement: `Instant` or `SystemTime`, anything named `elapsed`, or
+a `.wall` field. Unlike every other rule it also checks `tests/`,
+`benches/`, `examples/` and `#[cfg(test)]` code, which is where such
+assertions live.
+
+Fix: assert on simulated quantities (events, rounds, `SimTime`) and
+measure speed in the benchmark. A `.wall` field that holds simulated
+time (`RunReport::wall`) is justified with
+`// lint: allow(wall-clock-assert) — <why>`.
+
+History: `tests/dynamic_churn.rs` once asserted
+`parallel.wall < serial.wall` in tier-1; it failed intermittently on
+a 2-vCPU host until the assertion was removed. This rule keeps the
+next one out.",
+        test_code: true,
     },
 ];
 
@@ -237,6 +283,11 @@ pub fn lint_source(rel_path: &str, src: &str, rules: &FileRules) -> Vec<Finding>
 
     let mut findings = Vec::new();
     let active = |name: &str| rules.active.contains(&name);
+    if active("wall-clock-assert") {
+        // A test-code rule: sees every token, `#[cfg(test)]` included.
+        let all: Vec<&Token> = lexed.tokens.iter().collect();
+        wall_clock_assert(&all, &mut findings);
+    }
     if active("hash-iter") {
         hash_iter(&tokens, &mut findings);
     }
@@ -580,6 +631,74 @@ fn panic_path(tokens: &[&Token], findings: &mut Vec<Finding>) {
     }
 }
 
+/// An assertion macro: `assert`, `assert_*`, `debug_assert*` or
+/// `prop_assert*`.
+fn is_assert_macro(t: &Token) -> bool {
+    matches!(&t.kind, Tok::Ident(n) if n == "assert"
+        || n.starts_with("assert_")
+        || n.starts_with("debug_assert")
+        || n.starts_with("prop_assert"))
+}
+
+fn wall_clock_assert(tokens: &[&Token], findings: &mut Vec<Finding>) {
+    let mut i = 0usize;
+    while i + 2 < tokens.len() {
+        let opens = ['(', '[', '{'].iter().any(|&c| punct_is(tokens[i + 2], c));
+        if !(is_assert_macro(tokens[i]) && punct_is(tokens[i + 1], '!') && opens) {
+            i += 1;
+            continue;
+        }
+        // The balanced argument list, delimiters excluded.
+        let start = i + 3;
+        let mut depth = 1usize;
+        let mut end = start;
+        while end < tokens.len() {
+            match tokens[end].kind {
+                Tok::Punct('(' | '[' | '{') => depth += 1,
+                Tok::Punct(')' | ']' | '}') => {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                _ => {}
+            }
+            end += 1;
+        }
+        let args = &tokens[start..end];
+        let name = match &tokens[i].kind {
+            Tok::Ident(n) => n.as_str(),
+            _ => unreachable!("matched an assertion macro name"),
+        };
+        let compares = name.ends_with("_eq")
+            || name.ends_with("_ne")
+            || args.windows(2).any(|w| {
+                // `==`/`!=`, or `<`/`>` that is not `->`, `=>` or `::<`.
+                (punct_is(w[1], '=') && (punct_is(w[0], '=') || punct_is(w[0], '!')))
+                    || ((punct_is(w[1], '<') || punct_is(w[1], '>'))
+                        && !(punct_is(w[0], '-') || punct_is(w[0], '=') || punct_is(w[0], ':')))
+            });
+        let host_time = (0..args.len()).find(|&k| {
+            let after_dot = k > 0 && punct_is(args[k - 1], '.');
+            ident_is(args[k], "Instant")
+                || ident_is(args[k], "SystemTime")
+                || ident_is(args[k], "elapsed")
+                || (after_dot && ident_is(args[k], "wall"))
+        });
+        if let (true, Some(k)) = (compares, host_time) {
+            findings.push(raw_finding(
+                args[k],
+                "wall-clock-assert",
+                "host time varies with load and core count: assert on simulated \
+                 quantities and measure speed in the benchmark, or justify with \
+                 `// lint: allow(wall-clock-assert) — <why>`"
+                    .into(),
+            ));
+        }
+        i = end + 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -755,6 +874,44 @@ fn f() {
 }
 "###;
         assert!(lint(src).is_empty());
+    }
+
+    #[test]
+    fn wall_clock_assert_fires_on_compared_host_time() {
+        let src = "fn f() {\n\
+                   assert!(par.wall < serial.wall);\n\
+                   assert_eq!(t.elapsed().as_secs(), 0);\n\
+                   prop_assert!(Instant::now() >= start);\n\
+                   debug_assert!(elapsed != budget, \"slow\");\n\
+                   }\n";
+        let f: Vec<Finding> = lint(src)
+            .into_iter()
+            .filter(|f| f.rule == "wall-clock-assert")
+            .collect();
+        assert_eq!(f.len(), 4);
+        assert_eq!(
+            f.iter().map(|f| f.line).collect::<Vec<_>>(),
+            vec![2, 3, 4, 5]
+        );
+    }
+
+    #[test]
+    fn wall_clock_assert_ignores_uncompared_and_simulated_values() {
+        let src = "fn f() {\n\
+                   assert!(took.elapsed().is_some());\n\
+                   assert!(report.compute_busy <= wall);\n\
+                   assert_eq!(a.rounds, b.rounds);\n\
+                   let ms = start.elapsed().as_millis();\n\
+                   assert!(v.iter().map(|x| -> u64 { x.len() }).count() > 0);\n\
+                   }\n";
+        assert!(lint(src).is_empty());
+    }
+
+    #[test]
+    fn wall_clock_assert_checks_cfg_test_code() {
+        let src =
+            "#[cfg(test)]\nmod tests {\n    fn t() { assert!(s.wall < p.wall); x.unwrap(); }\n}\n";
+        assert_eq!(rules_of(&lint(src)), vec!["wall-clock-assert"]);
     }
 
     #[test]

@@ -43,6 +43,7 @@ const BAD_FIXTURES: &[(&str, &str)] = &[
     ("eager-trace", "eager_trace_bad.rs"),
     ("unchecked-unwrap", "unchecked_unwrap_bad.rs"),
     ("panic-path", "panic_path_bad.rs"),
+    ("wall-clock-assert", "wall_clock_assert_bad.rs"),
 ];
 
 const ALLOWED_FIXTURES: &[&str] = &[
@@ -52,6 +53,7 @@ const ALLOWED_FIXTURES: &[&str] = &[
     "eager_trace_allowed.rs",
     "unchecked_unwrap_allowed.rs",
     "panic_path_allowed.rs",
+    "wall_clock_assert_allowed.rs",
 ];
 
 #[test]
@@ -179,6 +181,14 @@ fn cli_ignores_findings_under_test_dirs() {
     let src = read_fixture("unchecked_unwrap_bad.rs");
     let (ok, _) = run_cli_on("testdir", &[("tests/unwrap.rs", src.as_str())]);
     assert!(ok, "tests/ dirs are exempt from every rule");
+}
+
+#[test]
+fn cli_checks_test_dirs_for_wall_clock_assertions() {
+    let src = read_fixture("wall_clock_assert_bad.rs");
+    let (ok, stdout) = run_cli_on("testdir-assert", &[("tests/speed.rs", src.as_str())]);
+    assert!(!ok, "wall-clock-assert must check tests/ dirs:\n{stdout}");
+    assert!(stdout.contains("[wall-clock-assert]"), "stdout:\n{stdout}");
 }
 
 #[test]

@@ -25,10 +25,19 @@ pub struct Summary {
 impl Summary {
     /// Builds a summary; the input need not be sorted.
     pub fn of(samples: &[SimDuration]) -> Self {
-        let mut sorted = samples.to_vec();
-        sorted.sort();
-        let total = sorted.iter().copied().sum();
-        Summary { sorted, total }
+        Summary::from_vec(samples.to_vec())
+    }
+
+    /// Builds a summary from owned samples, sorting them in place: no
+    /// copy. Equal durations are indistinguishable, so an unstable sort
+    /// gives the same order as a stable one.
+    pub fn from_vec(mut samples: Vec<SimDuration>) -> Self {
+        samples.sort_unstable();
+        let total = samples.iter().copied().sum();
+        Summary {
+            sorted: samples,
+            total,
+        }
     }
 
     /// Sample count.
@@ -102,6 +111,15 @@ mod tests {
         assert_eq!(s.max(), us(30));
         assert_eq!(s.mean(), us(20));
         assert_eq!(s.total(), us(60));
+    }
+
+    #[test]
+    fn owned_and_borrowed_constructors_agree() {
+        let samples = vec![us(30), us(10), us(20), us(10), us(40)];
+        let owned = Summary::from_vec(samples.clone());
+        assert_eq!(owned, Summary::of(&samples));
+        assert_eq!(owned.min(), us(10));
+        assert_eq!(owned.percentile(50.0), us(20));
     }
 
     #[test]

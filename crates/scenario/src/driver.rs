@@ -564,7 +564,7 @@ fn summarize(
                 utilization: h.utilization(),
                 admitted: h.tasks.len(),
                 rejected: h.rejected_admissions,
-                rounds: h.round_distribution().count(),
+                rounds: h.total_rounds(),
             })
             .collect()
     } else {

@@ -6,34 +6,99 @@
 //! tie-breaking). Stability is what makes whole-simulation determinism
 //! possible, so it is load-bearing, tested, and guaranteed.
 //!
-//! # Design: monotone radix heap over an inline-payload slab
+//! # Design: a bounded near run in front of a monotone radix heap
 //!
-//! Payloads live in a `Vec` slab with a free list; queue keys carry the
-//! payload's slot index and a per-slot generation counter, so no
-//! operation hashes or looks anything up by key.
+//! Keys are ordered by the 128-bit *rank* `(at << 64) | seq`. Every
+//! event owns a slot in a `Vec` slab with a free list; cancellation
+//! tokens carry the slot index and a per-slot generation counter, so no
+//! operation hashes or looks anything up by key. The keys themselves
+//! live in one of two tiers.
 //!
-//! Keys are ordered by the 128-bit *rank* `(at << 64) | seq` and kept in
-//! a monotone radix heap (Ahuja, Mehlhorn, Orlin & Tarjan, 1990). The
-//! heap remembers a *base*: the rank of the most recently popped event.
-//! A key lives in bucket `i`, where `i` is one plus the index of the
-//! highest bit in which its rank differs from the base (bucket 0 holds
-//! a rank equal to the base). Every key in bucket `i` is smaller than
-//! every key in bucket `i + 1`, so the minimum sits in the lowest
-//! non-empty bucket, found through a 129-bit occupancy mask.
+//! **The near run** holds at most `NEAR` (32) keys *with their payloads
+//! inline*, sorted by descending rank, so the next event is its last
+//! entry. It serves the simulator's usual stream, a "hold" pattern: a
+//! handler pops an event and schedules its successor, which is most
+//! often the new minimum. Such an event is appended to the run and
+//! popped straight back, without touching a bucket or reading its slot.
 //!
-//! - **schedule** computes the bucket with one XOR and a leading-zero
-//!   count, pushes a 24-byte key and writes one slab slot. O(1).
-//! - **cancel** is O(1): bump the slot's generation and reclaim it. The
-//!   stale key is tombstoned implicitly — its generation no longer
-//!   matches — and is discarded when a scan reaches it.
-//! - **pop** scans the lowest non-empty bucket for its minimum, makes
-//!   that rank the new base, and moves the bucket's other live keys
-//!   into lower buckets (they now agree with the base on more high
-//!   bits). A key only ever moves down, at most 128 times over its
-//!   life, so a pop's amortized cost does not grow with the number of
-//!   queued keys. Far-future keys (the
-//!   arrivals a scenario stages up front) sit untouched in high buckets
-//!   until the base approaches them, so they cost nothing per pop.
+//! **The radix buckets** hold everything else: a monotone radix heap
+//! (Ahuja, Mehlhorn, Orlin & Tarjan, 1990). The heap remembers a
+//! *base*: the rank of the most recently popped event. A key lives in
+//! bucket `i`, where `i` is one plus the index of the highest bit in
+//! which its rank differs from the base (bucket 0 holds a rank equal to
+//! the base). Every key in bucket `i` is smaller than every key in
+//! bucket `i + 1`, so the bucketed minimum sits in the lowest non-empty
+//! bucket, found through a 129-bit occupancy mask. A bucketed key's
+//! payload waits in its slab slot. Far-future keys (the arrivals and
+//! departures a scenario stages up front) sit untouched in high
+//! buckets until the base approaches them, so they cost nothing per
+//! pop.
+//!
+//! **The limit invariant.** The tiers are split by a rank `limit`:
+//! every run key ranks below `limit`, and every bucketed key at or
+//! above it. So the run's last entry, when there is one, is the global
+//! minimum. `limit` is the aligned radix boundary
+//! `((base >> b) + 1) << b` of the bucket `b` last moved into the run
+//! (saturated at `u128::MAX`), or 0 when nothing may enter the run.
+//!
+//! *Claim:* while the base moves anywhere in `[base, limit)` — which is
+//! all that popping run keys does — every bucketed key stays in the
+//! right bucket. *Proof.* Write `B` for the base when bucket `b` moved
+//! in, and `H = B >> b`. Buckets below `b` were empty, and a key in a
+//! bucket `j > b` agrees with `B` on every bit at or above `j`, and has
+//! bit `j - 1` set where `B` has it clear; so it is at least
+//! `(H + 1) << b = limit`, and its bucket is decided by `B`'s bits at
+//! or above `j - 1 >= b` alone. Every base `B'` in `[B, limit)` has
+//! `B' >> b = H`: it has the same bits at or above `b`, and so gives
+//! every such key the same bucket. A key scheduled into the buckets
+//! while the run drains ranks at or above `limit`, so the same
+//! argument applies to it from the base it was filed under. When the
+//! bits of `B` at or above `b` are all ones, no rank can lie in a
+//! higher bucket, and the saturated `limit = u128::MAX` admits every
+//! later key to the run (`seq` never reaches `u64::MAX`, so no rank
+//! equals it). ∎
+//!
+//! A run key is popped in place and never makes the base overtake a
+//! bucketed key, and a radix step (below) only happens with the run
+//! empty, so the two tiers never disagree about the minimum.
+//!
+//! # Operations and their costs
+//!
+//! - **schedule** files a key with rank below `limit` into the run,
+//!   walking from the tail to its place — usually zero or one step,
+//!   since the new key is usually the new minimum. If the run is full,
+//!   it first *spills* the run into the buckets and sets `limit` to 0.
+//!   Any other key goes to its bucket with one XOR and a leading-zero
+//!   count. O(`NEAR`) at worst.
+//! - **pop** takes the run's last entry when the run is non-empty: no
+//!   slab read and no tombstone check. Otherwise it *refills*: it
+//!   purges stale keys from the lowest non-empty bucket, and if at most
+//!   `NEAR` keys remain it moves them, payloads and all, into the run,
+//!   sorts them, and sets `limit` to the bucket's boundary. A longer
+//!   bucket takes one ordinary radix step instead: its minimum becomes
+//!   the base and its other keys move into lower buckets (they now
+//!   agree with the base on more high bits). A key only ever moves
+//!   down, at most 128 times over its life, so the radix step is
+//!   amortized O(1) per key; everything else in a pop is O(`NEAR`),
+//!   plus the purge, which pays once for each cancelled key.
+//! - **cancel** of a run key finds it by binary search on the rank
+//!   recorded in its slot and removes it, O(`NEAR`). Cancel of a
+//!   bucketed key is O(1): it bumps the slot's generation and takes the
+//!   payload, and the stale key is discarded when a purge or radix step
+//!   reaches it. Purging buckets eagerly would make a mass cancellation
+//!   quadratic.
+//! - **peek** reads the run's last entry, refilling first when the run
+//!   is empty; a refill does not move the base. Over a long lowest
+//!   bucket it scans that bucket for its minimum, as a radix step does.
+//!
+//! **Why not one sorted `Vec`.** A flat sorted queue makes the hold
+//! pattern cheaper still, but inserts in O(live). The scenario driver
+//! stages ~1,600 arrivals and departures one at a time before the
+//! first event; a prototype flat queue doubled the long-tenant
+//! workload's setup time, and a 13k-live schedule/cancel/pop mix ran
+//! 140× slower. An unbounded run fails the same way. Bounding the run at `NEAR` keeps
+//! every operation independent of the number of live events, except
+//! the amortized radix step.
 //!
 //! **The monotonicity invariant.** A radix heap requires every key to be
 //! at least the base. The queue guarantees it: `schedule` refuses times
@@ -44,8 +109,8 @@
 //!
 //! - **a peek** — [`EventQueue::peek_time`] finds the minimum without
 //!   committing to it;
-//! - **a stale key** — a cancelled minimum is dropped, and the scan
-//!   repeats; only a live event that actually pops becomes the base.
+//! - **a stale key** — a cancelled key is dropped by a purge; only a
+//!   live event that actually pops becomes the base.
 //!
 //! Cancellation tokens encode `(generation << 32) | slot`; a token
 //! becomes stale the moment its event fires or is cancelled, and a
@@ -57,6 +122,11 @@ use crate::time::SimTime;
 /// One bucket per possible highest differing bit of a 128-bit rank,
 /// plus bucket 0 for a rank equal to the base.
 const BUCKETS: usize = 129;
+
+/// Capacity of the near run. A refill moves a bucket into the run only
+/// if it holds at most this many keys, and a full run spills before it
+/// takes another, so every run operation is O(`NEAR`).
+const NEAR: usize = 32;
 
 /// An event together with its scheduled firing time and a cancellation
 /// handle.
@@ -71,7 +141,12 @@ pub struct ScheduledEvent<E> {
     pub event: E,
 }
 
-/// Queue key: ordered by [`Key::rank`], i.e. `(at, seq)` — `seq` is
+/// The total order of the queue: time, then schedule order.
+fn rank(at: SimTime, seq: u64) -> u128 {
+    (u128::from(at.as_nanos()) << 64) | u128::from(seq)
+}
+
+/// Bucket key: ordered by [`Key::rank`], i.e. `(at, seq)` — `seq` is
 /// unique, so the slot and generation fields never influence the order;
 /// they exist to find and validate the payload without a lookup table.
 #[derive(Debug, Clone, Copy)]
@@ -84,7 +159,23 @@ struct Key {
 
 impl Key {
     fn rank(&self) -> u128 {
-        (u128::from(self.at.as_nanos()) << 64) | u128::from(self.seq)
+        rank(self.at, self.seq)
+    }
+}
+
+/// Near-run entry: a key that carries its payload. Run entries are
+/// always live — cancel removes them — so they need no generation.
+#[derive(Debug)]
+struct Near<E> {
+    at: SimTime,
+    seq: u64,
+    slot: u32,
+    event: E,
+}
+
+impl<E> Near<E> {
+    fn rank(&self) -> u128 {
+        rank(self.at, self.seq)
     }
 }
 
@@ -92,6 +183,17 @@ impl Key {
 /// highest bit where they differ, or 0 when they are equal.
 fn bucket_of(rank: u128, base: u128) -> usize {
     (128 - (rank ^ base).leading_zeros()) as usize
+}
+
+/// The first rank above bucket `b`'s range relative to `base`, which
+/// every key of a higher bucket reaches: `((base >> b) + 1) << b`,
+/// saturated at `u128::MAX` when that overflows.
+fn boundary(base: u128, b: usize) -> u128 {
+    if b >= 128 || base >> b == u128::MAX >> b {
+        u128::MAX
+    } else {
+        ((base >> b) + 1) << b
+    }
 }
 
 /// Sets bucket `b`'s bit in the occupancy mask.
@@ -104,14 +206,25 @@ fn unmark(occupied: &mut [u64; 3], b: usize) {
     occupied[b / 64] &= !(1 << (b % 64));
 }
 
-/// One slab slot. A slot is *live* while a queue key carrying its
-/// current generation exists; vacating the slot (pop or cancel) bumps
-/// the generation, which simultaneously invalidates the old key and
-/// any outstanding cancellation token.
+/// Where a slot's event is.
+#[derive(Debug)]
+enum Place<E> {
+    /// No event: the slot is on the free list.
+    Vacant,
+    /// In a bucket; the payload waits here.
+    Slab(E),
+    /// In the near run, payload inline; the rank lets cancel find it.
+    Run { at: SimTime, seq: u64 },
+}
+
+/// One slab slot. A slot is *live* while its event is queued;
+/// vacating it (pop or cancel) bumps the generation, which at once
+/// invalidates a stale bucket key and any outstanding cancellation
+/// token.
 #[derive(Debug)]
 struct Slot<E> {
     gen: u32,
-    payload: Option<(SimTime, E)>,
+    place: Place<E>,
 }
 
 /// A deterministic discrete-event queue.
@@ -131,6 +244,11 @@ struct Slot<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
+    /// The near run, by descending rank: the minimum is last. At most
+    /// [`NEAR`] entries, all live.
+    run: Vec<Near<E>>,
+    /// Every run key ranks below it, every bucketed key at or above it.
+    limit: u128,
     buckets: Box<[Vec<Key>; BUCKETS]>,
     /// Bit `i` is set iff `buckets[i]` is non-empty.
     occupied: [u64; 3],
@@ -147,6 +265,8 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
+            run: Vec::with_capacity(NEAR),
+            limit: 0,
             buckets: Box::new(std::array::from_fn(|_| Vec::new())),
             occupied: [0; 3],
             base: 0,
@@ -174,10 +294,7 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize].payload = Some((at, event));
-                slot
-            }
+            Some(slot) => slot,
             None => {
                 // lint: allow(unchecked-unwrap) — 2^32 concurrently-live
                 // events cannot fit in memory; truncating the slot id would
@@ -185,104 +302,204 @@ impl<E> EventQueue<E> {
                 let slot = u32::try_from(self.slots.len()).expect("more than 2^32 live events");
                 self.slots.push(Slot {
                     gen: 0,
-                    payload: Some((at, event)),
+                    place: Place::Vacant,
                 });
                 slot
             }
         };
-        let gen = self.slots[slot as usize].gen;
-        let key = Key { at, seq, slot, gen };
+        self.live += 1;
+        let rank = rank(at, seq);
+        let s = &mut self.slots[slot as usize];
+        let token = (u64::from(s.gen) << 32) | u64::from(slot);
+        if rank < self.limit {
+            if self.run.len() < NEAR {
+                s.place = Place::Run { at, seq };
+                let mut i = self.run.len();
+                while i > 0 && self.run[i - 1].rank() < rank {
+                    i -= 1;
+                }
+                self.run.insert(
+                    i,
+                    Near {
+                        at,
+                        seq,
+                        slot,
+                        event,
+                    },
+                );
+                return token;
+            }
+            self.spill();
+        }
+        self.file(at, seq, slot, event);
+        token
+    }
+
+    /// Files an event into the buckets: its payload into its slot, its
+    /// key into the bucket of its rank.
+    fn file(&mut self, at: SimTime, seq: u64, slot: u32, event: E) {
+        let s = &mut self.slots[slot as usize];
+        s.place = Place::Slab(event);
+        let key = Key {
+            at,
+            seq,
+            slot,
+            gen: s.gen,
+        };
         let b = bucket_of(key.rank(), self.base);
         self.buckets[b].push(key);
         mark(&mut self.occupied, b);
-        self.live += 1;
-        ((gen as u64) << 32) | slot as u64
+    }
+
+    /// Moves every run key, payload and all, back into the buckets and
+    /// closes the run until the next refill.
+    fn spill(&mut self) {
+        let mut run = std::mem::take(&mut self.run);
+        for n in run.drain(..) {
+            self.file(n.at, n.seq, n.slot, n.event);
+        }
+        self.run = run; // keeps the run's allocation
+        self.limit = 0;
     }
 
     /// Cancels a previously scheduled event. Returns the payload if the
-    /// event had not yet fired or been cancelled. O(1): the buckets are
-    /// not touched; the stale key is discarded lazily when a scan
-    /// reaches it.
+    /// event had not yet fired or been cancelled. A run key is removed
+    /// from the run, O(`NEAR`); a bucketed key is O(1): the buckets
+    /// are not touched, and the stale key is discarded lazily.
     pub fn cancel(&mut self, token: u64) -> Option<E> {
-        let slot = (token & u32::MAX as u64) as usize;
+        let slot = (token & u64::from(u32::MAX)) as usize;
         // lint: allow(narrowing-cast) — deliberate upper-half bit extraction
         // from the packed (gen, slot) token
         let gen = (token >> 32) as u32;
-        match self.slots.get_mut(slot) {
-            Some(s) if s.gen == gen => {
-                // lint: allow(unchecked-unwrap) — the generation match above
-                // proves the slot is live
-                let (_, event) = s.payload.take().expect("live slot must hold a payload");
-                s.gen = s.gen.wrapping_add(1);
-                // lint: allow(narrowing-cast) — slot was masked to the low 32
-                // bits of the token above
-                self.free.push(slot as u32);
-                self.live -= 1;
-                Some(event)
-            }
-            _ => None,
+        match self.slots.get(slot) {
+            Some(s) if s.gen == gen && !matches!(s.place, Place::Vacant) => {}
+            _ => return None,
         }
+        // lint: allow(narrowing-cast) — slot was masked to the low 32
+        // bits of the token above
+        match self.vacate(slot as u32) {
+            Place::Slab(event) => Some(event),
+            Place::Run { at, seq } => {
+                let rank = rank(at, seq);
+                // Descending order: an entry of higher rank sorts first.
+                let i = self
+                    .run
+                    .binary_search_by(|n| rank.cmp(&n.rank()))
+                    // lint: allow(unchecked-unwrap) — a slot marked as in
+                    // the run always has its entry there
+                    .expect("run-resident slot must have a run entry");
+                Some(self.run.remove(i).event)
+            }
+            Place::Vacant => unreachable!("the slot was checked live above"),
+        }
+    }
+
+    /// Frees a live slot: its generation moves on, it returns to the
+    /// free list, and its place, now vacant, is handed back.
+    fn vacate(&mut self, slot: u32) -> Place<E> {
+        let s = &mut self.slots[slot as usize];
+        s.gen = s.gen.wrapping_add(1);
+        self.free.push(slot);
+        self.live -= 1;
+        std::mem::replace(&mut s.place, Place::Vacant)
     }
 
     /// Removes and returns the next event in (time, schedule-order).
     /// Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (b, i) = self.find_min()?;
+        if self.run.is_empty() {
+            if let Some(b) = self.refill() {
+                return Some(self.radix_step(b));
+            }
+        }
+        let n = self.run.pop()?;
+        self.base = n.rank();
+        self.vacate(n.slot);
+        Some((n.at, n.event))
+    }
+
+    /// Refills the empty run from the lowest non-empty bucket, first
+    /// purging its stale keys (buckets that held only stale keys are
+    /// emptied on the way). Returns that bucket instead when it holds
+    /// more than [`NEAR`] live keys; returns `None` when the run now
+    /// holds the minimum or the queue is empty. Never moves the base.
+    fn refill(&mut self) -> Option<usize> {
+        debug_assert!(self.run.is_empty());
+        loop {
+            let b = self.lowest_occupied()?;
+            let slots = &self.slots;
+            let bucket = &mut self.buckets[b];
+            if bucket.len() > NEAR {
+                bucket.retain(|k| slots[k.slot as usize].gen == k.gen);
+                if bucket.len() > NEAR {
+                    return Some(b);
+                }
+            }
+            for k in bucket.drain(..) {
+                let s = &mut self.slots[k.slot as usize];
+                if s.gen != k.gen {
+                    continue; // cancelled: discard the stale key
+                }
+                let place = Place::Run {
+                    at: k.at,
+                    seq: k.seq,
+                };
+                let Place::Slab(event) = std::mem::replace(&mut s.place, place) else {
+                    unreachable!("a live bucketed key's payload is in the slab")
+                };
+                self.run.push(Near {
+                    at: k.at,
+                    seq: k.seq,
+                    slot: k.slot,
+                    event,
+                });
+            }
+            unmark(&mut self.occupied, b);
+            if !self.run.is_empty() {
+                self.run
+                    .sort_unstable_by_key(|n| std::cmp::Reverse(n.rank()));
+                self.limit = boundary(self.base, b);
+                return None;
+            }
+        }
+    }
+
+    /// Pops the minimum of bucket `b` — the lowest non-empty one, over
+    /// [`NEAR`] keys long, all live, with the run empty — by one radix
+    /// step: the minimum becomes the base, and the bucket's other keys
+    /// move down into lower buckets.
+    fn radix_step(&mut self, b: usize) -> (SimTime, E) {
+        let i = min_rank_index(&self.buckets[b]);
         let key = self.buckets[b].swap_remove(i);
-        // Only a live event that actually fires advances the base.
         self.base = key.rank();
         let (lower, upper) = self.buckets.split_at_mut(b);
         for k in upper[0].drain(..) {
-            if self.slots[k.slot as usize].gen != k.gen {
-                continue; // cancelled: discard the stale key
-            }
             let nb = bucket_of(k.rank(), self.base);
             debug_assert!(nb < b, "a redistributed key must move down");
             lower[nb].push(k);
             mark(&mut self.occupied, nb);
         }
         unmark(&mut self.occupied, b);
-        let slot = &mut self.slots[key.slot as usize];
-        // lint: allow(unchecked-unwrap) — find_min only returns live keys
-        let (at, event) = slot.payload.take().expect("live slot must hold a payload");
-        slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(key.slot);
-        self.live -= 1;
-        debug_assert_eq!(at, key.at);
-        Some((at, event))
+        let Place::Slab(event) = self.vacate(key.slot) else {
+            unreachable!("a live bucketed key's payload is in the slab")
+        };
+        (key.at, event)
     }
 
-    /// The firing time of the next live event, if any. Stale
-    /// (cancelled) keys met on the way are dropped as a side effect, so
-    /// repeated peeks stay cheap even after mass cancellation — each
-    /// stale key is paid for once, here or in [`EventQueue::pop`]. A
-    /// peek never moves the base: an event may still be scheduled
-    /// between [`EventQueue::now`] and the peeked time.
+    /// The firing time of the next live event, if any. A peek may
+    /// refill the run and drops the stale keys it meets, so repeated
+    /// peeks stay cheap even after mass cancellation — each stale key
+    /// is paid for once, here or in [`EventQueue::pop`]. A peek never
+    /// moves the base: an event may still be scheduled between
+    /// [`EventQueue::now`] and the peeked time.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.find_min().map(|(b, i)| self.buckets[b][i].at)
-    }
-
-    /// Locates the minimum live key: its bucket and index. Empties
-    /// buckets that hold only stale keys, and purges the stale keys of
-    /// a bucket whose minimum turned out stale, so the base is never
-    /// derived from a cancelled event.
-    fn find_min(&mut self) -> Option<(usize, usize)> {
-        loop {
-            let b = self.lowest_occupied()?;
-            let bucket = &mut self.buckets[b];
-            // Ranks are read from the contiguous bucket alone; the slab
-            // is consulted only for the winner.
-            let i = min_rank_index(bucket);
-            let k = bucket[i];
-            if self.slots[k.slot as usize].gen == k.gen {
-                return Some((b, i));
-            }
-            let slots = &self.slots;
-            bucket.retain(|k| slots[k.slot as usize].gen == k.gen);
-            if bucket.is_empty() {
-                unmark(&mut self.occupied, b);
+        if self.run.is_empty() {
+            if let Some(b) = self.refill() {
+                let bucket = &self.buckets[b];
+                return Some(bucket[min_rank_index(bucket)].at);
             }
         }
+        self.run.last().map(|n| n.at)
     }
 
     /// Index of the lowest non-empty bucket.
@@ -307,8 +524,8 @@ impl<E> EventQueue<E> {
         SimTime::from_nanos((self.base >> 64) as u64)
     }
 
-    /// Empties the queue while keeping the slab, free list, and bucket
-    /// allocations, so a long-lived queue can be recycled across
+    /// Empties the queue while keeping the slab, free list, run and
+    /// bucket allocations, so a long-lived queue can be recycled across
     /// simulation runs without touching the allocator.
     ///
     /// A cleared queue is observationally identical to a fresh one:
@@ -319,13 +536,16 @@ impl<E> EventQueue<E> {
     /// influence event order — only `(at, seq)` does — so reuse cannot
     /// perturb determinism.) All outstanding cancellation tokens die.
     pub fn clear(&mut self) {
+        self.run.clear();
+        self.limit = 0;
         for bucket in self.buckets.iter_mut() {
             bucket.clear();
         }
         self.occupied = [0; 3];
         self.base = 0;
         for slot in &mut self.slots {
-            if slot.payload.take().is_some() {
+            if !matches!(slot.place, Place::Vacant) {
+                slot.place = Place::Vacant;
                 slot.gen = slot.gen.wrapping_add(1);
             }
         }
@@ -420,6 +640,18 @@ mod tests {
     }
 
     #[test]
+    fn a_token_for_a_free_slot_is_refused() {
+        // Slot 0 is free under generation 1 once 'a' fires; a token
+        // naming that generation was never issued and must not panic.
+        let mut q = EventQueue::new();
+        q.schedule(t(1), 'a');
+        assert_eq!(q.pop(), Some((t(1), 'a')));
+        assert_eq!(q.cancel(1 << 32), None);
+        assert_eq!(q.cancel(u64::MAX), None);
+        assert!(q.is_empty());
+    }
+
+    #[test]
     fn peek_time_skips_cancelled() {
         let mut q = EventQueue::new();
         let first = q.schedule(t(1), 'x');
@@ -442,9 +674,10 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.peek_time(), Some(t(1_000_000)));
         // The stale keys were drained by the peek, not merely skipped:
-        // the buckets now hold exactly the one live entry, so further
-        // peeks and the final pop are O(1).
-        assert_eq!(q.buckets.iter().map(Vec::len).sum::<usize>(), 1);
+        // the queue now holds exactly the one live entry, refilled into
+        // the run, so further peeks and the final pop are O(1).
+        assert_eq!(q.buckets.iter().map(Vec::len).sum::<usize>(), 0);
+        assert_eq!(q.run.len(), 1);
         assert_eq!(q.peek_time(), Some(t(1_000_000)));
         assert_eq!(q.pop(), Some((t(1_000_000), 42)));
         assert_eq!(q.peek_time(), None);
@@ -642,5 +875,184 @@ mod tests {
         assert_eq!(capacity(&q), before, "clear must not free bucket storage");
         assert!(q.buckets.iter().all(Vec::is_empty));
         assert_eq!(q.occupied, [0; 3]);
+        assert!(q.run.is_empty());
+        assert!(q.run.capacity() >= NEAR, "clear must not free run storage");
+        assert_eq!(q.limit, 0);
+    }
+
+    /// Times in nanoseconds, for tests that place keys in exact buckets.
+    fn ns(v: u64) -> SimTime {
+        SimTime::from_nanos(v)
+    }
+
+    /// Total bucketed keys, live or stale.
+    fn bucketed<E>(q: &EventQueue<E>) -> usize {
+        q.buckets.iter().map(Vec::len).sum()
+    }
+
+    /// A queue whose run is open up to 16,384 ns: a lone key at
+    /// 10,000 ns is refilled from its bucket and popped, which sets the
+    /// limit to the bucket's boundary, 2^14 ns. A far key at 1 s keeps
+    /// the buckets non-empty.
+    fn primed() -> EventQueue<u64> {
+        let mut q = EventQueue::new();
+        q.schedule(ns(10_000), 0);
+        q.schedule(ns(1_000_000_000), 999);
+        assert_eq!(q.pop(), Some((ns(10_000), 0)));
+        assert_eq!(q.limit, rank(ns(16_384), 0));
+        assert_eq!(bucketed(&q), 1);
+        q
+    }
+
+    #[test]
+    fn hold_pattern_stays_in_the_run() {
+        let mut q = primed();
+        for i in 1..1_000u64 {
+            let now = q.now().as_nanos();
+            q.schedule(ns(now + 3), i);
+            assert_eq!(q.run.len(), 1, "the new minimum is appended to the run");
+            assert_eq!(q.pop(), Some((ns(now + 3), i)));
+            if now + 6 >= 16_384 {
+                break;
+            }
+        }
+        assert_eq!(bucketed(&q), 1, "the far key never moved");
+    }
+
+    #[test]
+    fn full_run_spills_into_the_buckets() {
+        let mut q = primed();
+        // Fill the run in reverse time order, so each insert walks.
+        let toks: Vec<u64> = (0..NEAR as u64)
+            .map(|i| q.schedule(ns(12_000 - i), i))
+            .collect();
+        assert_eq!(q.run.len(), NEAR);
+        assert!(q.run.windows(2).all(|w| w[0].rank() > w[1].rank()));
+        // One more key below the limit: the run spills first.
+        q.schedule(ns(11_000), 100);
+        assert!(q.run.is_empty());
+        assert_eq!(q.limit, 0, "a spilled run is closed until the next refill");
+        assert_eq!(bucketed(&q), NEAR + 2);
+        // A spilled key cancels from the slab and keeps its payload.
+        assert_eq!(q.cancel(toks[0]), Some(0));
+        assert_eq!(q.cancel(toks[0]), None);
+        // The rest pop in order, then the far key.
+        let mut want: Vec<(SimTime, u64)> = (1..NEAR as u64).map(|i| (ns(12_000 - i), i)).collect();
+        want.push((ns(11_000), 100));
+        want.sort();
+        want.push((ns(1_000_000_000), 999));
+        let got: Vec<(SimTime, u64)> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn short_bucket_refills_the_run_sorted() {
+        let mut q = EventQueue::new();
+        // Eight keys in one bucket ([2^20, 2^21) ns at base 0), in
+        // scrambled order, and one in the next bucket up.
+        let times = [
+            1_500_000, 1_100_000, 2_000_000, 1_048_576, 1_900_000, 1_200_000, 1_700_000, 1_300_000,
+        ];
+        let toks: Vec<u64> = times.iter().map(|&t| q.schedule(ns(t), t)).collect();
+        q.schedule(ns(3_000_000), 3);
+        assert_eq!(q.limit, 0);
+        assert_eq!(q.pop(), Some((ns(1_048_576), 1_048_576)));
+        assert_eq!(
+            q.run.len(),
+            times.len() - 1,
+            "the bucket moved into the run"
+        );
+        assert!(q.run.windows(2).all(|w| w[0].rank() > w[1].rank()));
+        assert_eq!(q.limit, rank(ns(1 << 21), 0));
+        assert_eq!(bucketed(&q), 1);
+        // A refilled key cancels from the run with its payload, once.
+        assert_eq!(q.cancel(toks[4]), Some(1_900_000));
+        assert_eq!(q.cancel(toks[4]), None);
+        assert_eq!(q.run.len(), times.len() - 2);
+        let got: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(
+            got,
+            vec![1_100_000, 1_200_000, 1_300_000, 1_500_000, 1_700_000, 2_000_000, 3]
+        );
+    }
+
+    #[test]
+    fn long_bucket_takes_a_radix_step() {
+        let mut q = EventQueue::new();
+        // NEAR + 8 keys in one bucket ([2^20, 2^21) ns): too many to
+        // move into the run.
+        let n = NEAR as u64 + 8;
+        for i in 0..n {
+            q.schedule(ns((1 << 20) + (n - i) * 1_000), i);
+        }
+        assert_eq!(q.pop(), Some((ns((1 << 20) + 1_000), n - 1)));
+        assert!(q.run.is_empty(), "a radix step leaves the run alone");
+        assert_eq!(bucketed(&q), NEAR + 7);
+        let b = bucket_of(rank(ns(1 << 20), 0), 0);
+        assert!(
+            q.buckets[b..].iter().all(Vec::is_empty),
+            "the rest moved down"
+        );
+        // The next pop refills from the now-short lowest bucket.
+        assert_eq!(q.pop(), Some((ns((1 << 20) + 2_000), n - 2)));
+        let got: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(got, (0..n - 2).rev().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn tokens_go_stale_across_spill_and_refill() {
+        let mut q = primed();
+        let toks: Vec<u64> = (0..=NEAR as u64)
+            .map(|i| q.schedule(ns(11_000 + i), i))
+            .collect();
+        assert!(q.run.is_empty(), "the last schedule spilled the run");
+        // A spilled key cancels from the slab, once.
+        assert_eq!(q.cancel(toks[5]), Some(5));
+        assert_eq!(q.cancel(toks[5]), None);
+        // The NEAR + 1 keys share one bucket; the purge leaves NEAR
+        // live, so the pop refills the run instead of a radix step.
+        assert_eq!(q.pop(), Some((ns(11_000), 0)));
+        assert_eq!(q.run.len(), NEAR - 1);
+        assert_eq!(q.cancel(toks[0]), None, "a fired token must stay dead");
+        // A new event reuses the fired key's slot, in the run; the old
+        // token must not reach it.
+        let fresh = q.schedule(ns(11_000), 500);
+        assert_eq!(fresh & u64::from(u32::MAX), toks[0] & u64::from(u32::MAX));
+        assert_eq!(q.run.len(), NEAR);
+        assert_eq!(q.cancel(toks[0]), None);
+        assert_eq!(q.pop(), Some((ns(11_000), 500)));
+        // A refilled key cancels from the run with its payload, once.
+        assert_eq!(q.cancel(toks[1]), Some(1));
+        assert_eq!(q.cancel(toks[1]), None);
+        assert_eq!(q.len(), NEAR - 1);
+        assert_eq!(q.pop(), Some((ns(11_002), 2)));
+    }
+
+    #[test]
+    fn limit_is_the_refilled_buckets_own_boundary() {
+        // 'a' at 1 ns is alone in its bucket ([1, 2) ns at base 0); 'b'
+        // at 2 ns sits in the next one up. After 'a' is refilled and
+        // popped, 'c' at 3 ns ranks above the limit (2 ns) and must be
+        // bucketed behind 'b', not run ahead of it.
+        let mut q = EventQueue::new();
+        q.schedule(ns(1), 'a');
+        q.schedule(ns(2), 'b');
+        assert_eq!(q.pop(), Some((ns(1), 'a')));
+        assert_eq!(q.limit, rank(ns(2), 0));
+        q.schedule(ns(3), 'c');
+        assert_eq!(q.pop(), Some((ns(2), 'b')));
+        assert_eq!(q.pop(), Some((ns(3), 'c')));
+    }
+
+    #[test]
+    fn boundary_saturates_at_the_top_of_the_rank_space() {
+        assert_eq!(boundary(0, 0), 1);
+        assert_eq!(boundary(5, 0), 6);
+        assert_eq!(boundary(0, 65), 1 << 65);
+        assert_eq!(boundary(0b1011, 2), 0b1100);
+        assert_eq!(boundary(u128::MAX, 0), u128::MAX);
+        assert_eq!(boundary(u128::MAX << 127, 127), u128::MAX);
+        assert_eq!(boundary(0, 127), 1 << 127);
+        assert_eq!(boundary(0, 128), u128::MAX);
     }
 }

@@ -337,3 +337,104 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
+
+    /// The queue agrees with the reference model on the simulator's
+    /// usual stream, a "hold" pattern: most schedules land below every
+    /// queued key (the event a handler schedules is usually the next to
+    /// fire), over a backlog of staged far-future arrivals. Bursts of up
+    /// to 64 near-future schedules overflow the queue's bounded near
+    /// tier, so runs spill and refill; cancels hit keys in either tier;
+    /// `clear()` lands with a non-empty near tier, and tokens taken
+    /// before it stay in play.
+    #[test]
+    fn hold_pattern_queue_matches_reference_model(
+        staged in proptest::collection::vec(1_000u64..1_000_000_000, 0..200),
+        ops in proptest::collection::vec((0u8..32, any::<u64>(), 0u64..10_000), 1..600),
+    ) {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut model: ModelQueue<u64> = ModelQueue::new();
+        let mut epoch = 0u64;
+        let mut q_tokens = Vec::new();
+        let mut m_tokens = Vec::new();
+        let mut payload = 0u64;
+        let mut schedule = |q: &mut EventQueue<u64>,
+                            model: &mut ModelQueue<u64>,
+                            q_tokens: &mut Vec<u64>,
+                            m_tokens: &mut Vec<(u64, u64)>,
+                            epoch: u64,
+                            at: SimTime| {
+            payload += 1;
+            q_tokens.push(q.schedule(at, payload));
+            m_tokens.push((epoch, model.schedule(at, payload)));
+        };
+        for &ns in &staged {
+            schedule(&mut q, &mut model, &mut q_tokens, &mut m_tokens, epoch, SimTime::from_nanos(ns));
+        }
+        for &(op, raw, pick) in &ops {
+            let now = q.now();
+            match op {
+                0..=13 => {
+                    // Hold: at or before the earliest queued event.
+                    let gap = model
+                        .peek_time()
+                        .map_or(1_000, |min| min.saturating_duration_since(now).as_nanos());
+                    let at = now + SimDuration::from_nanos(raw % (gap + 1));
+                    schedule(&mut q, &mut model, &mut q_tokens, &mut m_tokens, epoch, at);
+                }
+                14..=15 => {
+                    // Burst: more near-future events than the near tier holds.
+                    for i in 0..raw % 65 {
+                        let at = now + SimDuration::from_nanos((raw >> 8).wrapping_mul(i + 1) % 2_000);
+                        schedule(&mut q, &mut model, &mut q_tokens, &mut m_tokens, epoch, at);
+                    }
+                }
+                16 => {
+                    // A staged arrival, far ahead.
+                    let at = now + SimDuration::from_nanos(1_000_000 + raw % 1_000_000_000);
+                    schedule(&mut q, &mut model, &mut q_tokens, &mut m_tokens, epoch, at);
+                }
+                17..=20 => {
+                    // Cancel, most often one of the newest tokens: the
+                    // keys most likely to sit in the near tier.
+                    if !q_tokens.is_empty() {
+                        let back = if pick % 2 == 0 { pick % 4 } else { pick };
+                        let i = q_tokens.len() - 1 - (back as usize % q_tokens.len());
+                        let a = q.cancel(q_tokens.swap_remove(i));
+                        let (e, seq) = m_tokens.swap_remove(i);
+                        let b = if e == epoch { model.cancel(seq) } else { None };
+                        prop_assert_eq!(a, b, "cancel outcomes diverged");
+                    }
+                }
+                21..=22 => {
+                    prop_assert_eq!(q.peek_time(), model.peek_time(), "peek diverged");
+                }
+                23..=30 => {
+                    prop_assert_eq!(q.pop(), model.pop(), "pop diverged");
+                    prop_assert_eq!(q.now(), model.now());
+                }
+                _ => {
+                    // Rare: most cases run to the end without a clear.
+                    if pick % 8 == 0 {
+                        q.clear();
+                        model.clear();
+                        epoch += 1;
+                        prop_assert_eq!(q.now(), SimTime::ZERO);
+                        prop_assert_eq!(q.peek_time(), None);
+                    }
+                }
+            }
+            prop_assert_eq!(q.len(), model.payloads.len());
+            prop_assert_eq!(q.is_empty(), model.payloads.is_empty());
+        }
+        loop {
+            let (a, b) = (q.pop(), model.pop());
+            prop_assert_eq!(&a, &b, "drain diverged");
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+}

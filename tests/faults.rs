@@ -421,6 +421,8 @@ proptest! {
             for placement in PlacementKind::ALL {
                 let (report, hash) =
                     run_faulted(kind, placement, 2, plan.clone(), horizon);
+                // lint: allow(wall-clock-assert) — RunReport::wall is the
+                // simulated span of the run, not host time
                 prop_assert!(report.wall <= horizon, "{kind} × {placement}");
                 prop_assert_eq!(
                     report.injected_faults,
