@@ -1,6 +1,7 @@
 //! Microbenchmarks of the simulation hot path: the event queue under
 //! the world's hold pattern (pop an event, schedule its successor) at
-//! ~20 and ~400 live events, under a schedule/pop/cancel mix alone and
+//! ~20 and ~400 live events (and at ~400 with task exits cancelling
+//! pending events), under a schedule/pop/cancel mix alone and
 //! over ~800 staged far-future arrivals, peek under mass cancellation
 //! (the last three are the worst cases of the queue's bounded near
 //! tier), and a mid-size churn world with tracing off (the sweep
@@ -94,18 +95,25 @@ fn near_future_mix(q: &mut EventQueue<u64>, next: &mut impl FnMut() -> u64) -> u
 /// arrivals spread over a 16 s horizon. ~85% of successors follow
 /// within 64 ns, so they are the new minimum (the other events are
 /// ~microseconds apart); the rest land up to `2 * tasks` us ahead. A
-/// staged arrival pops without a successor. Returns the number of
-/// events popped.
-fn hold_pattern(tasks: u64, pops: u64) -> u64 {
+/// staged arrival pops without a successor.
+///
+/// With `exits`, on ~2% of pops one of the last four tasks to run
+/// exits, as `World::task_exit` does — its pending event is cancelled
+/// — and a newcomer takes its place within 64 ns. A recently run
+/// task's pending event is usually a key born in the queue's near run
+/// (~70% of these cancels use a run-born token; a random task's would
+/// almost never). Returns the number of events popped.
+fn hold_pattern(tasks: u64, pops: u64, exits: bool) -> u64 {
     const STAGED: u64 = u64::MAX;
     let mut q: EventQueue<u64> = EventQueue::new();
     let mut next = xorshift(0x5EED);
     for _ in 0..800 {
         q.schedule(SimTime::from_nanos(next() % 16_000_000_000), STAGED);
     }
-    for task in 0..tasks {
-        q.schedule(SimTime::from_nanos(next() % (tasks * 1_000)), task);
-    }
+    let mut pending: Vec<u64> = (0..tasks)
+        .map(|task| q.schedule(SimTime::from_nanos(next() % (tasks * 1_000)), task))
+        .collect();
+    let mut recent = [0usize; 4];
     let mut popped = 0;
     while popped < pops {
         let Some((at, task)) = q.pop() else { break };
@@ -119,7 +127,15 @@ fn hold_pattern(tasks: u64, pops: u64) -> u64 {
         } else {
             (r >> 8) % (tasks * 2_000)
         };
-        q.schedule(at + SimDuration::from_nanos(delay), task);
+        pending[task as usize] = q.schedule(at + SimDuration::from_nanos(delay), task);
+        recent[popped as usize % recent.len()] = task as usize;
+        if exits && (r >> 32).is_multiple_of(50) {
+            let exiting = recent[(r >> 40) as usize % recent.len()];
+            let cancelled = q.cancel(pending[exiting]);
+            assert!(cancelled.is_some(), "a pending event is live");
+            let arrival = at + SimDuration::from_nanos(1 + (r >> 20) % 64);
+            pending[exiting] = q.schedule(arrival, exiting as u64);
+        }
     }
     popped
 }
@@ -158,9 +174,12 @@ fn bench(c: &mut Criterion) {
 
     for tasks in [20, 400] {
         c.bench_function(&format!("core_hot_path/queue_hold_pattern/{tasks}"), |b| {
-            b.iter(|| std::hint::black_box(hold_pattern(tasks, 65_536)))
+            b.iter(|| std::hint::black_box(hold_pattern(tasks, 65_536, false)))
         });
     }
+    c.bench_function("core_hot_path/queue_hold_pattern_with_exits/400", |b| {
+        b.iter(|| std::hint::black_box(hold_pattern(400, 65_536, true)))
+    });
 
     c.bench_function("core_hot_path/queue_schedule_pop_cancel_64k", |b| {
         b.iter(|| {

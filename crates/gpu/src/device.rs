@@ -102,6 +102,12 @@ struct Rotation {
 }
 
 /// The modeled accelerator.
+///
+/// Besides the hardware state, a `Gpu` keeps the ground truth the
+/// schedulers cannot see: a dense *usage ledger* of the device time
+/// each task has occupied, read through [`Gpu::usage_of`] by the
+/// end-of-run report and by vendor-statistics DFQ. Every completion,
+/// preemption and teardown abort charges it with one indexed add.
 pub struct Gpu {
     id: DeviceId,
     config: GpuConfig,
@@ -119,8 +125,15 @@ pub struct Gpu {
     /// Graphics channels rest until this instant while compute work is
     /// pending (set after each graphics completion).
     graphics_blocked_until: SimTime,
-    /// Ground-truth cumulative device occupancy per task (both engines).
-    usage: BTreeMap<TaskId, SimDuration>,
+    /// The usage ledger: ground-truth cumulative device occupancy per
+    /// task (both engines), indexed by [`TaskId::index`]. Task ids are
+    /// dense within a world, so a `Vec` grown in
+    /// [`Gpu::create_context`] holds every task that can own a request
+    /// here, and charging a completion is one indexed add rather than a
+    /// map walk. A task that never had a context here reads zero, and
+    /// its entry (present or not) outlives the task's teardown, since
+    /// the end-of-run report reads it.
+    usage: Vec<SimDuration>,
     /// Total requests completed, for sanity accounting.
     completed_requests: u64,
 }
@@ -159,7 +172,7 @@ impl Gpu {
             dma_rotation: Rotation::default(),
             next_request: 0,
             graphics_blocked_until: SimTime::ZERO,
-            usage: BTreeMap::new(),
+            usage: Vec::new(),
             completed_requests: 0,
         }
     }
@@ -191,6 +204,9 @@ impl Gpu {
         let ctx = ContextId::new(self.next_context);
         self.next_context += 1;
         self.contexts.insert(ctx, task);
+        if self.usage.len() <= task.index() {
+            self.usage.resize(task.index() + 1, SimDuration::ZERO);
+        }
         self.live_contexts += 1;
         Ok(ctx)
     }
@@ -331,7 +347,7 @@ impl Gpu {
             channel.record_completion(request.reference);
         }
         let occupancy = now.saturating_duration_since(run.dispatched_at);
-        *self.usage.entry(request.task).or_default() += occupancy;
+        self.usage[request.task.index()] += occupancy;
         self.completed_requests += 1;
         if request.kind == RequestKind::Graphics {
             self.graphics_blocked_until = now + self.config.graphics_cooldown;
@@ -384,7 +400,7 @@ impl Gpu {
     pub fn preempt_running(&mut self, now: SimTime, engine: EngineClass) -> Option<Request> {
         let run = self.engine_mut(engine).abort(now)?;
         let elapsed = now.saturating_duration_since(run.dispatched_at);
-        *self.usage.entry(run.request.task).or_default() += elapsed;
+        self.usage[run.request.task.index()] += elapsed;
         let consumed = now.saturating_duration_since(run.started_at);
         let mut remainder = run.request;
         if remainder.service != SimDuration::MAX {
@@ -453,7 +469,7 @@ impl Gpu {
             };
             if let Some(occupancy) = aborted_occupancy {
                 self.engine_mut(class).abort(now);
-                *self.usage.entry(task).or_default() += occupancy;
+                self.usage[task.index()] += occupancy;
                 summary.aborted_engines.push(class);
             }
         }
@@ -510,7 +526,10 @@ impl Gpu {
 
     /// Ground-truth cumulative occupancy charged to `task`.
     pub fn usage_of(&self, task: TaskId) -> SimDuration {
-        self.usage.get(&task).copied().unwrap_or(SimDuration::ZERO)
+        self.usage
+            .get(task.index())
+            .copied()
+            .unwrap_or(SimDuration::ZERO)
     }
 
     /// Ground-truth busy time of an engine.
@@ -907,6 +926,49 @@ mod tests {
         drain_compute(&mut gpu, SimTime::ZERO);
         let total = gpu.usage_of(TaskId::new(0)) + gpu.usage_of(TaskId::new(1));
         assert_eq!(total, gpu.engine_busy(EngineClass::Compute));
+    }
+
+    #[test]
+    fn usage_ledger_keeps_a_dense_total_per_task() {
+        let mut gpu = Gpu::new(GpuConfig::default());
+        assert_eq!(gpu.usage_of(TaskId::new(0)), SimDuration::ZERO);
+        // Two tasks with a gap between their ids.
+        let (t2, t7) = (TaskId::new(2), TaskId::new(7));
+        let c2 = gpu.create_context(t2).unwrap();
+        let c7 = gpu.create_context(t7).unwrap();
+        let ch2 = gpu.create_channel(c2, RequestKind::Compute).unwrap();
+        let ch7 = gpu.create_channel(c7, RequestKind::Compute).unwrap();
+        // A task never seen reads zero: in the gap, below it, or past
+        // the ledger's end.
+        for t in [0, 1, 3, 6, 8, 1_000] {
+            assert_eq!(gpu.usage_of(TaskId::new(t)), SimDuration::ZERO);
+        }
+        gpu.submit(SimTime::ZERO, ch2, SubmitSpec::compute(us(50)))
+            .unwrap();
+        gpu.submit(SimTime::ZERO, ch7, SubmitSpec::compute(us(20)))
+            .unwrap();
+        drain_compute(&mut gpu, SimTime::ZERO);
+        // Each total is its own: 4µs context switch plus service.
+        assert_eq!(gpu.usage_of(t2), us(54));
+        assert_eq!(gpu.usage_of(t7), us(24));
+        for t in 3..7 {
+            assert_eq!(gpu.usage_of(TaskId::new(t)), SimDuration::ZERO);
+        }
+        // A preempted slice is charged...
+        let now = SimTime::from_micros(100);
+        gpu.submit(now, ch7, SubmitSpec::compute(us(100))).unwrap();
+        gpu.try_dispatch(now, EngineClass::Compute).unwrap();
+        gpu.preempt_running(now + us(30), EngineClass::Compute)
+            .unwrap();
+        assert_eq!(gpu.usage_of(t7), us(54));
+        // ...and so is the slice a teardown aborts, and the total
+        // survives the task's teardown.
+        gpu.try_dispatch(now + us(30), EngineClass::Compute)
+            .unwrap();
+        let summary = gpu.destroy_task(now + us(40), t7);
+        assert_eq!(summary.aborted_engines, vec![EngineClass::Compute]);
+        assert_eq!(gpu.usage_of(t7), us(64));
+        assert_eq!(gpu.usage_of(t2), us(54));
     }
 
     #[test]

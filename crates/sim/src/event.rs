@@ -8,10 +8,7 @@
 //!
 //! # Design: a bounded near run in front of a monotone radix heap
 //!
-//! Keys are ordered by the 128-bit *rank* `(at << 64) | seq`. Every
-//! event owns a slot in a `Vec` slab with a free list; cancellation
-//! tokens carry the slot index and a per-slot generation counter, so no
-//! operation hashes or looks anything up by key. The keys themselves
+//! Keys are ordered by the 128-bit *rank* `(at << 64) | seq`. The keys
 //! live in one of two tiers.
 //!
 //! **The near run** holds at most `NEAR` (32) keys *with their payloads
@@ -19,7 +16,7 @@
 //! entry. It serves the simulator's usual stream, a "hold" pattern: a
 //! handler pops an event and schedules its successor, which is most
 //! often the new minimum. Such an event is appended to the run and
-//! popped straight back, without touching a bucket or reading its slot.
+//! popped straight back, without touching a bucket or any other table.
 //!
 //! **The radix buckets** hold everything else: a monotone radix heap
 //! (Ahuja, Mehlhorn, Orlin & Tarjan, 1990). The heap remembers a
@@ -28,11 +25,10 @@
 //! which its rank differs from the base (bucket 0 holds a rank equal to
 //! the base). Every key in bucket `i` is smaller than every key in
 //! bucket `i + 1`, so the bucketed minimum sits in the lowest non-empty
-//! bucket, found through a 129-bit occupancy mask. A bucketed key's
-//! payload waits in its slab slot. Far-future keys (the arrivals and
-//! departures a scenario stages up front) sit untouched in high
-//! buckets until the base approaches them, so they cost nothing per
-//! pop.
+//! bucket, found through a 129-bit occupancy mask. Far-future keys (the
+//! arrivals and departures a scenario stages up front) sit untouched in
+//! high buckets until the base approaches them, so they cost nothing
+//! per pop.
 //!
 //! **The limit invariant.** The tiers are split by a rank `limit`:
 //! every run key ranks below `limit`, and every bucketed key at or
@@ -55,38 +51,85 @@
 //! argument applies to it from the base it was filed under. When the
 //! bits of `B` at or above `b` are all ones, no rank can lie in a
 //! higher bucket, and the saturated `limit = u128::MAX` admits every
-//! later key to the run (`seq` never reaches `u64::MAX`, so no rank
-//! equals it). ∎
+//! later key to the run (`seq` stays below 2^63, so no rank equals
+//! it). ∎
 //!
 //! A run key is popped in place and never makes the base overtake a
 //! bucketed key, and a radix step (below) only happens with the run
 //! empty, so the two tiers never disagree about the minimum.
 //!
+//! # Slots, and the two token forms
+//!
+//! A bucketed key's payload waits in a slot of a `Vec` slab with a free
+//! list, and the key carries the slot index and the slot's generation,
+//! which moves on each time the slot is vacated; a purge or radix step
+//! that meets a key whose generation is out of date discards it. Only
+//! two kinds of key own a slot:
+//!
+//! - a key **scheduled straight into the buckets** (its rank is at or
+//!   above `limit`, or the run was full) takes a slot at once, and its
+//!   token is the *slot token* `(generation << 32) | slot`. It keeps the
+//!   slot when a refill moves it into the run, so the token still finds
+//!   it there.
+//! - a key **born in the run** takes no slot: its token is its sequence
+//!   number tagged with the top bit, `RUN_BORN | seq` (generations wrap
+//!   within 31 bits, so no slot token has that bit set). Only a *spill*
+//!   gives such keys slots, and it records each one's `(seq, slot,
+//!   generation)` in the *spill index*, a `Vec` sorted by `seq`.
+//!
+//! A run-born token is resolved by scanning the run (at most `NEAR`
+//! entries) for a slotless entry with its `seq`; failing that, by a
+//! binary search of the spill index and a generation check on the slot
+//! it names, which finds a spilled key in its bucket or, once a refill
+//! has moved it back, in the run. A `seq` found in neither has fired or
+//! been cancelled, or was never issued in that form.
+//! Sequence numbers keep counting across [`EventQueue::clear`], which
+//! empties the run and the index, so a token from before a clear can
+//! name no later key. A stale slot token is refused by the generation
+//! check, and can only be confused with a live one after a single slot
+//! is reused 2^31 times — unreachable in practice.
+//!
+//! **Why the spill index stays sorted.** Entries are only appended, by
+//! a spill, which sorts the few it appends; compaction keeps their
+//! order. Every
+//! slotless key present at a spill was scheduled after the previous
+//! spill: a spill sets `limit` to 0, so no key is born in the run until
+//! the next refill, which comes after that spill. So each spill's
+//! entries carry larger sequence numbers than every entry already in
+//! the index. An entry dies when its slot is vacated; once half the
+//! entries are dead, the index is compacted in one pass, so the index
+//! stays within twice its live entries and each compaction is paid for
+//! by the deaths before it.
+//!
 //! # Operations and their costs
 //!
 //! - **schedule** files a key with rank below `limit` into the run,
 //!   walking from the tail to its place — usually zero or one step,
-//!   since the new key is usually the new minimum. If the run is full,
-//!   it first *spills* the run into the buckets and sets `limit` to 0.
-//!   Any other key goes to its bucket with one XOR and a leading-zero
-//!   count. O(`NEAR`) at worst.
-//! - **pop** takes the run's last entry when the run is non-empty: no
-//!   slab read and no tombstone check. Otherwise it *refills*: it
-//!   purges stale keys from the lowest non-empty bucket, and if at most
-//!   `NEAR` keys remain it moves them, payloads and all, into the run,
-//!   sorts them, and sets `limit` to the bucket's boundary. A longer
-//!   bucket takes one ordinary radix step instead: its minimum becomes
-//!   the base and its other keys move into lower buckets (they now
-//!   agree with the base on more high bits). A key only ever moves
-//!   down, at most 128 times over its life, so the radix step is
-//!   amortized O(1) per key; everything else in a pop is O(`NEAR`),
-//!   plus the purge, which pays once for each cancelled key.
-//! - **cancel** of a run key finds it by binary search on the rank
-//!   recorded in its slot and removes it, O(`NEAR`). Cancel of a
-//!   bucketed key is O(1): it bumps the slot's generation and takes the
-//!   payload, and the stale key is discarded when a purge or radix step
-//!   reaches it. Purging buckets eagerly would make a mass cancellation
-//!   quadratic.
+//!   since the new key is usually the new minimum — and takes no slot.
+//!   If the run is full, it first *spills* the run into the buckets,
+//!   giving its slotless keys slots and index entries, and sets `limit`
+//!   to 0. Any other key takes a slot and goes to its bucket with one
+//!   XOR and a leading-zero count. O(`NEAR`) at worst.
+//! - **pop** takes the run's last entry when the run is non-empty: for
+//!   a run-born entry that is all there is, and an entry that owns a
+//!   slot frees it. Otherwise it *refills*: it purges stale keys from
+//!   the lowest non-empty bucket, and if at most `NEAR` keys remain it
+//!   moves them, payloads and all, into the run, sorts them, and sets
+//!   `limit` to the bucket's boundary. A longer bucket takes one
+//!   ordinary radix step instead: its minimum becomes the base and its
+//!   other keys move into lower buckets (they now agree with the base
+//!   on more high bits). A key only ever moves down, at most 128 times
+//!   over its life, so the radix step is amortized O(1) per key;
+//!   everything else in a pop is O(`NEAR`), plus the purge, which pays
+//!   once for each cancelled key.
+//! - **cancel** of a run key is O(`NEAR`): a slot token finds the key by
+//!   binary search on the rank recorded in its slot, a run-born token
+//!   by a scan for its `seq` (plus the spill-index search for a key
+//!   that was spilled and refilled). Cancel of a bucketed key is O(1)
+//!   by slot token and O(log n) by run-born token (that search): it
+//!   bumps the slot's generation and takes the payload, and the stale
+//!   key is discarded when a purge or radix step reaches it. Purging
+//!   buckets eagerly would make a mass cancellation quadratic.
 //! - **peek** reads the run's last entry, refilling first when the run
 //!   is empty; a refill does not move the base. Over a long lowest
 //!   bucket it scans that bucket for its minimum, as a radix step does.
@@ -96,9 +139,10 @@
 //! stages ~1,600 arrivals and departures one at a time before the
 //! first event; a prototype flat queue doubled the long-tenant
 //! workload's setup time, and a 13k-live schedule/cancel/pop mix ran
-//! 140× slower. An unbounded run fails the same way. Bounding the run at `NEAR` keeps
-//! every operation independent of the number of live events, except
-//! the amortized radix step.
+//! 140× slower. An unbounded run fails the same way. Bounding the run
+//! at `NEAR` keeps every operation independent of the number of live
+//! events, except the amortized radix step and the logarithmic
+//! spill-index search.
 //!
 //! **The monotonicity invariant.** A radix heap requires every key to be
 //! at least the base. The queue guarantees it: `schedule` refuses times
@@ -111,11 +155,6 @@
 //!   committing to it;
 //! - **a stale key** — a cancelled key is dropped by a purge; only a
 //!   live event that actually pops becomes the base.
-//!
-//! Cancellation tokens encode `(generation << 32) | slot`; a token
-//! becomes stale the moment its event fires or is cancelled, and a
-//! stale token can only be confused with a live one after a single slot
-//! is reused 2^32 times — unreachable in practice.
 
 use crate::time::SimTime;
 
@@ -127,6 +166,16 @@ const BUCKETS: usize = 129;
 /// if it holds at most this many keys, and a full run spills before it
 /// takes another, so every run operation is O(`NEAR`).
 const NEAR: usize = 32;
+
+/// The tag bit of a run-born token, `RUN_BORN | seq`.
+const RUN_BORN: u64 = 1 << 63;
+
+/// Slot generations wrap within 31 bits, so a slot token
+/// `(generation << 32) | slot` never carries [`RUN_BORN`].
+const GEN_MASK: u32 = u32::MAX >> 1;
+
+/// The slot field of a run entry that owns no slot. Never a slot index.
+const NO_SLOT: u32 = u32::MAX;
 
 /// An event together with its scheduled firing time and a cancellation
 /// handle.
@@ -165,6 +214,7 @@ impl Key {
 
 /// Near-run entry: a key that carries its payload. Run entries are
 /// always live — cancel removes them — so they need no generation.
+/// `slot` is [`NO_SLOT`] for a key born in the run and never spilled.
 #[derive(Debug)]
 struct Near<E> {
     at: SimTime,
@@ -177,6 +227,15 @@ impl<E> Near<E> {
     fn rank(&self) -> u128 {
         rank(self.at, self.seq)
     }
+}
+
+/// A spill-index entry: the slot a spill gave the run-born key `seq`,
+/// under generation `gen`. Dead once that slot's generation moves on.
+#[derive(Debug, Clone, Copy)]
+struct Spilled {
+    seq: u64,
+    slot: u32,
+    gen: u32,
 }
 
 /// The bucket of `rank` relative to `base`: one plus the index of the
@@ -219,11 +278,13 @@ enum Place<E> {
 
 /// One slab slot. A slot is *live* while its event is queued;
 /// vacating it (pop or cancel) bumps the generation, which at once
-/// invalidates a stale bucket key and any outstanding cancellation
-/// token.
+/// invalidates a stale bucket key, any outstanding slot token and the
+/// spill-index entry naming it.
 #[derive(Debug)]
 struct Slot<E> {
     gen: u32,
+    /// A live spill-index entry names this slot.
+    indexed: bool,
     place: Place<E>,
 }
 
@@ -257,7 +318,13 @@ pub struct EventQueue<E> {
     base: u128,
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
+    /// The slots spills gave run-born keys, sorted by `seq`.
+    spilled: Vec<Spilled>,
+    /// Entries of `spilled` whose slot has been vacated since.
+    spilled_dead: usize,
     live: usize,
+    /// Never reset, not even by [`EventQueue::clear`]: a run-born token
+    /// names its key by `seq` alone, so no two keys may share one.
     next_seq: u64,
 }
 
@@ -272,6 +339,8 @@ impl<E> EventQueue<E> {
             base: 0,
             slots: Vec::new(),
             free: Vec::new(),
+            spilled: Vec::new(),
+            spilled_dead: 0,
             live: 0,
             next_seq: 0,
         }
@@ -293,27 +362,10 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(slot) => slot,
-            None => {
-                // lint: allow(unchecked-unwrap) — 2^32 concurrently-live
-                // events cannot fit in memory; truncating the slot id would
-                // corrupt cancellation tokens
-                let slot = u32::try_from(self.slots.len()).expect("more than 2^32 live events");
-                self.slots.push(Slot {
-                    gen: 0,
-                    place: Place::Vacant,
-                });
-                slot
-            }
-        };
         self.live += 1;
         let rank = rank(at, seq);
-        let s = &mut self.slots[slot as usize];
-        let token = (u64::from(s.gen) << 32) | u64::from(slot);
         if rank < self.limit {
             if self.run.len() < NEAR {
-                s.place = Place::Run { at, seq };
                 let mut i = self.run.len();
                 while i > 0 && self.run[i - 1].rank() < rank {
                     i -= 1;
@@ -323,21 +375,42 @@ impl<E> EventQueue<E> {
                     Near {
                         at,
                         seq,
-                        slot,
+                        slot: NO_SLOT,
                         event,
                     },
                 );
-                return token;
+                return RUN_BORN | seq;
             }
             self.spill();
         }
-        self.file(at, seq, slot, event);
-        token
+        let slot = self.take_slot();
+        let gen = self.file(at, seq, slot, event);
+        (u64::from(gen) << 32) | u64::from(slot)
+    }
+
+    /// A vacant slot, from the free list or newly pushed.
+    fn take_slot(&mut self) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            return slot;
+        }
+        let slot = u32::try_from(self.slots.len())
+            .ok()
+            .filter(|&slot| slot != NO_SLOT)
+            // lint: allow(unchecked-unwrap) — 2^32 - 1 concurrently-live
+            // events cannot fit in memory; truncating the slot id would
+            // corrupt cancellation tokens
+            .expect("more than 2^32 - 1 live events");
+        self.slots.push(Slot {
+            gen: 0,
+            indexed: false,
+            place: Place::Vacant,
+        });
+        slot
     }
 
     /// Files an event into the buckets: its payload into its slot, its
-    /// key into the bucket of its rank.
-    fn file(&mut self, at: SimTime, seq: u64, slot: u32, event: E) {
+    /// key into the bucket of its rank. Returns the slot's generation.
+    fn file(&mut self, at: SimTime, seq: u64, slot: u32, event: E) -> u32 {
         let s = &mut self.slots[slot as usize];
         s.place = Place::Slab(event);
         let key = Key {
@@ -349,35 +422,82 @@ impl<E> EventQueue<E> {
         let b = bucket_of(key.rank(), self.base);
         self.buckets[b].push(key);
         mark(&mut self.occupied, b);
+        key.gen
     }
 
     /// Moves every run key, payload and all, back into the buckets and
-    /// closes the run until the next refill.
+    /// closes the run until the next refill. A key born in the run gets
+    /// its first slot here, recorded in the spill index.
     fn spill(&mut self) {
+        let appended = self.spilled.len();
         let mut run = std::mem::take(&mut self.run);
         for n in run.drain(..) {
-            self.file(n.at, n.seq, n.slot, n.event);
+            let slot = if n.slot == NO_SLOT {
+                let slot = self.take_slot();
+                let s = &mut self.slots[slot as usize];
+                s.indexed = true;
+                self.spilled.push(Spilled {
+                    seq: n.seq,
+                    slot,
+                    gen: s.gen,
+                });
+                slot
+            } else {
+                n.slot
+            };
+            self.file(n.at, n.seq, slot, n.event);
         }
         self.run = run; // keeps the run's allocation
+
+        // The run was in rank order; the index wants seq order. Every
+        // entry appended here outranks the older ones (module docs).
+        self.spilled[appended..].sort_unstable_by_key(|e| e.seq);
+        debug_assert!(self.spilled.windows(2).all(|w| w[0].seq < w[1].seq));
         self.limit = 0;
     }
 
     /// Cancels a previously scheduled event. Returns the payload if the
     /// event had not yet fired or been cancelled. A run key is removed
-    /// from the run, O(`NEAR`); a bucketed key is O(1): the buckets
-    /// are not touched, and the stale key is discarded lazily.
+    /// from the run, O(`NEAR`); a bucketed key is O(1) by slot token
+    /// and O(log n) by run-born token: the buckets are not touched, and
+    /// the stale key is discarded lazily.
     pub fn cancel(&mut self, token: u64) -> Option<E> {
-        let slot = (token & u64::from(u32::MAX)) as usize;
-        // lint: allow(narrowing-cast) — deliberate upper-half bit extraction
-        // from the packed (gen, slot) token
-        let gen = (token >> 32) as u32;
-        match self.slots.get(slot) {
+        if token & RUN_BORN != 0 {
+            return self.cancel_run_born(token & !RUN_BORN);
+        }
+        // lint: allow(narrowing-cast) — deliberate bit-field extraction
+        // from the packed (gen, slot) token: the slot is the low 32
+        // bits, the generation the next 31
+        let (slot, gen) = (token as u32, (token >> 32) as u32);
+        self.take(slot, gen)
+    }
+
+    /// Cancels the run-born event `seq`. A key never spilled is still in
+    /// the run, slotless; a spilled one is found through the spill index,
+    /// in a bucket or, once refilled, in the run. A `seq` in neither has
+    /// fired, was cancelled, predates a clear, or was never issued.
+    fn cancel_run_born(&mut self, seq: u64) -> Option<E> {
+        let in_run = self
+            .run
+            .iter()
+            .rposition(|n| n.seq == seq && n.slot == NO_SLOT);
+        if let Some(i) = in_run {
+            self.live -= 1;
+            return Some(self.run.remove(i).event);
+        }
+        let i = self.spilled.binary_search_by_key(&seq, |e| e.seq).ok()?;
+        let Spilled { slot, gen, .. } = self.spilled[i];
+        self.take(slot, gen)
+    }
+
+    /// Cancels the event in `slot` if the slot is live under `gen`.
+    fn take(&mut self, slot: u32, gen: u32) -> Option<E> {
+        match self.slots.get(slot as usize) {
             Some(s) if s.gen == gen && !matches!(s.place, Place::Vacant) => {}
             _ => return None,
         }
-        // lint: allow(narrowing-cast) — slot was masked to the low 32
-        // bits of the token above
-        match self.vacate(slot as u32) {
+        self.live -= 1;
+        match self.vacate(slot) {
             Place::Slab(event) => Some(event),
             Place::Run { at, seq } => {
                 let rank = rank(at, seq);
@@ -395,13 +515,24 @@ impl<E> EventQueue<E> {
     }
 
     /// Frees a live slot: its generation moves on, it returns to the
-    /// free list, and its place, now vacant, is handed back.
+    /// free list, and its place, now vacant, is handed back. If a spill
+    /// index entry named the slot, that entry is now dead; once half
+    /// the index is dead, it is compacted.
     fn vacate(&mut self, slot: u32) -> Place<E> {
         let s = &mut self.slots[slot as usize];
-        s.gen = s.gen.wrapping_add(1);
+        s.gen = s.gen.wrapping_add(1) & GEN_MASK;
+        let place = std::mem::replace(&mut s.place, Place::Vacant);
+        if s.indexed {
+            s.indexed = false;
+            self.spilled_dead += 1;
+            if 2 * self.spilled_dead >= self.spilled.len() {
+                let slots = &self.slots;
+                self.spilled.retain(|e| slots[e.slot as usize].gen == e.gen);
+                self.spilled_dead = 0;
+            }
+        }
         self.free.push(slot);
-        self.live -= 1;
-        std::mem::replace(&mut s.place, Place::Vacant)
+        place
     }
 
     /// Removes and returns the next event in (time, schedule-order).
@@ -414,7 +545,10 @@ impl<E> EventQueue<E> {
         }
         let n = self.run.pop()?;
         self.base = n.rank();
-        self.vacate(n.slot);
+        self.live -= 1;
+        if n.slot != NO_SLOT {
+            self.vacate(n.slot);
+        }
         Some((n.at, n.event))
     }
 
@@ -480,6 +614,7 @@ impl<E> EventQueue<E> {
             mark(&mut self.occupied, nb);
         }
         unmark(&mut self.occupied, b);
+        self.live -= 1;
         let Place::Slab(event) = self.vacate(key.slot) else {
             unreachable!("a live bucketed key's payload is in the slab")
         };
@@ -524,17 +659,18 @@ impl<E> EventQueue<E> {
         SimTime::from_nanos((self.base >> 64) as u64)
     }
 
-    /// Empties the queue while keeping the slab, free list, run and
-    /// bucket allocations, so a long-lived queue can be recycled across
-    /// simulation runs without touching the allocator.
+    /// Empties the queue while keeping the slab, free list, run, spill
+    /// index and bucket allocations, so a long-lived queue can be
+    /// recycled across simulation runs without touching the allocator.
     ///
-    /// A cleared queue is observationally identical to a fresh one:
-    /// sequence numbers restart at zero, "now" rewinds to
-    /// [`SimTime::ZERO`], and the free list is rebuilt so slots are
-    /// handed out in the same `0, 1, 2, …` order a new queue would use.
-    /// (Slot generations keep advancing, but generations never
-    /// influence event order — only `(at, seq)` does — so reuse cannot
-    /// perturb determinism.) All outstanding cancellation tokens die.
+    /// A cleared queue pops exactly what a fresh one would: "now"
+    /// rewinds to [`SimTime::ZERO`], and the free list is rebuilt so
+    /// slots are handed out in the same `0, 1, 2, …` order a new queue
+    /// would use. Slot generations and sequence numbers keep counting,
+    /// which is what kills every outstanding cancellation token; they
+    /// never influence event order — only `(at, seq)` does, and `seq`
+    /// still grows in schedule order — so reuse cannot perturb
+    /// determinism.
     pub fn clear(&mut self) {
         self.run.clear();
         self.limit = 0;
@@ -546,15 +682,17 @@ impl<E> EventQueue<E> {
         for slot in &mut self.slots {
             if !matches!(slot.place, Place::Vacant) {
                 slot.place = Place::Vacant;
-                slot.gen = slot.gen.wrapping_add(1);
+                slot.gen = slot.gen.wrapping_add(1) & GEN_MASK;
             }
+            slot.indexed = false;
         }
         self.free.clear();
         // lint: allow(narrowing-cast) — slots.len() stayed below 2^32,
-        // enforced at allocation in schedule()
+        // enforced at allocation in take_slot()
         self.free.extend((0..self.slots.len() as u32).rev());
+        self.spilled.clear();
+        self.spilled_dead = 0;
         self.live = 0;
-        self.next_seq = 0;
     }
 }
 
@@ -632,11 +770,43 @@ mod tests {
     fn stale_token_cannot_cancel_a_slot_reuse() {
         let mut q = EventQueue::new();
         let tok = q.schedule(t(1), 'a');
+        assert_eq!(tok, 0, "a bucketed key's slot token: slot 0, generation 0");
         assert_eq!(q.pop(), Some((t(1), 'a')));
-        // 'b' reuses the slot that 'a' vacated, under a new generation.
-        let _tok_b = q.schedule(t(2), 'b');
+        // 'b' ranks above the limit, so it is bucketed and reuses the
+        // slot that 'a' vacated, under a new generation.
+        let tok_b = q.schedule(t(2), 'b');
+        assert_eq!(tok_b, 1 << 32);
         assert_eq!(q.cancel(tok), None, "a fired token must stay dead");
         assert_eq!(q.pop(), Some((t(2), 'b')));
+    }
+
+    #[test]
+    fn stale_run_born_token_cannot_cancel_a_slot_reuse() {
+        // A run-born key gets a slot from a spill and fires; a bucketed
+        // key then reuses that slot. The spill-index entry of the fired
+        // key names the slot under its old generation, so the fired
+        // key's token must not reach the new occupant.
+        let mut q = primed();
+        let toks: Vec<u64> = (0..NEAR as u64)
+            .map(|i| q.schedule(ns(11_000 + i), i))
+            .collect();
+        q.schedule(ns(12_000), 100); // spills the run
+        let slot0 = q.spilled[0].slot;
+        assert_eq!(q.pop(), Some((ns(11_000), 0)));
+        assert!(q.free.contains(&slot0), "the fired key freed its slot");
+        // Drain the rest of the spilled keys, then file a far key: it
+        // takes the most recently freed slot.
+        for i in 1..NEAR as u64 {
+            assert_eq!(q.pop(), Some((ns(11_000 + i), i)));
+        }
+        assert_eq!(q.pop(), Some((ns(12_000), 100)));
+        let far = q.schedule(ns(500_000_000), 7);
+        assert_eq!(far & RUN_BORN, 0, "a bucketed key gets a slot token");
+        for tok in toks {
+            assert_eq!(q.cancel(tok), None, "a fired run-born token must stay dead");
+        }
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.cancel(far), Some(7));
     }
 
     #[test]
@@ -649,6 +819,33 @@ mod tests {
         assert_eq!(q.cancel(1 << 32), None);
         assert_eq!(q.cancel(u64::MAX), None);
         assert!(q.is_empty());
+        // Nor a slot past the slab's end, nor NO_SLOT itself.
+        assert_eq!(q.cancel(7), None);
+        assert_eq!(q.cancel(u64::from(NO_SLOT)), None);
+        assert!(q.slots.iter().all(|s| matches!(s.place, Place::Vacant)));
+    }
+
+    #[test]
+    fn a_run_born_token_that_was_never_issued_is_refused() {
+        let mut q = primed();
+        let tok = q.schedule(ns(11_000), 1);
+        assert_eq!(tok & RUN_BORN, RUN_BORN, "born in the run");
+        // The next sequence number has not been issued yet.
+        assert_eq!(q.cancel(RUN_BORN | q.next_seq), None);
+        assert_eq!(q.cancel(RUN_BORN | (q.next_seq + 1_000)), None);
+        // The primed keys were bucketed: their sequence numbers were
+        // issued, but as slot tokens, so the run-born forms were not —
+        // not even for the far key, which is still queued.
+        assert_eq!(q.cancel(RUN_BORN), None);
+        assert_eq!(q.cancel(RUN_BORN | 1), None);
+        // The same holds when such a key sits in the run: refill the
+        // far key, then forge its run-born form.
+        assert_eq!(q.pop(), Some((ns(11_000), 1)));
+        assert_eq!(q.peek_time(), Some(ns(1_000_000_000)));
+        assert_eq!(q.run.len(), 1);
+        assert_eq!(q.cancel(RUN_BORN | 1), None);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((ns(1_000_000_000), 999)));
     }
 
     #[test]
@@ -698,6 +895,69 @@ mod tests {
             "slab grew to {} slots for 10 concurrent events",
             q.slots.len()
         );
+        // Spilling rounds: each burst overfills the run, so its run-born
+        // keys take slots and spill-index entries. Both are recycled.
+        let mut q = primed();
+        let mut spilling_rounds = 0;
+        for _ in 0..100u64 {
+            let now = q.now().as_nanos();
+            for i in 0..=NEAR as u64 {
+                q.schedule(ns(now + 1 + (NEAR as u64 - i)), i);
+            }
+            spilling_rounds += usize::from(!q.spilled.is_empty());
+            while q.len() > 1 {
+                q.pop();
+            }
+        }
+        // Bursts that land past the limit go straight to the buckets,
+        // so only some rounds spill; enough do to exercise recycling.
+        assert!(
+            spilling_rounds >= 25,
+            "only {spilling_rounds} bursts spilled"
+        );
+        assert!(
+            q.slots.len() <= 2 * NEAR + 2,
+            "slab grew to {} slots for {} concurrent events",
+            q.slots.len(),
+            NEAR + 2
+        );
+        assert!(
+            q.spilled.len() <= 2 * NEAR,
+            "spill index grew to {} entries",
+            q.spilled.len()
+        );
+    }
+
+    #[test]
+    fn spill_index_compacts_once_half_dead() {
+        let mut q = primed();
+        let toks: Vec<u64> = (0..NEAR as u64)
+            .map(|i| q.schedule(ns(11_000 + i), i))
+            .collect();
+        q.schedule(ns(12_000), 100); // spills the run
+        assert_eq!(q.spilled.len(), NEAR);
+        assert!(q.spilled.windows(2).all(|w| w[0].seq < w[1].seq));
+        // Cancel every other key: the index keeps its dead entries
+        // until half of them are dead, then drops them in one pass.
+        for (i, &tok) in toks.iter().enumerate().step_by(2) {
+            assert_eq!(q.cancel(tok), Some(i as u64));
+        }
+        assert_eq!(q.spilled.len(), NEAR / 2, "compacted at half dead");
+        assert_eq!(q.spilled_dead, 0);
+        assert!(q
+            .spilled
+            .iter()
+            .all(|e| q.slots[e.slot as usize].gen == e.gen && q.slots[e.slot as usize].indexed));
+        // The survivors still cancel through the compacted index.
+        assert_eq!(q.cancel(toks[1]), Some(1));
+        assert_eq!(q.cancel(toks[NEAR - 1]), Some(NEAR as u64 - 1));
+        assert_eq!(q.cancel(toks[0]), None);
+        // Firing the rest empties the index.
+        while q.len() > 1 {
+            q.pop();
+        }
+        assert!(q.spilled.is_empty());
+        assert_eq!(q.spilled_dead, 0);
     }
 
     #[test]
@@ -764,6 +1024,45 @@ mod tests {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn clear_kills_run_born_tokens() {
+        // Run-born tokens name sequence numbers, and a cleared queue
+        // keeps counting them: a pre-clear token must not reach the
+        // post-clear event that would have reused its number.
+        let mut q = primed();
+        let in_run = q.schedule(ns(11_000), 1);
+        let spilled: Vec<u64> = (0..=NEAR as u64)
+            .map(|i| q.schedule(ns(12_000 + i), i))
+            .collect();
+        assert_eq!(in_run & RUN_BORN, RUN_BORN);
+        assert!(!q.spilled.is_empty());
+        q.clear();
+        assert!(q.spilled.is_empty());
+        assert!(q.slots.iter().all(|s| !s.indexed));
+        // Rebuild the same shape after the clear: a key in the run and
+        // a spilled burst.
+        q.schedule(ns(10_000), 0);
+        q.schedule(ns(1_000_000_000), 999);
+        assert_eq!(q.pop(), Some((ns(10_000), 0)));
+        let again = q.schedule(ns(11_000), 1);
+        assert_eq!(again & RUN_BORN, RUN_BORN);
+        assert_ne!(again, in_run);
+        for i in 0..=NEAR as u64 {
+            q.schedule(ns(12_000 + i), i);
+        }
+        let live = q.len();
+        assert_eq!(
+            q.cancel(in_run),
+            None,
+            "pre-clear run-born token must be dead"
+        );
+        for tok in spilled {
+            assert_eq!(q.cancel(tok), None, "pre-clear spilled token must be dead");
+        }
+        assert_eq!(q.len(), live);
+        assert_eq!(q.cancel(again), Some(1));
     }
 
     #[test]
@@ -904,19 +1203,126 @@ mod tests {
         q
     }
 
+    /// Slots holding a queued event.
+    fn occupied_slots<E>(q: &EventQueue<E>) -> usize {
+        q.slots.len() - q.free.len()
+    }
+
     #[test]
     fn hold_pattern_stays_in_the_run() {
         let mut q = primed();
+        let slab = q.slots.len();
+        assert_eq!(occupied_slots(&q), 1, "only the far key owns a slot");
         for i in 1..1_000u64 {
             let now = q.now().as_nanos();
-            q.schedule(ns(now + 3), i);
+            let tok = q.schedule(ns(now + 3), i);
             assert_eq!(q.run.len(), 1, "the new minimum is appended to the run");
+            assert_eq!(tok, RUN_BORN | q.run[0].seq, "a run-born token");
+            assert_eq!(q.run[0].slot, NO_SLOT);
+            assert_eq!(occupied_slots(&q), 1, "a run-born key takes no slot");
             assert_eq!(q.pop(), Some((ns(now + 3), i)));
             if now + 6 >= 16_384 {
                 break;
             }
         }
         assert_eq!(bucketed(&q), 1, "the far key never moved");
+        assert_eq!(q.slots.len(), slab, "the slab never grew");
+        assert!(q.spilled.is_empty());
+    }
+
+    #[test]
+    fn run_born_token_cancels_in_the_run() {
+        let mut q = primed();
+        let a = q.schedule(ns(11_000), 1);
+        let b = q.schedule(ns(11_500), 2);
+        let c = q.schedule(ns(10_500), 3);
+        assert_eq!(q.run.len(), 3);
+        assert_eq!(occupied_slots(&q), 1);
+        assert_eq!(q.cancel(a), Some(1));
+        assert_eq!(q.cancel(a), None, "double cancel is a no-op");
+        assert_eq!(q.run.len(), 2);
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop(), Some((ns(10_500), 3)));
+        assert_eq!(q.cancel(c), None, "a fired run-born token is dead");
+        assert_eq!(q.pop(), Some((ns(11_500), 2)));
+        assert_eq!(q.cancel(b), None);
+        assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn run_born_token_cancels_after_a_spill() {
+        let mut q = primed();
+        let toks: Vec<u64> = (0..NEAR as u64)
+            .map(|i| q.schedule(ns(12_000 - i), i))
+            .collect();
+        assert!(toks.iter().all(|tok| tok & RUN_BORN == RUN_BORN));
+        let bucketed_tok = q.schedule(ns(11_000), 100); // spills the run
+        assert_eq!(bucketed_tok & RUN_BORN, 0, "scheduled into the buckets");
+        assert!(q.run.is_empty());
+        assert_eq!(
+            q.spilled.len(),
+            NEAR,
+            "the spill indexed every run-born key"
+        );
+        assert_eq!(occupied_slots(&q), NEAR + 2);
+        // A spilled key cancels through the index, once.
+        assert_eq!(q.cancel(toks[7]), Some(7));
+        assert_eq!(q.cancel(toks[7]), None);
+        assert_eq!(q.len(), NEAR + 1);
+        // Pop one spilled key; its token goes stale with the pop.
+        assert_eq!(q.pop(), Some((ns(11_000), 100)));
+        assert_eq!(
+            q.pop(),
+            Some((ns(12_000 - (NEAR as u64 - 1)), NEAR as u64 - 1))
+        );
+        assert_eq!(
+            q.cancel(toks[NEAR - 1]),
+            None,
+            "a fired spilled token is dead"
+        );
+        assert_eq!(q.cancel(bucketed_tok), None);
+    }
+
+    #[test]
+    fn run_born_token_cancels_after_spill_and_refill() {
+        let mut q = primed();
+        let toks: Vec<u64> = (0..NEAR as u64)
+            .map(|i| q.schedule(ns(11_000 + i), i))
+            .collect();
+        // Spills the run; 15,000 ns is in the next bucket up, so the
+        // burst alone fills its bucket.
+        q.schedule(ns(15_000), 100);
+        assert!(q.run.is_empty());
+        // The pop refills the whole burst back into the run; the
+        // spilled keys keep their slots there.
+        assert_eq!(q.pop(), Some((ns(11_000), 0)));
+        assert_eq!(q.run.len(), NEAR - 1);
+        assert!(q.run.iter().all(|n| n.slot != NO_SLOT));
+        // A refilled run-born key is found through the spill index,
+        // removed from the run, and frees its slot.
+        let free = q.free.len();
+        assert_eq!(q.cancel(toks[3]), Some(3));
+        assert_eq!(q.cancel(toks[3]), None);
+        assert_eq!(q.free.len(), free + 1);
+        assert_eq!(q.run.len(), NEAR - 2);
+        assert_eq!(q.cancel(toks[0]), None, "a fired token stays dead");
+        // A second spill leaves the refilled keys on their slots and
+        // indexes only the keys born in the run since the refill.
+        let fresh = q.schedule(ns(11_001), 200);
+        q.schedule(ns(11_002), 201);
+        assert_eq!(fresh & RUN_BORN, RUN_BORN);
+        assert_eq!(q.run.len(), NEAR);
+        let indexed = q.spilled.len();
+        q.schedule(ns(11_003), 202); // the run is full: spills again
+        assert!(q.run.is_empty());
+        assert_eq!(q.spilled.len(), indexed + 2);
+        assert_eq!(q.cancel(toks[5]), Some(5));
+        assert_eq!(q.cancel(fresh), Some(200));
+        let got: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        let mut want = vec![1, 2, 201, 202, 4];
+        want.extend(6..NEAR as u64);
+        want.extend([100, 999]);
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -1006,6 +1412,8 @@ mod tests {
             .map(|i| q.schedule(ns(11_000 + i), i))
             .collect();
         assert!(q.run.is_empty(), "the last schedule spilled the run");
+        assert!(toks[..NEAR].iter().all(|tok| tok & RUN_BORN == RUN_BORN));
+        assert_eq!(toks[NEAR] & RUN_BORN, 0, "the spilling key was bucketed");
         // A spilled key cancels from the slab, once.
         assert_eq!(q.cancel(toks[5]), Some(5));
         assert_eq!(q.cancel(toks[5]), None);
@@ -1014,13 +1422,18 @@ mod tests {
         assert_eq!(q.pop(), Some((ns(11_000), 0)));
         assert_eq!(q.run.len(), NEAR - 1);
         assert_eq!(q.cancel(toks[0]), None, "a fired token must stay dead");
-        // A new event reuses the fired key's slot, in the run; the old
-        // token must not reach it.
+        // A new event at the fired key's time is born in the run, with
+        // no slot; the fired key's slot sits on the free list, and its
+        // old token must reach neither.
+        let slot0 = q.spilled[0].slot;
         let fresh = q.schedule(ns(11_000), 500);
-        assert_eq!(fresh & u64::from(u32::MAX), toks[0] & u64::from(u32::MAX));
+        assert_eq!(fresh & RUN_BORN, RUN_BORN);
+        assert_ne!(fresh, toks[0]);
+        assert_eq!(q.free.last(), Some(&slot0));
         assert_eq!(q.run.len(), NEAR);
         assert_eq!(q.cancel(toks[0]), None);
         assert_eq!(q.pop(), Some((ns(11_000), 500)));
+        assert_eq!(q.cancel(fresh), None);
         // A refilled key cancels from the run with its payload, once.
         assert_eq!(q.cancel(toks[1]), Some(1));
         assert_eq!(q.cancel(toks[1]), None);

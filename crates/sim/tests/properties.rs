@@ -338,103 +338,166 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
+/// The queue's near-run capacity: the run holds at most this many
+/// keys, and they are always the smallest live ones.
+const NEAR: usize = 32;
 
-    /// The queue agrees with the reference model on the simulator's
-    /// usual stream, a "hold" pattern: most schedules land below every
-    /// queued key (the event a handler schedules is usually the next to
-    /// fire), over a backlog of staged far-future arrivals. Bursts of up
-    /// to 64 near-future schedules overflow the queue's bounded near
-    /// tier, so runs spill and refill; cancels hit keys in either tier;
-    /// `clear()` lands with a non-empty near tier, and tokens taken
-    /// before it stay in play.
-    #[test]
-    fn hold_pattern_queue_matches_reference_model(
-        staged in proptest::collection::vec(1_000u64..1_000_000_000, 0..200),
-        ops in proptest::collection::vec((0u8..32, any::<u64>(), 0u64..10_000), 1..600),
-    ) {
-        let mut q: EventQueue<u64> = EventQueue::new();
-        let mut model: ModelQueue<u64> = ModelQueue::new();
-        let mut epoch = 0u64;
-        let mut q_tokens = Vec::new();
-        let mut m_tokens = Vec::new();
-        let mut payload = 0u64;
-        let mut schedule = |q: &mut EventQueue<u64>,
-                            model: &mut ModelQueue<u64>,
-                            q_tokens: &mut Vec<u64>,
-                            m_tokens: &mut Vec<(u64, u64)>,
-                            epoch: u64,
-                            at: SimTime| {
-            payload += 1;
-            q_tokens.push(q.schedule(at, payload));
-            m_tokens.push((epoch, model.schedule(at, payload)));
-        };
-        for &ns in &staged {
-            schedule(&mut q, &mut model, &mut q_tokens, &mut m_tokens, epoch, SimTime::from_nanos(ns));
-        }
-        for &(op, raw, pick) in &ops {
-            let now = q.now();
-            match op {
-                0..=13 => {
-                    // Hold: at or before the earliest queued event.
-                    let gap = model
-                        .peek_time()
-                        .map_or(1_000, |min| min.saturating_duration_since(now).as_nanos());
-                    let at = now + SimDuration::from_nanos(raw % (gap + 1));
+/// The tag bit of a token issued to a key born in the near run.
+const RUN_BORN: u64 = 1 << 63;
+
+/// One case of [`hold_pattern_queue_matches_reference_model`]. Returns
+/// how many cancels hit a spilled run-born key: a live key whose token
+/// is run-born but which has at least [`NEAR`] live keys ranked below
+/// it, so it cannot be in the run — a spill moved it to the buckets.
+fn hold_pattern_case(staged: &[u64], ops: &[(u8, u64, u64)]) -> Result<usize, String> {
+    let mut q: EventQueue<u64> = EventQueue::new();
+    let mut model: ModelQueue<u64> = ModelQueue::new();
+    let mut epoch = 0u64;
+    let mut q_tokens = Vec::new();
+    let mut m_tokens = Vec::new();
+    let mut payload = 0u64;
+    let mut spilled_run_born_cancels = 0;
+    let mut schedule = |q: &mut EventQueue<u64>,
+                        model: &mut ModelQueue<u64>,
+                        q_tokens: &mut Vec<u64>,
+                        m_tokens: &mut Vec<(u64, u64)>,
+                        epoch: u64,
+                        at: SimTime| {
+        payload += 1;
+        q_tokens.push(q.schedule(at, payload));
+        m_tokens.push((epoch, model.schedule(at, payload)));
+    };
+    for &ns in staged {
+        schedule(
+            &mut q,
+            &mut model,
+            &mut q_tokens,
+            &mut m_tokens,
+            epoch,
+            SimTime::from_nanos(ns),
+        );
+    }
+    for &(op, raw, pick) in ops {
+        let now = q.now();
+        match op {
+            0..=13 => {
+                // Hold: at or before the earliest queued event.
+                let gap = model
+                    .peek_time()
+                    .map_or(1_000, |min| min.saturating_duration_since(now).as_nanos());
+                let at = now + SimDuration::from_nanos(raw % (gap + 1));
+                schedule(&mut q, &mut model, &mut q_tokens, &mut m_tokens, epoch, at);
+            }
+            14..=15 => {
+                // Burst: more near-future events than the near tier holds.
+                for i in 0..raw % 65 {
+                    let at = now + SimDuration::from_nanos((raw >> 8).wrapping_mul(i + 1) % 2_000);
                     schedule(&mut q, &mut model, &mut q_tokens, &mut m_tokens, epoch, at);
                 }
-                14..=15 => {
-                    // Burst: more near-future events than the near tier holds.
-                    for i in 0..raw % 65 {
-                        let at = now + SimDuration::from_nanos((raw >> 8).wrapping_mul(i + 1) % 2_000);
-                        schedule(&mut q, &mut model, &mut q_tokens, &mut m_tokens, epoch, at);
-                    }
-                }
-                16 => {
-                    // A staged arrival, far ahead.
-                    let at = now + SimDuration::from_nanos(1_000_000 + raw % 1_000_000_000);
-                    schedule(&mut q, &mut model, &mut q_tokens, &mut m_tokens, epoch, at);
-                }
-                17..=20 => {
-                    // Cancel, most often one of the newest tokens: the
-                    // keys most likely to sit in the near tier.
-                    if !q_tokens.is_empty() {
-                        let back = if pick % 2 == 0 { pick % 4 } else { pick };
-                        let i = q_tokens.len() - 1 - (back as usize % q_tokens.len());
-                        let a = q.cancel(q_tokens.swap_remove(i));
-                        let (e, seq) = m_tokens.swap_remove(i);
-                        let b = if e == epoch { model.cancel(seq) } else { None };
-                        prop_assert_eq!(a, b, "cancel outcomes diverged");
-                    }
-                }
-                21..=22 => {
-                    prop_assert_eq!(q.peek_time(), model.peek_time(), "peek diverged");
-                }
-                23..=30 => {
-                    prop_assert_eq!(q.pop(), model.pop(), "pop diverged");
-                    prop_assert_eq!(q.now(), model.now());
-                }
-                _ => {
-                    // Rare: most cases run to the end without a clear.
-                    if pick % 8 == 0 {
-                        q.clear();
-                        model.clear();
-                        epoch += 1;
-                        prop_assert_eq!(q.now(), SimTime::ZERO);
-                        prop_assert_eq!(q.peek_time(), None);
+            }
+            16 => {
+                // A staged arrival, far ahead.
+                let at = now + SimDuration::from_nanos(1_000_000 + raw % 1_000_000_000);
+                schedule(&mut q, &mut model, &mut q_tokens, &mut m_tokens, epoch, at);
+            }
+            17..=20 => {
+                // Cancel one of the newest tokens (the keys most likely
+                // to sit in the near tier), one from about the last
+                // burst (keys a spill moved to the buckets), or any.
+                if !q_tokens.is_empty() {
+                    let back = match pick % 3 {
+                        0 => pick % 4,
+                        1 => pick % 64,
+                        _ => pick,
+                    };
+                    let i = q_tokens.len() - 1 - (back as usize % q_tokens.len());
+                    let tok = q_tokens.swap_remove(i);
+                    let (e, seq) = m_tokens.swap_remove(i);
+                    let below = match model.payloads.get(&seq) {
+                        Some(&(at, _)) if e == epoch => model
+                            .payloads
+                            .iter()
+                            .filter(|&(&s, &(a, _))| (a, s) < (at, seq))
+                            .count(),
+                        _ => 0,
+                    };
+                    let a = q.cancel(tok);
+                    let b = if e == epoch { model.cancel(seq) } else { None };
+                    prop_assert_eq!(a, b, "cancel outcomes diverged");
+                    if tok & RUN_BORN != 0 && a.is_some() && below >= NEAR {
+                        spilled_run_born_cancels += 1;
                     }
                 }
             }
-            prop_assert_eq!(q.len(), model.payloads.len());
-            prop_assert_eq!(q.is_empty(), model.payloads.is_empty());
-        }
-        loop {
-            let (a, b) = (q.pop(), model.pop());
-            prop_assert_eq!(&a, &b, "drain diverged");
-            if a.is_none() {
-                break;
+            21..=22 => {
+                prop_assert_eq!(q.peek_time(), model.peek_time(), "peek diverged");
             }
+            23..=30 => {
+                prop_assert_eq!(q.pop(), model.pop(), "pop diverged");
+                prop_assert_eq!(q.now(), model.now());
+            }
+            _ => {
+                // Rare: most cases run to the end without a clear.
+                if pick % 8 == 0 {
+                    q.clear();
+                    model.clear();
+                    epoch += 1;
+                    prop_assert_eq!(q.now(), SimTime::ZERO);
+                    prop_assert_eq!(q.peek_time(), None);
+                }
+            }
+        }
+        prop_assert_eq!(q.len(), model.payloads.len());
+        prop_assert_eq!(q.is_empty(), model.payloads.is_empty());
+    }
+    loop {
+        let (a, b) = (q.pop(), model.pop());
+        prop_assert_eq!(&a, &b, "drain diverged");
+        if a.is_none() {
+            break;
         }
     }
+    Ok(spilled_run_born_cancels)
+}
+
+/// The queue agrees with the reference model on the simulator's usual
+/// stream, a "hold" pattern: most schedules land below every queued key
+/// (the event a handler schedules is usually the next to fire), over a
+/// backlog of staged far-future arrivals. Bursts of up to 64 near-future
+/// schedules overflow the queue's bounded near tier, so runs spill and
+/// refill; cancels hit keys in either tier, by either token form,
+/// including run-born keys a spill moved to the buckets (the test
+/// checks that this case occurs); `clear()` lands with a non-empty near
+/// tier, and tokens taken before it stay in play.
+///
+/// Written out rather than through `proptest!` so the tally of spilled
+/// run-born cancels can be checked once all 300 cases have run.
+#[test]
+fn hold_pattern_queue_matches_reference_model() {
+    use proptest::strategy::Strategy;
+    use proptest::test_runner::TestRng;
+    let staged_inputs = proptest::collection::vec(1_000u64..1_000_000_000, 0..200);
+    let op_inputs = proptest::collection::vec((0u8..32, any::<u64>(), 0u64..10_000), 1..600);
+    let mut spilled_run_born_cancels = 0;
+    for case in 0..300 {
+        let mut rng = TestRng::for_case(
+            concat!(
+                module_path!(),
+                "::hold_pattern_queue_matches_reference_model"
+            ),
+            case,
+        );
+        let staged = staged_inputs.generate(&mut rng);
+        let ops = op_inputs.generate(&mut rng);
+        match hold_pattern_case(&staged, &ops) {
+            Ok(n) => spilled_run_born_cancels += n,
+            Err(msg) => panic!(
+                "property failed at case {case}: {msg}\n    inputs: staged = {staged:?}; ops = {ops:?}"
+            ),
+        }
+    }
+    assert!(
+        spilled_run_born_cancels > 0,
+        "no cancel hit a spilled run-born key: the mix no longer covers that path"
+    );
 }
