@@ -478,7 +478,7 @@ pub struct FleetReport {
     /// [`RunReport::rejected_admissions`] instead.
     pub fleet_rejected: u64,
     /// Whole-host failures injected from the fleet's
-    /// [`FaultPlan`](crate::fault::FaultPlan) (multi-host fleets only).
+    /// [`FaultPlan`] (multi-host fleets only).
     pub host_failures: u64,
     /// Tenants lost to host failures: non-migratable residents of a
     /// failed host, or migratable ones no surviving host could take.

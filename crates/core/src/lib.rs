@@ -13,12 +13,14 @@
 //!   fewest-tenants, the topology-aware locality-first and cost-min,
 //!   or pinned) or pinned explicitly, with departure-triggered
 //!   migration governed by a [`rebalance::Rebalance`] policy
-//!   (off / count-diff / cost-aware). Heterogeneous hosts are described
-//!   by a [`neon_gpu::Topology`] ([`world::WorldConfig::topology`]):
-//!   per-device configs plus interconnect link tiers, with admission
-//!   staging and migration charging working-set × link tier. A
-//!   1-device world (and any symmetric free-interconnect topology) is
-//!   byte-identical to the original single-GPU model.
+//!   (off / count-diff / cost-aware). A host's devices have one
+//!   description, the [`neon_gpu::Topology`] in
+//!   [`world::WorldConfig::topology`]: per-device configs plus
+//!   interconnect link tiers, with admission staging and migration
+//!   charging working-set × link tier. [`neon_gpu::Topology::symmetric`]
+//!   is the flat host (identical devices, free interconnect); with one
+//!   device — the default — it is byte-identical to the original
+//!   single-GPU model.
 //! - [`sched`] — the policies: [`sched::DirectAccess`] (vendor
 //!   baseline), [`sched::Timeslice`] (engaged and disengaged variants,
 //!   with overuse control and over-long-request kills), and

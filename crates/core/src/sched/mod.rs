@@ -5,7 +5,7 @@
 //! faults on protected channel registers, polling-thread ticks, policy
 //! timers, and (when the policy is entitled to synchronous knowledge,
 //! i.e. during engaged operation) request completions. The policy acts
-//! on the system exclusively through [`SchedCtx`](crate::world::SchedCtx):
+//! on the system exclusively through [`SchedCtx`]:
 //! protecting/unprotecting channel-register pages, waking parked tasks,
 //! arming timers, and killing misbehaving tasks.
 //!

@@ -293,7 +293,8 @@ impl Timeline {
 /// The canonical trace-label taxonomy.
 ///
 /// Every label the world and the built-in schedulers record is listed
-/// here, so tests and tools can query [`Trace::with_label`] /
+/// here, so tests and tools can query
+/// [`Trace::with_label`](neon_sim::Trace::with_label) /
 /// [`Trace::labels`](neon_sim::Trace::labels) against named constants
 /// instead of grepping free-form strings. The world's own events use
 /// these constants directly; scheduler modules keep their literals but

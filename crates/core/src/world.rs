@@ -20,7 +20,8 @@
 //!
 //! # Multi-device topology
 //!
-//! A world owns one or more *device slots*, each pairing a [`Gpu`] with
+//! A world owns one *device slot* per device of
+//! [`WorldConfig::topology`], each pairing a [`Gpu`] with
 //! its own [`Scheduler`] instance, page-protection table and engine
 //! state — the per-device kernel module of a multi-GPU host. Arriving
 //! tasks are assigned to a device once, at admission, by a
@@ -33,13 +34,13 @@
 //! byte-identical traces.
 
 use neon_gpu::{
-    ChannelId, ContextId, DeviceId, DeviceSlotSpec, EngineClass, Gpu, GpuConfig, GpuError,
-    InterconnectParams, RequestId, RequestKind, SubmitSpec, TaskId, Topology,
+    ChannelId, ContextId, DeviceId, EngineClass, Gpu, GpuConfig, GpuError, RequestId, RequestKind,
+    SubmitSpec, TaskId, Topology,
 };
 use neon_metrics::StreamingHistogram;
 use neon_sim::{trace_event, DetRng, EventQueue, SimDuration, SimTime, Trace};
 
-use crate::cost::{CostModel, SchedParams};
+use crate::cost::CostModel;
 use crate::fault::{FaultConfig, FaultKind, FaultPlan};
 use crate::placement::{DeviceLoad, LeastLoaded, Placement};
 use crate::rebalance::{Migration, MigrationCandidate, Rebalance, RebalanceKind};
@@ -50,42 +51,29 @@ use crate::telemetry::{
 };
 use crate::workload::{BoxedWorkload, QueueIndex, TaskAction};
 
+/// Delay between consecutive task start times, to avoid artificial
+/// simultaneity.
+const START_STAGGER: SimDuration = SimDuration::from_micros(100);
+
 /// Configuration of a simulation run.
 #[derive(Debug, Clone)]
 pub struct WorldConfig {
-    /// Device configuration used when [`WorldConfig::devices`] is empty
-    /// (the single-device default).
-    pub gpu: GpuConfig,
-    /// Per-device configurations of a multi-device host; device `i`
-    /// gets `devices[i]`. Empty means one device configured by
-    /// [`WorldConfig::gpu`].
-    pub devices: Vec<GpuConfig>,
-    /// Full host topology: heterogeneous per-device configurations
-    /// plus interconnect distances and transfer timing. When set it
-    /// defines the device list ([`WorldConfig::devices`] must be
-    /// empty) and migration/staging charge data-movement costs of
-    /// working-set × link tier. When `None`, devices come from
-    /// [`WorldConfig::devices`]/[`WorldConfig::gpu`] on a flat
-    /// free-interconnect topology — byte-identical to the pre-topology
-    /// model.
-    pub topology: Option<Topology>,
+    /// The host's devices: per-device configurations, their
+    /// interconnect coordinates and transfer timing — the one device
+    /// description. [`Topology::symmetric`] is the flat host (identical
+    /// devices on a free interconnect, byte-identical to the
+    /// pre-topology model); a non-free interconnect makes migration
+    /// and staging charge data-movement costs of working-set × link
+    /// tier.
+    pub topology: Topology,
     /// Software-stack timing constants.
     pub cost: CostModel,
-    /// Scheduler policy parameters (default for every device).
-    pub params: SchedParams,
-    /// Per-device [`SchedParams`] overrides; device `i` uses
-    /// `device_params[i]` when present, [`WorldConfig::params`]
-    /// otherwise.
-    pub device_params: Vec<SchedParams>,
     /// RNG seed; two runs with equal configuration and seed produce
     /// identical traces.
     pub seed: u64,
     /// Record per-request submission/service logs (Figure 2) — costs
     /// memory on long runs, so off by default.
     pub record_requests: bool,
-    /// Delay between consecutive task start times, to avoid artificial
-    /// simultaneity.
-    pub start_stagger: SimDuration,
     /// The departure-triggered rebalancing policy (multi-device worlds
     /// only; pinned tasks never move). [`RebalanceKind::Off`] by
     /// default; [`RebalanceKind::CountDiff`] reproduces the population
@@ -124,15 +112,10 @@ pub struct WorldConfig {
 impl Default for WorldConfig {
     fn default() -> Self {
         WorldConfig {
-            gpu: GpuConfig::default(),
-            devices: Vec::new(),
-            topology: None,
+            topology: Topology::symmetric(1, GpuConfig::default()),
             cost: CostModel::default(),
-            params: SchedParams::default(),
-            device_params: Vec::new(),
             seed: 0x5EED,
             record_requests: false,
-            start_stagger: SimDuration::from_micros(100),
             rebalance: RebalanceKind::Off,
             metrics: MetricsMode::Exact,
             sample_every: None,
@@ -322,7 +305,6 @@ struct DeviceSlot {
     id: DeviceId,
     gpu: Gpu,
     sched: Option<Box<dyn Scheduler>>,
-    params: SchedParams,
     protected: Vec<bool>,
     /// Pending completion-event token per engine class, indexed by
     /// `EngineClass as usize` — a fixed array, not a map: this is
@@ -366,9 +348,6 @@ pub struct World {
     queue: EventQueue<Event>,
     now: SimTime,
     devices: Vec<DeviceSlot>,
-    /// The resolved host topology (a flat free-interconnect one when
-    /// the configuration named only device configs).
-    topology: Topology,
     placement: Box<dyn Placement>,
     rebalance: Box<dyn Rebalance>,
     tasks: Vec<TaskRt>,
@@ -416,12 +395,12 @@ impl World {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration names more than one device — use
+    /// Panics if the topology names more than one device — use
     /// [`World::with_devices`] for multi-device topologies (a scheduler
     /// instance is needed per device).
     pub fn new(config: WorldConfig, sched: Box<dyn Scheduler>) -> Self {
         assert!(
-            config.devices.len() <= 1 && config.topology.as_ref().is_none_or(|t| t.len() <= 1),
+            config.topology.len() == 1,
             "multi-device configurations need World::with_devices \
              (one scheduler instance per device)"
         );
@@ -433,11 +412,11 @@ impl World {
         })
     }
 
-    /// Creates a world whose devices come from the configuration
-    /// ([`WorldConfig::devices`], or one device from
-    /// [`WorldConfig::gpu`] when empty). `sched_factory` is invoked
-    /// once per device to build that device's scheduler instance;
-    /// `placement` assigns arriving tasks to devices.
+    /// Creates a world with one device slot per device of
+    /// [`WorldConfig::topology`], the one device description
+    /// ([`Topology::symmetric`] is the flat host). `sched_factory` is
+    /// invoked once per device to build that device's scheduler
+    /// instance; `placement` assigns arriving tasks to devices.
     pub fn with_devices(
         config: WorldConfig,
         placement: Box<dyn Placement>,
@@ -451,15 +430,13 @@ impl World {
         placement: Box<dyn Placement>,
         sched_factory: &mut dyn FnMut(DeviceId) -> Box<dyn Scheduler>,
     ) -> Self {
-        let topology = Self::resolve_topology(&config);
-        let devices = Self::device_slots(&topology, &config, sched_factory);
+        let devices = Self::device_slots(&config.topology, sched_factory);
         let rebalance = config.rebalance.build();
         let timeline = Self::make_timeline(&config);
         World {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             devices,
-            topology,
             placement,
             rebalance,
             tasks: Vec::new(),
@@ -484,37 +461,8 @@ impl World {
         }
     }
 
-    fn resolve_topology(config: &WorldConfig) -> Topology {
-        match &config.topology {
-            Some(t) => {
-                assert!(
-                    config.devices.is_empty(),
-                    "set WorldConfig::topology or WorldConfig::devices, not both \
-                     (the topology already names every device's config)"
-                );
-                t.clone()
-            }
-            // No topology given: a flat free-interconnect host whose
-            // devices come from the legacy config fields — transfer
-            // costs are zero and behavior is byte-identical to the
-            // pre-topology model.
-            None => {
-                let gpu_configs = if config.devices.is_empty() {
-                    vec![config.gpu.clone()]
-                } else {
-                    config.devices.clone()
-                };
-                Topology::new(
-                    gpu_configs.into_iter().map(DeviceSlotSpec::near).collect(),
-                    InterconnectParams::free(),
-                )
-            }
-        }
-    }
-
     fn device_slots(
         topology: &Topology,
-        config: &WorldConfig,
         sched_factory: &mut dyn FnMut(DeviceId) -> Box<dyn Scheduler>,
     ) -> Vec<DeviceSlot> {
         topology
@@ -527,11 +475,6 @@ impl World {
                     id,
                     gpu: Gpu::with_id(id, gpu_config),
                     sched: Some(sched_factory(id)),
-                    params: config
-                        .device_params
-                        .get(i)
-                        .cloned()
-                        .unwrap_or_else(|| config.params.clone()),
                     protected: Vec::new(),
                     engine_tokens: [None; EngineClass::ALL.len()],
                     live_tenants: 0,
@@ -559,9 +502,10 @@ impl World {
     /// Returns this world to a freshly-constructed state under a new
     /// configuration, recycling every long-lived allocation: the event
     /// queue's slab and heap, the trace ring, the task table, the
-    /// pending-arrival table, and the retired task shells (see
-    /// [`TaskShell`]). A sweep worker builds one `World` and resets it
-    /// between cells instead of constructing a new one per cell.
+    /// pending-arrival table, and the retired tasks' buffers (kept as
+    /// empty, capacity-only shells). A sweep worker builds one `World`
+    /// and resets it between cells instead of constructing a new one
+    /// per cell.
     ///
     /// Behavior is exactly that of `World::with_devices(config,
     /// placement, sched_factory)` — a reset world's trace is
@@ -577,9 +521,7 @@ impl World {
         placement: Box<dyn Placement>,
         mut sched_factory: impl FnMut(DeviceId) -> Box<dyn Scheduler>,
     ) {
-        let topology = Self::resolve_topology(&config);
-        self.devices = Self::device_slots(&topology, &config, &mut sched_factory);
-        self.topology = topology;
+        self.devices = Self::device_slots(&config.topology, &mut sched_factory);
         self.placement = placement;
         self.rebalance = config.rebalance.build();
         self.timeline = Self::make_timeline(&config);
@@ -695,6 +637,7 @@ impl World {
     fn charge_staging(&mut self, id: TaskId) -> SimDuration {
         let task = &self.tasks[id.index()];
         let cost = self
+            .config
             .topology
             .staging_cost(task.device.index(), task.workload.working_set_bytes());
         if !cost.is_zero() {
@@ -855,8 +798,8 @@ impl World {
                 busy: slot.gpu.engine_busy(EngineClass::Compute)
                     + slot.gpu.engine_busy(EngineClass::Dma),
                 completed: slot.gpu.completed_requests(),
-                host_distance: self.topology.host_tier(i).rank(),
-                staging_cost: self.topology.staging_cost(i, working_set),
+                host_distance: self.config.topology.host_tier(i).rank(),
+                staging_cost: self.config.topology.staging_cost(i, working_set),
             })
             .collect()
     }
@@ -987,7 +930,7 @@ impl World {
         for i in 0..self.tasks.len() {
             let id = self.tasks[i].id;
             let staging = self.charge_staging(id);
-            let at = SimTime::ZERO + self.config.start_stagger * i as u64 + staging;
+            let at = SimTime::ZERO + START_STAGGER * i as u64 + staging;
             let token = self.queue.schedule(at, Event::TaskStep(id));
             self.tasks[i].step_token = Some(token);
             self.tasks[i].round_start = at;
@@ -1505,7 +1448,7 @@ impl World {
             .collect();
         let plan = self
             .rebalance
-            .plan(self.now, &self.topology, &loads, &candidates);
+            .plan(self.now, &self.config.topology, &loads, &candidates);
         if let Some(m) = plan {
             if self.migration_is_sound(&m) {
                 self.migrate_task(m.task, m.to.index());
@@ -1610,7 +1553,7 @@ impl World {
             channels.push(ch);
         }
         let to_id = slot.id;
-        let transfer = self.topology.migration_cost(
+        let transfer = self.config.topology.migration_cost(
             from,
             to,
             self.tasks[id.index()].workload.working_set_bytes(),
@@ -2086,6 +2029,7 @@ impl World {
         }
         let to_id = slot.id;
         let transfer = self
+            .config
             .topology
             .staging_cost(to, self.tasks[id.index()].workload.working_set_bytes());
         {
@@ -2318,11 +2262,6 @@ impl SchedCtx<'_> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.world.now
-    }
-
-    /// Policy parameters (per-device overrides applied).
-    pub fn params(&self) -> &SchedParams {
-        &self.world.devices[self.dev].params
     }
 
     /// Cost model.
@@ -2629,6 +2568,8 @@ mod tests {
     use crate::placement::PlacementKind;
     use crate::sched::{DirectAccess, SchedulerKind};
     use crate::workload::FixedLoop;
+    use crate::SchedParams;
+    use neon_gpu::{DeviceSlotSpec, InterconnectParams};
 
     fn us(v: u64) -> SimDuration {
         SimDuration::from_micros(v)
@@ -2641,7 +2582,7 @@ mod tests {
     fn multi_world(devices: usize, placement: PlacementKind) -> World {
         multi_world_config(
             WorldConfig {
-                devices: vec![GpuConfig::default(); devices],
+                topology: Topology::symmetric(devices, GpuConfig::default()),
                 ..WorldConfig::default()
             },
             placement,
@@ -2792,10 +2733,13 @@ mod tests {
     #[test]
     fn exhausted_device_rejects_arrivals_without_panicking() {
         let config = WorldConfig {
-            gpu: neon_gpu::GpuConfig {
-                total_contexts: 2,
-                ..neon_gpu::GpuConfig::default()
-            },
+            topology: Topology::symmetric(
+                1,
+                GpuConfig {
+                    total_contexts: 2,
+                    ..GpuConfig::default()
+                },
+            ),
             ..WorldConfig::default()
         };
         let mut world = World::new(config, Box::new(DirectAccess::new()));
@@ -2840,10 +2784,13 @@ mod tests {
         }
 
         let config = WorldConfig {
-            gpu: neon_gpu::GpuConfig {
-                total_channels: 2,
-                ..neon_gpu::GpuConfig::default()
-            },
+            topology: Topology::symmetric(
+                1,
+                GpuConfig {
+                    total_channels: 2,
+                    ..GpuConfig::default()
+                },
+            ),
             ..WorldConfig::default()
         };
         let mut world = World::new(config, Box::new(DirectAccess::new()));
@@ -2875,10 +2822,13 @@ mod tests {
     #[test]
     fn departure_frees_room_for_later_arrivals() {
         let config = WorldConfig {
-            gpu: neon_gpu::GpuConfig {
-                total_contexts: 1,
-                ..neon_gpu::GpuConfig::default()
-            },
+            topology: Topology::symmetric(
+                1,
+                GpuConfig {
+                    total_contexts: 1,
+                    ..GpuConfig::default()
+                },
+            ),
             ..WorldConfig::default()
         };
         let mut world = World::new(config, Box::new(DirectAccess::new()));
@@ -2929,6 +2879,16 @@ mod tests {
     // ------------------------------------------------------------------
 
     #[test]
+    #[should_panic(expected = "multi-device configurations need World::with_devices")]
+    fn new_refuses_a_multi_device_topology() {
+        let config = WorldConfig {
+            topology: Topology::symmetric(2, GpuConfig::default()),
+            ..WorldConfig::default()
+        };
+        World::new(config, Box::new(DirectAccess::new()));
+    }
+
+    #[test]
     fn least_loaded_spreads_tasks_across_devices() {
         let mut world = multi_world(2, PlacementKind::LeastLoaded);
         for i in 0..4 {
@@ -2950,13 +2910,16 @@ mod tests {
     #[test]
     fn pinned_tasks_reject_on_their_device_even_with_room_elsewhere() {
         let config = WorldConfig {
-            devices: vec![
-                neon_gpu::GpuConfig {
-                    total_contexts: 1,
-                    ..neon_gpu::GpuConfig::default()
-                },
-                neon_gpu::GpuConfig::default(),
-            ],
+            topology: Topology::new(
+                vec![
+                    DeviceSlotSpec::near(GpuConfig {
+                        total_contexts: 1,
+                        ..GpuConfig::default()
+                    }),
+                    DeviceSlotSpec::near(GpuConfig::default()),
+                ],
+                InterconnectParams::free(),
+            ),
             ..WorldConfig::default()
         };
         let mut world = multi_world_config(config, PlacementKind::LeastLoaded);
@@ -2986,7 +2949,7 @@ mod tests {
     #[test]
     fn rebalance_migrates_after_departure_imbalance() {
         let config = WorldConfig {
-            devices: vec![GpuConfig::default(); 2],
+            topology: Topology::symmetric(2, GpuConfig::default()),
             rebalance: RebalanceKind::CountDiff,
             ..WorldConfig::default()
         };
@@ -3044,7 +3007,7 @@ mod tests {
         // DFQ on a 2-device world: each device's scheduler only ever
         // sees its own tenants, and both keep their tasks progressing.
         let config = WorldConfig {
-            devices: vec![GpuConfig::default(); 2],
+            topology: Topology::symmetric(2, GpuConfig::default()),
             ..WorldConfig::default()
         };
         let mut world = World::with_devices(config, PlacementKind::RoundRobin.build(), |_| {

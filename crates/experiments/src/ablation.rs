@@ -270,13 +270,8 @@ mod tests {
         let rows = measure(&cfg, &variants);
 
         for (row, v) in rows.iter().zip(&variants) {
-            let config = |scheduler: SchedulerKind| WorldConfig {
+            let config = || WorldConfig {
                 cost: v.cost.clone(),
-                params: if scheduler == SchedulerKind::Direct {
-                    SchedParams::default()
-                } else {
-                    v.params.clone()
-                },
                 seed: cfg.seed,
                 ..WorldConfig::default()
             };
@@ -284,7 +279,8 @@ mod tests {
                 let workload = Box::new(throttle::saturating(SimDuration::from_micros(50)));
                 let report = pairwise::reference_run(
                     scheduler,
-                    config(scheduler),
+                    v.params.clone(),
+                    config(),
                     vec![workload],
                     cfg.alone_horizon,
                 );
@@ -295,7 +291,8 @@ mod tests {
 
             let (_, slowdowns, efficiency) = pairwise::reference_compare(
                 v.scheduler,
-                config(v.scheduler),
+                v.params.clone(),
+                config(),
                 vec![
                     Box::new(app::dct()),
                     Box::new(throttle::saturating(SimDuration::from_micros(430))),

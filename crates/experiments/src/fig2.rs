@@ -149,6 +149,7 @@ pub fn render(rows: &[Row]) -> String {
 mod tests {
     use super::*;
     use neon_core::world::WorldConfig;
+    use neon_core::SchedParams;
 
     #[test]
     fn sweep_runner_port_matches_the_serial_path() {
@@ -169,6 +170,7 @@ mod tests {
             let spec = app::app_by_name(name).unwrap();
             let report = pairwise::reference_run(
                 SchedulerKind::Direct,
+                SchedParams::default(),
                 config,
                 vec![Box::new(spec.build())],
                 cfg.horizon,

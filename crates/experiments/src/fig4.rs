@@ -138,6 +138,7 @@ pub fn render(rows: &[Row]) -> String {
 mod tests {
     use super::*;
     use neon_core::world::WorldConfig;
+    use neon_core::SchedParams;
 
     /// Mean round of Table 1's `app` running alone under `kind` on the
     /// bare-World reference.
@@ -147,8 +148,13 @@ mod tests {
             seed: cfg.seed,
             ..WorldConfig::default()
         };
-        let report =
-            pairwise::reference_run(kind, config, vec![Box::new(app.build())], cfg.horizon);
+        let report = pairwise::reference_run(
+            kind,
+            SchedParams::default(),
+            config,
+            vec![Box::new(app.build())],
+            cfg.horizon,
+        );
         pairwise::mean_round(&report, 0)
     }
 

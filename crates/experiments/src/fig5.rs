@@ -162,6 +162,7 @@ pub fn render(rows: &[Row]) -> String {
 mod tests {
     use super::*;
     use neon_core::world::WorldConfig;
+    use neon_core::SchedParams;
     use neon_workloads::throttle;
 
     #[test]
@@ -185,7 +186,13 @@ mod tests {
                 ..WorldConfig::default()
             };
             let workload = Box::new(throttle::saturating(size));
-            let report = pairwise::reference_run(kind, config, vec![workload], cfg.horizon);
+            let report = pairwise::reference_run(
+                kind,
+                SchedParams::default(),
+                config,
+                vec![workload],
+                cfg.horizon,
+            );
             pairwise::mean_round(&report, 0)
         };
         for (row, &size) in rows.iter().zip(&cfg.sizes) {

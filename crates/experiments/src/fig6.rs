@@ -260,12 +260,12 @@ mod tests {
                 SchedParams::default()
             };
             let config = WorldConfig {
-                params,
                 seed: cfg.seed,
                 ..WorldConfig::default()
             };
             let (_, slowdowns, efficiency) = pairwise::reference_compare(
                 SchedulerKind::DisengagedFairQueueing,
+                params,
                 config,
                 vec![family.build(), Box::new(throttle::saturating(size))],
                 cfg.horizon,

@@ -137,6 +137,7 @@ pub fn render(rows: &[Row]) -> String {
 mod tests {
     use super::*;
     use neon_core::world::WorldConfig;
+    use neon_core::SchedParams;
     use neon_workloads::{app, throttle};
 
     #[test]
@@ -166,6 +167,7 @@ mod tests {
 
         let (report, slowdowns, efficiency) = pairwise::reference_compare(
             SchedulerKind::DisengagedFairQueueing,
+            SchedParams::default(),
             WorldConfig {
                 seed: cfg.seed,
                 ..WorldConfig::default()

@@ -144,6 +144,7 @@ pub fn render(rows: &[Row]) -> String {
 mod tests {
     use super::*;
     use neon_core::world::WorldConfig;
+    use neon_core::SchedParams;
     use neon_workloads::{app, throttle};
 
     #[test]
@@ -193,6 +194,7 @@ mod tests {
         for (row, &off) in rows.iter().zip(cfg.off_ratios.iter()) {
             let (_, slowdowns, efficiency) = pairwise::reference_compare(
                 SchedulerKind::DisengagedFairQueueing,
+                SchedParams::default(),
                 WorldConfig {
                     seed: cfg.seed,
                     ..WorldConfig::default()

@@ -102,16 +102,17 @@ pub fn compare(alone: &[SimDuration], concurrent: &[SimDuration]) -> (Vec<f64>, 
 
 /// The reference the sweep-backed harnesses are tested against:
 /// `workloads` admitted in order to one bare `World` built straight
-/// from `config`, with no scenario layer in between.
+/// from `config`, under `scheduler` built with `params`, with no
+/// scenario layer in between.
 #[cfg(test)]
 pub(crate) fn reference_run(
     scheduler: SchedulerKind,
+    params: neon_core::SchedParams,
     config: neon_core::world::WorldConfig,
     workloads: Vec<neon_core::workload::BoxedWorkload>,
     horizon: SimDuration,
 ) -> RunReport {
-    let sched = scheduler.build(config.params.clone());
-    let mut world = neon_core::world::World::new(config, sched);
+    let mut world = neon_core::world::World::new(config, scheduler.build(params));
     for w in workloads {
         world.add_task(w).expect("device resources exhausted");
     }
@@ -121,10 +122,12 @@ pub(crate) fn reference_run(
 /// [`reference_run`]'s §5.3 comparison: each workload alone under
 /// direct access for `alone_horizon` with `config`'s seed and
 /// otherwise default settings, then all of them together under
-/// `config`. Returns the mix report and [`compare`]'s output.
+/// `scheduler` with `params` and `config`. Returns the mix report and
+/// [`compare`]'s output.
 #[cfg(test)]
 pub(crate) fn reference_compare(
     scheduler: SchedulerKind,
+    params: neon_core::SchedParams,
     config: neon_core::world::WorldConfig,
     workloads: Vec<neon_core::workload::BoxedWorkload>,
     horizon: SimDuration,
@@ -139,6 +142,7 @@ pub(crate) fn reference_compare(
             };
             let report = reference_run(
                 SchedulerKind::Direct,
+                neon_core::SchedParams::default(),
                 direct,
                 vec![w.clone()],
                 alone_horizon,
@@ -146,7 +150,7 @@ pub(crate) fn reference_compare(
             mean_round(&report, 0)
         })
         .collect();
-    let report = reference_run(scheduler, config, workloads, horizon);
+    let report = reference_run(scheduler, params, config, workloads, horizon);
     let (slowdowns, efficiency) = compare(&alone, &concurrent_rounds(&report));
     (report, slowdowns, efficiency)
 }

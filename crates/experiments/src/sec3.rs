@@ -258,6 +258,7 @@ mod tests {
             };
             let report = pairwise::reference_run(
                 SchedulerKind::Direct,
+                SchedParams::default(),
                 direct,
                 vec![Box::new(throttle::saturating(size).with_jitter(0.0))],
                 cfg.horizon,

@@ -197,6 +197,7 @@ pub fn render(rows: &[Row]) -> String {
 mod tests {
     use super::*;
     use neon_core::world::WorldConfig;
+    use neon_core::SchedParams;
 
     #[test]
     fn sweep_runner_port_matches_the_serial_path() {
@@ -216,6 +217,7 @@ mod tests {
             };
             let report = pairwise::reference_run(
                 SchedulerKind::Direct,
+                SchedParams::default(),
                 config,
                 vec![Box::new(app.build())],
                 cfg.horizon,

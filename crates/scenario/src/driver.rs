@@ -27,7 +27,7 @@ use neon_core::rebalance::RebalanceKind;
 use neon_core::sched::SchedulerKind;
 use neon_core::world::{World, WorldConfig};
 use neon_core::RunReport;
-use neon_gpu::{DeviceId, GpuConfig};
+use neon_gpu::DeviceId;
 use neon_metrics::jain_index;
 use neon_sim::{DetRng, SimDuration, SimTime};
 
@@ -297,18 +297,10 @@ fn host_config(
     plan: Option<&FaultPlan>,
     seed: u64,
 ) -> WorldConfig {
-    let topology = spec.host_topology(devices);
     WorldConfig {
         faults: plan.map(FaultPlan::world_plan),
-        devices: if topology.is_none() && devices > 1 {
-            vec![GpuConfig::default(); devices]
-        } else {
-            Vec::new()
-        },
-        topology,
+        topology: spec.host_topology(devices),
         cost: spec.cost.clone().unwrap_or_default(),
-        params: spec.params.clone().unwrap_or_default(),
-        device_params: spec.host_params(devices),
         rebalance,
         seed,
         record_requests: spec.record_requests,
@@ -443,7 +435,7 @@ impl CellRunner {
             .into_iter()
             .map(|devices| {
                 let config = host_config(spec, devices, rebalance, fault_plan.as_ref(), seed);
-                let params = config.device_params.clone();
+                let params = spec.host_params(devices);
                 // The sweep axis policy, or the spec's custom factory
                 // when one is installed.
                 let make_sched = |dev: DeviceId| {

@@ -547,29 +547,22 @@ impl ScenarioSpec {
         self
     }
 
-    /// The topology of one host with `devices` devices, if the scenario
-    /// describes one: its `[[device]]` slots when it has them (only
-    /// single-host scenarios may), else `devices` default GPUs behind
-    /// the interconnect; `None` when there are neither device slots nor
-    /// interconnect parameters (the flat legacy path). Call only on a
-    /// validated spec.
-    pub fn host_topology(&self, devices: usize) -> Option<Topology> {
-        if self.device_slots.is_empty() && self.interconnect.is_none() {
-            return None;
-        }
-        let slots = if self.device_slots.is_empty() {
-            (0..devices)
-                .map(|_| DeviceSlotSpec::near(GpuConfig::default()))
-                .collect()
+    /// The topology of one host with `devices` devices: its `[[device]]`
+    /// slots when it has them (only single-host scenarios may), else
+    /// `devices` default GPUs. Either sits behind the scenario's
+    /// interconnect, or a free one when it sets none — so a spec with
+    /// neither is [`Topology::symmetric`], the flat host. Call only on
+    /// a validated spec.
+    pub fn host_topology(&self, devices: usize) -> Topology {
+        let interconnect = self
+            .interconnect
+            .clone()
+            .unwrap_or_else(InterconnectParams::free);
+        if self.device_slots.is_empty() {
+            Topology::symmetric(devices, GpuConfig::default()).with_interconnect(interconnect)
         } else {
-            self.device_slots.clone()
-        };
-        Some(Topology::new(
-            slots,
-            self.interconnect
-                .clone()
-                .unwrap_or_else(InterconnectParams::free),
-        ))
+            Topology::new(self.device_slots.clone(), interconnect)
+        }
     }
 
     /// Sets the host count (identical hosts).
@@ -1044,6 +1037,23 @@ mod tests {
         assert_eq!(params[0].sampling_requests, 96);
         assert_eq!(params[1].sampling_requests, 32);
         assert_eq!(spec.cell_count(), 7, "placement axis multiplies cells");
+    }
+
+    #[test]
+    fn host_topology_is_the_flat_host_unless_the_spec_prices_one() {
+        let flat = ScenarioSpec::new("t", SimDuration::from_millis(10));
+        for devices in [1, 3] {
+            assert_eq!(
+                flat.host_topology(devices),
+                Topology::symmetric(devices, GpuConfig::default()),
+                "no [[device]] slots and no interconnect: the flat host"
+            );
+        }
+        let priced = flat
+            .interconnect(InterconnectParams::pcie_gen3())
+            .host_topology(2);
+        assert_eq!(priced.configs(), vec![GpuConfig::default(); 2]);
+        assert_eq!(priced.interconnect(), &InterconnectParams::pcie_gen3());
     }
 
     #[test]

@@ -101,13 +101,12 @@ fn freerun_cap_only_binds_on_inflated_engagements() {
     let run = |freerun_max| {
         let config = WorldConfig {
             seed: 11,
-            params: SchedParams {
-                freerun_max,
-                ..SchedParams::default()
-            },
             ..WorldConfig::default()
         };
-        let params = config.params.clone();
+        let params = SchedParams {
+            freerun_max,
+            ..SchedParams::default()
+        };
         let mut world = World::new(config, SchedulerKind::DisengagedFairQueueing.build(params));
         for _ in 0..2 {
             world

@@ -6,7 +6,7 @@ use disengaged_scheduling::core::cost::SchedParams;
 use disengaged_scheduling::core::placement::PlacementKind;
 use disengaged_scheduling::core::world::{World, WorldConfig};
 use disengaged_scheduling::core::{RunReport, SchedulerKind};
-use disengaged_scheduling::gpu::GpuConfig;
+use disengaged_scheduling::gpu::{GpuConfig, Topology};
 use disengaged_scheduling::scenario::{
     sweep, ArrivalSpec, LifetimeSpec, ScenarioSpec, TenantGroup, WorkloadSpec,
 };
@@ -126,10 +126,13 @@ fn progress_continues_after_departure_under_every_policy() {
 fn exhausted_arrivals_are_rejected_not_fatal_for_every_policy() {
     for kind in SchedulerKind::ALL {
         let config = WorldConfig {
-            gpu: disengaged_scheduling::gpu::GpuConfig {
-                total_contexts: 3,
-                ..disengaged_scheduling::gpu::GpuConfig::default()
-            },
+            topology: Topology::symmetric(
+                1,
+                GpuConfig {
+                    total_contexts: 3,
+                    ..GpuConfig::default()
+                },
+            ),
             ..WorldConfig::default()
         };
         let mut world = World::new(config, kind.build(SchedParams::default()));
@@ -237,7 +240,7 @@ fn parallel_sweep_matches_serial_and_scales_when_cores_exist() {
 /// placement policy must route.
 fn multi_churn_world(kind: SchedulerKind, placement: PlacementKind, seed: u64) -> World {
     let config = WorldConfig {
-        devices: vec![GpuConfig::default(); 2],
+        topology: Topology::symmetric(2, GpuConfig::default()),
         seed,
         ..WorldConfig::default()
     };

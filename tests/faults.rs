@@ -11,7 +11,7 @@ use disengaged_scheduling::core::fault::{FaultConfig, FaultKind, FaultPlan};
 use disengaged_scheduling::core::placement::PlacementKind;
 use disengaged_scheduling::core::world::{World, WorldConfig};
 use disengaged_scheduling::core::{RunReport, SchedulerKind};
-use disengaged_scheduling::gpu::{DeviceId, GpuConfig, TaskId};
+use disengaged_scheduling::gpu::{DeviceId, GpuConfig, TaskId, Topology};
 use disengaged_scheduling::workloads::Throttle;
 use neon_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -54,7 +54,7 @@ fn run_faulted(
     horizon: SimDuration,
 ) -> (RunReport, u64) {
     let config = WorldConfig {
-        devices: vec![GpuConfig::default(); devices],
+        topology: Topology::symmetric(devices, GpuConfig::default()),
         seed: 0xFA_17,
         faults: Some(plan),
         ..WorldConfig::default()
@@ -337,7 +337,7 @@ fn attaching_an_empty_plan_is_byte_identical_to_no_plan() {
     for kind in ALL_SCHEDULERS {
         let run = |faults: Option<FaultPlan>| {
             let config = WorldConfig {
-                devices: vec![GpuConfig::default(); 2],
+                topology: Topology::symmetric(2, GpuConfig::default()),
                 seed: 0xFA_17,
                 faults,
                 ..WorldConfig::default()

@@ -12,7 +12,7 @@ use disengaged_scheduling::core::telemetry::MetricsMode;
 use disengaged_scheduling::core::workload::FixedLoop;
 use disengaged_scheduling::core::world::{World, WorldConfig};
 use disengaged_scheduling::core::SchedulerKind;
-use disengaged_scheduling::gpu::{ClusterInterconnect, DeviceId, GpuConfig};
+use disengaged_scheduling::gpu::{ClusterInterconnect, DeviceId, GpuConfig, Topology};
 use disengaged_scheduling::metrics::{Distribution, StreamingHistogram};
 use disengaged_scheduling::workloads::Throttle;
 use neon_sim::{SimDuration, SimTime};
@@ -46,7 +46,7 @@ fn trace_hash(world: &World) -> u64 {
 /// the host, with the churn shape of `tests/multi_device.rs`.
 fn host_world(kind: SchedulerKind, placement: PlacementKind, seed: u64) -> World {
     let config = WorldConfig {
-        devices: vec![GpuConfig::default(); 2],
+        topology: Topology::symmetric(2, GpuConfig::default()),
         seed,
         ..WorldConfig::default()
     };
@@ -417,11 +417,14 @@ proptest! {
             .enumerate()
             .map(|(i, &c)| {
                 let config = WorldConfig {
-                    devices: vec![GpuConfig {
-                        total_contexts: c,
-                        total_channels: c,
-                        ..GpuConfig::default()
-                    }],
+                    topology: Topology::symmetric(
+                        1,
+                        GpuConfig {
+                            total_contexts: c,
+                            total_channels: c,
+                            ..GpuConfig::default()
+                        },
+                    ),
                     seed: seed + i as u64,
                     ..WorldConfig::default()
                 };

@@ -8,7 +8,9 @@ use disengaged_scheduling::core::placement::PlacementKind;
 use disengaged_scheduling::core::rebalance::RebalanceKind;
 use disengaged_scheduling::core::world::{World, WorldConfig};
 use disengaged_scheduling::core::SchedulerKind;
-use disengaged_scheduling::gpu::{DeviceId, GpuConfig};
+use disengaged_scheduling::gpu::{
+    DeviceId, DeviceSlotSpec, GpuConfig, InterconnectParams, Topology,
+};
 use disengaged_scheduling::workloads::Throttle;
 use neon_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -136,7 +138,7 @@ fn churny_multi_world(
     seed: u64,
 ) -> World {
     let config = WorldConfig {
-        devices: vec![GpuConfig::default(); devices],
+        topology: Topology::symmetric(devices, GpuConfig::default()),
         seed,
         ..WorldConfig::default()
     };
@@ -223,13 +225,16 @@ fn every_placement_admits_everything_while_capacity_lasts() {
 #[test]
 fn pinning_is_exact_and_rejections_are_per_device() {
     let config = WorldConfig {
-        devices: vec![
-            GpuConfig {
-                total_contexts: 2,
-                ..GpuConfig::default()
-            },
-            GpuConfig::default(),
-        ],
+        topology: Topology::new(
+            vec![
+                DeviceSlotSpec::near(GpuConfig {
+                    total_contexts: 2,
+                    ..GpuConfig::default()
+                }),
+                DeviceSlotSpec::near(GpuConfig::default()),
+            ],
+            InterconnectParams::free(),
+        ),
         ..WorldConfig::default()
     };
     let mut world = World::with_devices(config, PlacementKind::LeastLoaded.build(), |_| {
@@ -267,7 +272,7 @@ fn pinning_is_exact_and_rejections_are_per_device() {
 fn rebalancing_under_dfq_survives_churn_and_keeps_tasks_running() {
     let run = || {
         let config = WorldConfig {
-            devices: vec![GpuConfig::default(); 2],
+            topology: Topology::symmetric(2, GpuConfig::default()),
             rebalance: RebalanceKind::CountDiff,
             seed: 0x11_22,
             ..WorldConfig::default()
@@ -335,14 +340,18 @@ proptest! {
     ) {
         let total: usize = caps.iter().sum();
         let config = WorldConfig {
-            devices: caps
-                .iter()
-                .map(|&c| GpuConfig {
-                    total_contexts: c,
-                    total_channels: c,
-                    ..GpuConfig::default()
-                })
-                .collect(),
+            topology: Topology::new(
+                caps.iter()
+                    .map(|&c| {
+                        DeviceSlotSpec::near(GpuConfig {
+                            total_contexts: c,
+                            total_channels: c,
+                            ..GpuConfig::default()
+                        })
+                    })
+                    .collect(),
+                InterconnectParams::free(),
+            ),
             seed,
             ..WorldConfig::default()
         };

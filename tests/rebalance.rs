@@ -52,7 +52,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// an imbalance, a pair of transient visitors, and a latecomer.
 fn legacy_world(kind: SchedulerKind, placement: PlacementKind) -> World {
     let config = WorldConfig {
-        devices: vec![GpuConfig::default(); 2],
+        topology: Topology::symmetric(2, GpuConfig::default()),
         rebalance: RebalanceKind::CountDiff,
         seed: 0xCAFE,
         ..WorldConfig::default()
@@ -187,7 +187,7 @@ fn departure_storm(
     working_set: u64,
 ) -> disengaged_scheduling::core::RunReport {
     let config = WorldConfig {
-        topology: Some(cross_numa_pair()),
+        topology: cross_numa_pair(),
         rebalance,
         seed: 0x57_02,
         ..WorldConfig::default()
@@ -321,7 +321,7 @@ impl Rebalance for SameDevice {
 #[test]
 fn migration_to_the_same_device_is_refused_not_replayed() {
     let config = WorldConfig {
-        devices: vec![GpuConfig::default(); 2],
+        topology: Topology::symmetric(2, GpuConfig::default()),
         seed: 0xD0_0D,
         ..WorldConfig::default()
     };
@@ -406,13 +406,16 @@ impl Rebalance for Unsound {
 #[test]
 fn unsound_migration_plans_are_refused_not_executed() {
     let config = WorldConfig {
-        devices: vec![
-            GpuConfig::default(),
-            GpuConfig {
-                total_contexts: 1,
-                ..GpuConfig::default()
-            },
-        ],
+        topology: Topology::new(
+            vec![
+                DeviceSlotSpec::near(GpuConfig::default()),
+                DeviceSlotSpec::near(GpuConfig {
+                    total_contexts: 1,
+                    ..GpuConfig::default()
+                }),
+            ],
+            InterconnectParams::free(),
+        ),
         seed: 0xBAD0,
         ..WorldConfig::default()
     };
@@ -455,7 +458,7 @@ fn unsound_migration_plans_are_refused_not_executed() {
 fn live_tenant_counters_match_the_task_table_scan() {
     // Churn + migrations (count-diff keeps both devices busy moving).
     let config = WorldConfig {
-        devices: vec![GpuConfig::default(); 3],
+        topology: Topology::symmetric(3, GpuConfig::default()),
         rebalance: RebalanceKind::CountDiff,
         seed: 0x7E_AA,
         ..WorldConfig::default()
@@ -496,8 +499,7 @@ fn live_tenant_counters_match_the_task_table_scan() {
         ..SchedParams::default()
     };
     let config = WorldConfig {
-        devices: vec![GpuConfig::default(); 2],
-        params: params.clone(),
+        topology: Topology::symmetric(2, GpuConfig::default()),
         seed: 0x7E_AB,
         ..WorldConfig::default()
     };

@@ -81,13 +81,7 @@ fn infinite_loop_task_is_killed_and_victim_recovers() {
             overlong_limit: SimDuration::from_millis(40),
             ..SchedParams::default()
         };
-        let mut w = World::new(
-            WorldConfig {
-                params: params.clone(),
-                ..WorldConfig::default()
-            },
-            kind.build(params),
-        );
+        let mut w = World::new(WorldConfig::default(), kind.build(params));
         w.add_task(Box::new(app::dct())).unwrap();
         w.add_task(Box::new(InfiniteLoop::new(5, us(100)))).unwrap();
         let report = w.run(SimDuration::from_millis(600));
@@ -265,10 +259,7 @@ fn hardware_preemption_tolerates_infinite_requests_without_killing() {
         ..SchedParams::default()
     };
     let mut w = World::new(
-        WorldConfig {
-            params: params.clone(),
-            ..WorldConfig::default()
-        },
+        WorldConfig::default(),
         SchedulerKind::DisengagedFairQueueing.build(params),
     );
     w.add_task(Box::new(app::dct())).unwrap();
@@ -297,10 +288,7 @@ fn without_preemption_the_same_scenario_kills() {
         ..SchedParams::default()
     };
     let mut w = World::new(
-        WorldConfig {
-            params: params.clone(),
-            ..WorldConfig::default()
-        },
+        WorldConfig::default(),
         SchedulerKind::DisengagedFairQueueing.build(params),
     );
     w.add_task(Box::new(app::dct())).unwrap();

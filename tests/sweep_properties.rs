@@ -139,7 +139,9 @@ proptest! {
 
 use disengaged_scheduling::core::fault::{FaultConfig, FaultKind, FaultPlan};
 use disengaged_scheduling::core::placement::PlacementKind;
-use disengaged_scheduling::gpu::{DeviceId, GpuConfig};
+use disengaged_scheduling::gpu::{
+    DeviceId, DeviceSlotSpec, GpuConfig, InterconnectParams, Topology,
+};
 use disengaged_scheduling::scenario::{sweep, ScenarioSpec, SweepCell, TenantGroup, WorkloadSpec};
 use neon_sim::SimTime;
 
@@ -271,8 +273,10 @@ proptest! {
 
 /// A reused [`World`] (`reset()` then re-run) behaves exactly like a
 /// freshly constructed one — for every scheduler × placement pair, on
-/// a churny two-device scenario, down to the trace text. This is the
-/// contract that lets sweep workers recycle one world across cells.
+/// a churny two-device scenario, down to the trace text, whether the
+/// world was dirtied on the same flat host or on a wider, cost-bearing
+/// one. This is the contract that lets sweep workers recycle one world
+/// across cells.
 #[test]
 fn reset_world_matches_fresh_world() {
     fn fnv1a(bytes: &[u8]) -> u64 {
@@ -285,7 +289,7 @@ fn reset_world_matches_fresh_world() {
     }
     fn config() -> WorldConfig {
         WorldConfig {
-            devices: vec![GpuConfig::default(); 2],
+            topology: Topology::symmetric(2, GpuConfig::default()),
             seed: 0x90_1D,
             ..WorldConfig::default()
         }
@@ -317,62 +321,86 @@ fn reset_world_matches_fresh_world() {
         SchedulerKind::EngagedSfq,
         SchedulerKind::EngagedDrr,
     ];
+    // Three devices on two NUMA nodes with PCIe-gen3 pricing: a reset
+    // must replace the device set and the interconnect, not only the
+    // per-device state.
+    let wide = Topology::new(
+        (0..3)
+            .map(|i| DeviceSlotSpec {
+                config: GpuConfig::default(),
+                numa: i / 2,
+                switch_id: i,
+            })
+            .collect(),
+        InterconnectParams::pcie_gen3(),
+    );
     for kind in schedulers {
         for placement in PlacementKind::ALL {
             let mut fresh = World::with_devices(config(), placement.build(), |_| {
                 kind.build(SchedParams::default())
             });
             let expected = drive(&mut fresh);
-
-            // Dirty a world on a *different* program (other scheduler
-            // axis ordering would hide state leaks) — and put it
-            // through chaos: a hang the watchdog kills and a device
-            // hot-remove whose residents drain-migrate. Watchdog arms,
-            // park queues and offline devices must all clear on reset.
-            let mut chaos = FaultPlan::new(FaultConfig {
-                watchdog: Some(SimDuration::from_millis(2)),
-                ..FaultConfig::default()
-            });
-            chaos
-                .push(
-                    SimTime::ZERO + SimDuration::from_millis(1),
-                    FaultKind::TaskHang { task: None },
-                )
-                .push(
-                    SimTime::ZERO + SimDuration::from_millis(3),
-                    FaultKind::DeviceRemove {
-                        device: DeviceId::new(1),
-                    },
-                );
-            let dirty_config = WorldConfig {
-                faults: Some(chaos),
-                ..config()
-            };
-            let mut reused =
-                World::with_devices(dirty_config, PlacementKind::RoundRobin.build(), |_| {
-                    SchedulerKind::Timeslice.build(SchedParams::default())
+            for dirty_topology in [config().topology, wide.clone()] {
+                let dirty_devices = dirty_topology.len();
+                // Dirty a world on a *different* program (other
+                // scheduler axis ordering would hide state leaks) — and
+                // put it through chaos: a hang the watchdog kills and a
+                // device hot-remove whose residents drain-migrate.
+                // Watchdog arms, park queues and offline devices must
+                // all clear on reset.
+                let mut chaos = FaultPlan::new(FaultConfig {
+                    watchdog: Some(SimDuration::from_millis(2)),
+                    ..FaultConfig::default()
                 });
-            reused.trace.set_enabled(true);
-            reused
-                .add_task(Box::new(Throttle::new(SimDuration::from_micros(90))))
-                .unwrap();
-            let dirty = reused.run(SimDuration::from_millis(15));
-            assert!(
-                dirty.watchdog_kills >= 1 && dirty.hot_removes == 1,
-                "dirty run must actually exercise the fault paths \
-                 (kills={}, removes={})",
-                dirty.watchdog_kills,
-                dirty.hot_removes
-            );
+                chaos
+                    .push(
+                        SimTime::ZERO + SimDuration::from_millis(1),
+                        FaultKind::TaskHang { task: None },
+                    )
+                    .push(
+                        SimTime::ZERO + SimDuration::from_millis(3),
+                        FaultKind::DeviceRemove {
+                            device: DeviceId::new(1),
+                        },
+                    );
+                let dirty_config = WorldConfig {
+                    topology: dirty_topology,
+                    faults: Some(chaos),
+                    ..config()
+                };
+                let mut reused =
+                    World::with_devices(dirty_config, PlacementKind::RoundRobin.build(), |_| {
+                        SchedulerKind::Timeslice.build(SchedParams::default())
+                    });
+                reused.trace.set_enabled(true);
+                reused
+                    .add_task(Box::new(Throttle::new(SimDuration::from_micros(90))))
+                    .unwrap();
+                let dirty = reused.run(SimDuration::from_millis(15));
+                assert!(
+                    dirty.watchdog_kills >= 1 && dirty.hot_removes == 1,
+                    "dirty run must actually exercise the fault paths \
+                     (kills={}, removes={})",
+                    dirty.watchdog_kills,
+                    dirty.hot_removes
+                );
+                assert_eq!(dirty.devices.len(), dirty_devices);
+                assert_eq!(
+                    dirty.transfer_stall.is_zero(),
+                    dirty_devices == 2,
+                    "only the PCIe-priced host charges data movement"
+                );
 
-            reused.reset(config(), placement.build(), |_| {
-                kind.build(SchedParams::default())
-            });
-            let replayed = drive(&mut reused);
-            assert_eq!(
-                expected, replayed,
-                "{kind} × {placement}: reused world drifted from fresh"
-            );
+                reused.reset(config(), placement.build(), |_| {
+                    kind.build(SchedParams::default())
+                });
+                let replayed = drive(&mut reused);
+                assert_eq!(
+                    expected, replayed,
+                    "{kind} × {placement}: reused world drifted from fresh \
+                     (dirtied on {dirty_devices} devices)"
+                );
+            }
         }
     }
 }

@@ -8,6 +8,7 @@ use disengaged_scheduling::core::rebalance::RebalanceKind;
 use disengaged_scheduling::core::telemetry::{labels, MetricsMode, StatKey};
 use disengaged_scheduling::core::world::{World, WorldConfig};
 use disengaged_scheduling::core::SchedulerKind;
+use disengaged_scheduling::gpu::{GpuConfig, Topology};
 use disengaged_scheduling::metrics::{CounterKey, Distribution, StreamingHistogram};
 use disengaged_scheduling::workloads::Throttle;
 use neon_sim::{SimDuration, SimTime};
@@ -236,7 +237,7 @@ fn sampler_does_not_change_the_trace() {
 #[test]
 fn stats_block_agrees_with_legacy_counters() {
     let config = WorldConfig {
-        devices: vec![Default::default(), Default::default()],
+        topology: Topology::symmetric(2, GpuConfig::default()),
         rebalance: RebalanceKind::CountDiff,
         ..config_with(MetricsMode::Exact)
     };

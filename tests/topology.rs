@@ -3,11 +3,12 @@
 //! Three batteries, matching the heterogeneous-topology acceptance
 //! criteria:
 //!
-//! 1. **Golden equivalence** — a world built from an explicit
-//!    *symmetric* [`Topology`] (identical devices, free interconnect)
-//!    must be byte-identical — trace hashes included — to one built
-//!    from the flat pre-topology `WorldConfig::devices` path, whose
-//!    own behavior is pinned bit-for-bit to the PR 2 captures by
+//! 1. **Golden equivalence** — a world built from a symmetric host
+//!    spelled out slot by slot (identical near devices, free
+//!    interconnect — what a `[[device]]` list without an interconnect
+//!    loads as) must be byte-identical — trace hashes included — to
+//!    the flat host [`Topology::symmetric`], whose own behavior is
+//!    pinned bit-for-bit to the PR 2 captures by
 //!    `tests/multi_device.rs`.
 //! 2. **Placement properties** — `locality-first` and `cost-min` never
 //!    reject an arrival while any device fits it (randomized
@@ -86,25 +87,26 @@ fn run_churny(
     )
 }
 
-/// The acceptance criterion: an explicit symmetric topology (identical
-/// devices, free interconnect) reproduces the flat
-/// `WorldConfig::devices` path — itself pinned bit-for-bit to the PR 2
-/// captures by `tests/multi_device.rs` — exactly, trace text included,
-/// for every device count, placement policy, and a
-/// protection-exercising scheduler.
+/// The acceptance criterion: a symmetric topology spelled out as
+/// explicit slots (identical near devices, free interconnect)
+/// reproduces the flat host [`Topology::symmetric`] — itself pinned
+/// bit-for-bit to the PR 2 captures by `tests/multi_device.rs` —
+/// exactly, trace text included, for every device count, placement
+/// policy, and a protection-exercising scheduler.
 #[test]
 fn symmetric_topology_worlds_match_the_flat_path_byte_for_byte() {
     for devices in [1usize, 2, 4] {
         for placement in PlacementKind::ALL {
             for kind in [SchedulerKind::Direct, SchedulerKind::DisengagedFairQueueing] {
                 let flat = WorldConfig {
-                    devices: vec![GpuConfig::default(); devices],
+                    topology: Topology::symmetric(devices, GpuConfig::default()),
                     seed: 0xD15C,
                     rebalance: RebalanceKind::CountDiff,
                     ..WorldConfig::default()
                 };
+                let slots = vec![DeviceSlotSpec::near(GpuConfig::default()); devices];
                 let topo = WorldConfig {
-                    topology: Some(Topology::symmetric(devices, GpuConfig::default())),
+                    topology: Topology::new(slots, InterconnectParams::free()),
                     seed: 0xD15C,
                     rebalance: RebalanceKind::CountDiff,
                     ..WorldConfig::default()
@@ -136,7 +138,7 @@ fn staging_is_charged_once_per_admission_and_reported() {
     let expected = topology.staging_cost(0, 64 << 20);
     assert!(expected > SimDuration::ZERO);
     let config = WorldConfig {
-        topology: Some(topology),
+        topology,
         ..WorldConfig::default()
     };
     let mut world = World::new(config, SchedulerKind::Direct.build(SchedParams::default()));
@@ -186,7 +188,7 @@ fn migration_stall_at(tier: LinkTier, working_set: u64) -> SimDuration {
     let topology = two_device_topology(tier);
     let staging = topology.staging_cost(0, working_set);
     let config = WorldConfig {
-        topology: Some(topology),
+        topology,
         rebalance: RebalanceKind::CountDiff,
         ..WorldConfig::default()
     };
@@ -264,7 +266,7 @@ fn heterogeneous_churn_runs_every_scheduler_deterministically() {
         for placement in [PlacementKind::LocalityFirst, PlacementKind::CostMin] {
             let run = || {
                 let config = WorldConfig {
-                    topology: Some(hetero()),
+                    topology: hetero(),
                     rebalance: RebalanceKind::CountDiff,
                     seed: 0xBEEF,
                     ..WorldConfig::default()
@@ -347,7 +349,7 @@ proptest! {
             })
             .collect();
         let config = WorldConfig {
-            topology: Some(Topology::new(slots, InterconnectParams::pcie_gen3())),
+            topology: Topology::new(slots, InterconnectParams::pcie_gen3()),
             seed,
             ..WorldConfig::default()
         };
