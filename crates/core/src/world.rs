@@ -2296,14 +2296,6 @@ impl SchedCtx<'_> {
         );
     }
 
-    /// The task's channels.
-    ///
-    /// Clones the channel list; hot paths should index with
-    /// [`SchedCtx::channel_count`] / [`SchedCtx::channel_of`] instead.
-    pub fn channels_of(&self, task: TaskId) -> Vec<ChannelId> {
-        self.world.tasks[task.index()].channels.clone()
-    }
-
     /// Number of channels the task owns.
     pub fn channel_count(&self, task: TaskId) -> usize {
         self.world.tasks[task.index()].channels.len()
@@ -2322,15 +2314,6 @@ impl SchedCtx<'_> {
 
     fn task_gpu(&self, task: TaskId) -> &Gpu {
         &self.world.devices[self.world.tasks[task.index()].device.index()].gpu
-    }
-
-    /// Reads a channel's shared-memory counters:
-    /// `(last_submitted_reference, completed_reference)`.
-    pub fn channel_refs(&self, ch: ChannelId) -> (u64, u64) {
-        // lint: allow(unchecked-unwrap) — harness accessors are handed
-        // channel ids from the device's own allocation
-        let c = self.gpu().channel(ch).expect("unknown channel");
-        (c.last_submitted_reference(), c.completed_reference())
     }
 
     /// Completion count on a channel (monotonic).
@@ -2393,16 +2376,6 @@ impl SchedCtx<'_> {
             }
         }
         out
-    }
-
-    /// Protects a channel's register page (submissions will fault).
-    pub fn protect_channel(&mut self, ch: ChannelId) {
-        self.world.devices[self.dev].protected[ch.index()] = true;
-    }
-
-    /// Unprotects a channel's register page (direct access restored).
-    pub fn unprotect_channel(&mut self, ch: ChannelId) {
-        self.world.devices[self.dev].protected[ch.index()] = false;
     }
 
     /// Protects every channel of a task.
@@ -2519,11 +2492,6 @@ impl SchedCtx<'_> {
         self.task_gpu(task).usage_of(task)
     }
 
-    /// Task name, for trace messages.
-    pub fn task_name(&self, task: TaskId) -> &str {
-        &self.world.tasks[task.index()].name
-    }
-
     /// Counts a policy-level event in the structured run statistics —
     /// both the run-wide [`RunReport::stats`] block and this device's
     /// [`DeviceReport::stats`]. Policies use this for the occurrences
@@ -2537,17 +2505,9 @@ impl SchedCtx<'_> {
 
     /// Records a trace entry under the policy's label. On multi-device
     /// worlds the entry is prefixed with the device id so interleaved
-    /// policy logs stay readable.
-    ///
-    /// The detail string is built by the caller even when tracing is
-    /// off; policies on hot paths should use [`SchedCtx::trace_with`].
-    pub fn trace(&mut self, label: &'static str, detail: String) {
-        self.trace_with(label, move || detail);
-    }
-
-    /// Like [`SchedCtx::trace`], but the detail string is built only
-    /// when tracing is enabled — zero-cost on disabled (benchmark and
-    /// sweep) runs.
+    /// policy logs stay readable. The detail string is built only when
+    /// tracing is enabled — zero-cost on disabled (benchmark and sweep)
+    /// runs.
     pub fn trace_with(&mut self, label: &'static str, detail: impl FnOnce() -> String) {
         if !self.world.trace.is_enabled() {
             return;

@@ -31,7 +31,7 @@
 //! `--rebalance` and `--faults` override the scenario files, so any
 //! scenario can be rerun on a larger topology, a whole fleet of
 //! hosts, a different migration policy, or a different slice of its
-//! fault schedule (`--faults none,device,task,host,all`) without
+//! fault schedule (`--faults none,device`, say) without
 //! editing it. The telemetry
 //! flags do the same for the observability axis: `--metrics` selects
 //! the exact or streaming pipeline, `--timeline FILE` turns on the
@@ -48,7 +48,9 @@ use neon_core::fleet::FleetPlacementKind;
 use neon_core::placement::PlacementKind;
 use neon_core::rebalance::RebalanceKind;
 use neon_core::telemetry::MetricsMode;
-use neon_scenario::{emit, parse_duration, sweep, toml_file, CellResult, ScenarioSpec};
+use neon_scenario::{
+    emit, parse_axis, parse_duration, sweep, toml_file, CellResult, Labeled, ScenarioSpec,
+};
 use neon_sim::SimDuration;
 
 struct Options {
@@ -93,16 +95,14 @@ lifetime, optional device pinning, working_set), the host topology
 the fleet (hosts = N or [[host]] blocks, fleet_placement,
 cluster.* keys), and the sweep axes (seeds, schedulers, placement
 policies, fleet placement policies, rebalance policies); see
-examples/scenarios/ for the format. --devices, --hosts, --placement,
---fleet-placement and --rebalance override the scenario files, e.g.
---devices 4 --placement least-loaded,round-robin --rebalance
-count-diff,cost-aware (placements: least-loaded, round-robin,
-fewest-tenants, locality-first, cost-min, pinned:<device>, all;
-fleet placements: least-loaded, round-robin, fewest-tenants, all;
-rebalance policies: off, count-diff, cost-aware, all). --faults
-selects which categories of a scenario's [[fault]] schedule to
-inject (none, device, task, host, all) and is a sweep axis like the
-others. --devices
+examples/scenarios/ and the README's Scenario keys section for the format.
+--devices, --hosts, --placement, --fleet-placement and --rebalance
+override the scenario files, e.g. --devices 4 --placement
+least-loaded,round-robin --rebalance count-diff,cost-aware: each axis
+flag takes the labels of its scenario key, and an unknown label is
+rejected with the list of supported ones. --faults selects which
+categories of a scenario's [[fault]] schedule to inject and is a
+sweep axis like the others. --devices
 replaces heterogeneous [[device]] topologies and any topology.*
 interconnect timing with a flat free-interconnect host of that size;
 --hosts N replaces any [[host]] blocks with N identical hosts of
@@ -120,6 +120,12 @@ fn fail(msg: &str) -> ExitCode {
     eprintln!("neon: {msg}");
     eprintln!("{USAGE}");
     ExitCode::from(2)
+}
+
+/// A sweep-axis flag's comma-separated labels.
+fn axis<T: Labeled>(value: Option<&String>, flag: &str) -> Result<Vec<T>, String> {
+    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    parse_axis(v.split(',')).map_err(|e| e.0)
 }
 
 fn parse_options(args: &[String]) -> Result<Options, String> {
@@ -180,62 +186,12 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 }
                 opts.hosts = Some(n);
             }
+            "--placement" => opts.placements = Some(axis(it.next(), "--placement")?),
             "--fleet-placement" => {
-                let v = it.next().ok_or("--fleet-placement needs a value")?;
-                let mut kinds = Vec::new();
-                for label in v.split(',') {
-                    if label == "all" {
-                        kinds.extend(FleetPlacementKind::ALL);
-                        continue;
-                    }
-                    kinds.push(
-                        FleetPlacementKind::from_label(label)
-                            .ok_or_else(|| format!("unknown fleet placement policy {label:?}"))?,
-                    );
-                }
-                opts.fleet_placements = Some(kinds);
+                opts.fleet_placements = Some(axis(it.next(), "--fleet-placement")?)
             }
-            "--placement" => {
-                let v = it.next().ok_or("--placement needs a value")?;
-                let mut kinds = Vec::new();
-                for label in v.split(',') {
-                    if label == "all" {
-                        kinds.extend(PlacementKind::ALL);
-                        continue;
-                    }
-                    kinds.push(
-                        PlacementKind::from_label(label)
-                            .ok_or_else(|| format!("unknown placement policy {label:?}"))?,
-                    );
-                }
-                opts.placements = Some(kinds);
-            }
-            "--rebalance" => {
-                let v = it.next().ok_or("--rebalance needs a value")?;
-                let mut kinds = Vec::new();
-                for label in v.split(',') {
-                    if label == "all" {
-                        kinds.extend(RebalanceKind::ALL);
-                        continue;
-                    }
-                    kinds.push(
-                        RebalanceKind::from_label(label)
-                            .ok_or_else(|| format!("unknown rebalance policy {label:?}"))?,
-                    );
-                }
-                opts.rebalances = Some(kinds);
-            }
-            "--faults" => {
-                let v = it.next().ok_or("--faults needs a value")?;
-                let mut modes = Vec::new();
-                for label in v.split(',') {
-                    modes.push(
-                        FaultMode::parse(label)
-                            .ok_or_else(|| format!("unknown fault mode {label:?}"))?,
-                    );
-                }
-                opts.faults = Some(modes);
-            }
+            "--rebalance" => opts.rebalances = Some(axis(it.next(), "--rebalance")?),
+            "--faults" => opts.faults = Some(axis(it.next(), "--faults")?),
             "--out" => {
                 let v = it.next().ok_or("--out needs a path")?;
                 opts.out = Some(PathBuf::from(v));
@@ -462,16 +418,8 @@ fn cmd_run(opts: &Options) -> ExitCode {
         let mut text = String::new();
         for r in &outcome.results {
             if let Some(jsonl) = &r.trace_jsonl {
-                let s = &r.summary;
-                let scenario = s.scenario.replace('\\', "\\\\").replace('"', "\\\"");
-                text.push_str(&format!(
-                    "{{\"record\": \"cell\", \"scenario\": \"{scenario}\", \
-\"scheduler\": \"{}\", \"placement\": \"{}\", \"rebalance\": \"{}\", \"seed\": {}}}\n",
-                    s.scheduler.label(),
-                    s.placement,
-                    s.rebalance,
-                    s.seed,
-                ));
+                let keys = emit::cell_keys_json(r);
+                text.push_str(&format!("{{\"record\": \"cell\", {keys}}}\n"));
                 text.push_str(jsonl);
             }
         }

@@ -1,4 +1,5 @@
-//! Result emission: JSON and CSV, with no external dependencies.
+//! Result emission: JSON, CSV and the summary table, with no external
+//! dependencies.
 //!
 //! The JSON writer emits a stable, self-describing document:
 //!
@@ -10,15 +11,21 @@
 //! ```
 //!
 //! CSV carries the same per-cell summary fields, one row per cell.
+//! Every column of the three outputs is one row of a column registry
+//! (`SUMMARY`, `DEVICE`, `HOST` and the timeline registries):
+//! its name, where it sits in the JSON and the CSV, its CSV precision,
+//! its accessor, and its table header if it has one.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::time::Duration;
 
 use neon_core::fault::FaultMode;
-use neon_core::telemetry::SimStats;
+use neon_core::telemetry::{DeviceSample, SimStats, TimelineSample};
 use neon_metrics::CounterKey as _;
+use neon_sim::SimDuration;
 
-use crate::driver::{CellResult, CellSummary};
+use crate::driver::{CellResult, DeviceSummary, HostSummary};
 use crate::sweep::SweepOutcome;
 
 /// Escapes a string for a JSON literal.
@@ -59,104 +66,292 @@ fn stats_json(stats: &SimStats) -> String {
     format!("{{{}}}", fields.join(", "))
 }
 
-fn summary_json(s: &CellSummary, stats: &SimStats, indent: &str) -> String {
+/// One column's value in one record.
+enum Cell<'a> {
+    Text(Cow<'a, str>),
+    Int(u64),
+    /// A real number and its CSV decimals.
+    Real(f64, usize),
+    /// A duration: JSON and CSV (three decimals) write microseconds,
+    /// the table prints it with its unit.
+    Micros(SimDuration),
+    /// An integer that may be unknown: JSON `null`, an empty CSV field.
+    Maybe(Option<u64>),
+    /// Rendered JSON: a nested block, absent from CSV and the table.
+    Json(String),
+}
+
+use Cell::{Int, Json, Maybe, Micros, Real, Text};
+
+impl Cell<'_> {
+    fn json(&self, o: &mut String) {
+        let _ = match self {
+            Text(t) => write!(o, "\"{}\"", json_escape(t)),
+            Int(v) | Maybe(Some(v)) => write!(o, "{v}"),
+            Real(v, _) => write!(o, "{}", json_f64(*v)),
+            Micros(d) => write!(o, "{}", json_f64(d.as_micros_f64())),
+            Maybe(None) => write!(o, "null"),
+            Json(s) => write!(o, "{s}"),
+        };
+    }
+
+    fn csv(&self, o: &mut String) {
+        let _ = match self {
+            Text(t) if t.contains([',', '"']) => write!(o, "\"{}\"", t.replace('"', "\"\"")),
+            Text(t) => write!(o, "{t}"),
+            Int(v) | Maybe(Some(v)) => write!(o, "{v}"),
+            Real(v, prec) => write!(o, "{v:.prec$}"),
+            Micros(d) => write!(o, "{:.3}", d.as_micros_f64()),
+            Maybe(None) | Json(_) => Ok(()),
+        };
+    }
+
+    fn table(&self, prec: usize) -> String {
+        match self {
+            Text(t) => t.to_string(),
+            Int(v) | Maybe(Some(v)) => v.to_string(),
+            Real(v, _) => format!("{v:.prec$}"),
+            Micros(d) => d.to_string(),
+            Maybe(None) | Json(_) => String::new(),
+        }
+    }
+}
+
+/// Where a column sits in the CSV.
+#[derive(Clone, Copy)]
+enum Csv {
+    No,
+    /// Under its own name, in registry order.
+    Yes,
+    /// Under its own name, at this position.
+    At(usize),
+    /// Under this name (a per-device or per-host group's suffix).
+    As(&'static str),
+}
+
+/// Which sweeps show a table column.
+#[derive(Clone, Copy)]
+enum When {
+    Always,
+    /// Some cell has more than one device.
+    Multi,
+    /// Some cell has more than one host.
+    Fleet,
+    /// Some cell injects faults.
+    Faulted,
+}
+
+/// A table column: header, position, when it shows, and precision.
+#[derive(Clone, Copy)]
+struct Tab(&'static str, usize, When, usize);
+
+/// One output column of records of type `T`. Its JSON position is its
+/// registry order.
+struct Col<T> {
+    /// The JSON key, and the CSV header unless [`Csv::As`] names one.
+    name: &'static str,
+    /// A cell coordinate: timelines and traces carry these too.
+    key: bool,
+    csv: Csv,
+    get: Get<T>,
+    table: Option<Tab>,
+}
+
+type Get<T> = for<'a> fn(&'a T) -> Cell<'a>;
+
+const fn col<T>(name: &'static str, csv: Csv, get: Get<T>, table: Option<Tab>) -> Col<T> {
+    Col {
+        name,
+        key: false,
+        csv,
+        get,
+        table,
+    }
+}
+
+/// A column that is also a cell coordinate.
+const fn key<T>(name: &'static str, csv: Csv, get: Get<T>, table: Option<Tab>) -> Col<T> {
+    let mut c = col(name, csv, get, table);
+    c.key = true;
+    c
+}
+
+const fn tab(head: &'static str, at: usize, when: When, prec: usize) -> Option<Tab> {
+    Some(Tab(head, at, when, prec))
+}
+
+/// The per-cell summary columns, in JSON order.
+#[rustfmt::skip]
+const SUMMARY: &[Col<CellResult>] = {
+    use Csv::{At, No};
+    use When::{Always, Faulted, Fleet, Multi};
+    &[
+        key("scenario", At(0), |r| Text(r.summary.scenario.as_str().into()), tab("scenario", 0, Always, 0)),
+        key("scheduler", At(1), |r| Text(r.summary.scheduler.label().into()), tab("scheduler", 1, Always, 0)),
+        key("placement", At(15), |r| Text(r.summary.placement.to_string().into()), tab("placement", 3, Multi, 0)),
+        col("fleet_placement", At(24), |r| Text(r.summary.fleet_placement.to_string().into()), tab("fleet", 2, Fleet, 0)),
+        key("rebalance", At(16), |r| Text(r.summary.rebalance.to_string().into()), tab("rebal", 4, Multi, 0)),
+        key("seed", At(2), |r| Int(r.summary.seed), tab("seed", 5, Always, 0)),
+        col("horizon_ms", At(3), |r| Real(r.summary.horizon.as_secs_f64() * 1e3, 3), None),
+        col("devices", No, |r| Int(r.summary.devices as u64), None),
+        col("hosts", At(23), |r| Int(r.summary.hosts as u64), None),
+        col("admitted", At(4), |r| Int(r.summary.admitted as u64), tab("tasks", 6, Always, 0)),
+        col("rejected", At(5), |r| Int(r.summary.rejected), tab("rej", 7, Always, 0)),
+        col("departed", At(6), |r| Int(r.summary.departed as u64), None),
+        col("killed", At(7), |r| Int(r.summary.killed as u64), None),
+        col("total_rounds", At(8), |r| Int(r.summary.total_rounds), tab("rounds", 8, Always, 0)),
+        col("completed_requests", At(9), |r| Int(r.summary.completed_requests), None),
+        col("faults", At(10), |r| Int(r.summary.faults), tab("faults", 10, Always, 0)),
+        col("direct_submits", At(11), |r| Int(r.summary.direct_submits), None),
+        col("utilization", At(12), |r| Real(r.summary.utilization, 6), tab("util", 11, Always, 2)),
+        col("fairness", At(13), |r| Real(r.summary.fairness, 6), tab("fairness", 12, Always, 3)),
+        col("round_p50_us", At(17), |r| Micros(r.summary.round_p50), None),
+        col("round_p95_us", At(18), |r| Micros(r.summary.round_p95), tab("p95", 9, Always, 0)),
+        col("round_p99_us", At(19), |r| Micros(r.summary.round_p99), None),
+        col("migrations", At(20), |r| Int(r.summary.migrations), None),
+        col("transfer_stall_us", At(21), |r| Micros(r.summary.transfer_stall), None),
+        col("fleet_rejected", At(25), |r| Int(r.summary.fleet_rejected), None),
+        col("cross_host_migrations", At(26), |r| Int(r.summary.cross_host_migrations), None),
+        col("cluster_transfer_stall_us", At(27), |r| Micros(r.summary.cluster_transfer_stall), None),
+        col("faults_mode", At(28), |r| Text(r.summary.faults_mode.label().into()), tab("fmode", 16, Faulted, 0)),
+        col("injected_faults", At(29), |r| Int(r.summary.injected_faults), tab("injected", 17, Faulted, 0)),
+        col("watchdog_kills", At(30), |r| Int(r.summary.watchdog_kills), None),
+        col("fault_retries", At(31), |r| Int(r.summary.fault_retries), None),
+        col("recovered_tasks", At(32), |r| Int(r.summary.recovered_tasks), tab("recov", 18, Faulted, 0)),
+        col("lost_tasks", At(33), |r| Int(r.summary.lost_tasks), tab("lost", 19, Faulted, 0)),
+        col("hot_removes", At(34), |r| Int(r.summary.hot_removes), None),
+        col("degraded_us", At(35), |r| Micros(r.summary.degraded), None),
+        col("per_device", No, |r| Json(json_array(DEVICE, &r.summary.per_device)), None),
+        col("per_host", No, |r| Json(json_array(HOST, &r.summary.per_host)), None),
+        col("stats", No, |r| Json(stats_json(&r.report.stats)), None),
+        col("elapsed_ms", At(14), |r| Real(r.summary.elapsed.as_secs_f64() * 1e3, 3), tab("ms", 13, Always, 1)),
+        col("peak_rss_bytes", At(22), |r| Maybe(r.summary.peak_rss_bytes), None),
+    ]
+};
+
+/// One device of a cell: a `per_device` entry, a `dev<i>_*` CSV group.
+#[rustfmt::skip]
+const DEVICE: &[Col<DeviceSummary>] = {
+    use Csv::{As, No};
+    &[
+        col("device", No, |d| Int(u64::from(d.device.raw())), None),
+        col("utilization", As("util"), |d| Real(d.utilization, 6), tab("per-dev util", 14, When::Multi, 2)),
+        col("rejected", As("rej"), |d| Int(d.rejected), None),
+        col("tenants", No, |d| Int(d.tenants as u64), None),
+        col("migrations_in", As("migr"), |d| Int(d.migrations_in), None),
+        col("migrations_out", As("migr_out"), |d| Int(d.migrations_out), None),
+        col("transfer_stall_us", As("stall_us"), |d| Micros(d.transfer_stall), None),
+    ]
+};
+
+/// One host of a fleet cell: a `per_host` entry, a `host<i>_*` CSV group.
+#[rustfmt::skip]
+const HOST: &[Col<HostSummary>] = {
+    use Csv::{As, No};
+    &[
+        col("host", No, |h| Int(h.host as u64), None),
+        col("devices", No, |h| Int(h.devices as u64), None),
+        col("utilization", As("util"), |h| Real(h.utilization, 6), tab("per-host util", 15, When::Fleet, 2)),
+        col("admitted", As("admitted"), |h| Int(h.admitted as u64), None),
+        col("rejected", As("rej"), |h| Int(h.rejected), None),
+        col("rounds", As("rounds"), |h| Int(h.rounds), None),
+    ]
+};
+
+/// A cell's timeline record, after its coordinates.
+#[rustfmt::skip]
+const TIMELINE: &[Col<CellResult>] = &[
+    col("samples_retained", Csv::No, |r| Int(r.report.timeline.len() as u64), None),
+    col("samples_dropped", Csv::No, |r| Int(r.report.timeline.dropped()), None),
+    col("capacity", Csv::No, |r| Int(r.report.timeline.capacity() as u64), None),
+    col("samples", Csv::No, |r| Json(timeline_samples(r)), None),
+];
+
+/// One timeline sample; the CSV repeats it for each of its devices.
+#[rustfmt::skip]
+const SAMPLE: &[Col<TimelineSample>] = &[
+    col("t_ns", Csv::Yes, |s| Int(s.at.as_nanos()), None),
+    col("events", Csv::Yes, |s| Int(s.events), None),
+    col("live_tasks", Csv::Yes, |s| Int(s.live_tasks as u64), None),
+    col("inflight_migrations", Csv::Yes, |s| Int(s.inflight_migrations as u64), None),
+    col("devices", Csv::No, |s| Json(json_array(SAMPLE_DEVICE, &s.devices)), None),
+];
+
+/// One device of a timeline sample.
+#[rustfmt::skip]
+const SAMPLE_DEVICE: &[Col<DeviceSample>] = &[
+    col("device", Csv::Yes, |d| Int(u64::from(d.device.raw())), None),
+    col("utilization", Csv::Yes, |d| Real(d.utilization, 6), None),
+    col("queue_depth", Csv::Yes, |d| Int(d.queue_depth as u64), None),
+    col("tenants", Csv::Yes, |d| Int(d.tenants as u64), None),
+    col("engines_busy", Csv::Yes, |d| Int(d.engines_busy as u64), None),
+    col("migrations_in", Csv::Yes, |d| Int(d.migrations_in), None),
+    col("migrations_out", Csv::Yes, |d| Int(d.migrations_out), None),
+];
+
+/// `"name": value` pairs of `cols` for `item`, comma-separated.
+fn json_fields<'c, T: 'c>(o: &mut String, cols: impl IntoIterator<Item = &'c Col<T>>, item: &T) {
+    for (i, c) in cols.into_iter().enumerate() {
+        let _ = write!(o, "{}\"{}\": ", if i > 0 { ", " } else { "" }, c.name);
+        (c.get)(item).json(o);
+    }
+}
+
+/// `item` as a JSON object of its columns.
+fn json_object<T>(cols: &[Col<T>], item: &T) -> String {
+    let mut o = String::from("{");
+    json_fields(&mut o, cols, item);
+    o + "}"
+}
+
+fn json_array<T>(cols: &[Col<T>], items: &[T]) -> String {
+    let objects: Vec<String> = items.iter().map(|item| json_object(cols, item)).collect();
+    format!("[{}]", objects.join(", "))
+}
+
+/// The cell's coordinates, as `"name": value` pairs: what a timeline
+/// record or a trace's cell record starts with.
+pub fn cell_keys_json(r: &CellResult) -> String {
     let mut o = String::new();
-    let _ = write!(
-        o,
-        "{indent}{{\"scenario\": \"{}\", \"scheduler\": \"{}\", \"placement\": \"{}\", \
-\"fleet_placement\": \"{}\", \"rebalance\": \"{}\", \
-\"seed\": {}, \"horizon_ms\": {}, \"devices\": {}, \"hosts\": {}, \"admitted\": {}, \
-\"rejected\": {}, \
-\"departed\": {}, \"killed\": {}, \"total_rounds\": {}, \"completed_requests\": {}, \
-\"faults\": {}, \"direct_submits\": {}, \"utilization\": {}, \"fairness\": {}, \
-\"round_p50_us\": {}, \"round_p95_us\": {}, \"round_p99_us\": {}, \"migrations\": {}, \
-\"transfer_stall_us\": {}, \"fleet_rejected\": {}, \"cross_host_migrations\": {}, \
-\"cluster_transfer_stall_us\": {}, \"faults_mode\": \"{}\", \"injected_faults\": {}, \
-\"watchdog_kills\": {}, \"fault_retries\": {}, \"recovered_tasks\": {}, \"lost_tasks\": {}, \
-\"hot_removes\": {}, \"degraded_us\": {}, \"per_device\": [",
-        json_escape(&s.scenario),
-        s.scheduler.label(),
-        s.placement,
-        s.fleet_placement,
-        s.rebalance,
-        s.seed,
-        json_f64(s.horizon.as_secs_f64() * 1e3),
-        s.devices,
-        s.hosts,
-        s.admitted,
-        s.rejected,
-        s.departed,
-        s.killed,
-        s.total_rounds,
-        s.completed_requests,
-        s.faults,
-        s.direct_submits,
-        json_f64(s.utilization),
-        json_f64(s.fairness),
-        json_f64(s.round_p50.as_micros_f64()),
-        json_f64(s.round_p95.as_micros_f64()),
-        json_f64(s.round_p99.as_micros_f64()),
-        s.migrations,
-        json_f64(s.transfer_stall.as_micros_f64()),
-        s.fleet_rejected,
-        s.cross_host_migrations,
-        json_f64(s.cluster_transfer_stall.as_micros_f64()),
-        s.faults_mode.label(),
-        s.injected_faults,
-        s.watchdog_kills,
-        s.fault_retries,
-        s.recovered_tasks,
-        s.lost_tasks,
-        s.hot_removes,
-        json_f64(s.degraded.as_micros_f64()),
-    );
-    let devs: Vec<String> = s
-        .per_device
-        .iter()
-        .map(|d| {
-            format!(
-                "{{\"device\": {}, \"utilization\": {}, \"rejected\": {}, \"tenants\": {}, \
-\"migrations_in\": {}, \"migrations_out\": {}, \"transfer_stall_us\": {}}}",
-                d.device.raw(),
-                json_f64(d.utilization),
-                d.rejected,
-                d.tenants,
-                d.migrations_in,
-                d.migrations_out,
-                json_f64(d.transfer_stall.as_micros_f64()),
-            )
-        })
-        .collect();
-    let hosts: Vec<String> = s
-        .per_host
-        .iter()
-        .map(|h| {
-            format!(
-                "{{\"host\": {}, \"devices\": {}, \"utilization\": {}, \"admitted\": {}, \
-\"rejected\": {}, \"rounds\": {}}}",
-                h.host,
-                h.devices,
-                json_f64(h.utilization),
-                h.admitted,
-                h.rejected,
-                h.rounds,
-            )
-        })
-        .collect();
-    let peak_rss = match s.peak_rss_bytes {
-        Some(b) => b.to_string(),
-        None => "null".to_string(),
-    };
-    let _ = write!(
-        o,
-        "{}], \"per_host\": [{}], \"stats\": {}, \"elapsed_ms\": {}, \"peak_rss_bytes\": {}}}",
-        devs.join(", "),
-        hosts.join(", "),
-        stats_json(stats),
-        json_f64(s.elapsed.as_secs_f64() * 1e3),
-        peak_rss,
-    );
+    json_fields(&mut o, SUMMARY.iter().filter(|c| c.key), r);
     o
+}
+
+/// The CSV columns of `cols`, in CSV order.
+fn csv_cols<T>(cols: &[Col<T>]) -> Vec<&Col<T>> {
+    let mut out: Vec<(usize, &Col<T>)> = cols
+        .iter()
+        .enumerate()
+        .filter_map(|(i, c)| match c.csv {
+            Csv::No => None,
+            Csv::At(at) => Some((at, c)),
+            Csv::Yes | Csv::As(_) => Some((i, c)),
+        })
+        .collect();
+    out.sort_by_key(|(at, _)| *at);
+    out.into_iter().map(|(_, c)| c).collect()
+}
+
+/// Appends `,`-prefixed CSV headers of `cols` (each under `prefix`).
+fn csv_header<T>(o: &mut String, cols: &[&Col<T>], prefix: &str) {
+    for c in cols {
+        let name = match c.csv {
+            Csv::As(name) => name,
+            _ => c.name,
+        };
+        let _ = write!(o, ",{prefix}{name}");
+    }
+}
+
+/// Appends `,`-prefixed CSV fields of `cols` for `item` (empty fields
+/// when the cell has no such item).
+fn csv_fields<T>(o: &mut String, cols: &[&Col<T>], item: Option<&T>) {
+    for c in cols {
+        o.push(',');
+        if let Some(item) = item {
+            (c.get)(item).csv(o);
+        }
+    }
 }
 
 /// Serializes a sweep outcome as a JSON document.
@@ -174,11 +369,21 @@ pub fn to_json(outcome: &SweepOutcome) -> String {
     let rows: Vec<String> = outcome
         .results
         .iter()
-        .map(|r| summary_json(&r.summary, &r.report.stats, "    "))
+        .map(|r| format!("    {}", json_object(SUMMARY, r)))
         .collect();
     o.push_str(&rows.join(",\n"));
     o.push_str("\n  ]\n}\n");
     o
+}
+
+fn timeline_samples(r: &CellResult) -> String {
+    let samples: Vec<String> = r
+        .report
+        .timeline
+        .iter()
+        .map(|s| format!("      {}", json_object(SAMPLE, s)))
+        .collect();
+    format!("[\n{}\n    ]", samples.join(",\n"))
 }
 
 /// Serializes the telemetry timelines of a sweep as a JSON document:
@@ -186,106 +391,42 @@ pub fn to_json(outcome: &SweepOutcome) -> String {
 /// and its retained [`neon_core::telemetry::TimelineSample`]s. Cells
 /// whose sampler was off contribute empty sample lists.
 pub fn timeline_json(outcome: &SweepOutcome) -> String {
-    let mut o = String::new();
-    o.push_str("{\n  \"timelines\": [\n");
     let rows: Vec<String> = outcome
         .results
         .iter()
         .map(|r| {
-            let s = &r.summary;
-            let tl = &r.report.timeline;
-            let samples: Vec<String> = tl
-                .iter()
-                .map(|sample| {
-                    let devs: Vec<String> = sample
-                        .devices
-                        .iter()
-                        .map(|d| {
-                            format!(
-                                "{{\"device\": {}, \"utilization\": {}, \"queue_depth\": {}, \
-\"tenants\": {}, \"engines_busy\": {}, \"migrations_in\": {}, \"migrations_out\": {}}}",
-                                d.device.raw(),
-                                json_f64(d.utilization),
-                                d.queue_depth,
-                                d.tenants,
-                                d.engines_busy,
-                                d.migrations_in,
-                                d.migrations_out,
-                            )
-                        })
-                        .collect();
-                    format!(
-                        "      {{\"t_ns\": {}, \"events\": {}, \"live_tasks\": {}, \
-\"inflight_migrations\": {}, \"devices\": [{}]}}",
-                        sample.at.as_nanos(),
-                        sample.events,
-                        sample.live_tasks,
-                        sample.inflight_migrations,
-                        devs.join(", "),
-                    )
-                })
-                .collect();
-            format!(
-                "    {{\"scenario\": \"{}\", \"scheduler\": \"{}\", \"placement\": \"{}\", \
-\"rebalance\": \"{}\", \"seed\": {}, \"samples_retained\": {}, \"samples_dropped\": {}, \
-\"capacity\": {}, \"samples\": [\n{}\n    ]}}",
-                json_escape(&s.scenario),
-                s.scheduler.label(),
-                s.placement,
-                s.rebalance,
-                s.seed,
-                tl.len(),
-                tl.dropped(),
-                tl.capacity(),
-                samples.join(",\n"),
-            )
+            let mut o = format!("    {{{}, ", cell_keys_json(r));
+            json_fields(&mut o, TIMELINE, r);
+            o + "}"
         })
         .collect();
-    o.push_str(&rows.join(",\n"));
-    o.push_str("\n  ]\n}\n");
-    o
+    format!("{{\n  \"timelines\": [\n{}\n  ]\n}}\n", rows.join(",\n"))
 }
 
 /// The timelines of a sweep as flat CSV: one row per (cell, sample,
 /// device) triple.
 pub fn timeline_csv(outcome: &SweepOutcome) -> String {
-    let mut o = String::from(
-        "scenario,scheduler,placement,rebalance,seed,t_ns,events,live_tasks,\
-inflight_migrations,device,utilization,queue_depth,tenants,engines_busy,\
-migrations_in,migrations_out\n",
-    );
+    let keys: Vec<&Col<CellResult>> = SUMMARY.iter().filter(|c| c.key).collect();
+    let (sample, device) = (csv_cols(SAMPLE), csv_cols(SAMPLE_DEVICE));
+    let mut o = String::new();
+    csv_header(&mut o, &keys, "");
+    csv_header(&mut o, &sample, "");
+    csv_header(&mut o, &device, "");
+    o.remove(0);
     for r in &outcome.results {
-        let s = &r.summary;
-        let scenario = if s.scenario.contains([',', '"']) {
-            format!("\"{}\"", s.scenario.replace('"', "\"\""))
-        } else {
-            s.scenario.clone()
-        };
-        for sample in r.report.timeline.iter() {
-            for d in &sample.devices {
-                let _ = writeln!(
-                    o,
-                    "{},{},{},{},{},{},{},{},{},{},{:.6},{},{},{},{},{}",
-                    scenario,
-                    s.scheduler.label(),
-                    s.placement,
-                    s.rebalance,
-                    s.seed,
-                    sample.at.as_nanos(),
-                    sample.events,
-                    sample.live_tasks,
-                    sample.inflight_migrations,
-                    d.device.raw(),
-                    d.utilization,
-                    d.queue_depth,
-                    d.tenants,
-                    d.engines_busy,
-                    d.migrations_in,
-                    d.migrations_out,
-                );
+        let mut cell = String::new();
+        csv_fields(&mut cell, &keys, Some(r));
+        for s in r.report.timeline.iter() {
+            let mut row = cell.clone();
+            csv_fields(&mut row, &sample, Some(s));
+            for d in &s.devices {
+                o.push('\n');
+                o.push_str(&row[1..]);
+                csv_fields(&mut o, &device, Some(d));
             }
         }
     }
+    o.push('\n');
     o
 }
 
@@ -516,229 +657,78 @@ pub fn bench_json(plan: &SweepOutcome, trials: &[BenchTrial]) -> String {
     o
 }
 
-/// Fixed CSV column prefix; [`to_csv`] appends `placement`,
-/// `rebalance`, the percentile columns, `migrations`,
-/// `transfer_stall_us`, `peak_rss_bytes` (empty off Linux), the fleet
-/// columns (`hosts`, `fleet_placement`, `fleet_rejected`,
-/// `cross_host_migrations`, `cluster_transfer_stall_us`), the fault
-/// columns (`faults_mode`, `injected_faults`, `watchdog_kills`,
-/// `fault_retries`, `recovered_tasks`, `lost_tasks`, `hot_removes`,
-/// `degraded_us`), per-device
-/// `dev<i>_util`/`dev<i>_rej`/`dev<i>_migr`/`dev<i>_migr_out`/
-/// `dev<i>_stall_us` groups sized to the widest cell in the sweep,
-/// and per-host `host<i>_util`/`host<i>_admitted`/`host<i>_rej`/
-/// `host<i>_rounds` groups sized to the widest fleet cell (absent in
-/// single-host sweeps).
-pub const CSV_HEADER: &str = "scenario,scheduler,seed,horizon_ms,admitted,rejected,departed,\
-killed,total_rounds,completed_requests,faults,direct_submits,utilization,fairness,elapsed_ms";
-
-/// Serializes a sweep outcome as CSV (header + one row per cell).
+/// Serializes a sweep outcome as CSV (header + one row per cell): the
+/// summary columns, then one `dev<i>_*` group per device and one
+/// `host<i>_*` group per host, sized to the widest cell in the sweep
+/// (a narrower cell leaves its extra groups empty).
 pub fn to_csv(outcome: &SweepOutcome) -> String {
-    let max_devices = outcome
-        .results
-        .iter()
-        .map(|r| r.summary.per_device.len())
-        .max()
-        .unwrap_or(0);
-    let max_hosts = outcome
-        .results
-        .iter()
-        .map(|r| r.summary.per_host.len())
-        .max()
-        .unwrap_or(0);
-    let mut o = String::from(CSV_HEADER);
-    o.push_str(
-        ",placement,rebalance,round_p50_us,round_p95_us,round_p99_us,migrations,\
-transfer_stall_us,peak_rss_bytes,hosts,fleet_placement,fleet_rejected,\
-cross_host_migrations,cluster_transfer_stall_us,faults_mode,injected_faults,\
-watchdog_kills,fault_retries,recovered_tasks,lost_tasks,hot_removes,degraded_us",
-    );
-    for d in 0..max_devices {
-        let _ = write!(
-            o,
-            ",dev{d}_util,dev{d}_rej,dev{d}_migr,dev{d}_migr_out,dev{d}_stall_us"
-        );
+    let widest = |n: fn(&CellResult) -> usize| outcome.results.iter().map(n).max().unwrap_or(0);
+    let devices = widest(|r| r.summary.per_device.len());
+    let hosts = widest(|r| r.summary.per_host.len());
+    let (summary, device, host) = (csv_cols(SUMMARY), csv_cols(DEVICE), csv_cols(HOST));
+    let mut o = String::new();
+    csv_header(&mut o, &summary, "");
+    for d in 0..devices {
+        csv_header(&mut o, &device, &format!("dev{d}_"));
     }
-    for h in 0..max_hosts {
-        let _ = write!(
-            o,
-            ",host{h}_util,host{h}_admitted,host{h}_rej,host{h}_rounds"
-        );
+    for h in 0..hosts {
+        csv_header(&mut o, &host, &format!("host{h}_"));
     }
+    o.remove(0);
     o.push('\n');
     for r in &outcome.results {
-        let s = &r.summary;
-        let scenario = if s.scenario.contains([',', '"']) {
-            format!("\"{}\"", s.scenario.replace('"', "\"\""))
-        } else {
-            s.scenario.clone()
-        };
-        let _ = write!(
-            o,
-            "{},{},{},{:.3},{},{},{},{},{},{},{},{},{:.6},{:.6},{:.3},{},{},{:.3},{:.3},{:.3},{}",
-            scenario,
-            s.scheduler.label(),
-            s.seed,
-            s.horizon.as_secs_f64() * 1e3,
-            s.admitted,
-            s.rejected,
-            s.departed,
-            s.killed,
-            s.total_rounds,
-            s.completed_requests,
-            s.faults,
-            s.direct_submits,
-            s.utilization,
-            s.fairness,
-            s.elapsed.as_secs_f64() * 1e3,
-            s.placement,
-            s.rebalance,
-            s.round_p50.as_micros_f64(),
-            s.round_p95.as_micros_f64(),
-            s.round_p99.as_micros_f64(),
-            s.migrations,
-        );
-        let _ = write!(o, ",{:.3}", s.transfer_stall.as_micros_f64());
-        match s.peak_rss_bytes {
-            Some(b) => {
-                let _ = write!(o, ",{b}");
-            }
-            None => o.push(','),
+        let start = o.len();
+        csv_fields(&mut o, &summary, Some(r));
+        o.remove(start);
+        for d in 0..devices {
+            csv_fields(&mut o, &device, r.summary.per_device.get(d));
         }
-        let _ = write!(
-            o,
-            ",{},{},{},{},{:.3}",
-            s.hosts,
-            s.fleet_placement,
-            s.fleet_rejected,
-            s.cross_host_migrations,
-            s.cluster_transfer_stall.as_micros_f64(),
-        );
-        let _ = write!(
-            o,
-            ",{},{},{},{},{},{},{},{:.3}",
-            s.faults_mode.label(),
-            s.injected_faults,
-            s.watchdog_kills,
-            s.fault_retries,
-            s.recovered_tasks,
-            s.lost_tasks,
-            s.hot_removes,
-            s.degraded.as_micros_f64(),
-        );
-        for d in 0..max_devices {
-            match s.per_device.get(d) {
-                Some(dev) => {
-                    let _ = write!(
-                        o,
-                        ",{:.6},{},{},{},{:.3}",
-                        dev.utilization,
-                        dev.rejected,
-                        dev.migrations_in,
-                        dev.migrations_out,
-                        dev.transfer_stall.as_micros_f64()
-                    );
-                }
-                None => o.push_str(",,,,,"),
-            }
-        }
-        for h in 0..max_hosts {
-            match s.per_host.get(h) {
-                Some(host) => {
-                    let _ = write!(
-                        o,
-                        ",{:.6},{},{},{}",
-                        host.utilization, host.admitted, host.rejected, host.rounds
-                    );
-                }
-                None => o.push_str(",,,,"),
-            }
+        for h in 0..hosts {
+            csv_fields(&mut o, &host, r.summary.per_host.get(h));
         }
         o.push('\n');
     }
     o
 }
 
+/// A table column and how it renders one result.
+type TableCol = (Tab, Box<dyn Fn(&CellResult) -> String>);
+
+/// Adds the table columns of `cols`: a cell shows the column's value
+/// for each of the result's `items`, joined by `/`.
+fn table_cols<T>(out: &mut Vec<TableCol>, cols: &'static [Col<T>], items: fn(&CellResult) -> &[T]) {
+    for c in cols {
+        if let Some(t) = c.table {
+            out.push((
+                t,
+                Box::new(move |r| {
+                    let cells: Vec<String> =
+                        items(r).iter().map(|i| (c.get)(i).table(t.3)).collect();
+                    cells.join("/")
+                }),
+            ));
+        }
+    }
+}
+
 /// Renders the human-readable summary table printed by the CLI.
 pub fn to_table(outcome: &SweepOutcome) -> String {
-    let multi = outcome.results.iter().any(|r| r.summary.devices > 1);
-    let fleet = outcome.results.iter().any(|r| r.summary.hosts > 1);
-    let faulted = outcome
-        .results
-        .iter()
-        .any(|r| r.summary.faults_mode != FaultMode::None);
-    let mut headers = vec![
-        "scenario".to_string(),
-        "scheduler".into(),
-        "seed".into(),
-        "tasks".into(),
-        "rej".into(),
-        "rounds".into(),
-        "p95".into(),
-        "faults".into(),
-        "util".into(),
-        "fairness".into(),
-        "ms".into(),
-    ];
-    if multi {
-        headers.insert(2, "placement".into());
-        headers.insert(3, "rebal".into());
-        headers.push("per-dev util".into());
-    }
-    if fleet {
-        headers.insert(2, "fleet".into());
-        headers.push("per-host util".into());
-    }
-    if faulted {
-        headers.push("fmode".into());
-        headers.push("injected".into());
-        headers.push("recov".into());
-        headers.push("lost".into());
-    }
-    let mut table = neon_metrics::Table::new(headers);
+    let any = |f: fn(&CellResult) -> bool| outcome.results.iter().any(f);
+    let shown = |when| match when {
+        When::Always => true,
+        When::Multi => any(|r| r.summary.devices > 1),
+        When::Fleet => any(|r| r.summary.hosts > 1),
+        When::Faulted => any(|r| r.summary.faults_mode != FaultMode::None),
+    };
+    let mut cols = Vec::new();
+    table_cols(&mut cols, SUMMARY, std::slice::from_ref);
+    table_cols(&mut cols, DEVICE, |r| &r.summary.per_device);
+    table_cols(&mut cols, HOST, |r| &r.summary.per_host);
+    cols.retain(|(t, _)| shown(t.2));
+    cols.sort_by_key(|(t, _)| t.1);
+    let mut table = neon_metrics::Table::new(cols.iter().map(|(t, _)| t.0.to_string()).collect());
     for r in &outcome.results {
-        let s = &r.summary;
-        let mut row = vec![
-            s.scenario.clone(),
-            s.scheduler.label().to_string(),
-            s.seed.to_string(),
-            s.admitted.to_string(),
-            s.rejected.to_string(),
-            s.total_rounds.to_string(),
-            format!("{}", s.round_p95),
-            s.faults.to_string(),
-            format!("{:.2}", s.utilization),
-            format!("{:.3}", s.fairness),
-            format!("{:.1}", s.elapsed.as_secs_f64() * 1e3),
-        ];
-        if multi {
-            row.insert(2, s.placement.to_string());
-            row.insert(3, s.rebalance.to_string());
-            row.push(
-                s.per_device
-                    .iter()
-                    .map(|d| format!("{:.2}", d.utilization))
-                    .collect::<Vec<_>>()
-                    .join("/"),
-            );
-        }
-        if fleet {
-            row.insert(2, s.fleet_placement.to_string());
-            row.push(
-                s.per_host
-                    .iter()
-                    .map(|h| format!("{:.2}", h.utilization))
-                    .collect::<Vec<_>>()
-                    .join("/"),
-            );
-        }
-        if faulted {
-            row.push(s.faults_mode.label().to_string());
-            row.push(s.injected_faults.to_string());
-            row.push(s.recovered_tasks.to_string());
-            row.push(s.lost_tasks.to_string());
-        }
-        table.row(row);
+        table.row(cols.iter().map(|(_, cell)| cell(r)).collect());
     }
     table.render()
 }
@@ -746,7 +736,7 @@ pub fn to_table(outcome: &SweepOutcome) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{CellResult, DeviceSummary, HostSummary};
+    use crate::driver::{CellResult, CellSummary, DeviceSummary, HostSummary};
     use neon_core::fleet::FleetPlacementKind;
     use neon_core::placement::PlacementKind;
     use neon_core::rebalance::RebalanceKind;
@@ -1042,7 +1032,14 @@ mod tests {
         let csv = to_csv(&outcome());
         let mut lines = csv.lines();
         let header = lines.next().unwrap();
-        assert!(header.starts_with(CSV_HEADER), "{header}");
+        assert!(
+            header.starts_with(
+                "scenario,scheduler,seed,horizon_ms,admitted,rejected,departed,killed,\
+                 total_rounds,completed_requests,faults,direct_submits,utilization,fairness,\
+                 elapsed_ms,"
+            ),
+            "{header}"
+        );
         assert!(
             header.ends_with(
                 ",placement,rebalance,round_p50_us,round_p95_us,round_p99_us,migrations,\

@@ -89,4 +89,4 @@ pub use spec::{
     ArrivalSpec, CustomScheduler, LifetimeSpec, ScenarioSpec, SpecError, TenantGroup, WorkloadSpec,
 };
 pub use sweep::{SweepCell, SweepOutcome};
-pub use toml::{from_file as toml_file, from_toml, parse_duration};
+pub use toml::{from_file as toml_file, from_toml, parse_axis, parse_duration, Labeled};

@@ -11,6 +11,8 @@
 //! Specs are built either programmatically (the builder methods here)
 //! or from a TOML file ([`crate::toml_file`]).
 
+use std::collections::BTreeMap;
+
 use neon_core::cost::{CostModel, SchedParams};
 use neon_core::fault::{FaultConfig, FaultEvent, FaultKind, FaultMode, FaultPlan};
 use neon_core::fleet::{FleetPlacementKind, FleetRebalanceKind};
@@ -791,7 +793,9 @@ impl ScenarioSpec {
         if self.groups.is_empty() {
             return Err(err("at least one [[group]] required"));
         }
-        let mut device_params: Vec<Option<(&str, &SchedParams)>> = vec![None; self.devices];
+        // Keyed by pinned device, not sized by `devices`: the count comes
+        // from the input and must not decide an allocation.
+        let mut device_params: BTreeMap<u32, (&str, &SchedParams)> = BTreeMap::new();
         for g in &self.groups {
             if let Some(d) = g.device {
                 if d as usize >= self.devices {
@@ -812,7 +816,7 @@ impl ScenarioSpec {
                         g.name
                     )));
                 };
-                match &device_params[d as usize] {
+                match device_params.get(&d) {
                     Some((other, existing)) if *existing != params => {
                         return Err(err(format!(
                             "groups {:?} and {:?} pin conflicting sched-param \
@@ -820,7 +824,9 @@ impl ScenarioSpec {
                             other, g.name
                         )));
                     }
-                    _ => device_params[d as usize] = Some((&g.name, params)),
+                    _ => {
+                        device_params.insert(d, (&g.name, params));
+                    }
                 }
             }
         }
@@ -1088,5 +1094,39 @@ mod tests {
         for w in &specs {
             assert!(w.build().is_ok(), "{w:?} failed to build");
         }
+    }
+
+    #[test]
+    fn validation_does_not_allocate_per_device_from_the_input_count() {
+        // `devices = 2^32` used to size a per-device table in validate
+        // and abort the process on the failed allocation.
+        let throttle = WorkloadSpec::Throttle {
+            request: us(100),
+            off_ratio: 0.0,
+            jitter: 0.0,
+        };
+        let params = SchedParams {
+            sampling_requests: 96,
+            ..SchedParams::default()
+        };
+        let mut spec = ScenarioSpec::new("huge", SimDuration::from_millis(10))
+            .group(
+                TenantGroup::new("pinned", throttle.clone())
+                    .device(7)
+                    .params(params.clone()),
+            )
+            .group(TenantGroup::new("same", throttle).device(7).params(params));
+        spec.devices = 1 << 32;
+        assert!(spec.validate().is_ok());
+        spec.groups[1]
+            .params
+            .as_mut()
+            .expect("set above")
+            .sampling_requests = 64;
+        let e = spec.validate().unwrap_err();
+        assert!(
+            e.0.contains("conflicting sched-param overrides to device 7"),
+            "{e}"
+        );
     }
 }

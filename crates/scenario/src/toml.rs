@@ -2,66 +2,26 @@
 //!
 //! The build environment has no crates.io access, so scenarios are
 //! parsed by a small built-in reader covering the subset the files
-//! use (documented in the crate docs and the `examples/scenarios/`
-//! files):
+//! use:
 //!
 //! - `key = value` pairs with string, integer, float, boolean and
 //!   flat-array values; dotted keys (`params.timeslice = "20ms"`) are
 //!   stored flat under their dotted name;
-//! - `[[group]]` array-of-tables headers (each opens one tenant
-//!   group; subsequent keys belong to it) and `[[device]]` headers
-//!   (each opens one heterogeneous device slot: `channels`,
-//!   `contexts`, `ring`, `context_switch`, `graphics_cooldown`, plus
-//!   the `numa`/`switch` interconnect coordinate);
+//! - `[[group]]`, `[[device]]`, `[[host]]` and `[[fault]]` headers,
+//!   each opening one table that the following keys belong to;
 //! - `#` comments and blank lines.
 //!
-//! Durations are written as strings with a unit suffix: `"134ns"`,
-//! `"430us"`, `"30ms"`, `"2s"`. Scheduler axes accept `"all"`,
-//! `"paper"`, or an array of policy labels (`"disengaged-fq"`, …);
-//! placement axes accept `"all"` or labels (`"least-loaded"`,
-//! `"round-robin"`, `"fewest-tenants"`, `"pinned:<device>"`).
-//! The `rebalance` key is an axis too: `"all"`, a label (`"off"`,
-//! `"count-diff"`, `"cost-aware"` — `"cost"` for short), or an array
-//! of labels. A boolean is rejected: `"count-diff"` replaces the old
-//! `true` byte for byte, and `"off"` replaces `false`.
+//! Durations are strings with a unit suffix (`"134ns"`, `"430us"`,
+//! `"30ms"`, `"2s"`); sizes take `B`/`KB`/`MB`/`GB` (powers of 1024).
 //!
-//! Telemetry: `metrics = "exact"` (default) or `"streaming"` selects
-//! the metrics pipeline, and `sample_every = "<duration>"` switches
-//! on the periodic device-timeline sampler (off when the key is
-//! absent, keeping default runs byte-identical).
-//!
-//! # Topology
-//!
-//! `topology.interconnect = "pcie-gen3"` (or `"free"`, the default)
-//! selects the interconnect timing; individual
-//! `topology.<tier>_gbps`/`topology.<tier>_latency` keys override a
-//! tier's bandwidth (GB/s) or setup latency. Groups may set
-//! `working_set = "64MB"` (sizes take B/KB/MB/GB suffixes, powers of
-//! 1024) — the state charged against the interconnect when the group's
-//! members are placed or migrated.
-//!
-//! # Fleet
-//!
-//! `hosts = N` runs each cell as a fleet of `N` identical hosts (each
-//! with `devices` devices); `[[host]]` blocks (`devices = M`) size
-//! heterogeneous hosts instead. `fleet_placement` is a sweep axis
-//! (`"all"` or labels `"least-loaded"`, `"round-robin"`,
-//! `"fewest-tenants"`); `fleet_rebalance` is a single label (`"off"`,
-//! `"count-diff"`); `cluster.network = "25g"` (or `cluster.latency` /
-//! `cluster.gbps` overrides) prices cross-host migration — free when
-//! absent.
-//!
-//! # Overrides
-//!
-//! `params.<field>` keys override [`SchedParams`] — at top level for
-//! every device, inside a `[[group]]` for the device the group is
-//! pinned to (`device = <index>` required; validation rejects unpinned
-//! group overrides instead of silently ignoring them). `cost.<field>`
-//! keys override the [`CostModel`] at top level only: the cost model
-//! describes the simulated host, so a per-group form does not exist
-//! and is rejected with an error naming the offending key.
+//! Every key the loader accepts is a row of the key registry
+//! (`KEYS`): where it may appear, its type, and what it means. The
+//! README's "Scenario keys" section is rendered from it
+//! ([`key_reference`]), and every unknown-key, misplaced-key and
+//! wrong-arm error and did-you-mean hint reads it.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use neon_core::cost::{CostModel, SchedParams};
 use neon_core::fault::{FaultConfig, FaultEvent, FaultKind, FaultMode};
@@ -92,75 +52,77 @@ pub enum Value {
     Array(Vec<Value>),
 }
 
-type Table = BTreeMap<String, Value>;
+/// The kinds of table a scenario document holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TableKind {
+    Root,
+    Group,
+    Device,
+    Host,
+    Fault,
+}
 
-/// `(root, group_tables, device_tables, host_tables, fault_tables)` as
-/// parsed from a scenario document, in source order.
-type Document = (Table, Vec<Table>, Vec<Table>, Vec<Table>, Vec<Table>);
+impl TableKind {
+    /// The `[[...]]` table arrays, in the order errors list them.
+    const ARRAYS: [TableKind; 4] = [
+        TableKind::Group,
+        TableKind::Device,
+        TableKind::Host,
+        TableKind::Fault,
+    ];
+
+    fn name(self) -> &'static str {
+        match self {
+            TableKind::Root => "top level",
+            TableKind::Group => "group",
+            TableKind::Device => "device",
+            TableKind::Host => "host",
+            TableKind::Fault => "fault",
+        }
+    }
+}
+
+/// One table of a scenario document.
+struct Table {
+    kind: TableKind,
+    map: BTreeMap<String, Value>,
+}
 
 fn parse_err(line_no: usize, msg: impl Into<String>) -> SpecError {
     SpecError(format!("line {}: {}", line_no, msg.into()))
 }
 
-/// Parses the supported TOML subset into a root table plus the
-/// ordered `[[group]]`, `[[device]]` and `[[host]]` tables.
-fn parse_document(text: &str) -> Result<Document, SpecError> {
-    /// Which table subsequent `key = value` lines belong to.
-    enum Section {
-        Root,
-        Group,
-        Device,
-        Host,
-        Fault,
-    }
-    let mut root = Table::new();
-    let mut groups: Vec<Table> = Vec::new();
-    let mut devices: Vec<Table> = Vec::new();
-    let mut hosts: Vec<Table> = Vec::new();
-    let mut faults: Vec<Table> = Vec::new();
-    let mut section = Section::Root;
+/// Parses the supported TOML subset into its tables in source order;
+/// the first is the root table.
+fn parse_document(text: &str) -> Result<Vec<Table>, SpecError> {
+    let table = |kind| Table {
+        kind,
+        map: BTreeMap::new(),
+    };
+    let arrays = TableKind::ARRAYS.map(|k| format!("[[{}]]", k.name()));
+    let mut tables = vec![table(TableKind::Root)];
     for (i, raw) in text.lines().enumerate() {
         let line_no = i + 1;
-        let line = strip_comment(raw).trim().to_string();
+        let line = strip_comment(raw).trim();
         if line.is_empty() {
             continue;
         }
-        if let Some(header) = line.strip_prefix("[[").and_then(|s| s.strip_suffix("]]")) {
-            match header.trim() {
-                "group" => {
-                    groups.push(Table::new());
-                    section = Section::Group;
-                }
-                "device" => {
-                    devices.push(Table::new());
-                    section = Section::Device;
-                }
-                "host" => {
-                    hosts.push(Table::new());
-                    section = Section::Host;
-                }
-                "fault" => {
-                    faults.push(Table::new());
-                    section = Section::Fault;
-                }
-                other => {
-                    return Err(parse_err(
-                        line_no,
-                        format!(
-                            "unsupported table array [[{other}]]; only [[group]], \
-                             [[device]], [[host]] and [[fault]]"
-                        ),
-                    ));
-                }
-            }
-            continue;
-        }
         if line.starts_with('[') {
-            return Err(parse_err(
-                line_no,
-                "plain [table] headers are not supported; use top-level keys, \
-                 [[group]], [[device]] or [[host]]",
-            ));
+            let name = line.strip_prefix("[[").and_then(|s| s.strip_suffix("]]"));
+            let Some(kind) = TableKind::ARRAYS
+                .into_iter()
+                .find(|k| name.map(str::trim) == Some(k.name()))
+            else {
+                return Err(parse_err(
+                    line_no,
+                    format!(
+                        "unsupported table header {line}; use top-level keys or {}",
+                        arrays.join(", ")
+                    ),
+                ));
+            };
+            tables.push(table(kind));
+            continue;
         }
         let Some((key, value)) = line.split_once('=') else {
             return Err(parse_err(
@@ -179,26 +141,12 @@ fn parse_document(text: &str) -> Result<Document, SpecError> {
             return Err(parse_err(line_no, format!("bad key {key:?}")));
         }
         let value = parse_value(value.trim(), line_no)?;
-        let table = match section {
-            Section::Root => &mut root,
-            // lint: allow(unchecked-unwrap) — Section::Group is only entered
-            // after pushing the matching group record
-            Section::Group => groups.last_mut().expect("group section implies a group"),
-            // lint: allow(unchecked-unwrap) — Section::Device is only entered
-            // after pushing the matching device record
-            Section::Device => devices.last_mut().expect("device section implies a device"),
-            // lint: allow(unchecked-unwrap) — Section::Host is only entered
-            // after pushing the matching host record
-            Section::Host => hosts.last_mut().expect("host section implies a host"),
-            // lint: allow(unchecked-unwrap) — Section::Fault is only entered
-            // after pushing the matching fault record
-            Section::Fault => faults.last_mut().expect("fault section implies a fault"),
-        };
-        if table.insert(key.clone(), value).is_some() {
+        let last = tables.len() - 1;
+        if tables[last].map.insert(key.clone(), value).is_some() {
             return Err(parse_err(line_no, format!("duplicate key {key:?}")));
         }
     }
-    Ok((root, groups, devices, hosts, faults))
+    Ok(tables)
 }
 
 /// Strips a `#` comment, respecting quoted strings.
@@ -334,719 +282,312 @@ pub fn parse_duration(s: &str) -> Result<SimDuration, SpecError> {
 }
 
 // ----------------------------------------------------------------------
-// Typed accessors
+// The key registry
 // ----------------------------------------------------------------------
 
-fn get_str<'t>(t: &'t Table, key: &str) -> Result<Option<&'t str>, SpecError> {
-    match t.get(key) {
-        None => Ok(None),
-        Some(Value::Str(s)) => Ok(Some(s)),
-        Some(other) => Err(SpecError(format!("{key} must be a string, got {other:?}"))),
+/// A key's value type, as the key reference names it.
+#[derive(Clone, Copy)]
+enum Ty {
+    Str,
+    Int,
+    Ints,
+    Float,
+    Bool,
+    Duration,
+    Durations,
+    Size,
+    /// One label of the set the function lists.
+    Label(fn() -> Vec<String>),
+    /// A sweep axis: one label or an array of them.
+    Axis(fn() -> Vec<String>),
+}
+
+impl std::fmt::Display for Ty {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let name = match self {
+            Ty::Str => "string",
+            Ty::Int => "integer",
+            Ty::Ints => "integer or array of integers",
+            Ty::Float => "number",
+            Ty::Bool => "boolean",
+            Ty::Duration => "duration",
+            Ty::Durations => "array of durations",
+            Ty::Size => "size",
+            Ty::Label(labels) => return write!(f, "one of {}", labels().join(", ")),
+            Ty::Axis(labels) => return write!(f, "label or array: {}", labels().join(", ")),
+        };
+        f.write_str(name)
     }
 }
 
-fn get_duration(t: &Table, key: &str) -> Result<Option<SimDuration>, SpecError> {
-    get_str(t, key)?.map(parse_duration).transpose()
-}
-
-fn require_duration(t: &Table, key: &str, what: &str) -> Result<SimDuration, SpecError> {
-    get_duration(t, key)?
-        .ok_or_else(|| SpecError(format!("{what} requires {key} = \"<duration>\"")))
-}
-
-fn get_u64(t: &Table, key: &str) -> Result<Option<u64>, SpecError> {
-    match t.get(key) {
-        None => Ok(None),
-        Some(Value::Int(v)) if *v >= 0 => Ok(Some(*v as u64)),
-        Some(other) => Err(SpecError(format!(
-            "{key} must be a non-negative integer, got {other:?}"
-        ))),
-    }
-}
-
-/// Like [`get_u64`] but range-checked to `u32`: a value like
-/// `device = 4294967296` must be rejected, not silently truncated to 0
-/// by an `as u32` cast (which would, e.g., pin a group to the wrong
-/// GPU).
-fn get_u32(t: &Table, key: &str) -> Result<Option<u32>, SpecError> {
-    match get_u64(t, key)? {
-        None => Ok(None),
-        Some(v) => u32::try_from(v).map(Some).map_err(|_| {
-            SpecError(format!(
-                "{key} must fit in a 32-bit unsigned integer (0..={}), got {v}",
-                u32::MAX
-            ))
-        }),
-    }
-}
-
-fn get_f64(t: &Table, key: &str) -> Result<Option<f64>, SpecError> {
-    match t.get(key) {
-        None => Ok(None),
-        Some(Value::Float(v)) => Ok(Some(*v)),
-        Some(Value::Int(v)) => Ok(Some(*v as f64)),
-        Some(other) => Err(SpecError(format!("{key} must be a number, got {other:?}"))),
-    }
-}
-
-fn get_bool(t: &Table, key: &str) -> Result<Option<bool>, SpecError> {
-    match t.get(key) {
-        None => Ok(None),
-        Some(Value::Bool(v)) => Ok(Some(*v)),
-        Some(other) => Err(SpecError(format!(
-            "{key} must be true or false, got {other:?}"
-        ))),
-    }
-}
-
-// ----------------------------------------------------------------------
-// Spec assembly
-// ----------------------------------------------------------------------
-
-fn schedulers_from(root: &Table) -> Result<Vec<SchedulerKind>, SpecError> {
-    match root.get("schedulers") {
-        None => Ok(SchedulerKind::ALL.to_vec()),
-        Some(Value::Str(s)) => match s.as_str() {
-            "all" => Ok(SchedulerKind::ALL.to_vec()),
-            "paper" => Ok(SchedulerKind::PAPER.to_vec()),
-            other => SchedulerKind::from_label(other)
-                .map(|k| vec![k])
-                .ok_or_else(|| SpecError(format!("unknown scheduler {other:?}"))),
-        },
-        Some(Value::Array(items)) => items
-            .iter()
-            .map(|v| match v {
-                Value::Str(s) => SchedulerKind::from_label(s)
-                    .ok_or_else(|| SpecError(format!("unknown scheduler {s:?}"))),
-                other => Err(SpecError(format!(
-                    "scheduler labels must be strings, got {other:?}"
-                ))),
-            })
-            .collect(),
-        Some(other) => Err(SpecError(format!(
-            "schedulers must be \"all\", \"paper\", a label, or an array; got {other:?}"
-        ))),
-    }
-}
-
-fn placements_from(root: &Table) -> Result<Vec<PlacementKind>, SpecError> {
-    let parse_label = |s: &str| {
-        PlacementKind::from_label(s)
-            .ok_or_else(|| SpecError(format!("unknown placement policy {s:?}")))
-    };
-    match root.get("placement") {
-        None => Ok(vec![PlacementKind::LeastLoaded]),
-        Some(Value::Str(s)) => match s.as_str() {
-            "all" => Ok(PlacementKind::ALL.to_vec()),
-            other => parse_label(other).map(|k| vec![k]),
-        },
-        Some(Value::Array(items)) => items
-            .iter()
-            .map(|v| match v {
-                Value::Str(s) => parse_label(s),
-                other => Err(SpecError(format!(
-                    "placement labels must be strings, got {other:?}"
-                ))),
-            })
-            .collect(),
-        Some(other) => Err(SpecError(format!(
-            "placement must be \"all\", a label, or an array; got {other:?}"
-        ))),
-    }
-}
-
-/// Applies `params.<field>` keys from `table` to `base`. Returns the
-/// result and whether any key was present.
-fn sched_params_from(table: &Table, base: &SchedParams) -> Result<(SchedParams, bool), SpecError> {
-    let mut params = base.clone();
-    let mut touched = false;
-    if let Some(v) = get_duration(table, "params.timeslice")? {
-        params.timeslice = v;
-        touched = true;
-    }
-    if let Some(v) = get_duration(table, "params.sampling_max")? {
-        params.sampling_max = v;
-        touched = true;
-    }
-    if let Some(v) = get_u64(table, "params.sampling_requests")? {
-        params.sampling_requests = v;
-        touched = true;
-    }
-    if let Some(v) = get_u32(table, "params.freerun_multiplier")? {
-        params.freerun_multiplier = v;
-        touched = true;
-    }
-    if let Some(v) = get_duration(table, "params.freerun_min")? {
-        params.freerun_min = v;
-        touched = true;
-    }
-    if let Some(v) = get_duration(table, "params.freerun_max")? {
-        params.freerun_max = v;
-        touched = true;
-    }
-    if let Some(v) = get_duration(table, "params.overlong_limit")? {
-        params.overlong_limit = v;
-        touched = true;
-    }
-    if let Some(v) = get_bool(table, "params.hardware_preemption")? {
-        params.hardware_preemption = v;
-        touched = true;
-    }
-    if let Some(stray) = table
-        .keys()
-        .find(|k| k.starts_with("params.") && !KNOWN_PARAM_KEYS.contains(&k.as_str()))
-    {
-        return Err(SpecError(format!(
-            "unknown sched-param override {stray:?} (supported: {})",
-            KNOWN_PARAM_KEYS.join(", ")
-        )));
-    }
-    Ok((params, touched))
-}
-
-const KNOWN_PARAM_KEYS: [&str; 8] = [
-    "params.timeslice",
-    "params.sampling_max",
-    "params.sampling_requests",
-    "params.freerun_multiplier",
-    "params.freerun_min",
-    "params.freerun_max",
-    "params.overlong_limit",
-    "params.hardware_preemption",
-];
-
-const KNOWN_COST_KEYS: [&str; 8] = [
-    "cost.direct_submit",
-    "cost.fault_intercept",
-    "cost.syscall_submit",
-    "cost.driver_processing",
-    "cost.completion_detect",
-    "cost.polling_period",
-    "cost.poll_scan",
-    "cost.kill_cleanup",
-];
-
-/// Applies top-level `cost.<field>` keys. Returns the model and
-/// whether any key was present.
-fn cost_from(root: &Table) -> Result<(CostModel, bool), SpecError> {
-    let mut cost = CostModel::default();
-    let mut touched = false;
-    let mut set = |slot: &mut SimDuration, key: &str| -> Result<(), SpecError> {
-        if let Some(v) = get_duration(root, key)? {
-            *slot = v;
-            touched = true;
-        }
-        Ok(())
-    };
-    set(&mut cost.direct_submit, "cost.direct_submit")?;
-    set(&mut cost.fault_intercept, "cost.fault_intercept")?;
-    set(&mut cost.syscall_submit, "cost.syscall_submit")?;
-    set(&mut cost.driver_processing, "cost.driver_processing")?;
-    set(&mut cost.completion_detect, "cost.completion_detect")?;
-    set(&mut cost.polling_period, "cost.polling_period")?;
-    set(&mut cost.poll_scan, "cost.poll_scan")?;
-    set(&mut cost.kill_cleanup, "cost.kill_cleanup")?;
-    if let Some(stray) = root
-        .keys()
-        .find(|k| k.starts_with("cost.") && !KNOWN_COST_KEYS.contains(&k.as_str()))
-    {
-        return Err(SpecError(format!(
-            "unknown cost override {stray:?} (supported: {})",
-            KNOWN_COST_KEYS.join(", ")
-        )));
-    }
-    Ok((cost, touched))
-}
-
-const KNOWN_DEVICE_KEYS: [&str; 7] = [
-    "channels",
-    "contexts",
-    "ring",
-    "context_switch",
-    "graphics_cooldown",
-    "numa",
-    "switch",
-];
-
-/// Builds one heterogeneous device slot from a `[[device]]` table.
-fn device_slot_from(d: &Table, index: usize) -> Result<DeviceSlotSpec, SpecError> {
-    if let Some(stray) = d.keys().find(|k| !KNOWN_DEVICE_KEYS.contains(&k.as_str())) {
-        return Err(SpecError(format!(
-            "device {index}: unknown key {stray:?} (supported: {})",
-            KNOWN_DEVICE_KEYS.join(", ")
-        )));
-    }
-    let mut config = GpuConfig::default();
-    if let Some(v) = get_u64(d, "channels")? {
-        config.total_channels = v as usize;
-    }
-    if let Some(v) = get_u64(d, "contexts")? {
-        config.total_contexts = v as usize;
-    }
-    if let Some(v) = get_u64(d, "ring")? {
-        config.ring_capacity = v as usize;
-    }
-    if let Some(v) = get_duration(d, "context_switch")? {
-        config.context_switch = v;
-    }
-    if let Some(v) = get_duration(d, "graphics_cooldown")? {
-        config.graphics_cooldown = v;
-    }
-    Ok(DeviceSlotSpec {
-        config,
-        numa: get_u32(d, "numa")?.unwrap_or(0),
-        switch_id: get_u32(d, "switch")?.unwrap_or(0),
-    })
+/// The field a setter-owned key writes, typed by how its value parses.
+enum Slot<'a> {
+    Dur(&'a mut SimDuration),
+    /// A duration that is off until set.
+    OptDur(&'a mut Option<SimDuration>),
+    U64(&'a mut u64),
+    U32(&'a mut u32),
+    Usize(&'a mut usize),
+    /// A bandwidth given in GB/s, stored in bytes per microsecond.
+    Gbps(&'a mut f64),
+    Flag(&'a mut bool),
+    Interconnect(&'a mut InterconnectParams),
+    Network(&'a mut ClusterInterconnect),
 }
 
 // One GB/s = 2^30 bytes per 10^6 µs ≈ 1074 bytes/µs.
 const BPUS_PER_GBPS: f64 = (1u64 << 30) as f64 / 1e6;
 
-const KNOWN_TOPOLOGY_KEYS: [&str; 7] = [
-    "topology.interconnect",
-    "topology.same_switch_gbps",
-    "topology.cross_pcie_gbps",
-    "topology.cross_numa_gbps",
-    "topology.same_switch_latency",
-    "topology.cross_pcie_latency",
-    "topology.cross_numa_latency",
+/// Named values a label key selects.
+type Presets<T> = [(&'static str, fn() -> T)];
+
+/// The presets of `topology.interconnect` and `cluster.network`.
+const INTERCONNECTS: &Presets<InterconnectParams> = &[
+    ("free", InterconnectParams::free),
+    ("pcie-gen3", InterconnectParams::pcie_gen3),
+];
+const NETWORKS: &Presets<ClusterInterconnect> = &[
+    ("free", ClusterInterconnect::free),
+    ("25g", ClusterInterconnect::network_25g),
 ];
 
-/// Applies top-level `topology.*` keys. Returns the interconnect and
-/// whether any key was present.
-fn interconnect_from(root: &Table) -> Result<(InterconnectParams, bool), SpecError> {
-    let mut touched = false;
-    let mut params = match get_str(root, "topology.interconnect")? {
-        None => InterconnectParams::free(),
-        Some("free") => {
-            touched = true;
-            InterconnectParams::free()
-        }
-        Some("pcie-gen3") => {
-            touched = true;
-            InterconnectParams::pcie_gen3()
-        }
-        Some(other) => {
-            return Err(SpecError(format!(
-                "unknown interconnect {other:?} (supported: free, pcie-gen3)"
-            )))
-        }
-    };
-    let mut set_bw = |slot: &mut f64, key: &str| -> Result<(), SpecError> {
-        if let Some(v) = get_f64(root, key)? {
-            if v <= 0.0 {
-                return Err(SpecError(format!("{key} must be positive, got {v}")));
+fn preset<T>(key: &str, v: &Value, noun: &str, presets: &Presets<T>) -> Result<T, SpecError> {
+    let label = as_str(key, v)?;
+    match presets.iter().find(|(n, _)| *n == label) {
+        Some((_, make)) => Ok(make()),
+        None => Err(unknown(noun, label, &names(presets))),
+    }
+}
+
+fn names<T>(presets: &Presets<T>) -> Vec<String> {
+    presets.iter().map(|(n, _)| n.to_string()).collect()
+}
+
+impl Slot<'_> {
+    fn write(self, key: &str, v: &Value) -> Result<(), SpecError> {
+        match self {
+            Slot::Dur(s) => *s = as_duration(key, v)?,
+            Slot::OptDur(s) => *s = Some(as_duration(key, v)?),
+            Slot::U64(s) => *s = as_u64(key, v)?,
+            Slot::U32(s) => *s = as_u32(key, v)?,
+            Slot::Usize(s) => *s = as_u64(key, v)? as usize,
+            Slot::Gbps(s) => {
+                let gbps = as_f64(key, v)?;
+                if gbps <= 0.0 {
+                    return Err(SpecError(format!("{key} must be positive, got {gbps}")));
+                }
+                *s = gbps * BPUS_PER_GBPS;
             }
-            *slot = v * BPUS_PER_GBPS;
-            touched = true;
+            Slot::Flag(s) => *s = as_bool(key, v)?,
+            Slot::Interconnect(s) => *s = preset(key, v, "interconnect", INTERCONNECTS)?,
+            Slot::Network(s) => *s = preset(key, v, "cluster network", NETWORKS)?,
         }
         Ok(())
-    };
-    set_bw(&mut params.same_switch_bpus, "topology.same_switch_gbps")?;
-    set_bw(&mut params.cross_pcie_bpus, "topology.cross_pcie_gbps")?;
-    set_bw(&mut params.cross_numa_bpus, "topology.cross_numa_gbps")?;
-    let mut set_lat = |slot: &mut SimDuration, key: &str| -> Result<(), SpecError> {
-        if let Some(v) = get_duration(root, key)? {
-            *slot = v;
-            touched = true;
-        }
-        Ok(())
-    };
-    set_lat(
-        &mut params.same_switch_latency,
-        "topology.same_switch_latency",
-    )?;
-    set_lat(
-        &mut params.cross_pcie_latency,
-        "topology.cross_pcie_latency",
-    )?;
-    set_lat(
-        &mut params.cross_numa_latency,
-        "topology.cross_numa_latency",
-    )?;
-    if let Some(stray) = root
-        .keys()
-        .find(|k| k.starts_with("topology.") && !KNOWN_TOPOLOGY_KEYS.contains(&k.as_str()))
-    {
-        return Err(SpecError(format!(
-            "unknown topology key {stray:?} (supported: {})",
-            KNOWN_TOPOLOGY_KEYS.join(", ")
-        )));
     }
-    Ok((params, touched))
 }
 
-const KNOWN_FAULT_KEYS: [&str; 5] = ["at", "kind", "device", "task", "host"];
-
-/// Fault kinds a `[[fault]]` block accepts, with the operand key each
-/// one reads.
-const FAULT_KIND_LABELS: [&str; 7] = [
-    "device-remove",
-    "device-add",
-    "hang",
-    "crash",
-    "submit-error",
-    "host-fail",
-    "host-recover",
-];
-
-/// Builds one scheduled fault from a `[[fault]]` table:
-/// `at = "<duration>"` plus `kind = "<label>"` and the kind's operand
-/// (`device = N` for device kinds, `host = N` for host kinds, optional
-/// `task = N` for task kinds — absent means "the oldest live task at
-/// injection time").
-fn fault_from(f: &Table, index: usize) -> Result<(SimDuration, FaultKind), SpecError> {
-    let ctx = |msg: String| SpecError(format!("fault[{index}]: {msg}"));
-    if let Some(stray) = f.keys().find(|k| !KNOWN_FAULT_KEYS.contains(&k.as_str())) {
-        let hint = did_you_mean(stray, KNOWN_FAULT_KEYS.iter().copied());
-        return Err(ctx(format!(
-            "unknown key {stray:?} (supported: {}){hint}",
-            KNOWN_FAULT_KEYS.join(", ")
-        )));
-    }
-    let at = require_duration(f, "at", "a [[fault]] block").map_err(|e| ctx(e.0))?;
-    let kind_label = get_str(f, "kind")?.ok_or_else(|| {
-        ctx(format!(
-            "requires kind = \"<{}>\"",
-            FAULT_KIND_LABELS.join("|")
-        ))
-    })?;
-    let device = || -> Result<DeviceId, SpecError> {
-        get_u32(f, "device")?
-            .map(DeviceId::new)
-            .ok_or_else(|| ctx(format!("kind = {kind_label:?} requires device = <index>")))
-    };
-    let host = || -> Result<u32, SpecError> {
-        get_u32(f, "host")?
-            .ok_or_else(|| ctx(format!("kind = {kind_label:?} requires host = <index>")))
-    };
-    let task = get_u32(f, "task")?.map(TaskId::new);
-    let reject_operand = |key: &str| -> Result<(), SpecError> {
-        if f.contains_key(key) {
-            return Err(ctx(format!(
-                "kind = {kind_label:?} does not take {key:?}; remove it"
-            )));
-        }
-        Ok(())
-    };
-    let kind = match kind_label {
-        "device-remove" => {
-            reject_operand("task")?;
-            reject_operand("host")?;
-            FaultKind::DeviceRemove { device: device()? }
-        }
-        "device-add" => {
-            reject_operand("task")?;
-            reject_operand("host")?;
-            FaultKind::DeviceAdd { device: device()? }
-        }
-        "hang" => {
-            reject_operand("device")?;
-            reject_operand("host")?;
-            FaultKind::TaskHang { task }
-        }
-        "crash" => {
-            reject_operand("device")?;
-            reject_operand("host")?;
-            FaultKind::TaskCrash { task }
-        }
-        "submit-error" => {
-            reject_operand("device")?;
-            reject_operand("host")?;
-            FaultKind::SubmitError { task }
-        }
-        "host-fail" => {
-            reject_operand("device")?;
-            reject_operand("task")?;
-            FaultKind::HostFail { host: host()? }
-        }
-        "host-recover" => {
-            reject_operand("device")?;
-            reject_operand("task")?;
-            FaultKind::HostRecover { host: host()? }
-        }
-        other => {
-            let hint = did_you_mean(other, FAULT_KIND_LABELS.iter().copied());
-            return Err(ctx(format!(
-                "unknown fault kind {other:?} (supported: {}){hint}",
-                FAULT_KIND_LABELS.join(", ")
-            )));
-        }
-    };
-    Ok((at, kind))
+/// Where a key may appear. The dotted families, `[[device]]` and
+/// `[[host]]` own setters that write the key into its field; the other
+/// owners' keys are read by the loader's own readers. An arm owner's
+/// keys apply only under the arm its table selects.
+#[derive(Clone, Copy)]
+enum Owner {
+    Root,
+    Params(fn(&mut SchedParams) -> Slot<'_>),
+    Cost(fn(&mut CostModel) -> Slot<'_>),
+    Topology(fn(&mut InterconnectParams) -> Slot<'_>),
+    Cluster(fn(&mut ClusterInterconnect) -> Slot<'_>),
+    FaultTuning(fn(&mut FaultConfig) -> Slot<'_>),
+    Group,
+    Workload(&'static str),
+    Arrival(&'static str),
+    Device(fn(&mut DeviceSlotSpec) -> Slot<'_>),
+    Host(fn(&mut usize) -> Slot<'_>),
+    Fault,
+    FaultKind(&'static str),
 }
 
-const KNOWN_FAULT_CONFIG_KEYS: [&str; 5] = [
-    "fault.watchdog",
-    "fault.retry_budget",
-    "fault.backoff_base",
-    "fault.backoff_cap",
-    "fault.max_park_retries",
-];
+impl Owner {
+    fn in_table(self, kind: TableKind) -> bool {
+        let table = match self {
+            Owner::Params(_) => return matches!(kind, TableKind::Root | TableKind::Group),
+            Owner::Group | Owner::Workload(_) | Owner::Arrival(_) => TableKind::Group,
+            Owner::Device(_) => TableKind::Device,
+            Owner::Host(_) => TableKind::Host,
+            Owner::Fault | Owner::FaultKind(_) => TableKind::Fault,
+            Owner::Root | Owner::Cost(_) | Owner::Topology(_) => TableKind::Root,
+            Owner::Cluster(_) | Owner::FaultTuning(_) => TableKind::Root,
+        };
+        kind == table
+    }
 
-/// Applies top-level `fault.*` recovery-tuning keys. Returns the
-/// config and whether any key was present. Positivity of the durations
-/// is enforced by [`neon_core::fault::FaultPlan::validate`] during
-/// spec validation, with the same key names in the message.
-fn fault_config_from(root: &Table) -> Result<(FaultConfig, bool), SpecError> {
-    let mut config = FaultConfig::default();
-    let mut touched = false;
-    if let Some(v) = get_duration(root, "fault.watchdog")? {
-        config.watchdog = Some(v);
-        touched = true;
+    /// `(selector key, label)` of an arm owner.
+    fn arm(self) -> Option<(&'static str, &'static str)> {
+        match self {
+            Owner::Workload(label) => Some(("workload", label)),
+            Owner::Arrival(label) => Some(("arrival", label)),
+            Owner::FaultKind(label) => Some(("kind", label)),
+            _ => None,
+        }
     }
-    if let Some(v) = get_u32(root, "fault.retry_budget")? {
-        config.retry_budget = v;
-        touched = true;
-    }
-    if let Some(v) = get_duration(root, "fault.backoff_base")? {
-        config.backoff_base = v;
-        touched = true;
-    }
-    if let Some(v) = get_duration(root, "fault.backoff_cap")? {
-        config.backoff_cap = v;
-        touched = true;
-    }
-    if let Some(v) = get_u32(root, "fault.max_park_retries")? {
-        config.max_park_retries = v;
-        touched = true;
-    }
-    if let Some(stray) = root
-        .keys()
-        .find(|k| k.starts_with("fault.") && !KNOWN_FAULT_CONFIG_KEYS.contains(&k.as_str()))
-    {
-        let hint = did_you_mean(stray, KNOWN_FAULT_CONFIG_KEYS.iter().copied());
-        return Err(SpecError(format!(
-            "unknown fault key {stray:?} (supported: {}){hint}",
-            KNOWN_FAULT_CONFIG_KEYS.join(", ")
-        )));
-    }
-    Ok((config, touched))
-}
 
-/// Parses the `faults` sweep axis: `"all"`, a mode label (`"none"`,
-/// `"device"`, `"task"`, `"host"`), or an array of labels. Absent
-/// means "derive from the schedule" — scenarios with `[[fault]]`
-/// blocks or `fault.*` tuning run `"all"`, everything else `"none"`.
-fn fault_modes_from(root: &Table) -> Result<Vec<FaultMode>, SpecError> {
-    let parse_label = |s: &str| {
-        FaultMode::parse(s).ok_or_else(|| {
-            let hint = did_you_mean(s, FaultMode::ALL.iter().map(|m| m.label()));
-            SpecError(format!("unknown fault mode {s:?}{hint}"))
-        })
-    };
-    match root.get("faults") {
-        None => Ok(Vec::new()),
-        Some(Value::Str(s)) => parse_label(s).map(|m| vec![m]),
-        Some(Value::Array(items)) => items
-            .iter()
-            .map(|v| match v {
-                Value::Str(s) => parse_label(s),
-                other => Err(SpecError(format!(
-                    "fault mode labels must be strings, got {other:?}"
-                ))),
+    /// Where the key reference says the key goes.
+    fn place(self) -> String {
+        let tables: Vec<String> = std::iter::once(TableKind::Root)
+            .chain(TableKind::ARRAYS)
+            .filter(|&kind| self.in_table(kind))
+            .map(|kind| match kind {
+                TableKind::Root => kind.name().to_string(),
+                _ => format!("`[[{}]]`", kind.name()),
             })
-            .collect(),
-        Some(other) => Err(SpecError(format!(
-            "faults must be \"all\", a mode label, or an array; got {other:?}"
-        ))),
+            .collect();
+        let arm = self
+            .arm()
+            .map(|(s, label)| format!(" with `{s} = \"{label}\"`"));
+        tables.join(" or ") + &arm.unwrap_or_default()
     }
 }
 
-const KNOWN_HOST_KEYS: [&str; 1] = ["devices"];
-
-/// Builds one heterogeneous host's device count from a `[[host]]`
-/// table.
-fn host_from(h: &Table, index: usize) -> Result<usize, SpecError> {
-    if let Some(stray) = h.keys().find(|k| !KNOWN_HOST_KEYS.contains(&k.as_str())) {
-        return Err(SpecError(format!(
-            "host {index}: unknown key {stray:?} (supported: {})",
-            KNOWN_HOST_KEYS.join(", ")
-        )));
-    }
-    Ok(get_u64(h, "devices")?.unwrap_or(1) as usize)
+/// One registered key.
+struct Key {
+    path: &'static str,
+    owner: Owner,
+    ty: Ty,
+    doc: &'static str,
 }
 
-fn fleet_placements_from(root: &Table) -> Result<Vec<FleetPlacementKind>, SpecError> {
-    let parse_label = |s: &str| {
-        FleetPlacementKind::from_label(s)
-            .ok_or_else(|| SpecError(format!("unknown fleet placement policy {s:?}")))
-    };
-    match root.get("fleet_placement") {
-        None => Ok(vec![FleetPlacementKind::LeastLoaded]),
-        Some(Value::Str(s)) => match s.as_str() {
-            "all" => Ok(FleetPlacementKind::ALL.to_vec()),
-            other => parse_label(other).map(|k| vec![k]),
-        },
-        Some(Value::Array(items)) => items
-            .iter()
-            .map(|v| match v {
-                Value::Str(s) => parse_label(s),
-                other => Err(SpecError(format!(
-                    "fleet placement labels must be strings, got {other:?}"
-                ))),
-            })
-            .collect(),
-        Some(other) => Err(SpecError(format!(
-            "fleet_placement must be \"all\", a label, or an array; got {other:?}"
-        ))),
+const fn key(path: &'static str, owner: Owner, ty: Ty, doc: &'static str) -> Key {
+    Key {
+        path,
+        owner,
+        ty,
+        doc,
     }
 }
 
-const KNOWN_CLUSTER_KEYS: [&str; 3] = ["cluster.network", "cluster.latency", "cluster.gbps"];
+/// Every key a scenario file may set, in key-reference order.
+#[rustfmt::skip]
+const KEYS: &[Key] = {
+    use Owner::*;
+    use Slot::*;
+    use Ty::*;
+    &[
+        key("name", Root, Str, "scenario name; defaults to the file stem"),
+        key("horizon", Root, Duration, "simulated time each cell runs (required)"),
+        key("seeds", Root, Ints, "workload seeds, one sweep cell each (default 42448)"),
+        key("schedulers", Root, Axis(labels::<SchedulerKind>), "policies to sweep (default all)"),
+        key("devices", Root, Int, "GPUs per host (default: one per `[[device]]`, else 1)"),
+        key("hosts", Root, Int, "hosts per cell (default: one per `[[host]]`, else 1)"),
+        key("placement", Root, Axis(labels::<PlacementKind>), "device placement policies, or `pinned:<device>` (default least-loaded)"),
+        key("fleet_placement", Root, Axis(labels::<FleetPlacementKind>), "host placement policies (default least-loaded)"),
+        key("fleet_rebalance", Root, Label(labels::<FleetRebalanceKind>), "cross-host rebalance policy (default off)"),
+        key("rebalance", Root, Axis(labels::<RebalanceKind>), "device rebalance policies; `cost` is short for cost-aware (default off)"),
+        key("faults", Root, Axis(labels::<FaultMode>), "`[[fault]]` categories to inject (default: all with a schedule, else none)"),
+        key("metrics", Root, Label(labels::<MetricsMode>), "percentile pipeline (default exact)"),
+        key("sample_every", Root, Duration, "device-timeline sampling period (default: no sampling)"),
+        key("params.timeslice", Params(|p| Dur(&mut p.timeslice)), Duration, "token timeslice length"),
+        key("params.sampling_max", Params(|p| Dur(&mut p.sampling_max)), Duration, "longest DFQ sampling run"),
+        key("params.sampling_requests", Params(|p| U64(&mut p.sampling_requests)), Int, "requests that end a DFQ sampling run"),
+        key("params.freerun_multiplier", Params(|p| U32(&mut p.freerun_multiplier)), Int, "DFQ free run as a multiple of the engagement"),
+        key("params.freerun_min", Params(|p| Dur(&mut p.freerun_min)), Duration, "shortest DFQ free run"),
+        key("params.freerun_max", Params(|p| Dur(&mut p.freerun_max)), Duration, "longest DFQ free run"),
+        key("params.overlong_limit", Params(|p| Dur(&mut p.overlong_limit)), Duration, "longest request before a kill or preemption"),
+        key("params.hardware_preemption", Params(|p| Flag(&mut p.hardware_preemption)), Bool, "preempt over-long requests instead of killing"),
+        key("cost.direct_submit", Cost(|c| Dur(&mut c.direct_submit)), Duration, "direct user-space submission"),
+        key("cost.fault_intercept", Cost(|c| Dur(&mut c.fault_intercept)), Duration, "intercepted (faulting) submission"),
+        key("cost.syscall_submit", Cost(|c| Dur(&mut c.syscall_submit)), Duration, "syscall-based submission"),
+        key("cost.driver_processing", Cost(|c| Dur(&mut c.driver_processing)), Duration, "extra kernel driver work per request"),
+        key("cost.completion_detect", Cost(|c| Dur(&mut c.completion_detect)), Duration, "user-space completion detection"),
+        key("cost.polling_period", Cost(|c| Dur(&mut c.polling_period)), Duration, "kernel polling-thread period"),
+        key("cost.poll_scan", Cost(|c| Dur(&mut c.poll_scan)), Duration, "one polling scan over active channels"),
+        key("cost.kill_cleanup", Cost(|c| Dur(&mut c.kill_cleanup)), Duration, "tearing down a killed task"),
+        key("topology.interconnect", Topology(|t| Interconnect(t)), Label(|| names(INTERCONNECTS)), "interconnect preset (default free)"),
+        key("topology.same_switch_gbps", Topology(|t| Gbps(&mut t.same_switch_bpus)), Float, "same-switch bandwidth, GB/s"),
+        key("topology.cross_pcie_gbps", Topology(|t| Gbps(&mut t.cross_pcie_bpus)), Float, "cross-PCIe bandwidth, GB/s"),
+        key("topology.cross_numa_gbps", Topology(|t| Gbps(&mut t.cross_numa_bpus)), Float, "cross-NUMA bandwidth, GB/s"),
+        key("topology.same_switch_latency", Topology(|t| Dur(&mut t.same_switch_latency)), Duration, "same-switch transfer setup"),
+        key("topology.cross_pcie_latency", Topology(|t| Dur(&mut t.cross_pcie_latency)), Duration, "cross-PCIe transfer setup"),
+        key("topology.cross_numa_latency", Topology(|t| Dur(&mut t.cross_numa_latency)), Duration, "cross-NUMA transfer setup"),
+        key("cluster.network", Cluster(|c| Network(c)), Label(|| names(NETWORKS)), "cross-host network preset (default free)"),
+        key("cluster.latency", Cluster(|c| Dur(&mut c.latency)), Duration, "cross-host transfer setup"),
+        key("cluster.gbps", Cluster(|c| Gbps(&mut c.bpus)), Float, "cross-host bandwidth, GB/s"),
+        key("fault.watchdog", FaultTuning(|f| OptDur(&mut f.watchdog)), Duration, "kill-and-requeue a request stagnant this long (default off)"),
+        key("fault.retry_budget", FaultTuning(|f| U32(&mut f.retry_budget)), Int, "watchdog requeues before a task is lost"),
+        key("fault.backoff_base", FaultTuning(|f| Dur(&mut f.backoff_base)), Duration, "first retry delay; doubles per attempt"),
+        key("fault.backoff_cap", FaultTuning(|f| Dur(&mut f.backoff_cap)), Duration, "longest retry delay"),
+        key("fault.max_park_retries", FaultTuning(|f| U32(&mut f.max_park_retries)), Int, "re-admissions after a hot-remove before a task is lost"),
+        key("name", Group, Str, "group name (default group<index>)"),
+        key("count", Group, Int, "members (default 1)"),
+        key("workload", Group, Str, "workload arm, below (default throttle)"),
+        key("arrival", Group, Str, "arrival arm, below (default at-start: all at time zero)"),
+        key("lifetime", Group, Str, "`forever` (default), a duration, or `exp(<mean duration>)`"),
+        key("device", Group, Int, "pins every member to this device"),
+        key("working_set", Group, Size, "device state moved with a placed or migrated member"),
+        key("request", Workload("throttle"), Duration, "request service time (required)"),
+        key("off_ratio", Workload("throttle"), Float, "fraction of each round spent off, in [0, 1)"),
+        key("jitter", Workload("throttle"), Float, "uniform request-size jitter"),
+        key("service", Workload("fixed-loop"), Duration, "request service time (required)"),
+        key("gap", Workload("fixed-loop"), Duration, "CPU gap between rounds (default 0)"),
+        key("rounds", Workload("fixed-loop"), Int, "rounds before exiting (default: forever)"),
+        key("app", Workload("app"), Str, "Table 1 application name (required)"),
+        key("batch", Workload("batcher"), Duration, "device time per batch (required)"),
+        key("idle", Workload("idle-burst"), Duration, "idle stretch between bursts (required)"),
+        key("burst_requests", Workload("idle-burst"), Int, "requests per burst (default 32)"),
+        key("request", Workload("idle-burst"), Duration, "request service time (required)"),
+        key("warmup_rounds", Workload("infinite-loop"), Int, "well-behaved rounds before the attack (default 50)"),
+        key("request", Workload("infinite-loop"), Duration, "warm-up request service time (required)"),
+        key("stagger", Arrival("stagger"), Duration, "member i arrives at i times this (required)"),
+        key("times", Arrival("at"), Durations, "one arrival instant per member (required)"),
+        key("rate_hz", Arrival("poisson"), Float, "mean arrivals per simulated second (required)"),
+        key("arrival_start", Arrival("poisson"), Duration, "earliest arrival (default 0)"),
+        key("channels", Device(|d| Usize(&mut d.config.total_channels)), Int, "channels the device supports"),
+        key("contexts", Device(|d| Usize(&mut d.config.total_contexts)), Int, "contexts the device supports"),
+        key("ring", Device(|d| Usize(&mut d.config.ring_capacity)), Int, "outstanding requests per channel ring"),
+        key("context_switch", Device(|d| Dur(&mut d.config.context_switch)), Duration, "compute-engine context switch"),
+        key("graphics_cooldown", Device(|d| Dur(&mut d.config.graphics_cooldown)), Duration, "compute preference after a graphics request"),
+        key("numa", Device(|d| U32(&mut d.numa)), Int, "NUMA node of the device (default 0)"),
+        key("switch", Device(|d| U32(&mut d.switch_id)), Int, "PCIe switch of the device (default 0)"),
+        key("devices", Host(|n| Usize(n)), Int, "GPUs on this host (default 1)"),
+        key("at", Fault, Duration, "injection time (required)"),
+        key("kind", Fault, Str, "fault arm, below (required)"),
+        key("device", FaultKind("device-remove"), Int, "device to hot-remove (required)"),
+        key("device", FaultKind("device-add"), Int, "device to hot-add back (required)"),
+        key("task", FaultKind("hang"), Int, "task to hang (default: the oldest live task)"),
+        key("task", FaultKind("crash"), Int, "task to crash (default: the oldest live task)"),
+        key("task", FaultKind("submit-error"), Int, "task whose next submit fails (default: the oldest live task)"),
+        key("host", FaultKind("host-fail"), Int, "host to fail (required)"),
+        key("host", FaultKind("host-recover"), Int, "host to recover (required)"),
+    ]
+};
 
-/// Applies top-level `cluster.*` keys (host-to-host transfer timing).
-/// Returns the interconnect and whether any key was present.
-fn cluster_from(root: &Table) -> Result<(ClusterInterconnect, bool), SpecError> {
-    let mut touched = false;
-    let mut cluster = match get_str(root, "cluster.network")? {
-        None => ClusterInterconnect::free(),
-        Some("free") => {
-            touched = true;
-            ClusterInterconnect::free()
+/// The Markdown key reference: one table row per registered key, in
+/// registry order. The README's "Scenario keys" section is this text.
+pub fn key_reference() -> String {
+    let mut o = String::from("| key | where | type | meaning |\n|---|---|---|---|\n");
+    for k in KEYS {
+        let _ = writeln!(
+            o,
+            "| `{}` | {} | {} | {} |",
+            k.path,
+            k.owner.place(),
+            k.ty,
+            k.doc
+        );
+    }
+    o
+}
+
+/// The labels of one arm selector (`workload`, `arrival` or `kind`),
+/// in registry order.
+fn arms(selector: &str) -> Vec<&'static str> {
+    let mut out = Vec::new();
+    for (s, label) in KEYS.iter().filter_map(|k| k.owner.arm()) {
+        if s == selector && !out.contains(&label) {
+            out.push(label);
         }
-        Some("25g") => {
-            touched = true;
-            ClusterInterconnect::network_25g()
-        }
-        Some(other) => {
-            return Err(SpecError(format!(
-                "unknown cluster network {other:?} (supported: free, 25g)"
-            )))
-        }
-    };
-    if let Some(v) = get_duration(root, "cluster.latency")? {
-        cluster.latency = v;
-        touched = true;
     }
-    if let Some(v) = get_f64(root, "cluster.gbps")? {
-        if v <= 0.0 {
-            return Err(SpecError(format!("cluster.gbps must be positive, got {v}")));
-        }
-        cluster.bpus = v * BPUS_PER_GBPS;
-        touched = true;
-    }
-    if let Some(stray) = root
-        .keys()
-        .find(|k| k.starts_with("cluster.") && !KNOWN_CLUSTER_KEYS.contains(&k.as_str()))
-    {
-        return Err(SpecError(format!(
-            "unknown cluster key {stray:?} (supported: {})",
-            KNOWN_CLUSTER_KEYS.join(", ")
-        )));
-    }
-    Ok((cluster, touched))
+    out
 }
-
-fn rebalances_from(root: &Table) -> Result<Vec<RebalanceKind>, SpecError> {
-    let parse_label = |s: &str| {
-        RebalanceKind::from_label(s)
-            .ok_or_else(|| SpecError(format!("unknown rebalance policy {s:?}")))
-    };
-    match root.get("rebalance") {
-        None => Ok(vec![RebalanceKind::Off]),
-        Some(Value::Str(s)) => match s.as_str() {
-            "all" => Ok(RebalanceKind::ALL.to_vec()),
-            other => parse_label(other).map(|k| vec![k]),
-        },
-        Some(Value::Array(items)) => items
-            .iter()
-            .map(|v| match v {
-                Value::Str(s) => parse_label(s),
-                other => Err(SpecError(format!(
-                    "rebalance labels must be strings, got {other:?}"
-                ))),
-            })
-            .collect(),
-        Some(other) => {
-            let labels: Vec<String> = RebalanceKind::ALL
-                .iter()
-                .map(|k| format!("{:?}", k.to_string()))
-                .collect();
-            Err(SpecError(format!(
-                "rebalance must be \"all\", one of the labels {}, or an array of \
-                 them; got {other:?}",
-                labels.join(", ")
-            )))
-        }
-    }
-}
-
-fn seeds_from(root: &Table) -> Result<Vec<u64>, SpecError> {
-    match root.get("seeds") {
-        None => Ok(vec![0xA5D0]),
-        Some(Value::Int(v)) if *v >= 0 => Ok(vec![*v as u64]),
-        Some(Value::Array(items)) => items
-            .iter()
-            .map(|v| match v {
-                Value::Int(i) if *i >= 0 => Ok(*i as u64),
-                other => Err(SpecError(format!("seeds must be integers, got {other:?}"))),
-            })
-            .collect(),
-        Some(other) => Err(SpecError(format!(
-            "seeds must be an integer array, got {other:?}"
-        ))),
-    }
-}
-
-// ----------------------------------------------------------------------
-// Key strictness
-// ----------------------------------------------------------------------
-//
-// Every table is checked against the full key vocabulary, so a typo or
-// a key in the wrong place is an error with a pointed hint instead of a
-// silent no-op. (`warmup_rounds` on a throttle group used to parse and
-// do nothing — exactly the failure mode this closes.)
-
-/// Top-level scalar keys.
-const KNOWN_ROOT_KEYS: [&str; 13] = [
-    "name",
-    "horizon",
-    "seeds",
-    "schedulers",
-    "devices",
-    "hosts",
-    "placement",
-    "fleet_placement",
-    "fleet_rebalance",
-    "rebalance",
-    "faults",
-    "metrics",
-    "sample_every",
-];
-
-/// Dotted-key families the root table accepts; each family's member
-/// keys are validated by its own loader (`sched_params_from` etc.).
-const KNOWN_ROOT_FAMILIES: [&str; 5] = ["params", "cost", "topology", "cluster", "fault"];
-
-/// Group keys that are valid for every workload/arrival combination.
-const KNOWN_GROUP_KEYS: [&str; 7] = [
-    "name",
-    "count",
-    "workload",
-    "arrival",
-    "lifetime",
-    "device",
-    "working_set",
-];
-
-/// `(workload kind, keys only that arm reads)`.
-const WORKLOAD_ARM_KEYS: [(&str, &[&str]); 6] = [
-    ("throttle", &["request", "off_ratio", "jitter"]),
-    ("fixed-loop", &["service", "gap", "rounds"]),
-    ("app", &["app"]),
-    ("batcher", &["batch"]),
-    ("idle-burst", &["idle", "burst_requests", "request"]),
-    ("infinite-loop", &["warmup_rounds", "request"]),
-];
-
-/// `(arrival kind, keys only that arm reads)`.
-const ARRIVAL_ARM_KEYS: [(&str, &[&str]); 4] = [
-    ("at-start", &[]),
-    ("stagger", &["stagger"]),
-    ("at", &["times"]),
-    ("poisson", &["rate_hz", "arrival_start"]),
-];
 
 /// Levenshtein edit distance, for "did you mean" hints.
 fn edit_distance(a: &str, b: &str) -> usize {
@@ -1066,184 +607,384 @@ fn edit_distance(a: &str, b: &str) -> usize {
 
 /// The closest candidate within edit distance 2, rendered as a
 /// `; did you mean "x"?` suffix (empty when nothing is close).
-fn did_you_mean<'a>(key: &str, candidates: impl Iterator<Item = &'a str>) -> String {
+fn did_you_mean<S: AsRef<str>>(key: &str, candidates: &[S]) -> String {
     candidates
-        .map(|c| (edit_distance(key, c), c))
+        .iter()
+        .map(|c| (edit_distance(key, c.as_ref()), c.as_ref()))
         .filter(|(d, _)| *d <= 2)
         .min()
         .map(|(_, c)| format!("; did you mean {c:?}?"))
         .unwrap_or_default()
 }
 
-/// Workload arms (other than `active`) that read `key`, as labels.
-fn arms_reading(key: &str, active: &str) -> Vec<&'static str> {
-    WORKLOAD_ARM_KEYS
-        .iter()
-        .filter(|(arm, keys)| *arm != active && keys.contains(&key))
-        .map(|(arm, _)| *arm)
-        .collect()
+/// An unknown label or name, with what is supported and the closest.
+fn unknown<S: AsRef<str>>(noun: &str, name: &str, supported: &[S]) -> SpecError {
+    let list: Vec<&str> = supported.iter().map(AsRef::as_ref).collect();
+    SpecError(format!(
+        "unknown {noun} {name:?} (supported: {}){}",
+        list.join(", "),
+        did_you_mean(name, supported)
+    ))
 }
 
-/// Rejects unknown top-level keys. Dotted families are validated
-/// member-by-member in their own loaders; this pass catches unknown
-/// families, bare-key typos, and group keys that drifted above the
-/// first `[[group]]` header.
-fn validate_root_keys(root: &Table) -> Result<(), SpecError> {
-    for key in root.keys() {
-        if let Some((family, _)) = key.split_once('.') {
-            if !KNOWN_ROOT_FAMILIES.contains(&family) {
-                let hint = did_you_mean(family, KNOWN_ROOT_FAMILIES.iter().copied());
-                return Err(SpecError(format!(
-                    "unknown key family {family:?} in {key:?} (supported: {}){hint}",
-                    KNOWN_ROOT_FAMILIES.join(", ")
-                )));
-            }
-            continue;
-        }
-        if KNOWN_ROOT_KEYS.contains(&key.as_str()) {
-            continue;
-        }
-        let group_key = KNOWN_GROUP_KEYS.contains(&key.as_str())
-            || WORKLOAD_ARM_KEYS
-                .iter()
-                .any(|(_, ks)| ks.contains(&key.as_str()))
-            || ARRIVAL_ARM_KEYS
-                .iter()
-                .any(|(_, ks)| ks.contains(&key.as_str()));
-        if group_key {
-            return Err(SpecError(format!(
-                "{key:?} is a group key; move it below a [[group]] header"
-            )));
-        }
-        let hint = did_you_mean(key, KNOWN_ROOT_KEYS.iter().copied());
-        return Err(SpecError(format!(
-            "unknown top-level key {key:?} (supported: {}){hint}",
-            KNOWN_ROOT_KEYS.join(", ")
-        )));
-    }
-    Ok(())
-}
-
-/// Rejects unknown and misplaced keys in one `[[group]]` table, given
-/// the group's resolved workload and arrival kinds. A key that belongs
-/// to a *different* arm gets an error naming the arm that reads it —
-/// the silent no-op this check exists to close.
-fn validate_group_keys(
-    g: &Table,
-    group_name: &str,
-    workload: &str,
-    arrival: &str,
-) -> Result<(), SpecError> {
-    let workload_keys = WORKLOAD_ARM_KEYS
-        .iter()
-        .find(|(arm, _)| *arm == workload)
-        .map(|(_, ks)| *ks)
-        .unwrap_or(&[]);
-    let arrival_keys = ARRIVAL_ARM_KEYS
-        .iter()
-        .find(|(arm, _)| *arm == arrival)
-        .map(|(_, ks)| *ks)
-        .unwrap_or(&[]);
-    for key in g.keys() {
-        let key = key.as_str();
-        // params.* (and the cost.* rejection) are handled by the
-        // override loaders, which already know their member keys.
-        if key.contains('.') {
-            continue;
-        }
-        if KNOWN_GROUP_KEYS.contains(&key)
-            || workload_keys.contains(&key)
-            || arrival_keys.contains(&key)
-        {
-            continue;
-        }
-        let other_workloads = arms_reading(key, workload);
-        if !other_workloads.is_empty() {
-            return Err(SpecError(format!(
-                "group {group_name:?}: {key:?} is only used by workload = \"{}\" \
-                 and does nothing under workload = \"{workload}\"; remove it or \
-                 change the workload",
-                other_workloads.join("\" / \"")
-            )));
-        }
-        if let Some((arm, _)) = ARRIVAL_ARM_KEYS
+/// Checks every key of `t` against the registry, so a typo or a key in
+/// the wrong place is an error instead of a silent no-op. `active`
+/// holds the table's selected arms as `(selector key, label)` pairs;
+/// `ctx` names the table in errors (empty for the root table).
+fn check_keys(t: &Table, ctx: &str, active: &[(&str, &str)]) -> Result<(), SpecError> {
+    let here = |k: &&Key| {
+        k.owner.in_table(t.kind) && k.owner.arm().is_none_or(|arm| active.contains(&arm))
+    };
+    let accepted: Vec<&str> = KEYS.iter().filter(here).map(|k| k.path).collect();
+    let Some(key) = t.map.keys().find(|key| !accepted.contains(&key.as_str())) else {
+        return Ok(());
+    };
+    let rows: Vec<&Key> = KEYS.iter().filter(|k| k.path == key).collect();
+    let elsewhere = |kind| rows.iter().any(|k| k.owner.in_table(kind));
+    let family_of = |path: &str| path.split_once('.').map(|(family, _)| family.to_string());
+    let family = family_of(key);
+    let in_family = |f: &Option<String>| -> Vec<&str> {
+        accepted
             .iter()
-            .find(|(arm, ks)| *arm != arrival && ks.contains(&key))
-        {
-            return Err(SpecError(format!(
-                "group {group_name:?}: {key:?} is only used by arrival = \"{arm}\" \
-                 and does nothing under arrival = \"{arrival}\"; remove it or \
-                 change the arrival"
-            )));
-        }
-        if KNOWN_ROOT_KEYS.contains(&key) {
-            return Err(SpecError(format!(
-                "group {group_name:?}: {key:?} is a top-level key; move it above \
-                 the first [[group]] header"
-            )));
-        }
-        let hint = did_you_mean(
-            key,
-            KNOWN_GROUP_KEYS
-                .iter()
-                .copied()
-                .chain(workload_keys.iter().copied())
-                .chain(arrival_keys.iter().copied()),
-        );
+            .copied()
+            .filter(|p| family_of(p) == *f)
+            .collect()
+    };
+    let arms: Vec<(&str, &str)> = rows
+        .iter()
+        .filter(|k| k.owner.in_table(t.kind))
+        .filter_map(|k| k.owner.arm())
+        .collect();
+    let msg = if let Some(&(selector, _)) = arms.first() {
+        let under = active.iter().find(|a| a.0 == selector).map_or("", |a| a.1);
+        let readers: Vec<&str> = arms.iter().map(|a| a.1).collect();
+        format!(
+            "{key:?} is only used by {selector} = \"{}\" and does nothing under \
+             {selector} = \"{under}\", which does not take {key:?}; remove it or change the \
+             {selector}",
+            readers.join("\" / \"")
+        )
+    } else if t.kind == TableKind::Group && rows.iter().any(|k| matches!(k.owner, Owner::Cost(_))) {
         return Err(SpecError(format!(
-            "group {group_name:?}: unknown key {key:?} (supported here: {}){hint}",
-            KNOWN_GROUP_KEYS
-                .iter()
-                .copied()
-                .chain(workload_keys.iter().copied())
-                .chain(arrival_keys.iter().copied())
-                .collect::<Vec<_>>()
-                .join(", ")
+            "{ctx} sets {key:?}: the cost model describes the simulated host and cannot vary \
+             per group; move it to the top level"
         )));
+    } else if t.kind == TableKind::Group && elsewhere(TableKind::Root) {
+        format!("{key:?} is a top-level key; move it above the first [[group]] header")
+    } else if t.kind == TableKind::Root && elsewhere(TableKind::Group) {
+        format!("{key:?} is a group key; move it below a [[group]] header")
+    } else if let Some(f) = family.as_deref().filter(|_| !in_family(&family).is_empty()) {
+        let noun = match f {
+            "params" => "sched-param override".to_string(),
+            "cost" => "cost override".to_string(),
+            f => format!("{f} key"),
+        };
+        unknown(&noun, key, &in_family(&family)).0
+    } else if let Some(f) = family.as_deref().filter(|_| t.kind == TableKind::Root) {
+        // Registry rows keep each family together, so `dedup` lists each once.
+        let mut families: Vec<String> = accepted.iter().filter_map(|p| family_of(p)).collect();
+        families.dedup();
+        format!(
+            "unknown key family {f:?} in {key:?} (supported: {}){}",
+            families.join(", "),
+            did_you_mean(f, &families)
+        )
+    } else {
+        let noun = if t.kind == TableKind::Root {
+            "top-level key"
+        } else {
+            "key"
+        };
+        unknown(noun, key, &in_family(&None)).0
+    };
+    Err(SpecError(if ctx.is_empty() {
+        msg
+    } else {
+        format!("{ctx}: {msg}")
+    }))
+}
+
+/// Writes every setter-owned key of `t` into `target`, in registry
+/// order (a preset key precedes the keys that adjust it). A family's
+/// struct is created when the first of its keys is present.
+fn set_fields(t: &Table, target: &mut Target<'_>) -> Result<(), SpecError> {
+    for k in KEYS {
+        let Some(v) = t.map.get(k.path) else {
+            continue;
+        };
+        let slot = match (k.owner, &mut *target) {
+            (Owner::Params(f), Target::Spec(s)) => f(s.params.get_or_insert_with(Default::default)),
+            (Owner::Params(f), Target::Group(p, base)) => {
+                f(p.get_or_insert_with(|| (*base).clone()))
+            }
+            (Owner::Cost(f), Target::Spec(s)) => f(s.cost.get_or_insert_with(Default::default)),
+            (Owner::Topology(f), Target::Spec(s)) => {
+                f(s.interconnect.get_or_insert_with(InterconnectParams::free))
+            }
+            (Owner::Cluster(f), Target::Spec(s)) => {
+                f(s.cluster.get_or_insert_with(ClusterInterconnect::free))
+            }
+            (Owner::FaultTuning(f), Target::Spec(s)) => f(&mut s.fault_config),
+            (Owner::Device(f), Target::Device(d)) => f(d),
+            (Owner::Host(f), Target::Host(n)) => f(n),
+            _ => continue,
+        };
+        slot.write(k.path, v)?;
     }
     Ok(())
 }
 
-fn workload_from(g: &Table) -> Result<WorkloadSpec, SpecError> {
-    let kind = get_str(g, "workload")?.unwrap_or("throttle");
+/// What a table's setter-owned keys write into.
+enum Target<'a> {
+    Spec(&'a mut ScenarioSpec),
+    /// A group's params override, started from the scenario's params.
+    Group(&'a mut Option<SchedParams>, &'a SchedParams),
+    Device(&'a mut DeviceSlotSpec),
+    Host(&'a mut usize),
+}
+
+// ----------------------------------------------------------------------
+// Typed access
+// ----------------------------------------------------------------------
+
+fn as_str<'v>(key: &str, v: &'v Value) -> Result<&'v str, SpecError> {
+    match v {
+        Value::Str(s) => Ok(s),
+        other => Err(SpecError(format!("{key} must be a string, got {other:?}"))),
+    }
+}
+
+fn as_duration(key: &str, v: &Value) -> Result<SimDuration, SpecError> {
+    parse_duration(as_str(key, v)?)
+}
+
+fn as_u64(key: &str, v: &Value) -> Result<u64, SpecError> {
+    match v {
+        Value::Int(i) if *i >= 0 => Ok(*i as u64),
+        other => Err(SpecError(format!(
+            "{key} must be a non-negative integer, got {other:?}"
+        ))),
+    }
+}
+
+/// Like [`as_u64`] but range-checked to `u32`: a value like
+/// `device = 4294967296` must be rejected, not silently truncated to 0
+/// by an `as u32` cast (which would, e.g., pin a group to the wrong
+/// GPU).
+fn as_u32(key: &str, v: &Value) -> Result<u32, SpecError> {
+    let v = as_u64(key, v)?;
+    u32::try_from(v).map_err(|_| {
+        SpecError(format!(
+            "{key} must fit in a 32-bit unsigned integer (0..={}), got {v}",
+            u32::MAX
+        ))
+    })
+}
+
+fn as_f64(key: &str, v: &Value) -> Result<f64, SpecError> {
+    match v {
+        Value::Float(f) => Ok(*f),
+        Value::Int(i) => Ok(*i as f64),
+        other => Err(SpecError(format!("{key} must be a number, got {other:?}"))),
+    }
+}
+
+fn as_bool(key: &str, v: &Value) -> Result<bool, SpecError> {
+    match v {
+        Value::Bool(b) => Ok(*b),
+        other => Err(SpecError(format!(
+            "{key} must be true or false, got {other:?}"
+        ))),
+    }
+}
+
+impl Table {
+    /// The value of a key that must be registered for this kind of
+    /// table: a reader and the registry that drift apart fail here.
+    fn get(&self, key: &str) -> Option<&Value> {
+        debug_assert!(
+            KEYS.iter()
+                .any(|k| k.path == key && k.owner.in_table(self.kind)),
+            "{key:?} is read from a {} table but not registered for one",
+            self.kind.name()
+        );
+        self.map.get(key)
+    }
+
+    fn read<T>(
+        &self,
+        key: &str,
+        f: fn(&str, &Value) -> Result<T, SpecError>,
+    ) -> Result<Option<T>, SpecError> {
+        self.get(key).map(|v| f(key, v)).transpose()
+    }
+
+    fn str(&self, key: &str) -> Result<Option<&str>, SpecError> {
+        self.get(key).map(|v| as_str(key, v)).transpose()
+    }
+
+    fn require_duration(&self, key: &str, what: &str) -> Result<SimDuration, SpecError> {
+        self.read(key, as_duration)?
+            .ok_or_else(|| SpecError(format!("{what} requires {key} = \"<duration>\"")))
+    }
+}
+
+// ----------------------------------------------------------------------
+// Labels and sweep axes
+// ----------------------------------------------------------------------
+
+/// A policy or mode that scenario files and the command line name by
+/// label.
+pub trait Labeled: Sized + Clone + 'static {
+    /// What a label names, in errors.
+    const NOUN: &'static str;
+    /// Labels that stand for several values: `"all"` on the axes where
+    /// it expands, and `"paper"` for schedulers. (`"all"` is itself
+    /// one fault mode.)
+    const GROUPS: &'static [(&'static str, &'static [Self])];
+    /// Every value with a label of its own, in sweep order.
+    const VALUES: &'static [Self];
+    /// Parses one value's label.
+    fn parse(label: &str) -> Option<Self>;
+    /// The value's label.
+    fn name(&self) -> String;
+}
+
+macro_rules! labeled {
+    ($($t:ty: $noun:literal, $values:expr, $label:ident, $parse:ident, [$($g:literal => $gv:expr),*];)*) => {$(
+        impl Labeled for $t {
+            const NOUN: &'static str = $noun;
+            const GROUPS: &'static [(&'static str, &'static [Self])] = &[$(($g, &$gv)),*];
+            const VALUES: &'static [Self] = &$values;
+            fn parse(label: &str) -> Option<Self> {
+                <$t>::$parse(label)
+            }
+            fn name(&self) -> String {
+                self.$label().to_string()
+            }
+        }
+    )*};
+}
+
+labeled! {
+    SchedulerKind: "scheduler", SchedulerKind::ALL, label, from_label,
+        ["all" => SchedulerKind::ALL, "paper" => SchedulerKind::PAPER];
+    PlacementKind: "placement policy", PlacementKind::ALL, to_string, from_label,
+        ["all" => PlacementKind::ALL];
+    FleetPlacementKind: "fleet placement policy", FleetPlacementKind::ALL, to_string, from_label,
+        ["all" => FleetPlacementKind::ALL];
+    RebalanceKind: "rebalance policy", RebalanceKind::ALL, to_string, from_label,
+        ["all" => RebalanceKind::ALL];
+    FleetRebalanceKind: "fleet rebalance policy", FleetRebalanceKind::ALL, to_string, from_label, [];
+    FaultMode: "fault mode", FaultMode::ALL, label, parse, [];
+    MetricsMode: "metrics mode", [MetricsMode::Exact, MetricsMode::Streaming], label, from_label, [];
+}
+
+/// Every label `T` accepts: its group labels, then one per value.
+fn labels<T: Labeled>() -> Vec<String> {
+    let groups = T::GROUPS.iter().map(|(g, _)| g.to_string());
+    groups.chain(T::VALUES.iter().map(T::name)).collect()
+}
+
+fn parse_label<T: Labeled>(label: &str) -> Result<T, SpecError> {
+    T::parse(label).ok_or_else(|| unknown(T::NOUN, label, &labels::<T>()))
+}
+
+/// A single-label key's value.
+fn label<T: Labeled>(key: &str, v: &Value) -> Result<T, SpecError> {
+    parse_label(as_str(key, v)?)
+}
+
+/// Parses sweep-axis labels, as a scenario file's array or the command
+/// line's comma-separated list gives them: a group label (`"all"`,
+/// `"paper"`) expands to its values, any other label names one value.
+pub fn parse_axis<'a, T: Labeled>(
+    items: impl IntoIterator<Item = &'a str>,
+) -> Result<Vec<T>, SpecError> {
+    let mut out = Vec::new();
+    for label in items {
+        match T::GROUPS.iter().find(|(g, _)| *g == label) {
+            Some((_, values)) => out.extend_from_slice(values),
+            None => out.push(parse_label(label)?),
+        }
+    }
+    Ok(out)
+}
+
+/// A value that is one item or an array of items, as its items.
+fn items(v: &Value) -> &[Value] {
+    match v {
+        Value::Array(items) => items,
+        one => std::slice::from_ref(one),
+    }
+}
+
+/// A sweep axis key's value: one label or an array of labels.
+fn axis<T: Labeled>(key: &str, v: &Value) -> Result<Vec<T>, SpecError> {
+    let given: Option<Vec<&str>> = items(v)
+        .iter()
+        .map(|i| match i {
+            Value::Str(s) => Some(s.as_str()),
+            _ => None,
+        })
+        .collect();
+    let Some(given) = given else {
+        let quoted: Vec<String> = labels::<T>().iter().map(|l| format!("{l:?}")).collect();
+        return Err(SpecError(format!(
+            "{key} must be one of {}, or an array of them; got {v:?}",
+            quoted.join(", ")
+        )));
+    };
+    parse_axis(given)
+}
+
+fn seeds_from(key: &str, v: &Value) -> Result<Vec<u64>, SpecError> {
+    items(v).iter().map(|seed| as_u64(key, seed)).collect()
+}
+
+// ----------------------------------------------------------------------
+// Spec assembly
+// ----------------------------------------------------------------------
+
+fn workload_from(g: &Table, kind: &str) -> Result<WorkloadSpec, SpecError> {
     match kind {
         "throttle" => Ok(WorkloadSpec::Throttle {
-            request: require_duration(g, "request", "throttle")?,
-            off_ratio: get_f64(g, "off_ratio")?.unwrap_or(0.0),
-            jitter: get_f64(g, "jitter")?.unwrap_or(0.0),
+            request: g.require_duration("request", "throttle")?,
+            off_ratio: g.read("off_ratio", as_f64)?.unwrap_or(0.0),
+            jitter: g.read("jitter", as_f64)?.unwrap_or(0.0),
         }),
         "fixed-loop" => Ok(WorkloadSpec::FixedLoop {
-            service: require_duration(g, "service", "fixed-loop")?,
-            gap: get_duration(g, "gap")?.unwrap_or(SimDuration::ZERO),
-            rounds: get_u64(g, "rounds")?,
+            service: g.require_duration("service", "fixed-loop")?,
+            gap: g.read("gap", as_duration)?.unwrap_or(SimDuration::ZERO),
+            rounds: g.read("rounds", as_u64)?,
         }),
         "app" => Ok(WorkloadSpec::App {
-            name: get_str(g, "app")?
+            name: g
+                .str("app")?
                 .ok_or_else(|| SpecError("app workload requires app = \"<Name>\"".into()))?
                 .to_string(),
         }),
         "batcher" => Ok(WorkloadSpec::Batcher {
-            batch: require_duration(g, "batch", "batcher")?,
+            batch: g.require_duration("batch", "batcher")?,
         }),
         "idle-burst" => Ok(WorkloadSpec::IdleBurst {
-            idle: require_duration(g, "idle", "idle-burst")?,
-            burst_requests: get_u32(g, "burst_requests")?.unwrap_or(32),
-            request: require_duration(g, "request", "idle-burst")?,
+            idle: g.require_duration("idle", "idle-burst")?,
+            burst_requests: g.read("burst_requests", as_u32)?.unwrap_or(32),
+            request: g.require_duration("request", "idle-burst")?,
         }),
         "infinite-loop" => Ok(WorkloadSpec::InfiniteLoop {
-            warmup_rounds: get_u32(g, "warmup_rounds")?.unwrap_or(50),
-            request: require_duration(g, "request", "infinite-loop")?,
+            warmup_rounds: g.read("warmup_rounds", as_u32)?.unwrap_or(50),
+            request: g.require_duration("request", "infinite-loop")?,
         }),
         other => Err(SpecError(format!("unknown workload kind {other:?}"))),
     }
 }
 
-fn arrival_from(g: &Table) -> Result<ArrivalSpec, SpecError> {
-    let kind = get_str(g, "arrival")?.unwrap_or("at-start");
+fn arrival_from(g: &Table, kind: &str) -> Result<ArrivalSpec, SpecError> {
     match kind {
         "at-start" => Ok(ArrivalSpec::AtStart),
         "stagger" => Ok(ArrivalSpec::Staggered {
-            gap: require_duration(g, "stagger", "stagger arrival")?,
+            gap: g.require_duration("stagger", "stagger arrival")?,
         }),
         "at" => match g.get("times") {
             Some(Value::Array(items)) => {
@@ -1263,16 +1004,19 @@ fn arrival_from(g: &Table) -> Result<ArrivalSpec, SpecError> {
             )),
         },
         "poisson" => Ok(ArrivalSpec::Poisson {
-            rate_hz: get_f64(g, "rate_hz")?
+            rate_hz: g
+                .read("rate_hz", as_f64)?
                 .ok_or_else(|| SpecError("poisson arrival requires rate_hz".into()))?,
-            start: get_duration(g, "arrival_start")?.unwrap_or(SimDuration::ZERO),
+            start: g
+                .read("arrival_start", as_duration)?
+                .unwrap_or(SimDuration::ZERO),
         }),
         other => Err(SpecError(format!("unknown arrival kind {other:?}"))),
     }
 }
 
 fn lifetime_from(g: &Table) -> Result<LifetimeSpec, SpecError> {
-    let Some(s) = get_str(g, "lifetime")? else {
+    let Some(s) = g.str("lifetime")? else {
         return Ok(LifetimeSpec::Forever);
     };
     if s == "forever" {
@@ -1286,111 +1030,120 @@ fn lifetime_from(g: &Table) -> Result<LifetimeSpec, SpecError> {
     Ok(LifetimeSpec::Fixed(parse_duration(s)?))
 }
 
+/// Builds one tenant group from a `[[group]]` table; its `params.*`
+/// keys start from the scenario-level `params`.
+fn group_from(g: &Table, index: usize, params: &SchedParams) -> Result<TenantGroup, SpecError> {
+    let name = g
+        .str("name")?
+        .map_or_else(|| format!("group{index}"), str::to_string);
+    let workload = g.str("workload")?.unwrap_or("throttle");
+    let arrival = g.str("arrival")?.unwrap_or("at-start");
+    let active = [("workload", workload), ("arrival", arrival)];
+    check_keys(g, &format!("group {name:?}"), &active)?;
+    let mut group_params = None;
+    set_fields(g, &mut Target::Group(&mut group_params, params))?;
+    Ok(TenantGroup {
+        count: g.read("count", as_u32)?.unwrap_or(1),
+        workload: workload_from(g, workload)?,
+        arrival: arrival_from(g, arrival)?,
+        lifetime: lifetime_from(g)?,
+        device: g.read("device", as_u32)?,
+        params: group_params,
+        working_set: g.str("working_set")?.map(parse_size).transpose()?,
+        name,
+    })
+}
+
+/// Builds one scheduled fault from a `[[fault]]` table: `at`, `kind`,
+/// and the kind's operand. A task kind's absent `task` means "the
+/// oldest live task at injection time".
+fn fault_from(f: &Table, index: usize) -> Result<FaultEvent, SpecError> {
+    let ctx = format!("fault[{index}]");
+    let fail = |msg: String| SpecError(format!("{ctx}: {msg}"));
+    let at = f
+        .require_duration("at", "a [[fault]] block")
+        .map_err(|e| fail(e.0))?;
+    let kinds = arms("kind");
+    let label = f
+        .str("kind")?
+        .ok_or_else(|| fail(format!("requires kind = \"<{}>\"", kinds.join("|"))))?;
+    if !kinds.contains(&label) {
+        return Err(fail(unknown("fault kind", label, &kinds).0));
+    }
+    check_keys(f, &ctx, &[("kind", label)])?;
+    let operand = |key: &str| {
+        f.read(key, as_u32)?
+            .ok_or_else(|| fail(format!("kind = {label:?} requires {key} = <index>")))
+    };
+    let (device, host) = (|| operand("device").map(DeviceId::new), || operand("host"));
+    let task = f.read("task", as_u32)?.map(TaskId::new);
+    let kind = match label {
+        "device-remove" => FaultKind::DeviceRemove { device: device()? },
+        "device-add" => FaultKind::DeviceAdd { device: device()? },
+        "hang" => FaultKind::TaskHang { task },
+        "crash" => FaultKind::TaskCrash { task },
+        "submit-error" => FaultKind::SubmitError { task },
+        "host-fail" => FaultKind::HostFail { host: host()? },
+        _ => FaultKind::HostRecover { host: host()? },
+    };
+    Ok(FaultEvent {
+        at: neon_sim::SimTime::ZERO + at,
+        kind,
+    })
+}
+
 /// Parses scenario TOML text. `fallback_name` (usually the file stem)
 /// names the scenario when the file has no `name` key.
 pub fn from_toml(text: &str, fallback_name: &str) -> Result<ScenarioSpec, SpecError> {
-    let (root, group_tables, device_tables, host_tables, fault_tables) = parse_document(text)?;
-    validate_root_keys(&root)?;
-    let name = get_str(&root, "name")?.unwrap_or(fallback_name).to_string();
-    let horizon = require_duration(&root, "horizon", "scenario")?;
+    let tables = parse_document(text)?;
+    let root = &tables[0];
+    let of = |kind| tables.iter().filter(move |t| t.kind == kind);
+    check_keys(root, "", &[])?;
+    let name = root.str("name")?.unwrap_or(fallback_name);
+    let mut spec = ScenarioSpec::new(name, root.require_duration("horizon", "scenario")?);
     // [[device]] blocks define the device count when the devices key
     // is absent; when both appear, validation checks they agree. The
     // hosts key and [[host]] blocks follow the same rule one level up.
-    let devices = get_u64(&root, "devices")?
-        .map(|d| d as usize)
-        .unwrap_or_else(|| device_tables.len().max(1));
-    let hosts = get_u64(&root, "hosts")?
-        .map(|h| h as usize)
-        .unwrap_or_else(|| host_tables.len().max(1));
-    let mut spec = ScenarioSpec::new(name, horizon)
-        .seeds(seeds_from(&root)?)
-        .schedulers(schedulers_from(&root)?)
-        .devices(devices)
-        .hosts(hosts)
-        .placements(placements_from(&root)?)
-        .fleet_placements(fleet_placements_from(&root)?)
-        .rebalances(rebalances_from(&root)?);
-    for (i, h) in host_tables.iter().enumerate() {
-        spec.host_devices.push(host_from(h, i)?);
+    spec.devices = root
+        .read("devices", as_u64)?
+        .map_or(of(TableKind::Device).count().max(1), |d| d as usize);
+    spec.hosts = root
+        .read("hosts", as_u64)?
+        .map_or(of(TableKind::Host).count().max(1), |h| h as usize);
+    spec.seeds = root.read("seeds", seeds_from)?.unwrap_or(spec.seeds);
+    spec.schedulers = root.read("schedulers", axis)?.unwrap_or(spec.schedulers);
+    spec.placements = root.read("placement", axis)?.unwrap_or(spec.placements);
+    spec.fleet_placements = root
+        .read("fleet_placement", axis)?
+        .unwrap_or(spec.fleet_placements);
+    spec.rebalances = root.read("rebalance", axis)?.unwrap_or(spec.rebalances);
+    // Absent means "derive from the schedule": see
+    // `ScenarioSpec::effective_fault_modes`.
+    spec.fault_modes = root.read("faults", axis)?.unwrap_or_default();
+    spec.fleet_rebalance = root
+        .read("fleet_rebalance", label)?
+        .unwrap_or(spec.fleet_rebalance);
+    spec.metrics = root.read("metrics", label)?.unwrap_or(spec.metrics);
+    spec.sample_every = root.read("sample_every", as_duration)?;
+    set_fields(root, &mut Target::Spec(&mut spec))?;
+    for (i, h) in of(TableKind::Host).enumerate() {
+        check_keys(h, &format!("host {i}"), &[])?;
+        let mut devices = 1;
+        set_fields(h, &mut Target::Host(&mut devices))?;
+        spec.host_devices.push(devices);
     }
-    for (i, f) in fault_tables.iter().enumerate() {
-        let (at, kind) = fault_from(f, i)?;
-        spec.faults.push(FaultEvent {
-            at: neon_sim::SimTime::ZERO + at,
-            kind,
-        });
+    for (i, d) in of(TableKind::Device).enumerate() {
+        check_keys(d, &format!("device {i}"), &[])?;
+        let mut slot = DeviceSlotSpec::near(GpuConfig::default());
+        set_fields(d, &mut Target::Device(&mut slot))?;
+        spec.device_slots.push(slot);
     }
-    let (fault_config, fault_touched) = fault_config_from(&root)?;
-    if fault_touched {
-        spec.fault_config = fault_config;
+    for (i, f) in of(TableKind::Fault).enumerate() {
+        spec.faults.push(fault_from(f, i)?);
     }
-    spec.fault_modes = fault_modes_from(&root)?;
-    if let Some(label) = get_str(&root, "fleet_rebalance")? {
-        spec.fleet_rebalance = FleetRebalanceKind::from_label(label).ok_or_else(|| {
-            SpecError(format!(
-                "unknown fleet rebalance policy {label:?} (supported: off, count-diff)"
-            ))
-        })?;
-    }
-    let (cluster, cluster_touched) = cluster_from(&root)?;
-    if cluster_touched {
-        spec.cluster = Some(cluster);
-    }
-    if let Some(label) = get_str(&root, "metrics")? {
-        let mode = MetricsMode::from_label(label).ok_or_else(|| {
-            SpecError(format!(
-                "unknown metrics mode {label:?} (supported: exact, streaming)"
-            ))
-        })?;
-        spec = spec.metrics(mode);
-    }
-    if let Some(every) = get_duration(&root, "sample_every")? {
-        spec = spec.sample_every(every);
-    }
-    for (i, d) in device_tables.iter().enumerate() {
-        spec.device_slots.push(device_slot_from(d, i)?);
-    }
-    let (interconnect, interconnect_touched) = interconnect_from(&root)?;
-    if interconnect_touched {
-        spec.interconnect = Some(interconnect);
-    }
-    let (params, params_touched) = sched_params_from(&root, &SchedParams::default())?;
-    if params_touched {
-        spec.params = Some(params);
-    }
-    let (cost, cost_touched) = cost_from(&root)?;
-    if cost_touched {
-        spec.cost = Some(cost);
-    }
-    let scenario_params = spec.params.clone().unwrap_or_default();
-    for (i, g) in group_tables.iter().enumerate() {
-        let name = get_str(g, "name")?
-            .map(str::to_string)
-            .unwrap_or_else(|| format!("group{i}"));
-        if let Some(stray) = g.keys().find(|k| k.starts_with("cost.")) {
-            return Err(SpecError(format!(
-                "group {name:?} sets {stray:?}: the cost model describes the \
-                 simulated host and cannot vary per group; move it to the top level"
-            )));
-        }
-        validate_group_keys(
-            g,
-            &name,
-            get_str(g, "workload")?.unwrap_or("throttle"),
-            get_str(g, "arrival")?.unwrap_or("at-start"),
-        )?;
-        let (params, params_touched) = sched_params_from(g, &scenario_params)?;
-        let group = TenantGroup {
-            name,
-            count: get_u32(g, "count")?.unwrap_or(1),
-            workload: workload_from(g)?,
-            arrival: arrival_from(g)?,
-            lifetime: lifetime_from(g)?,
-            device: get_u32(g, "device")?,
-            params: params_touched.then_some(params),
-            working_set: get_str(g, "working_set")?.map(parse_size).transpose()?,
-        };
-        spec.groups.push(group);
+    let params = spec.params.clone().unwrap_or_default();
+    for (i, g) in of(TableKind::Group).enumerate() {
+        spec.groups.push(group_from(g, i, &params)?);
     }
     spec.validate()?;
     Ok(spec)
@@ -2169,5 +1922,224 @@ kind = "hang"
              [[group]]\nworkload = \"throttle\"\nrequest = \"1ms\"\n";
         let e = from_toml(stray, "x").unwrap_err();
         assert!(e.0.contains("did you mean"), "{e}");
+    }
+
+    /// Mutated example scenarios must load or fail with an error, never
+    /// panic or abort: values swapped for boundary tokens, lines
+    /// deleted, duplicated and swapped (table headers included), and
+    /// single bytes edited.
+    #[test]
+    fn loader_never_panics_on_mutated_examples() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        const TOKENS: [&str; 14] = [
+            "4294967296",
+            "18446744073709551615",
+            "-1",
+            "0",
+            "1e300",
+            "\"1e300s\"",
+            "\"0ms\"",
+            "[]",
+            "\"\"",
+            "\"pinned:4294967296\"",
+            "\"all\"",
+            "[4294967296]",
+            "\"exp(0ms)\"",
+            "true",
+        ];
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/scenarios");
+        let mut examples: Vec<String> = std::fs::read_dir(dir)
+            .expect("examples directory exists")
+            .map(|e| e.expect("readable entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "toml"))
+            .map(|p| std::fs::read_to_string(p).expect("readable example"))
+            .collect();
+        examples.sort();
+        let mut rng = SmallRng::seed_from_u64(0x5EED);
+        let mut pick = |n: usize| rng.random_range(0..n as u64) as usize;
+        let mut failures = Vec::new();
+        for case in 0..5000 {
+            let text = &examples[pick(examples.len())];
+            let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+            for _ in 0..1 + pick(3) {
+                let i = pick(lines.len());
+                match pick(5) {
+                    0 | 1 => {
+                        let keyed: Vec<usize> = (0..lines.len())
+                            .filter(|&k| lines[k].contains('=') && !lines[k].starts_with('#'))
+                            .collect();
+                        if let Some(&k) = keyed.get(pick(keyed.len().max(1))) {
+                            let key = lines[k].split('=').next().unwrap_or_default();
+                            lines[k] = format!("{key}= {}", TOKENS[pick(TOKENS.len())]);
+                        }
+                    }
+                    2 => {
+                        lines.remove(i);
+                    }
+                    3 => {
+                        let copy = lines[pick(lines.len())].clone();
+                        lines.insert(i, copy);
+                    }
+                    _ => {
+                        let j = pick(lines.len());
+                        lines.swap(i, j);
+                    }
+                }
+                if lines.is_empty() {
+                    lines.push(String::new());
+                }
+            }
+            let mut bytes = lines.join("\n").into_bytes();
+            if pick(2) == 0 && !bytes.is_empty() {
+                let at = pick(bytes.len());
+                if bytes[at].is_ascii() {
+                    bytes[at] = b' ' + pick(95) as u8;
+                }
+            }
+            let text = String::from_utf8(bytes).expect("edits keep ASCII bytes ASCII");
+            let outcome = std::panic::catch_unwind(|| {
+                if let Ok(spec) = from_toml(&text, "fuzz") {
+                    let _ = spec.validate();
+                }
+            });
+            if outcome.is_err() {
+                failures.push(format!("case {case}:\n{text}"));
+            }
+        }
+        assert!(
+            failures.is_empty(),
+            "{} panics; first:\n{}",
+            failures.len(),
+            failures[0]
+        );
+    }
+
+    /// The README's "Scenario keys" table is the registry's key
+    /// reference; regenerate it from `key_reference()` when a key
+    /// changes.
+    #[test]
+    fn readme_key_reference_matches_the_registry() {
+        let readme = include_str!("../../../README.md");
+        let start = readme
+            .find("\n## Scenario keys\n")
+            .expect("README has a Scenario keys section");
+        let section = &readme[start + 1..];
+        let section = &section[..section.find("\n## ").unwrap_or(section.len())];
+        let table: String = section
+            .lines()
+            .filter(|l| l.starts_with('|'))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let expected = key_reference();
+        assert!(
+            table == expected,
+            "README \"Scenario keys\" table differs from the key registry; replace it with:\n\n{expected}"
+        );
+    }
+
+    /// Each setter row's declared type is the type its slot parses.
+    #[test]
+    fn setter_rows_declare_their_slot_type() {
+        fn parsed(slot: Slot<'_>) -> &'static str {
+            match slot {
+                Slot::Dur(_) | Slot::OptDur(_) => "duration",
+                Slot::U64(_) | Slot::U32(_) | Slot::Usize(_) => "integer",
+                Slot::Gbps(_) => "number",
+                Slot::Flag(_) => "boolean",
+                Slot::Interconnect(_) => "one of free, pcie-gen3",
+                Slot::Network(_) => "one of free, 25g",
+            }
+        }
+        for k in KEYS {
+            let ty = match k.owner {
+                Owner::Params(f) => parsed(f(&mut SchedParams::default())),
+                Owner::Cost(f) => parsed(f(&mut CostModel::default())),
+                Owner::Topology(f) => parsed(f(&mut InterconnectParams::free())),
+                Owner::Cluster(f) => parsed(f(&mut ClusterInterconnect::free())),
+                Owner::FaultTuning(f) => parsed(f(&mut FaultConfig::default())),
+                Owner::Device(f) => parsed(f(&mut DeviceSlotSpec::near(GpuConfig::default()))),
+                Owner::Host(f) => parsed(f(&mut 1)),
+                _ => continue,
+            };
+            assert_eq!(k.ty.to_string(), ty, "{}", k.path);
+        }
+    }
+
+    /// Every registered key is accepted in a table of its kind, under
+    /// its arm: no row is dead, and no reader reads an unregistered key
+    /// (the accessors' debug assertion).
+    #[test]
+    fn every_registered_key_loads() {
+        for k in KEYS {
+            let value = match k.ty {
+                Ty::Str | Ty::Label(_) | Ty::Axis(_) => "\"x\"",
+                Ty::Int | Ty::Ints => "1",
+                Ty::Float => "0.5",
+                Ty::Bool => "true",
+                Ty::Duration => "\"1ms\"",
+                Ty::Durations => "[\"1ms\"]",
+                Ty::Size => "\"1MB\"",
+            };
+            // An arm selector takes one of its arms.
+            let selector = arms(k.path).first().map(|label| format!("{label:?}"));
+            let value = selector.as_deref().unwrap_or(value);
+            // Later entries replace earlier ones with the same key.
+            let mut group = vec![("workload", "\"batcher\"")];
+            let mut fault = vec![("at", "\"1ms\""), ("kind", "\"hang\"")];
+            let arm = k
+                .owner
+                .arm()
+                .map(|(selector, label)| (selector, format!("{label:?}")));
+            let (mut root, mut extra) = (vec![("horizon", "\"10ms\""), ("devices", "2")], None);
+            match (arm.as_ref(), k.owner.in_table(TableKind::Root)) {
+                (_, true) => root.push((k.path, value)),
+                (Some(("kind", label)), _) => {
+                    fault.extend([("kind", label.as_str()), (k.path, value)])
+                }
+                (Some((selector, label)), _) => {
+                    group.extend([(*selector, label.as_str()), (k.path, value)])
+                }
+                (None, _) if k.owner.in_table(TableKind::Group) => group.push((k.path, value)),
+                (None, _) => extra = Some(k),
+            }
+            let table = |header: &str, entries: &[(&str, &str)]| {
+                let mut out = String::from(header);
+                for (i, (key, v)) in entries.iter().enumerate() {
+                    if !entries[i + 1..].iter().any(|(later, _)| later == key) {
+                        out.push_str(&format!("{key} = {v}\n"));
+                    }
+                }
+                out
+            };
+            let mut text = table("", &root) + &table("[[group]]\n", &group);
+            if arm
+                .as_ref()
+                .is_some_and(|(selector, _)| *selector == "kind")
+            {
+                text += &table("[[fault]]\n", &fault);
+            }
+            if let Some(k) = extra {
+                let kind = TableKind::ARRAYS.into_iter().find(|&t| k.owner.in_table(t));
+                let kind = kind.expect("every owner has a table");
+                text += &table(&format!("[[{}]]\n", kind.name()), &[(k.path, value)]);
+            }
+            // Values are placeholders: a type, range or validation error
+            // is fine; a key-check error is not.
+            if let Err(e) = from_toml(&text, "x") {
+                for bad in [
+                    "unknown key",
+                    "unknown top-level",
+                    "only used by",
+                    "is a group key",
+                ] {
+                    assert!(!e.0.contains(bad), "{}:\n{text}\n{e}", k.path);
+                }
+                assert!(
+                    !e.0.contains("is a top-level key") && !e.0.contains("duplicate"),
+                    "{e}"
+                );
+            }
+        }
     }
 }
