@@ -61,6 +61,7 @@ use neon_metrics::Distribution;
 use neon_sim::{SimDuration, SimTime};
 
 use crate::fault::{FaultKind, FaultPlan};
+use crate::placement::shortage;
 use crate::report::{groups_of, round_count, round_distribution, GroupReport, RunReport};
 use crate::workload::BoxedWorkload;
 use crate::world::World;
@@ -454,6 +455,35 @@ struct Resident {
     live: bool,
 }
 
+/// A planning-pass action.
+#[derive(Clone, Copy)]
+enum Act {
+    Arrival(usize),
+    Departure(usize),
+    HostFail(usize),
+    HostRecover(usize),
+}
+
+/// The planning pass's actions in (time, creation order): same-instant
+/// actions run in creation order, so the pass is deterministic.
+#[derive(Default)]
+struct Agenda {
+    heap: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, usize)>>,
+    acts: Vec<Act>,
+}
+
+impl Agenda {
+    fn push(&mut self, at: SimTime, act: Act) {
+        self.heap.push(std::cmp::Reverse((at, self.acts.len())));
+        self.acts.push(act);
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, Act)> {
+        let std::cmp::Reverse((at, seq)) = self.heap.pop()?;
+        Some((at, self.acts[seq]))
+    }
+}
+
 /// Whole-fleet outcome: per-host reports plus the cluster-level view.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
@@ -665,14 +695,7 @@ impl Fleet {
                 Some(h) => h.index(),
                 None => {
                     self.fleet_rejected += 1;
-                    let context_starved = loads
-                        .iter()
-                        .any(|l| !l.fits(channels) && l.free_contexts == 0);
-                    return Err(if context_starved {
-                        GpuError::OutOfContexts
-                    } else {
-                        GpuError::OutOfChannels
-                    });
+                    return Err(shortage(loads.iter().map(|l| l.free_contexts)));
                 }
             }
         } else {
@@ -759,49 +782,19 @@ impl Fleet {
         if !self.multi() {
             return;
         }
-        // (time, seq) orders the pass: seq is allocation order, so
-        // same-instant events process in creation order and the pass is
-        // fully deterministic.
-        #[derive(PartialEq, Eq)]
-        enum Act {
-            Arrival(usize),
-            Departure(usize),
-            HostFail(usize),
-            HostRecover(usize),
-        }
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, u64, usize)>> =
-            std::collections::BinaryHeap::new();
-        let mut actions: Vec<Act> = Vec::new();
-        let push = |heap: &mut std::collections::BinaryHeap<_>,
-                    actions: &mut Vec<Act>,
-                    at: SimTime,
-                    act: Act| {
-            let seq = actions.len();
-            actions.push(act);
-            heap.push(std::cmp::Reverse((at, seq as u64, seq)));
-        };
+        let mut agenda = Agenda::default();
         // Host faults enqueue first: a failure at an arrival's instant
         // is visible to that arrival's placement decision.
-        if let Some(plan) = &self.faults {
-            for ev in plan.host_events() {
-                match ev.kind {
-                    FaultKind::HostFail { host } => {
-                        push(&mut heap, &mut actions, ev.at, Act::HostFail(host as usize));
-                    }
-                    FaultKind::HostRecover { host } => {
-                        push(
-                            &mut heap,
-                            &mut actions,
-                            ev.at,
-                            Act::HostRecover(host as usize),
-                        );
-                    }
-                    _ => {}
-                }
-            }
+        for ev in self.faults.iter().flat_map(|plan| plan.host_events()) {
+            let act = match ev.kind {
+                FaultKind::HostFail { host } => Act::HostFail(host as usize),
+                FaultKind::HostRecover { host } => Act::HostRecover(host as usize),
+                _ => continue,
+            };
+            agenda.push(ev.at, act);
         }
-        for i in 0..self.spawns.len() {
-            push(&mut heap, &mut actions, self.spawns[i].at, Act::Arrival(i));
+        for (i, spawn) in self.spawns.iter().enumerate() {
+            agenda.push(spawn.at, Act::Arrival(i));
         }
         let mut state = self.ledger.clone();
         let mut residents: Vec<Resident> = Vec::new();
@@ -824,28 +817,13 @@ impl Fleet {
                 .collect()
         }
         let rebalance_active = self.rebalance.active();
-        while let Some(std::cmp::Reverse((now, _, seq))) = heap.pop() {
-            match actions[seq] {
+        while let Some((now, act)) = agenda.pop() {
+            match act {
                 Act::Arrival(i) => {
-                    let channels = self.spawns[i].channels;
                     let loads = masked_loads(&state, &down);
-                    match self.placement.place(&loads, channels) {
+                    match self.placement.place(&loads, self.spawns[i].channels) {
                         Some(h) => {
-                            let host = h.index();
-                            state[host].occupy(channels);
-                            self.spawns[i].host = Some(host);
-                            let r = residents.len();
-                            residents.push(Resident {
-                                spawn: i,
-                                host,
-                                channels,
-                                working_set: self.spawns[i].working_set,
-                                migratable: self.spawns[i].factory.is_some(),
-                                live: true,
-                            });
-                            if let Some(l) = self.spawns[i].lifetime {
-                                push(&mut heap, &mut actions, now + l, Act::Departure(r));
-                            }
+                            self.reside(&mut agenda, &mut residents, &mut state, i, h.index())
                         }
                         None => self.fleet_rejected += 1,
                     }
@@ -888,45 +866,11 @@ impl Fleet {
                     if !sound {
                         continue;
                     }
-                    let spawn = residents[mover].spawn;
-                    let transfer = self.cluster.transfer_cost(residents[mover].working_set);
-                    let rearrive = now + transfer;
-                    // Remaining stay after the wire; a move that the
-                    // tenant would not outlive is skipped.
-                    let remaining = match self.spawns[spawn].lifetime {
-                        Some(l) => {
-                            let ends = self.spawns[spawn].at + l;
-                            if ends <= rearrive {
-                                continue;
-                            }
-                            Some(ends.saturating_duration_since(rearrive))
-                        }
-                        None => None,
-                    };
-                    // Truncate the source residence at the decision
-                    // instant and restage on the target after the
-                    // transfer.
-                    self.spawns[spawn].truncated_at = Some(now);
-                    state[residents[mover].host].release(residents[mover].channels);
-                    residents[mover].live = false;
-                    let cont = mover_continuation(&mut self.spawns, spawn, rearrive, remaining);
-                    let channels = self.spawns[cont].channels;
-                    state[to].occupy(channels);
-                    let r = residents.len();
-                    residents.push(Resident {
-                        spawn: cont,
-                        host: to,
-                        channels,
-                        working_set: self.spawns[cont].working_set,
-                        migratable: false,
-                        live: true,
-                    });
-                    self.spawns[cont].host = Some(to);
-                    if let Some(l) = remaining {
-                        push(&mut heap, &mut actions, rearrive + l, Act::Departure(r));
+                    let (src, channels) = (residents[mover].host, residents[mover].channels);
+                    if self.relocate(&mut agenda, &mut residents, &mut state, mover, to, now) {
+                        state[src].release(channels);
+                        residents[mover].live = false;
                     }
-                    self.cross_host_migrations += 1;
-                    self.cluster_transfer_stall += transfer;
                 }
                 Act::HostFail(h) => {
                     if h >= state.len() || down[h] {
@@ -948,55 +892,22 @@ impl Fleet {
                     for r in victims {
                         residents[r].live = false;
                         state[h].release(residents[r].channels);
-                        let spawn = residents[r].spawn;
-                        self.spawns[spawn].truncated_at = Some(now);
-                        if !residents[r].migratable {
-                            self.fleet_lost_tasks += 1;
-                            continue;
-                        }
-                        let loads = masked_loads(&state, &down);
-                        let Some(to) = self
-                            .placement
-                            .place(&loads, residents[r].channels)
-                            .map(|x| x.index())
-                        else {
-                            self.fleet_lost_tasks += 1;
-                            continue;
+                        self.spawns[residents[r].spawn].truncated_at = Some(now);
+                        let to = if residents[r].migratable {
+                            let loads = masked_loads(&state, &down);
+                            let to = self.placement.place(&loads, residents[r].channels);
+                            to.map(|to| to.index())
+                        } else {
+                            None
                         };
-                        let transfer = self.cluster.transfer_cost(residents[r].working_set);
-                        let rearrive = now + transfer;
-                        let remaining = match self.spawns[spawn].lifetime {
-                            Some(l) => {
-                                let ends = self.spawns[spawn].at + l;
-                                if ends <= rearrive {
-                                    // The tenant's stay would end on
-                                    // the wire — nothing to re-admit.
-                                    self.fleet_lost_tasks += 1;
-                                    continue;
-                                }
-                                Some(ends.saturating_duration_since(rearrive))
-                            }
-                            None => None,
-                        };
-                        let cont = mover_continuation(&mut self.spawns, spawn, rearrive, remaining);
-                        let channels = self.spawns[cont].channels;
-                        state[to].occupy(channels);
-                        let rr = residents.len();
-                        residents.push(Resident {
-                            spawn: cont,
-                            host: to,
-                            channels,
-                            working_set: self.spawns[cont].working_set,
-                            migratable: false,
-                            live: true,
+                        let moved = to.is_some_and(|to| {
+                            self.relocate(&mut agenda, &mut residents, &mut state, r, to, now)
                         });
-                        self.spawns[cont].host = Some(to);
-                        if let Some(l) = remaining {
-                            push(&mut heap, &mut actions, rearrive + l, Act::Departure(rr));
+                        if moved {
+                            self.fleet_fault_recovered += 1;
+                        } else {
+                            self.fleet_lost_tasks += 1;
                         }
-                        self.cross_host_migrations += 1;
-                        self.cluster_transfer_stall += transfer;
-                        self.fleet_fault_recovered += 1;
                     }
                 }
                 Act::HostRecover(h) => {
@@ -1016,6 +927,64 @@ impl Fleet {
         for since in down_since.iter_mut().filter_map(|s| s.take()) {
             self.host_degraded += end.saturating_duration_since(since);
         }
+    }
+
+    /// Re-admits resident `r`'s tenant on host `to` after the cluster
+    /// transfer of its working set: truncates its stay at `now`, makes
+    /// its continuation ([`mover_continuation`]) resident on `to` and
+    /// counts the move. Returns `false`, changing nothing, when the stay
+    /// would end on the wire. The caller releases the source residence.
+    fn relocate(
+        &mut self,
+        agenda: &mut Agenda,
+        residents: &mut Vec<Resident>,
+        state: &mut [HostState],
+        r: usize,
+        to: usize,
+        now: SimTime,
+    ) -> bool {
+        let spawn = residents[r].spawn;
+        let transfer = self.cluster.transfer_cost(residents[r].working_set);
+        let rearrive = now + transfer;
+        let ends = self.spawns[spawn]
+            .lifetime
+            .map(|l| self.spawns[spawn].at + l);
+        if ends.is_some_and(|ends| ends <= rearrive) {
+            return false;
+        }
+        let remaining = ends.map(|ends| ends.saturating_duration_since(rearrive));
+        self.spawns[spawn].truncated_at = Some(now);
+        let cont = mover_continuation(&mut self.spawns, spawn, rearrive, remaining);
+        self.reside(agenda, residents, state, cont, to);
+        self.cross_host_migrations += 1;
+        self.cluster_transfer_stall += transfer;
+        true
+    }
+
+    /// Routes `spawn` to `host`: reserves its room in the ledger, tracks
+    /// it as a resident and schedules its departure.
+    fn reside(
+        &mut self,
+        agenda: &mut Agenda,
+        residents: &mut Vec<Resident>,
+        state: &mut [HostState],
+        spawn: usize,
+        host: usize,
+    ) {
+        let s = &mut self.spawns[spawn];
+        state[host].occupy(s.channels);
+        s.host = Some(host);
+        if let Some(l) = s.lifetime {
+            agenda.push(s.at + l, Act::Departure(residents.len()));
+        }
+        residents.push(Resident {
+            spawn,
+            host,
+            channels: s.channels,
+            working_set: s.working_set,
+            migratable: s.factory.is_some(),
+            live: true,
+        });
     }
 
     /// Runs the whole fleet to `horizon` and merges the per-host

@@ -19,7 +19,7 @@
 //! Policies are deterministic: equal snapshots produce equal choices,
 //! which keeps multi-device simulations reproducible per seed.
 
-use neon_gpu::DeviceId;
+use neon_gpu::{DeviceId, GpuError};
 use neon_sim::SimDuration;
 
 /// Kernel-observable load of one device at a placement instant.
@@ -64,6 +64,19 @@ impl DeviceLoad {
             return SimDuration::ZERO;
         }
         (self.busy / self.completed) * self.queued_requests as u64
+    }
+}
+
+/// The error for an arrival no candidate took, from each candidate's
+/// free contexts: out of contexts if any candidate has none left, else
+/// out of channels. A policy may also decline candidates that fit (e.g.
+/// [`Pinned`]); the ones that do not fit carry the only honest resource
+/// explanation. Shared by device and host placement.
+pub(crate) fn shortage(free_contexts: impl IntoIterator<Item = usize>) -> GpuError {
+    if free_contexts.into_iter().any(|c| c == 0) {
+        GpuError::OutOfContexts
+    } else {
+        GpuError::OutOfChannels
     }
 }
 

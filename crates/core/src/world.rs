@@ -32,17 +32,31 @@
 //! the policy is cost-aware. A single-device world behaves exactly
 //! as the original single-GPU model — determinism tests enforce
 //! byte-identical traces.
+//!
+//! # Task lifecycle
+//!
+//! A task's device state changes in two places. `World::attach` puts a
+//! task on a device — context and channels allocated (rolled back on a
+//! full device), `live_tenants` counted, and during a run the transfer
+//! charged, the reason traced, the scheduler told, a step scheduled —
+//! for `Add` and `Arrive` (traced `arrive`, after `stage` when staging
+//! costs anything), `Migrate` (`migrate`) and `Restage` (`recover`).
+//! `World::detach` takes it off — not live, device state torn down,
+//! scheduler told — for `Exit` (a departure is traced `depart`), `Kill`
+//! (`crash`, `watchdog`), `PolicyKill` (`kill`), `Park` (`park`) and
+//! `MigrateOut` (untraced: the `migrate` attach follows). `World::place`
+//! is the one placement path, for admissions and fault recovery alike.
 
 use neon_gpu::{
-    ChannelId, ContextId, DeviceId, EngineClass, Gpu, GpuConfig, GpuError, RequestId, RequestKind,
-    SubmitSpec, TaskId, Topology,
+    ChannelId, DeviceId, EngineClass, Gpu, GpuConfig, GpuError, RequestId, RequestKind, SubmitSpec,
+    TaskId, Topology,
 };
 use neon_metrics::StreamingHistogram;
 use neon_sim::{trace_event, DetRng, EventQueue, SimDuration, SimTime, Trace};
 
 use crate::cost::CostModel;
 use crate::fault::{FaultConfig, FaultKind, FaultPlan};
-use crate::placement::{DeviceLoad, LeastLoaded, Placement};
+use crate::placement::{shortage, DeviceLoad, LeastLoaded, Placement};
 use crate::rebalance::{Migration, MigrationCandidate, Rebalance, RebalanceKind};
 use crate::report::{groups_of, DeviceReport, RunReport, TaskReport};
 use crate::sched::{FaultDecision, NullScheduler, Scheduler};
@@ -194,6 +208,34 @@ enum TaskState {
     Finished,
 }
 
+/// Why a task comes onto a device ([`World::attach`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Attach {
+    /// [`World::add_task`] after the run has begun.
+    Add,
+    /// A staged arrival, or a task added before the run.
+    Arrive,
+    /// A migration from device `from`.
+    Migrate { from: usize },
+    /// A task displaced by a hot-remove, re-admitted from host memory.
+    Restage,
+}
+
+/// Why a task leaves its device ([`World::detach`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Detach {
+    /// The workload finished, or its scheduled departure fired.
+    Exit,
+    /// Fault recovery killed it; the label names the killer.
+    Kill(&'static str),
+    /// Its device's own scheduler killed it ([`SchedCtx::kill_task`]).
+    PolicyKill,
+    /// Displaced by a hot-remove with no room elsewhere.
+    Park,
+    /// The first half of a migration.
+    MigrateOut,
+}
+
 struct TaskRt {
     id: TaskId,
     name: String,
@@ -203,8 +245,6 @@ struct TaskRt {
     device: DeviceId,
     /// Operator pin, if any; pinned tasks are never migrated.
     pin: Option<DeviceId>,
-    #[allow(dead_code)]
-    context: ContextId,
     channels: Vec<ChannelId>,
     max_outstanding: usize,
     state: TaskState,
@@ -341,6 +381,13 @@ struct DeviceSlot {
     /// completion event was cancelled, so the engine stays busy until
     /// the victim task is torn down.
     hung_engines: [bool; EngineClass::ALL.len()],
+}
+
+impl DeviceSlot {
+    /// `true` if a task with `channels` channels can be allocated here.
+    fn fits(&self, channels: usize) -> bool {
+        self.gpu.free_contexts() >= 1 && self.gpu.free_channels() >= channels
+    }
 }
 
 /// The simulation driver.
@@ -590,7 +637,7 @@ impl World {
     /// Returns the device error if no device can host the task (the
     /// §6.3 DoS condition).
     pub fn add_task(&mut self, workload: BoxedWorkload) -> Result<TaskId, GpuError> {
-        self.add_task_placed(workload, None)
+        self.admit(workload, None, 0, Attach::Add)
     }
 
     /// Like [`World::add_task`], but pinned to `device`: the placement
@@ -601,58 +648,7 @@ impl World {
         workload: BoxedWorkload,
         device: DeviceId,
     ) -> Result<TaskId, GpuError> {
-        self.add_task_placed(workload, Some(device))
-    }
-
-    fn add_task_placed(
-        &mut self,
-        workload: BoxedWorkload,
-        pin: Option<DeviceId>,
-    ) -> Result<TaskId, GpuError> {
-        let id = self.place_and_admit(workload, pin, 0)?;
-        if self.started {
-            let dev = self.tasks[id.index()].device;
-            let staging = self.charge_staging(id);
-            self.trace.record_with(self.now, labels::ARRIVE, || {
-                if self.devices.len() > 1 {
-                    format!("{id} admitted mid-run on {dev}")
-                } else {
-                    format!("{id} admitted mid-run")
-                }
-            });
-            self.dispatch_sched(dev.index(), |s, ctx| s.on_task_admitted(ctx, id));
-            // Rounds start after the working set is staged, matching
-            // the start-of-run path — staging is reported as
-            // transfer_stall, never as round time.
-            self.tasks[id.index()].round_start = self.now + staging;
-            self.schedule_step(id, staging);
-        }
-        Ok(id)
-    }
-
-    /// The data-movement delay of staging a newly admitted task's
-    /// working set from host memory onto its device, charged to the
-    /// task and the run totals. Zero on free interconnects, so the
-    /// pre-topology admission path is unchanged.
-    fn charge_staging(&mut self, id: TaskId) -> SimDuration {
-        let task = &self.tasks[id.index()];
-        let cost = self
-            .config
-            .topology
-            .staging_cost(task.device.index(), task.workload.working_set_bytes());
-        if !cost.is_zero() {
-            let dev = self.tasks[id.index()].device.index();
-            self.tasks[id.index()].transfer_stall += cost;
-            self.transfer_stall += cost;
-            self.devices[dev].transfer_stall += cost;
-            trace_event!(
-                self.trace,
-                self.now,
-                labels::STAGE,
-                "{id} working set in {cost}"
-            );
-        }
-        cost
+        self.admit(workload, Some(device), 0, Attach::Add)
     }
 
     /// Schedules `workload` to arrive at `at` (simulated time). The
@@ -715,53 +711,40 @@ impl World {
         self.queue.schedule(at, Event::TaskArrival(idx));
     }
 
-    /// Chooses the device an arriving task is admitted on. Pinned
-    /// tasks and single-device worlds go straight to the target device
-    /// (admission itself surfaces the precise error on a full device —
-    /// the legacy path); multi-device worlds consult the placement
-    /// policy over capacity-checked load snapshots.
-    fn choose_device(
+    /// The one placement path: the device a task with `channels`
+    /// channels and a `working_set` goes to, for an admission, a
+    /// migration off a removed device and a parked task's retry. A pin
+    /// or a lone device is the only candidate and is not
+    /// capacity-checked here ([`World::attach`] names the exact
+    /// shortage); otherwise the placement policy picks among the online
+    /// devices with room.
+    fn place(
         &mut self,
         channels: usize,
         working_set: u64,
         pin: Option<DeviceId>,
     ) -> Result<usize, GpuError> {
-        if let Some(pin) = pin {
-            assert!(
-                pin.index() < self.devices.len(),
-                "task pinned to unknown device {pin}"
-            );
-            // An offline (hot-removed) device offers no contexts; the
-            // pin cannot be honored until a hot-add restores it.
-            if !self.devices[pin.index()].online {
-                return Err(GpuError::OutOfContexts);
+        let only = match pin {
+            Some(pin) => {
+                assert!(
+                    pin.index() < self.devices.len(),
+                    "task pinned to unknown device {pin}"
+                );
+                Some(pin.index())
             }
-            return Ok(pin.index());
-        }
-        if !self.multi() {
-            if !self.devices[0].online {
-                return Err(GpuError::OutOfContexts);
-            }
-            return Ok(0);
+            None => (!self.multi()).then_some(0),
+        };
+        if let Some(dev) = only {
+            // An offline (hot-removed) device offers no contexts until
+            // a hot-add restores it.
+            let online = self.devices[dev].online;
+            return online.then_some(dev).ok_or(GpuError::OutOfContexts);
         }
         let loads = self.loads(working_set);
-        match self.placement.place(&loads, channels) {
-            Some(d) => Ok(d.index()),
-            None => {
-                // Name the bottleneck of the devices that could not
-                // host the task (a policy may also decline devices
-                // that fit, e.g. pinned — the unfit ones still carry
-                // the only honest resource explanation).
-                let context_starved = loads
-                    .iter()
-                    .any(|l| !l.fits(channels) && l.free_contexts == 0);
-                Err(if context_starved {
-                    GpuError::OutOfContexts
-                } else {
-                    GpuError::OutOfChannels
-                })
-            }
-        }
+        let placed = self.placement.place(&loads, channels);
+        placed
+            .map(|d| d.index())
+            .ok_or_else(|| shortage(loads.iter().map(|l| l.free_contexts)))
     }
 
     /// Kernel-observable load snapshot of every *online* device, in id
@@ -776,18 +759,7 @@ impl World {
             .filter(|(_, slot)| slot.online)
             .map(|(i, slot)| DeviceLoad {
                 device: slot.id,
-                tenants: {
-                    debug_assert_eq!(
-                        slot.live_tenants,
-                        self.tasks
-                            .iter()
-                            .filter(|t| t.live && t.device == slot.id)
-                            .count(),
-                        "{}: live-tenant counter drifted from the task table",
-                        slot.id
-                    );
-                    slot.live_tenants
-                },
+                tenants: slot.live_tenants,
                 free_contexts: slot.gpu.free_contexts(),
                 free_channels: slot.gpu.free_channels(),
                 queued_requests: slot.gpu.queued_requests()
@@ -804,75 +776,30 @@ impl World {
             .collect()
     }
 
-    fn place_and_admit(
-        &mut self,
-        workload: BoxedWorkload,
-        pin: Option<DeviceId>,
-        retries: u32,
-    ) -> Result<TaskId, GpuError> {
-        let channels = workload.queues().len();
-        let dev = self.choose_device(channels, workload.working_set_bytes(), pin)?;
-        match self.admit(workload, dev, pin, retries) {
-            Ok(id) => Ok(id),
-            Err(err) => {
-                self.devices[dev].stats.bump(StatKey::RejectedAdmissions);
-                Err(err)
-            }
-        }
-    }
-
-    /// Creates the task's runtime state and device resources on `dev`.
+    /// Places and admits a new task: its runtime state (buffers drawn
+    /// from the arena of retired shells that `World::reset` refills)
+    /// and, through [`World::attach`], its device resources. A refused
+    /// admission leaves no task behind, and the id (== `tasks.len()`)
+    /// goes to the next successful one.
     fn admit(
         &mut self,
         workload: BoxedWorkload,
-        dev: usize,
         pin: Option<DeviceId>,
         retries: u32,
+        how: Attach,
     ) -> Result<TaskId, GpuError> {
+        let dev = self.place(workload.queues().len(), workload.working_set_bytes(), pin)?;
         let id = TaskId::from_index(self.tasks.len());
-        let slot = &mut self.devices[dev];
-        // Draw the task's buffers from the arena of retired shells
-        // (refilled by `World::reset`); a fresh world just allocates.
-        let mut shell = self.task_pool.pop().unwrap_or_default();
-        let context = match slot.gpu.create_context(id) {
-            Ok(context) => context,
-            Err(err) => {
-                self.task_pool.push(shell);
-                return Err(err);
-            }
-        };
-        for kind in workload.queues() {
-            let ch = match slot.gpu.create_channel(context, kind) {
-                Ok(ch) => ch,
-                Err(err) => {
-                    // Reclaim the context and any channels created so
-                    // far: a rejected admission must not shrink device
-                    // capacity, and the id (== tasks.len()) will be
-                    // reused by the next successful arrival.
-                    slot.gpu.destroy_task(self.now, id);
-                    shell.channels.clear();
-                    self.task_pool.push(shell);
-                    return Err(err);
-                }
-            };
-            shell.channels.push(ch);
-            if slot.protected.len() <= ch.index() {
-                slot.protected.resize(ch.index() + 1, false);
-            }
-        }
-        let device = slot.id;
+        let shell = self.task_pool.pop().unwrap_or_default();
         let mut seed_rng = DetRng::seed_from(self.config.seed);
-        let rng = seed_rng.fork(id.raw() as u64 + 1);
-        let name = workload.name().to_string();
         self.tasks.push(TaskRt {
             id,
-            name,
+            name: workload.name().to_string(),
             max_outstanding: workload.max_outstanding().max(1),
             workload,
-            rng,
-            device,
+            rng: seed_rng.fork(id.raw() as u64 + 1),
+            device: self.devices[dev].id,
             pin,
-            context,
             channels: shell.channels,
             state: TaskState::Ready,
             outstanding: 0,
@@ -881,7 +808,7 @@ impl World {
             pending_submit: None,
             inflight_submit: None,
             step_token: None,
-            live: true,
+            live: false,
             killed: false,
             migrations: 0,
             last_migrated_at: None,
@@ -906,8 +833,144 @@ impl World {
             service_hist: StreamingHistogram::new(),
             interarrival_hist: StreamingHistogram::new(),
         });
-        self.devices[dev].live_tenants += 1;
+        if let Err(err) = self.attach(id, dev, how) {
+            self.task_pool
+                .extend(self.tasks.pop().map(TaskShell::retire));
+            self.devices[dev].stats.bump(StatKey::RejectedAdmissions);
+            return Err(err);
+        }
         Ok(id)
+    }
+
+    /// The one attach (see the module doc's "Task lifecycle"):
+    /// allocates a context and one channel per queue for task `id` on
+    /// device `dev` and binds the task there. On a full device the
+    /// context and any channels created so far are reclaimed — a
+    /// rejected admission must not shrink device capacity — and the
+    /// error is returned. Before the run the rest waits for
+    /// [`World::run`]; after, the task is charged its working-set
+    /// transfer, the reason is traced, the scheduler sees
+    /// [`Scheduler::on_task_admitted`] and the task takes a step once
+    /// the transfer is done.
+    fn attach(&mut self, id: TaskId, dev: usize, how: Attach) -> Result<(), GpuError> {
+        let (now, task, slot) = (
+            self.now,
+            &mut self.tasks[id.index()],
+            &mut self.devices[dev],
+        );
+        task.channels.clear();
+        slot.gpu.create_context(id).and_then(|context| {
+            for kind in task.workload.queues() {
+                let ch = slot.gpu.create_channel(context, kind).inspect_err(|_| {
+                    slot.gpu.destroy_task(now, id);
+                })?;
+                if slot.protected.len() <= ch.index() {
+                    slot.protected.resize(ch.index() + 1, false);
+                }
+                task.channels.push(ch);
+            }
+            Ok(())
+        })?;
+        task.device = slot.id;
+        task.live = true;
+        slot.live_tenants += 1;
+        self.debug_check_tenants(dev);
+        if !self.started {
+            return Ok(());
+        }
+        let cost = self.charge_transfer(id, how);
+        let task = &mut self.tasks[id.index()];
+        if how != Attach::Add && how != Attach::Arrive {
+            task.migration_until = (!cost.is_zero()).then(|| self.now + cost);
+        }
+        match how {
+            Attach::Add | Attach::Arrive => {
+                // Rounds start once the working set is staged, as at
+                // the start of the run: staging is reported as
+                // transfer_stall, never as round time.
+                task.round_start = self.now + cost;
+                let note = if how == Attach::Add {
+                    " admitted mid-run"
+                } else {
+                    ""
+                };
+                let multi = self.multi();
+                self.trace
+                    .record_with(self.now, labels::ARRIVE, || match multi {
+                        true => format!("{id}{note} on {}", self.devices[dev].id),
+                        false => format!("{id}{note}"),
+                    });
+            }
+            Attach::Migrate { from } => {
+                task.migrations += 1;
+                task.last_migrated_at = Some(self.now);
+                self.migrations += 1;
+                self.devices[from].stats.bump(StatKey::MigrationsOut);
+                self.devices[dev].stats.bump(StatKey::MigrationsIn);
+                self.trace
+                    .record_with(self.now, labels::MIGRATE, || match cost.is_zero() {
+                        true => format!("{id} dev{from} -> dev{dev}"),
+                        false => format!("{id} dev{from} -> dev{dev} (transfer {cost})"),
+                    });
+            }
+            Attach::Restage => {
+                task.displaced = false;
+                task.state = TaskState::Ready;
+                task.round_start = self.now + cost;
+                self.stats.bump(StatKey::RecoveredTasks);
+                self.devices[dev].stats.bump(StatKey::RecoveredTasks);
+                self.trace
+                    .record_with(self.now, labels::RECOVER, || match cost.is_zero() {
+                        true => format!("{id} restaged on dev{dev}"),
+                        false => format!("{id} restaged on dev{dev} (staging {cost})"),
+                    });
+            }
+        }
+        self.dispatch_sched(dev, |s, ctx| s.on_task_admitted(ctx, id));
+        // A migrated task resumes whatever it was blocked on afresh (a
+        // retained pending_submit is retried first).
+        self.schedule_step(id, cost);
+        Ok(())
+    }
+
+    /// Charges task `id` the working-set movement onto its device —
+    /// from device `from` for a migration, else staged from host memory
+    /// — on the task, the device and the run totals. Zero on free
+    /// interconnects.
+    fn charge_transfer(&mut self, id: TaskId, how: Attach) -> SimDuration {
+        let task = &mut self.tasks[id.index()];
+        let (dev, bytes) = (task.device.index(), task.workload.working_set_bytes());
+        let cost = match how {
+            Attach::Migrate { from } => self.config.topology.migration_cost(from, dev, bytes),
+            _ => self.config.topology.staging_cost(dev, bytes),
+        };
+        task.transfer_stall += cost;
+        self.transfer_stall += cost;
+        self.devices[dev].transfer_stall += cost;
+        if !cost.is_zero() && matches!(how, Attach::Add | Attach::Arrive) {
+            trace_event!(
+                self.trace,
+                self.now,
+                labels::STAGE,
+                "{id} working set in {cost}"
+            );
+        }
+        cost
+    }
+
+    /// Debug builds re-derive `live_tenants` from the task table after
+    /// every attach and detach.
+    fn debug_check_tenants(&self, dev: usize) {
+        let slot = &self.devices[dev];
+        debug_assert_eq!(
+            slot.live_tenants,
+            self.tasks
+                .iter()
+                .filter(|t| t.live && t.device == slot.id)
+                .count(),
+            "{}: live-tenant counter drifted from the task table",
+            slot.id
+        );
     }
 
     /// Runs the simulation for `horizon` and returns the report.
@@ -929,7 +992,7 @@ impl World {
         // zero on free interconnects).
         for i in 0..self.tasks.len() {
             let id = self.tasks[i].id;
-            let staging = self.charge_staging(id);
+            let staging = self.charge_transfer(id, Attach::Arrive);
             let at = SimTime::ZERO + START_STAGGER * i as u64 + staging;
             let token = self.queue.schedule(at, Event::TaskStep(id));
             self.tasks[i].step_token = Some(token);
@@ -990,7 +1053,8 @@ impl World {
                 Event::TaskDeparture(id) => {
                     if self.tasks.get(id.index()).is_some_and(|t| t.live) {
                         trace_event!(self.trace, self.now, labels::DEPART, "{id}");
-                        self.task_exit(id);
+                        self.detach(id, Detach::Exit);
+                        self.maybe_rebalance();
                     }
                 }
                 Event::Sample => {
@@ -1020,23 +1084,13 @@ impl World {
         let Some(arrival) = self.pending_arrivals[idx as usize].take() else {
             return;
         };
-        match self.place_and_admit(arrival.workload, arrival.pin, arrival.retries) {
+        match self.admit(
+            arrival.workload,
+            arrival.pin,
+            arrival.retries,
+            Attach::Arrive,
+        ) {
             Ok(id) => {
-                let dev = self.tasks[id.index()].device;
-                let staging = self.charge_staging(id);
-                self.trace.record_with(self.now, labels::ARRIVE, || {
-                    if self.devices.len() > 1 {
-                        format!("{id} on {dev}")
-                    } else {
-                        format!("{id}")
-                    }
-                });
-                self.dispatch_sched(dev.index(), |s, ctx| s.on_task_admitted(ctx, id));
-                // As above: rounds start once the working set is
-                // staged, keeping round times comparable between
-                // static and churn admissions.
-                self.tasks[id.index()].round_start = self.now + staging;
-                self.schedule_step(id, staging);
                 if let Some(lifetime) = arrival.lifetime {
                     self.queue
                         .schedule(self.now + lifetime, Event::TaskDeparture(id));
@@ -1169,7 +1223,8 @@ impl World {
                 self.schedule_step(id, SimDuration::from_nanos(1));
             }
             TaskAction::Done => {
-                self.task_exit(id);
+                self.detach(id, Detach::Exit);
+                self.maybe_rebalance();
             }
         }
     }
@@ -1367,52 +1422,93 @@ impl World {
         task.state = TaskState::Ready;
     }
 
-    fn task_exit(&mut self, id: TaskId) {
-        if !self.tasks[id.index()].live {
-            return;
+    /// The one detach (see the module doc's "Task lifecycle"): takes
+    /// live task `id` off its device — not live, its in-flight register
+    /// write dropped, `live_tenants` counted down, its device state torn
+    /// down (queued work dropped, running requests aborted) — and then
+    /// calls [`Scheduler::on_task_exit`], so the policy never sees an
+    /// exited task still holding an engine; its channel ids stay in
+    /// place for the callback. Returns `false` if the task was not live.
+    ///
+    /// The reasons differ in these ways only:
+    /// - `Exit` and the kills are final: `finished_at` is set, the
+    ///   pending submission and the step are dropped, armed fault flags
+    ///   are disarmed; a kill is counted and traced before the teardown.
+    /// - `Park` drops the step but keeps the pending submission for the
+    ///   restage, and sets no `finished_at`.
+    /// - `MigrateOut` cancels no step and disarms no fault flag: the
+    ///   task lands on its target in the same event.
+    /// - `PolicyKill` calls no `on_task_exit`, and its caller runs no
+    ///   rebalance: it runs inside the device scheduler's own callback,
+    ///   which `dispatch_sched` has taken out. Exits and fault kills are
+    ///   followed by [`World::maybe_rebalance`] at their call sites.
+    fn detach(&mut self, id: TaskId, why: Detach) -> bool {
+        let task = &mut self.tasks[id.index()];
+        if !task.live {
+            return false;
         }
-        self.disarm_fault_flags(id);
-        {
-            let task = &mut self.tasks[id.index()];
-            task.live = false;
-            task.state = TaskState::Finished;
-            task.finished_at = Some(self.now);
-            task.pending_submit = None;
-            task.inflight_submit = None;
+        task.live = false;
+        task.inflight_submit = None;
+        let dev = task.device.index();
+        match why {
+            Detach::MigrateOut => {}
+            Detach::Park => {
+                task.displaced = true;
+                task.state = TaskState::Parked;
+            }
+            Detach::Exit | Detach::Kill(_) | Detach::PolicyKill => {
+                task.killed = why != Detach::Exit;
+                task.state = TaskState::Finished;
+                task.finished_at = Some(self.now);
+                task.pending_submit = None;
+                if task.hang_next {
+                    task.hang_next = false;
+                    self.pending_hangs -= 1;
+                }
+                self.pending_submit_errors -= std::mem::take(&mut task.submit_errors);
+            }
+        }
+        if why != Detach::MigrateOut {
             if let Some(tok) = task.step_token.take() {
                 self.queue.cancel(tok);
             }
         }
-        let dev = self.tasks[id.index()].device.index();
         self.devices[dev].live_tenants -= 1;
-        self.teardown_device_state(id);
-        self.dispatch_sched(dev, |s, ctx| s.on_task_exit(ctx, id));
-        self.maybe_rebalance();
-    }
-
-    fn teardown_device_state(&mut self, id: TaskId) {
-        let dev = self.tasks[id.index()].device.index();
+        self.debug_check_tenants(dev);
+        let killer = match why {
+            Detach::Kill(label) => Some(label),
+            Detach::PolicyKill => Some(labels::KILL),
+            _ => None,
+        };
+        if let Some(label) = killer {
+            self.stats.bump(StatKey::Kills);
+            self.devices[dev].stats.bump(StatKey::Kills);
+            trace_event!(self.trace, self.now, label, "{id}");
+        }
         // A wedged engine whose running request belongs to this task is
         // freed by the teardown: clear the hang before destroy_task
         // aborts the request, so the engine returns to service.
+        let slot = &mut self.devices[dev];
         for class in EngineClass::ALL {
-            if self.devices[dev].hung_engines[class as usize]
-                && self.devices[dev]
-                    .gpu
-                    .running(class)
-                    .is_some_and(|r| r.request.task == id)
+            if slot
+                .gpu
+                .running(class)
+                .is_some_and(|r| r.request.task == id)
             {
-                self.devices[dev].hung_engines[class as usize] = false;
+                slot.hung_engines[class as usize] = false;
             }
         }
-        let summary = self.devices[dev].gpu.destroy_task(self.now, id);
-        for class in summary.aborted_engines {
-            if let Some(tok) = self.devices[dev].engine_tokens[class as usize].take() {
+        for class in slot.gpu.destroy_task(self.now, id).aborted_engines {
+            if let Some(tok) = slot.engine_tokens[class as usize].take() {
                 self.queue.cancel(tok);
             }
         }
         self.tasks[id.index()].outstanding = 0;
         self.pump_engines(dev);
+        if why != Detach::PolicyKill {
+            self.dispatch_sched(dev, |s, ctx| s.on_task_exit(ctx, id));
+        }
+        true
     }
 
     // ------------------------------------------------------------------
@@ -1470,11 +1566,7 @@ impl World {
             Some(t) if t.pin.is_some() => Some("task is pinned"),
             Some(t) => match self.devices.get(m.to.index()) {
                 None => Some("unknown target device"),
-                Some(slot)
-                    if t.device != m.to
-                        && (slot.gpu.free_contexts() < 1
-                            || slot.gpu.free_channels() < t.channels.len()) =>
-                {
+                Some(slot) if t.device != m.to && !slot.fits(t.channels.len()) => {
                     Some("target cannot fit the task")
                 }
                 Some(_) => None,
@@ -1496,14 +1588,13 @@ impl World {
         }
     }
 
-    /// Moves a live task to device `to`: its old device state is torn
-    /// down exactly as on exit (queued work dropped, running request
-    /// aborted — the drop-and-replay cost), fresh contexts and
-    /// channels are allocated on the target, the task stalls for the
-    /// interconnect transfer of its working set (working-set size ×
-    /// link tier between the devices — zero on free interconnects),
-    /// and both schedulers observe the move as an exit plus an
-    /// admission.
+    /// Moves a live task to device `to`: a [`World::detach`] from its
+    /// device (the drop-and-replay cost: queued work dropped, running
+    /// request aborted) and an [`World::attach`] on the target, where
+    /// it stalls for the interconnect transfer of its working set
+    /// (working-set size × link tier between the devices — zero on free
+    /// interconnects). Both schedulers observe the move as an exit plus
+    /// an admission.
     fn migrate_task(&mut self, id: TaskId, to: usize) {
         let from = self.tasks[id.index()].device.index();
         if from == to {
@@ -1518,84 +1609,11 @@ impl World {
             );
             return;
         }
-        // Mirror task_exit's ordering exactly — dead to the source
-        // scheduler, device state reclaimed, *then* on_task_exit — so
-        // the source policy never observes an "exited" task that still
-        // shows up in live_tasks() or holds an engine (a mid-sample
-        // DFQ would otherwise wait for a drain whose completion was
-        // just aborted). The old channels stay in place for the
-        // callback: per-channel cleanup must see the source device's
-        // ids.
-        self.tasks[id.index()].live = false;
-        self.devices[from].live_tenants -= 1;
-        self.teardown_device_state(id);
-        self.dispatch_sched(from, |s, ctx| s.on_task_exit(ctx, id));
-
-        let kinds = self.tasks[id.index()].workload.queues();
-        let slot = &mut self.devices[to];
-        let context = slot
-            .gpu
-            .create_context(id)
-            // lint: allow(unchecked-unwrap) — the migration planner
-            // re-checked target capacity immediately before
+        self.detach(id, Detach::MigrateOut);
+        self.attach(id, to, Attach::Migrate { from })
+            // lint: allow(unchecked-unwrap) — the rebalance plan and
+            // hot-remove placement both checked the target's capacity
             .expect("migration target capacity was checked");
-        let mut channels = Vec::new();
-        for kind in kinds {
-            let ch = slot
-                .gpu
-                .create_channel(context, kind)
-                // lint: allow(unchecked-unwrap) — the migration planner
-                // re-checked target capacity immediately before
-                .expect("migration target capacity was checked");
-            if slot.protected.len() <= ch.index() {
-                slot.protected.resize(ch.index() + 1, false);
-            }
-            channels.push(ch);
-        }
-        let to_id = slot.id;
-        let transfer = self.config.topology.migration_cost(
-            from,
-            to,
-            self.tasks[id.index()].workload.working_set_bytes(),
-        );
-        {
-            let task = &mut self.tasks[id.index()];
-            task.live = true;
-            task.device = to_id;
-            task.context = context;
-            task.channels = channels;
-            task.outstanding = 0;
-            // The in-flight register write targeted the old device;
-            // requests lost to the teardown are the migration's
-            // drop-and-replay cost.
-            task.inflight_submit = None;
-            task.migrations += 1;
-            task.last_migrated_at = Some(self.now);
-            task.transfer_stall += transfer;
-            task.migration_until = if transfer.is_zero() {
-                None
-            } else {
-                Some(self.now + transfer)
-            };
-        }
-        self.migrations += 1;
-        self.transfer_stall += transfer;
-        self.devices[from].stats.bump(StatKey::MigrationsOut);
-        self.devices[to].live_tenants += 1;
-        self.devices[to].stats.bump(StatKey::MigrationsIn);
-        self.devices[to].transfer_stall += transfer;
-        self.trace.record_with(self.now, labels::MIGRATE, || {
-            if transfer.is_zero() {
-                format!("{id} dev{from} -> dev{to}")
-            } else {
-                format!("{id} dev{from} -> dev{to} (transfer {transfer})")
-            }
-        });
-        self.dispatch_sched(to, |s, ctx| s.on_task_admitted(ctx, id));
-        // Whatever the task was blocked on lived on the old device;
-        // resume it so it submits afresh (a retained pending_submit is
-        // retried first) — after the working set has crossed the wire.
-        self.schedule_step(id, transfer);
     }
 
     // ------------------------------------------------------------------
@@ -1619,20 +1637,6 @@ impl World {
         match target {
             Some(id) => self.tasks.get(id.index()).filter(|t| t.live).map(|t| t.id),
             None => self.tasks.iter().find(|t| t.live).map(|t| t.id),
-        }
-    }
-
-    /// Clears any armed one-shot fault flags when a task leaves the
-    /// live set, keeping the world-level arm counters exact.
-    fn disarm_fault_flags(&mut self, id: TaskId) {
-        let t = &mut self.tasks[id.index()];
-        if t.hang_next {
-            t.hang_next = false;
-            self.pending_hangs -= 1;
-        }
-        if t.submit_errors > 0 {
-            self.pending_submit_errors -= t.submit_errors;
-            t.submit_errors = 0;
         }
     }
 
@@ -1703,12 +1707,11 @@ impl World {
             return;
         };
         let dev = self.tasks[id.index()].device.index();
-        if !self.kill_task_inner(id, labels::CRASH) {
+        if !self.detach(id, Detach::Kill(labels::CRASH)) {
             return;
         }
         self.stats.bump(StatKey::LostTasks);
         self.devices[dev].stats.bump(StatKey::LostTasks);
-        self.dispatch_sched(dev, |s, ctx| s.on_task_exit(ctx, id));
         self.maybe_rebalance();
     }
 
@@ -1775,12 +1778,11 @@ impl World {
         };
         let pin = self.tasks[id.index()].pin;
         let dev = self.tasks[id.index()].device.index();
-        if !self.kill_task_inner(id, labels::WATCHDOG) {
+        if !self.detach(id, Detach::Kill(labels::WATCHDOG)) {
             return;
         }
         self.stats.bump(StatKey::WatchdogKills);
         self.devices[dev].stats.bump(StatKey::WatchdogKills);
-        self.dispatch_sched(dev, |s, ctx| s.on_task_exit(ctx, id));
         match workload {
             Some(w) => {
                 let delay = cfg.backoff(retries);
@@ -1843,16 +1845,30 @@ impl World {
             .map(|t| t.id)
             .collect();
         for id in residents {
-            let channels = self.tasks[id.index()].channels.len();
-            let ws = self.tasks[id.index()].workload.working_set_bytes();
-            let pin = self.tasks[id.index()].pin;
-            match self.place_among_online(channels, ws, pin) {
-                Some(to) => {
+            let t = &self.tasks[id.index()];
+            let (channels, bytes, pin) = (t.channels.len(), t.workload.working_set_bytes(), t.pin);
+            // A pin or a lone device is this device, now offline: only
+            // the placement policy moves a resident, and it checked the
+            // target's room.
+            match self.place(channels, bytes, pin) {
+                Ok(to) => {
                     self.migrate_task(id, to);
                     self.stats.bump(StatKey::RecoveredTasks);
                     self.devices[to].stats.bump(StatKey::RecoveredTasks);
                 }
-                None => self.park_displaced(id),
+                Err(_) => {
+                    // Park: wait off-device for capacity, retrying with
+                    // bounded exponential backoff.
+                    self.detach(id, Detach::Park);
+                    let delay = self.fault_config().backoff(0);
+                    trace_event!(
+                        self.trace,
+                        self.now,
+                        labels::PARK,
+                        "{id} displaced; first retry in {delay}"
+                    );
+                    self.schedule_park_retry(id, delay);
+                }
             }
         }
     }
@@ -1892,55 +1908,6 @@ impl World {
         }
     }
 
-    /// Picks an online device with room for the task, honoring a pin
-    /// (which can only be satisfied by its own device) and otherwise
-    /// consulting the placement policy over online loads.
-    fn place_among_online(
-        &mut self,
-        channels: usize,
-        working_set: u64,
-        pin: Option<DeviceId>,
-    ) -> Option<usize> {
-        if let Some(pin) = pin {
-            let slot = self.devices.get(pin.index())?;
-            let fits = slot.online
-                && slot.gpu.free_contexts() >= 1
-                && slot.gpu.free_channels() >= channels;
-            return fits.then(|| pin.index());
-        }
-        let loads = self.loads(working_set);
-        self.placement.place(&loads, channels).map(|d| d.index())
-    }
-
-    /// Parks a task displaced by a hot-remove: its (dead) device state
-    /// is torn down and it waits off-device for capacity, retrying
-    /// with bounded exponential backoff.
-    fn park_displaced(&mut self, id: TaskId) {
-        let cfg = self.fault_config();
-        {
-            let t = &mut self.tasks[id.index()];
-            t.live = false;
-            t.displaced = true;
-            t.state = TaskState::Parked;
-            t.inflight_submit = None;
-            if let Some(tok) = t.step_token.take() {
-                self.queue.cancel(tok);
-            }
-        }
-        let dev = self.tasks[id.index()].device.index();
-        self.devices[dev].live_tenants -= 1;
-        self.teardown_device_state(id);
-        self.dispatch_sched(dev, |s, ctx| s.on_task_exit(ctx, id));
-        let delay = cfg.backoff(0);
-        trace_event!(
-            self.trace,
-            self.now,
-            labels::PARK,
-            "{id} displaced; first retry in {delay}"
-        );
-        self.schedule_park_retry(id, delay);
-    }
-
     /// (Re)arms a displaced task's retry event, replacing any pending
     /// one so at most one retry is ever in flight per task.
     fn schedule_park_retry(&mut self, id: TaskId, delay: SimDuration) {
@@ -1963,10 +1930,17 @@ impl World {
         }
         let cfg = self.fault_config();
         let channels = self.tasks[id.index()].workload.queues().len();
-        let ws = self.tasks[id.index()].workload.working_set_bytes();
+        let bytes = self.tasks[id.index()].workload.working_set_bytes();
         let pin = self.tasks[id.index()].pin;
-        match self.place_among_online(channels, ws, pin) {
-            Some(to) => self.restage_displaced(id, to),
+        let to = self.place(channels, bytes, pin).ok();
+        // Re-staged from host memory: the device copy of the working
+        // set died with the removed device.
+        match to.filter(|&to| self.devices[to].fits(channels)) {
+            Some(to) => self
+                .attach(id, to, Attach::Restage)
+                // lint: allow(unchecked-unwrap) — the target's room was
+                // checked just above
+                .expect("restage target capacity was checked"),
             None => {
                 self.tasks[id.index()].park_retries += 1;
                 let attempts = self.tasks[id.index()].park_retries;
@@ -1998,102 +1972,6 @@ impl World {
                 }
             }
         }
-    }
-
-    /// Re-admits a displaced task on device `to`: fresh context and
-    /// channels, working set staged from host memory (its device copy
-    /// died with the removed device), and the target scheduler sees a
-    /// normal admission.
-    fn restage_displaced(&mut self, id: TaskId, to: usize) {
-        let kinds = self.tasks[id.index()].workload.queues();
-        let mut channels = std::mem::take(&mut self.tasks[id.index()].channels);
-        channels.clear();
-        let slot = &mut self.devices[to];
-        let context = slot
-            .gpu
-            .create_context(id)
-            // lint: allow(unchecked-unwrap) — place_among_online re-checked
-            // target capacity immediately before
-            .expect("restage target capacity was checked");
-        for kind in kinds {
-            let ch = slot
-                .gpu
-                .create_channel(context, kind)
-                // lint: allow(unchecked-unwrap) — place_among_online
-                // re-checked target capacity immediately before
-                .expect("restage target capacity was checked");
-            if slot.protected.len() <= ch.index() {
-                slot.protected.resize(ch.index() + 1, false);
-            }
-            channels.push(ch);
-        }
-        let to_id = slot.id;
-        let transfer = self
-            .config
-            .topology
-            .staging_cost(to, self.tasks[id.index()].workload.working_set_bytes());
-        {
-            let task = &mut self.tasks[id.index()];
-            task.live = true;
-            task.displaced = false;
-            task.state = TaskState::Ready;
-            task.device = to_id;
-            task.context = context;
-            task.channels = channels;
-            task.outstanding = 0;
-            task.inflight_submit = None;
-            task.transfer_stall += transfer;
-            task.migration_until = if transfer.is_zero() {
-                None
-            } else {
-                Some(self.now + transfer)
-            };
-            task.round_start = self.now + transfer;
-        }
-        self.transfer_stall += transfer;
-        self.devices[to].transfer_stall += transfer;
-        self.devices[to].live_tenants += 1;
-        self.stats.bump(StatKey::RecoveredTasks);
-        self.devices[to].stats.bump(StatKey::RecoveredTasks);
-        self.trace.record_with(self.now, labels::RECOVER, || {
-            if transfer.is_zero() {
-                format!("{id} restaged on dev{to}")
-            } else {
-                format!("{id} restaged on dev{to} (staging {transfer})")
-            }
-        });
-        self.dispatch_sched(to, |s, ctx| s.on_task_admitted(ctx, id));
-        self.schedule_step(id, transfer);
-    }
-
-    /// Kills a live task: process terminated, device state reclaimed.
-    /// The shared core of [`SchedCtx::kill_task`] and the fault paths;
-    /// `label` names the killer in the trace. Returns `false` if the
-    /// task was not live.
-    fn kill_task_inner(&mut self, task: TaskId, label: &'static str) -> bool {
-        if !self.tasks[task.index()].live {
-            return false;
-        }
-        self.disarm_fault_flags(task);
-        {
-            let t = &mut self.tasks[task.index()];
-            t.live = false;
-            t.killed = true;
-            t.state = TaskState::Finished;
-            t.finished_at = Some(self.now);
-            t.pending_submit = None;
-            t.inflight_submit = None;
-            if let Some(tok) = t.step_token.take() {
-                self.queue.cancel(tok);
-            }
-        }
-        let dev = self.tasks[task.index()].device.index();
-        self.devices[dev].live_tenants -= 1;
-        self.stats.bump(StatKey::Kills);
-        self.devices[dev].stats.bump(StatKey::Kills);
-        trace_event!(self.trace, self.now, label, "{task}");
-        self.teardown_device_state(task);
-        true
     }
 
     fn dispatch_sched<R>(
@@ -2435,7 +2313,7 @@ impl SchedCtx<'_> {
     /// protocol reclaims its device state (§3.1 "From model to
     /// prototype").
     pub fn kill_task(&mut self, task: TaskId) {
-        self.world.kill_task_inner(task, labels::KILL);
+        self.world.detach(task, Detach::PolicyKill);
     }
 
     /// Suspends a task's device access using hardware preemption

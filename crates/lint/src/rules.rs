@@ -115,7 +115,7 @@ narrowing-cast: ban bare narrowing `as` casts in non-test code.
 carries on with a wrong device index or request count instead of
 failing. The checked alternatives say what they mean:
 `u32::try_from(x).expect(\"...\")` for invariants, a range-checked
-accessor like the TOML loader's `get_u32` (which names the offending
+accessor like the TOML loader's `as_u32` (which names the offending
 key in its error) for external inputs, or `u32::from(x)` when the
 conversion is provably widening.
 
@@ -540,7 +540,7 @@ fn narrowing_cast(tokens: &[&Token], targets: &[String], findings: &mut Vec<Find
                         "narrowing-cast",
                         format!(
                             "`as {target}` wraps silently: use `{target}::try_from(..)` \
-                             (or a range-checked accessor like the loader's `get_u32`), \
+                             (or a range-checked accessor like the loader's `as_u32`), \
                              or justify with `// lint: allow(narrowing-cast) — <why>`"
                         ),
                     ));

@@ -290,8 +290,9 @@ fn load_specs(opts: &Options) -> Result<Vec<ScenarioSpec>, String> {
                 || opts.faults.is_some()
             {
                 // Re-check: an override can invalidate pins or
-                // pinned placements.
-                spec.validate()
+                // pinned placements, or size a cell past its bound.
+                spec.check_size()
+                    .and_then(|()| spec.validate())
                     .map_err(|e| format!("{}: after overrides: {e}", f.display()))?;
             }
             Ok(spec)
@@ -519,5 +520,26 @@ fn main() -> ExitCode {
         "check" => cmd_check(&opts),
         "bench" => cmd_bench(&opts),
         other => fail(&format!("unknown command {other:?}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn size_overrides_past_the_cell_bound_are_refused_at_load() {
+        // An override sizes per-device state too: past the bound a run
+        // aborts allocating, so the re-check must refuse it.
+        let churn = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../examples/scenarios/churn.toml"
+        );
+        for (flag, key) in [("--devices", "devices"), ("--hosts", "hosts")] {
+            let args = [churn, flag, "4294967296"].map(String::from);
+            let opts = parse_options(&args).expect("the flags parse");
+            let e = load_specs(&opts).expect_err("a 2^32-device cell is refused");
+            assert!(e.contains(&format!("{key} = 4294967296")), "{e}");
+        }
     }
 }

@@ -42,6 +42,15 @@ fn err(msg: impl Into<String>) -> SpecError {
     SpecError(msg.into())
 }
 
+/// The most devices one cell may build, summed over its hosts. A cell
+/// builds a device model, a scheduler and a page-protection table per
+/// device, about 8 KB each (`neon run --serial` of `churn.toml` peaks
+/// at 4 MB RSS with one device, 13 MB with 1,024 and 37 MB with 4,096),
+/// so this keeps a cell in the tens of megabytes however many run in
+/// parallel. The counts come from the input: `devices = 4294967296`
+/// must be an error, not an aborted allocation.
+const MAX_CELL_DEVICES: usize = 4096;
+
 /// The workload model a tenant group runs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadSpec {
@@ -668,6 +677,33 @@ impl ScenarioSpec {
             }
         }
         per_device
+    }
+
+    /// Rejects `devices`, `hosts` or a `[[host]]` `devices` count that
+    /// would make a cell build more than 4,096 devices, naming the key,
+    /// before anything is sized by it. The loader runs this on every
+    /// file, and `neon` again after a `--devices` or `--hosts` override.
+    pub fn check_size(&self) -> Result<(), SpecError> {
+        let too_many = |key: &str, n: usize| {
+            err(format!(
+                "{key} = {n}: a cell builds at most {MAX_CELL_DEVICES} devices"
+            ))
+        };
+        let counts = [("devices", self.devices), ("hosts", self.hosts)];
+        let per_host = self.host_devices.iter().map(|&d| ("[[host]] devices", d));
+        if let Some((key, n)) = counts
+            .into_iter()
+            .chain(per_host)
+            .find(|&(_, n)| n > MAX_CELL_DEVICES)
+        {
+            return Err(too_many(key, n));
+        }
+        // Every count is bounded now, so the per-host list is small.
+        let total = self.host_device_counts().iter().sum();
+        if total > MAX_CELL_DEVICES {
+            return Err(too_many("hosts × devices", total));
+        }
+        Ok(())
     }
 
     /// Checks the spec for structural problems, including that every

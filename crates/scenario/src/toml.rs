@@ -1145,6 +1145,7 @@ pub fn from_toml(text: &str, fallback_name: &str) -> Result<ScenarioSpec, SpecEr
     for (i, g) in of(TableKind::Group).enumerate() {
         spec.groups.push(group_from(g, i, &params)?);
     }
+    spec.check_size()?;
     spec.validate()?;
     Ok(spec)
 }
@@ -1749,6 +1750,28 @@ request = "200us"
                 assert!(e.0.contains(label), "{e} lacks {label}");
             }
         }
+    }
+
+    #[test]
+    fn device_and_host_counts_past_the_cell_bound_are_refused() {
+        // Counts that size per-device state are bounded where they
+        // enter: past the bound a run aborts allocating, not erring.
+        let group = "[[group]]\nworkload = \"throttle\"\nrequest = \"1ms\"\n";
+        for (keys, named) in [
+            ("devices = 4294967296\n", "devices = 4294967296"),
+            ("hosts = 4294967296\n", "hosts = 4294967296"),
+            (
+                "hosts = 2\n[[host]]\ndevices = 4294967296\n[[host]]\n",
+                "[[host]] devices",
+            ),
+            ("hosts = 64\ndevices = 128\n", "hosts × devices = 8192"),
+        ] {
+            let text = format!("horizon = \"10ms\"\n{keys}{group}");
+            let e = from_toml(&text, "x").unwrap_err();
+            assert!(e.0.contains(named), "{keys}: {e}");
+        }
+        let text = format!("horizon = \"10ms\"\nhosts = 2\ndevices = 2048\n{group}");
+        assert!(from_toml(&text, "x").is_ok(), "exactly at the bound");
     }
 
     #[test]

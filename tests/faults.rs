@@ -9,8 +9,10 @@
 use disengaged_scheduling::core::cost::SchedParams;
 use disengaged_scheduling::core::fault::{FaultConfig, FaultKind, FaultPlan};
 use disengaged_scheduling::core::placement::PlacementKind;
+use disengaged_scheduling::core::rebalance::RebalanceKind;
+use disengaged_scheduling::core::workload::FixedLoop;
 use disengaged_scheduling::core::world::{World, WorldConfig};
-use disengaged_scheduling::core::{RunReport, SchedulerKind};
+use disengaged_scheduling::core::{labels, RunReport, SchedulerKind};
 use disengaged_scheduling::gpu::{DeviceId, GpuConfig, TaskId, Topology};
 use disengaged_scheduling::workloads::Throttle;
 use neon_sim::{SimDuration, SimTime};
@@ -303,6 +305,105 @@ fn hot_add_restages_parked_tasks_and_bounds_degraded_time() {
     assert_eq!(report.degraded, ms(5), "offline exactly 5ms..10ms");
     let (_, _, resident) = outcome_buckets(&report);
     assert_eq!(resident, 3, "residents live again at the horizon");
+}
+
+#[test]
+fn every_lifecycle_path_returns_device_state_and_tenancy() {
+    // Two devices with count-diff rebalance; every tenant's lifetime
+    // ends before the horizon. The plan hangs task 1 (the watchdog
+    // kills and requeues it), crashes task 2, arms a submission error
+    // on task 3, and removes device 1, parking its pinned task 4 until
+    // the device is added back and the task re-staged.
+    let config = || WorldConfig {
+        topology: Topology::symmetric(2, GpuConfig::default()),
+        seed: 0xC0_25,
+        rebalance: RebalanceKind::CountDiff,
+        ..WorldConfig::default()
+    };
+    let mut plan = FaultPlan::new(FaultConfig {
+        watchdog: Some(ms(2)),
+        ..FaultConfig::default()
+    });
+    plan.push(
+        at_ms(7),
+        FaultKind::TaskHang {
+            task: Some(TaskId::new(1)),
+        },
+    );
+    plan.push(
+        at_ms(9),
+        FaultKind::TaskCrash {
+            task: Some(TaskId::new(2)),
+        },
+    );
+    plan.push(
+        at_ms(8),
+        FaultKind::SubmitError {
+            task: Some(TaskId::new(3)),
+        },
+    );
+    plan.push(
+        at_ms(15),
+        FaultKind::DeviceRemove {
+            device: DeviceId::new(1),
+        },
+    );
+    plan.push(
+        at_ms(25),
+        FaultKind::DeviceAdd {
+            device: DeviceId::new(1),
+        },
+    );
+    for kind in ALL_SCHEDULERS {
+        let build = |config| {
+            World::with_devices(config, PlacementKind::RoundRobin.build(), |_| {
+                kind.build(SchedParams::default())
+            })
+        };
+        let fresh = build(config()).free_capacity();
+        let mut world = build(WorldConfig {
+            faults: Some(plan.clone()),
+            ..config()
+        });
+        let tenant = |i: u64| Box::new(FixedLoop::new("t", us(100 + 20 * i), us(50), 150));
+        for i in 0..4 {
+            world.spawn_task_for(at_ms(1 + i), tenant(i), ms(12 + 8 * i));
+        }
+        world.spawn_task_for_on(at_ms(5), tenant(4), ms(50), DeviceId::new(1));
+        world.trace.set_enabled(true);
+        let report = world.run(ms(120));
+        for label in [
+            labels::DEPART,
+            labels::HANG,
+            labels::WATCHDOG,
+            labels::REQUEUE,
+            labels::CRASH,
+            labels::SUBMIT_ERR,
+            labels::MIGRATE,
+            labels::PARK,
+            labels::RECOVER,
+        ] {
+            let seen = world.trace.with_label(label).next().is_some();
+            assert!(seen, "{kind}: no {label} in the trace");
+        }
+        assert_eq!(report.injected_faults, 5, "{kind}");
+        assert_eq!(report.watchdog_kills, 1, "{kind}");
+        assert_eq!(report.lost_tasks, 1, "{kind}: the crash victim");
+        assert_eq!(report.tasks.len(), 6, "{kind}: five tenants + one requeue");
+        assert!(report.recovered_tasks >= 1, "{kind}: the restage");
+        assert!(report.migrations >= 1, "{kind}");
+        assert_eq!(world.free_capacity(), fresh, "{kind}: capacity leaked");
+        for d in &report.devices {
+            assert_eq!(d.tenants, 0, "{kind}: {} still counts tenants", d.device);
+        }
+        for t in &report.tasks {
+            assert!(
+                t.finished_at.is_some(),
+                "{kind}: {} neither finished, killed nor lost",
+                t.id
+            );
+        }
+    }
 }
 
 #[test]
