@@ -9,14 +9,23 @@
 //! allocation-free scheduler context were written for — plus
 //! `StreamingHistogram::record` on a
 //! repeating stream (the repeat-bucket hint's hit) and a wide random
-//! one (its miss). `neon bench <scenario>` measures the same path end
-//! to end and emits `BENCH_core.json` for the perf trajectory.
+//! one (its miss), and a `Gpu` after long churn (`gpu_after_churn`:
+//! ~1,600 channels created and destroyed, 10 live tasks), whose drain
+//! check, queued count and task teardown cost O(live channels), not
+//! O(channels ever created). `neon bench <scenario>` measures the same
+//! path end to end and emits `BENCH_core.json` for the perf trajectory.
+//!
+//! Every case runs in the one process, so what the cases before it
+//! allocated moves its figure: quote a case only from its own process,
+//! run with a filter argument, e.g.
+//! `cargo bench -p neon-bench --bench core_hot_path -- gpu_after_churn`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use neon_core::cost::SchedParams;
 use neon_core::sched::SchedulerKind;
 use neon_core::workload::FixedLoop;
 use neon_core::world::{World, WorldConfig};
+use neon_gpu::{Gpu, GpuConfig, RequestKind, SubmitSpec, TaskId};
 use neon_metrics::StreamingHistogram;
 use neon_sim::{EventQueue, SimDuration, SimTime};
 
@@ -140,6 +149,37 @@ fn hold_pattern(tasks: u64, pops: u64, exits: bool) -> u64 {
     popped
 }
 
+/// Live tasks of [`churned_gpu`]; task `LIVE` is the one a teardown
+/// cycle destroys and re-creates.
+const LIVE: u32 = 10;
+
+/// Creates a context and two compute channels for `task`, with one
+/// request queued on the first.
+fn admit(gpu: &mut Gpu, task: TaskId) {
+    let ctx = gpu.create_context(task).unwrap();
+    let ch = gpu.create_channel(ctx, RequestKind::Compute).unwrap();
+    gpu.create_channel(ctx, RequestKind::Compute).unwrap();
+    gpu.submit(SimTime::ZERO, ch, SubmitSpec::compute(us(10)))
+        .unwrap();
+}
+
+/// A device after the long-tenant workload's churn: 800 short-lived
+/// tasks of two channels each came and went (~1,600 destroyed channel
+/// slots, never reused), and `LIVE` tasks remain, each with work
+/// queued.
+fn churned_gpu() -> Gpu {
+    let mut gpu = Gpu::new(GpuConfig::default());
+    for t in 0..800 {
+        let task = TaskId::new(LIVE + 1 + t);
+        admit(&mut gpu, task);
+        gpu.destroy_task(SimTime::ZERO, task);
+    }
+    for t in 0..LIVE {
+        admit(&mut gpu, TaskId::new(t));
+    }
+    gpu
+}
+
 /// Records every sample into a copy of `seed`; returns its bucket
 /// count so the work is not optimized away.
 fn record_all(seed: &StreamingHistogram, samples: &[SimDuration]) -> usize {
@@ -226,6 +266,39 @@ fn bench(c: &mut Criterion) {
                 acc ^= q.peek_time().map(|t| t.as_nanos()).unwrap_or(0);
             }
             std::hint::black_box(acc)
+        })
+    });
+
+    // 4k of each device query the scheduler and placement make per
+    // poll, completion or arrival, and 256 teardown/re-admission cycles
+    // of one task (each leaves two more channel slots behind), on a
+    // device that has seen ~1,600 channels.
+    let mut gpu = churned_gpu();
+    c.bench_function("core_hot_path/gpu_after_churn/is_fully_drained", |b| {
+        b.iter(|| {
+            let mut n = 0u32;
+            for _ in 0..4_096 {
+                n += u32::from(std::hint::black_box(&gpu).is_fully_drained());
+            }
+            std::hint::black_box(n)
+        })
+    });
+    c.bench_function("core_hot_path/gpu_after_churn/queued_requests", |b| {
+        b.iter(|| {
+            let mut n = 0usize;
+            for _ in 0..4_096 {
+                n += std::hint::black_box(&gpu).queued_requests();
+            }
+            std::hint::black_box(n)
+        })
+    });
+    c.bench_function("core_hot_path/gpu_after_churn/destroy_recreate", |b| {
+        b.iter(|| {
+            for _ in 0..256 {
+                gpu.destroy_task(SimTime::ZERO, TaskId::new(LIVE));
+                admit(&mut gpu, TaskId::new(LIVE));
+            }
+            std::hint::black_box(gpu.channels_in_use())
         })
     });
 

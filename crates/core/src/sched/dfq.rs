@@ -116,10 +116,10 @@ pub struct DisengagedFairQueueing {
     /// Cumulative vendor usage at the last engagement, per task.
     last_vendor_usage: BTreeMap<TaskId, SimDuration>,
     /// Armed engagement timer tag.
-    engage_timer: Option<u64>,
+    engage_timer: Option<u32>,
     /// Armed sampling timer (tag, cancellation token).
-    sample_timer: Option<(u64, u64)>,
-    timer_seq: u64,
+    sample_timer: Option<(u32, u64)>,
+    timer_seq: u32,
 }
 
 impl DisengagedFairQueueing {
@@ -167,8 +167,11 @@ impl DisengagedFairQueueing {
         &self.denied
     }
 
-    fn next_timer_tag(&mut self) -> u64 {
-        self.timer_seq += 1;
+    /// A fresh timer tag. Tags wrap: only the armed engagement and
+    /// sampling tags are compared, and no run arms 2^32 timers while one
+    /// of them waits.
+    fn next_timer_tag(&mut self) -> u32 {
+        self.timer_seq = self.timer_seq.wrapping_add(1);
         self.timer_seq
     }
 
@@ -450,8 +453,11 @@ impl DisengagedFairQueueing {
         Some(self.samples.values().sum::<f64>() / self.samples.len() as f64)
     }
 
+    /// Records the completion count of every live channel. Only live
+    /// channels are written: `forget_task` clears a leaving task's
+    /// entries, and channel ids are never reused, so the entry of a
+    /// channel that is gone is never read again.
     fn snapshot_counters(&mut self, ctx: &SchedCtx<'_>) {
-        self.last_tick_completions.fill(Self::UNKNOWN);
         let mut live = std::mem::take(&mut self.scratch);
         ctx.live_tasks_into(&mut live);
         for &t in &live {
@@ -538,11 +544,12 @@ impl Scheduler for DisengagedFairQueueing {
         // minimum among incumbents), not at zero: fair queueing grants
         // no credit for time before admission, so a newcomer cannot
         // force every incumbent into denial while it "catches up".
-        let floor = ctx
-            .live_tasks()
-            .into_iter()
-            .filter(|&t| t != task)
-            .filter_map(|t| self.vt.get(&t).copied())
+        ctx.live_tasks_into(&mut self.scratch);
+        let floor = self
+            .scratch
+            .iter()
+            .filter(|&&t| t != task)
+            .filter_map(|t| self.vt.get(t).copied())
             .min()
             .unwrap_or(SimDuration::ZERO);
         self.vt.insert(task, floor);
@@ -623,7 +630,7 @@ impl Scheduler for DisengagedFairQueueing {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut SchedCtx<'_>, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut SchedCtx<'_>, tag: u32) {
         if self.engage_timer == Some(tag) && self.phase == Phase::FreeRun {
             self.engage_timer = None;
             self.begin_engagement(ctx);

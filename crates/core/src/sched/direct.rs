@@ -47,7 +47,7 @@ impl Scheduler for DirectAccess {
 
     fn on_poll(&mut self, _ctx: &mut SchedCtx<'_>) {}
 
-    fn on_timer(&mut self, _ctx: &mut SchedCtx<'_>, _tag: u64) {}
+    fn on_timer(&mut self, _ctx: &mut SchedCtx<'_>, _tag: u32) {}
 
     fn on_completion(&mut self, _ctx: &mut SchedCtx<'_>, _done: &CompletedRequest) {}
 }

@@ -159,7 +159,7 @@ impl Scheduler for EngagedDrr {
         }
     }
 
-    fn on_timer(&mut self, _ctx: &mut SchedCtx<'_>, _tag: u64) {}
+    fn on_timer(&mut self, _ctx: &mut SchedCtx<'_>, _tag: u32) {}
 
     fn on_completion(&mut self, ctx: &mut SchedCtx<'_>, done: &CompletedRequest) {
         // Occupancy is charged to the task that used the device —

@@ -72,7 +72,7 @@ pub trait Scheduler {
     fn on_poll(&mut self, ctx: &mut SchedCtx<'_>);
 
     /// A policy timer armed via [`SchedCtx::set_timer`] fired.
-    fn on_timer(&mut self, ctx: &mut SchedCtx<'_>, tag: u64);
+    fn on_timer(&mut self, ctx: &mut SchedCtx<'_>, tag: u32);
 
     /// A request completed. Policies must only act on this during
     /// engaged operation (per-request interception or sampling), when
@@ -187,6 +187,6 @@ impl Scheduler for NullScheduler {
         FaultDecision::Allow
     }
     fn on_poll(&mut self, _ctx: &mut SchedCtx<'_>) {}
-    fn on_timer(&mut self, _ctx: &mut SchedCtx<'_>, _tag: u64) {}
+    fn on_timer(&mut self, _ctx: &mut SchedCtx<'_>, _tag: u32) {}
     fn on_completion(&mut self, _ctx: &mut SchedCtx<'_>, _done: &CompletedRequest) {}
 }

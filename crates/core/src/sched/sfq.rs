@@ -157,7 +157,7 @@ impl Scheduler for EngagedSfq {
         self.wake_best(ctx);
     }
 
-    fn on_timer(&mut self, _ctx: &mut SchedCtx<'_>, _tag: u64) {}
+    fn on_timer(&mut self, _ctx: &mut SchedCtx<'_>, _tag: u32) {}
 
     fn on_completion(&mut self, ctx: &mut SchedCtx<'_>, done: &CompletedRequest) {
         // Per-request engagement entitles SFQ to exact completion

@@ -42,8 +42,9 @@ pub struct Timeslice {
     draining: bool,
     slice_end: SimTime,
     overuse: BTreeMap<TaskId, SimDuration>,
-    /// Timer generation; stale timers are ignored.
-    generation: u64,
+    /// Timer generation; stale timers are ignored. It wraps, which is
+    /// harmless: only the latest generation is compared.
+    generation: u32,
 }
 
 impl Timeslice {
@@ -86,7 +87,7 @@ impl Timeslice {
         }
         ctx.wake_task(task);
         ctx.trace_with("token", || format!("{task} granted"));
-        self.generation += 1;
+        self.generation = self.generation.wrapping_add(1);
         ctx.set_timer(self.params.timeslice, self.generation);
     }
 
@@ -212,7 +213,7 @@ impl Scheduler for Timeslice {
         self.try_finish_drain(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut SchedCtx<'_>, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut SchedCtx<'_>, tag: u32) {
         if tag != self.generation || self.holder.is_none() {
             return; // stale slice-end timer
         }

@@ -37,15 +37,17 @@
 //!
 //! A task's device state changes in two places. `World::attach` puts a
 //! task on a device — context and channels allocated (rolled back on a
-//! full device), `live_tenants` counted, and during a run the transfer
-//! charged, the reason traced, the scheduler told, a step scheduled —
+//! full device), the task entered in the device's id-ordered
+//! `residents`, and during a run the transfer charged, the reason
+//! traced, the scheduler told, a step scheduled —
 //! for `Add` and `Arrive` (traced `arrive`, after `stage` when staging
 //! costs anything), `Migrate` (`migrate`) and `Restage` (`recover`).
-//! `World::detach` takes it off — not live, device state torn down,
-//! scheduler told — for `Exit` (a departure is traced `depart`), `Kill`
-//! (`crash`, `watchdog`), `PolicyKill` (`kill`), `Park` (`park`) and
-//! `MigrateOut` (untraced: the `migrate` attach follows). `World::place`
-//! is the one placement path, for admissions and fault recovery alike.
+//! `World::detach` takes it off — not live, out of `residents`, device
+//! state torn down, scheduler told — for `Exit` (a departure is traced
+//! `depart`), `Kill` (`crash`, `watchdog`), `PolicyKill` (`kill`),
+//! `Park` (`park`) and `MigrateOut` (untraced: the `migrate` attach
+//! follows). Nothing else changes `residents`. `World::place` is the one
+//! placement path, for admissions and fault recovery alike.
 
 use neon_gpu::{
     ChannelId, DeviceId, EngineClass, Gpu, GpuConfig, GpuError, RequestId, RequestKind, SubmitSpec,
@@ -139,6 +141,29 @@ impl Default for WorldConfig {
     }
 }
 
+/// The most devices one world holds: an [`Event`] names a device in 16
+/// bits ([`Dev`]). Scenarios cap a whole cell far below this.
+const MAX_DEVICES: usize = 1 << 16;
+
+/// A device index as an [`Event`] carries it. Sixteen bits keep the
+/// event at 8 bytes, so it travels through the event queue in one
+/// register; [`World::build`] refuses a host with more devices than
+/// this can name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Dev(u16);
+
+impl Dev {
+    fn of(dev: usize) -> Dev {
+        // lint: allow(unchecked-unwrap) — World::build refuses a host of
+        // more than MAX_DEVICES devices, so every device index fits
+        Dev(u16::try_from(dev).expect("device index exceeds the event's 16 bits"))
+    }
+
+    fn index(self) -> usize {
+        usize::from(self.0)
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
     /// The task executes its next workload action.
@@ -147,14 +172,14 @@ enum Event {
     /// device (channel-register write retires).
     DeviceSubmit(TaskId),
     /// The in-flight request on one device's engine finishes.
-    EngineDone(DeviceId, EngineClass),
+    EngineDone(Dev, EngineClass),
     /// Polling-thread tick (one kernel thread services every device).
     Poll,
     /// A policy timer armed by one device's scheduler fired.
-    SchedTimer(DeviceId, u64),
+    SchedTimer(Dev, u32),
     /// A scheduled mid-run arrival (index into the pending-arrival
     /// table) reaches its arrival instant.
-    TaskArrival(u64),
+    TaskArrival(u32),
     /// A scheduled departure: the task leaves as if its workload had
     /// emitted [`TaskAction::Done`], mid-work or not.
     TaskDeparture(TaskId),
@@ -167,13 +192,17 @@ enum Event {
     Fault(u32),
     /// Per-device watchdog tick — scheduled only when the fault plan
     /// configures a watchdog timeout.
-    Watchdog(DeviceId),
+    Watchdog(Dev),
     /// A task displaced by a device hot-remove retries re-admission
     /// (bounded exponential backoff).
     ParkRetry(TaskId),
     /// End of the simulated horizon.
     Horizon,
 }
+
+// Every event is copied into and out of the queue; at 8 bytes it moves
+// in a register (the event queue's module doc).
+const _: () = assert!(std::mem::size_of::<Event>() == 8);
 
 /// A task that has been scheduled to arrive but is not admitted yet —
 /// its context and channels are created only at the arrival instant,
@@ -351,11 +380,13 @@ struct DeviceSlot {
     /// consulted on every dispatch/completion, and hashing here was
     /// measurable.
     engine_tokens: [Option<u64>; EngineClass::ALL.len()],
-    /// Live tasks currently holding a context here — maintained
-    /// incrementally on admission/exit/migration so departure-path
-    /// rebalancing never rescans the task table (tests assert the
-    /// counter matches the scan).
-    live_tenants: usize,
+    /// The live tasks holding a context here, in id order. Only
+    /// [`World::attach`] and [`World::detach`] change it, so the
+    /// scheduler's live-task walk, the barrier, rebalancing's candidate
+    /// list and fault-victim choice cost O(tenants) instead of a scan
+    /// of every task ever admitted (debug builds check it against that
+    /// scan on every change).
+    residents: Vec<TaskId>,
     /// Per-device structured counters (rejections, faults, kills,
     /// preemptions, denials, sampling windows, migrations in/out).
     /// Only events attributable to one device are counted here; the
@@ -508,10 +539,21 @@ impl World {
         }
     }
 
+    /// One slot per device of `topology`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology names more than [`MAX_DEVICES`] devices,
+    /// more than an event can address.
     fn device_slots(
         topology: &Topology,
         sched_factory: &mut dyn FnMut(DeviceId) -> Box<dyn Scheduler>,
     ) -> Vec<DeviceSlot> {
+        assert!(
+            topology.len() <= MAX_DEVICES,
+            "a host holds at most {MAX_DEVICES} devices, not {}",
+            topology.len()
+        );
         topology
             .configs()
             .into_iter()
@@ -524,7 +566,7 @@ impl World {
                     sched: Some(sched_factory(id)),
                     protected: Vec::new(),
                     engine_tokens: [None; EngineClass::ALL.len()],
-                    live_tenants: 0,
+                    residents: Vec::new(),
                     stats: SimStats::new(),
                     transfer_stall: SimDuration::ZERO,
                     sampled_busy: SimDuration::ZERO,
@@ -700,7 +742,10 @@ impl World {
         pin: Option<DeviceId>,
         retries: u32,
     ) {
-        let idx = self.pending_arrivals.len() as u64;
+        let idx = u32::try_from(self.pending_arrivals.len())
+            // lint: allow(unchecked-unwrap) — 2^32 staged arrivals cannot
+            // fit in memory; truncating the index would admit the wrong task
+            .expect("more than 2^32 staged arrivals");
         self.pending_arrivals.push(Some(PendingArrival {
             workload,
             lifetime,
@@ -759,7 +804,7 @@ impl World {
             .filter(|(_, slot)| slot.online)
             .map(|(i, slot)| DeviceLoad {
                 device: slot.id,
-                tenants: slot.live_tenants,
+                tenants: slot.residents.len(),
                 free_contexts: slot.gpu.free_contexts(),
                 free_channels: slot.gpu.free_channels(),
                 queued_requests: slot.gpu.queued_requests()
@@ -873,7 +918,9 @@ impl World {
         })?;
         task.device = slot.id;
         task.live = true;
-        slot.live_tenants += 1;
+        if let Err(at) = slot.residents.binary_search(&id) {
+            slot.residents.insert(at, id);
+        }
         self.debug_check_tenants(dev);
         if !self.started {
             return Ok(());
@@ -958,19 +1005,23 @@ impl World {
         cost
     }
 
-    /// Debug builds re-derive `live_tenants` from the task table after
-    /// every attach and detach.
+    /// Debug builds re-derive the device's `residents` from the task
+    /// table after every attach and detach.
     fn debug_check_tenants(&self, dev: usize) {
-        let slot = &self.devices[dev];
-        debug_assert_eq!(
-            slot.live_tenants,
-            self.tasks
+        if cfg!(debug_assertions) {
+            let slot = &self.devices[dev];
+            let scan: Vec<TaskId> = self
+                .tasks
                 .iter()
                 .filter(|t| t.live && t.device == slot.id)
-                .count(),
-            "{}: live-tenant counter drifted from the task table",
-            slot.id
-        );
+                .map(|t| t.id)
+                .collect();
+            assert_eq!(
+                slot.residents, scan,
+                "{}: resident index drifted from the task table",
+                slot.id
+            );
+        }
     }
 
     /// Runs the simulation for `horizon` and returns the report.
@@ -1019,9 +1070,8 @@ impl World {
             }
             if let Some(every) = watchdog {
                 for d in 0..self.devices.len() {
-                    let id = self.devices[d].id;
                     self.queue
-                        .schedule(SimTime::ZERO + every, Event::Watchdog(id));
+                        .schedule(SimTime::ZERO + every, Event::Watchdog(Dev::of(d)));
                 }
             }
         }
@@ -1080,7 +1130,7 @@ impl World {
 
     /// A staged arrival reaches its instant: allocate device resources
     /// and join the run, or be turned away if the device is full.
-    fn task_arrival(&mut self, idx: u64) {
+    fn task_arrival(&mut self, idx: u32) {
         let Some(arrival) = self.pending_arrivals[idx as usize].take() else {
             return;
         };
@@ -1124,7 +1174,7 @@ impl World {
         } else {
             0
         };
-        let live_tasks = self.devices.iter().map(|s| s.live_tenants).sum();
+        let live_tasks = self.devices.iter().map(|s| s.residents.len()).sum();
         let devices = self
             .devices
             .iter_mut()
@@ -1144,7 +1194,7 @@ impl World {
                         delta.ratio(period).min(1.0)
                     },
                     queue_depth: slot.gpu.queued_requests() + running,
-                    tenants: slot.live_tenants,
+                    tenants: slot.residents.len(),
                     engines_busy: running,
                     migrations_in: slot.stats.get(StatKey::MigrationsIn),
                     migrations_out: slot.stats.get(StatKey::MigrationsOut),
@@ -1406,7 +1456,7 @@ impl World {
                 }
                 let token = self
                     .queue
-                    .schedule(outcome.finish_at, Event::EngineDone(device, class));
+                    .schedule(outcome.finish_at, Event::EngineDone(Dev::of(dev), class));
                 self.devices[dev].engine_tokens[class as usize] = Some(token);
             }
         }
@@ -1424,7 +1474,7 @@ impl World {
 
     /// The one detach (see the module doc's "Task lifecycle"): takes
     /// live task `id` off its device — not live, its in-flight register
-    /// write dropped, `live_tenants` counted down, its device state torn
+    /// write dropped, out of its device's `residents`, its device state torn
     /// down (queued work dropped, running requests aborted) — and then
     /// calls [`Scheduler::on_task_exit`], so the policy never sees an
     /// exited task still holding an engine; its channel ids stay in
@@ -1473,7 +1523,10 @@ impl World {
                 self.queue.cancel(tok);
             }
         }
-        self.devices[dev].live_tenants -= 1;
+        let residents = &mut self.devices[dev].residents;
+        if let Ok(at) = residents.binary_search(&id) {
+            residents.remove(at);
+        }
         self.debug_check_tenants(dev);
         let killer = match why {
             Detach::Kill(label) => Some(label),
@@ -1530,10 +1583,12 @@ impl World {
         // predicate placement uses, so the two layers cannot disagree
         // about what a device can hold.
         let loads = self.loads(0);
-        let candidates: Vec<MigrationCandidate> = self
-            .tasks
+        let mut candidates: Vec<MigrationCandidate> = self
+            .devices
             .iter()
-            .filter(|t| t.live && t.pin.is_none())
+            .flat_map(|slot| &slot.residents)
+            .map(|id| &self.tasks[id.index()])
+            .filter(|t| t.pin.is_none())
             .map(|t| MigrationCandidate {
                 task: t.id,
                 from: t.device,
@@ -1542,6 +1597,9 @@ impl World {
                 last_migrated: t.last_migrated_at,
             })
             .collect();
+        // Each device's residents are in id order; the policies see one
+        // task-id order across devices.
+        candidates.sort_unstable_by_key(|c| c.task);
         let plan = self
             .rebalance
             .plan(self.now, &self.config.topology, &loads, &candidates);
@@ -1553,12 +1611,12 @@ impl World {
     }
 
     /// Verifies a policy's plan before executing it: the task must be
-    /// a live, unpinned candidate and the target a real device with
-    /// room for its channels. The built-in policies cannot produce an
-    /// unsound plan (the snapshot is taken in the same event, with no
-    /// mutation in between), but [`World::set_rebalance_policy`]
-    /// accepts arbitrary implementations — a buggy one gets a traced
-    /// refusal, not a panic.
+    /// a live, unpinned candidate and the target a real, online device
+    /// with room for its channels. The built-in policies cannot produce
+    /// an unsound plan (the snapshot is taken in the same event, with no
+    /// mutation in between, and hides offline devices), but
+    /// [`World::set_rebalance_policy`] accepts arbitrary
+    /// implementations — a buggy one gets a traced refusal, not a panic.
     fn migration_is_sound(&mut self, m: &Migration) -> bool {
         let refusal = match self.tasks.get(m.task.index()) {
             None => Some("unknown task"),
@@ -1566,6 +1624,7 @@ impl World {
             Some(t) if t.pin.is_some() => Some("task is pinned"),
             Some(t) => match self.devices.get(m.to.index()) {
                 None => Some("unknown target device"),
+                Some(slot) if !slot.online => Some("target is offline"),
                 Some(slot) if t.device != m.to && !slot.fits(t.channels.len()) => {
                     Some("target cannot fit the task")
                 }
@@ -1636,7 +1695,11 @@ impl World {
     fn fault_victim(&self, target: Option<TaskId>) -> Option<TaskId> {
         match target {
             Some(id) => self.tasks.get(id.index()).filter(|t| t.live).map(|t| t.id),
-            None => self.tasks.iter().find(|t| t.live).map(|t| t.id),
+            None => self
+                .devices
+                .iter()
+                .filter_map(|slot| slot.residents.first().copied())
+                .min(),
         }
     }
 
@@ -1757,9 +1820,8 @@ impl World {
                 self.watchdog_kill(id);
             }
         }
-        let device = self.devices[dev].id;
         self.queue
-            .schedule(self.now + timeout, Event::Watchdog(device));
+            .schedule(self.now + timeout, Event::Watchdog(Dev::of(dev)));
     }
 
     /// Watchdog kill-and-requeue: the stagnant task is killed exactly
@@ -1838,13 +1900,7 @@ impl World {
             }
             self.devices[dev].hung_engines[class as usize] = false;
         }
-        let residents: Vec<TaskId> = self
-            .tasks
-            .iter()
-            .filter(|t| t.live && t.device == device)
-            .map(|t| t.id)
-            .collect();
-        for id in residents {
+        for id in self.devices[dev].residents.clone() {
             let t = &self.tasks[id.index()];
             let (channels, bytes, pin) = (t.channels.len(), t.workload.working_set_bytes(), t.pin);
             // A pin or a lone device is this device, now offline: only
@@ -2083,7 +2139,7 @@ impl World {
                     device: s.id,
                     compute_busy: s.gpu.engine_busy(EngineClass::Compute),
                     dma_busy: s.gpu.engine_busy(EngineClass::Dma),
-                    tenants: s.live_tenants,
+                    tenants: s.residents.len(),
                     rejected: s.stats.get(StatKey::RejectedAdmissions),
                     migrations_in: s.stats.get(StatKey::MigrationsIn),
                     migrations_out: s.stats.get(StatKey::MigrationsOut),
@@ -2148,7 +2204,8 @@ impl SchedCtx<'_> {
     }
 
     /// Live (admitted, not exited/killed) tasks on this device, in id
-    /// order.
+    /// order. O(tenants on this device): a copy of the device's
+    /// resident index, whatever the number of tasks admitted before.
     ///
     /// Allocates a fresh `Vec` per call; policies invoked on every
     /// poll tick should reuse a scratch buffer through
@@ -2163,15 +2220,8 @@ impl SchedCtx<'_> {
     /// the allocation-free form of [`SchedCtx::live_tasks`] (the
     /// buffer is cleared first and its capacity reused).
     pub fn live_tasks_into(&self, out: &mut Vec<TaskId>) {
-        let device = self.world.devices[self.dev].id;
         out.clear();
-        out.extend(
-            self.world
-                .tasks
-                .iter()
-                .filter(|t| t.live && t.device == device)
-                .map(|t| t.id),
-        );
+        out.extend_from_slice(&self.world.devices[self.dev].residents);
     }
 
     /// Number of channels the task owns.
@@ -2276,13 +2326,9 @@ impl SchedCtx<'_> {
     /// Protects every channel of every live task on this device (a
     /// barrier).
     pub fn protect_all(&mut self) {
-        let device = self.world.devices[self.dev].id;
-        for i in 0..self.world.tasks.len() {
-            let t = &self.world.tasks[i];
-            if t.live && t.device == device {
-                let id = t.id;
-                self.set_task_protection(id, true);
-            }
+        for i in 0..self.world.devices[self.dev].residents.len() {
+            let id = self.world.devices[self.dev].residents[i];
+            self.set_task_protection(id, true);
         }
     }
 
@@ -2297,11 +2343,9 @@ impl SchedCtx<'_> {
     /// Arms a policy timer; `tag` is returned to
     /// [`Scheduler::on_timer`]. Returns a token for
     /// [`SchedCtx::cancel_timer`].
-    pub fn set_timer(&mut self, delay: SimDuration, tag: u64) -> u64 {
-        let device = self.world.devices[self.dev].id;
-        self.world
-            .queue
-            .schedule(self.world.now + delay, Event::SchedTimer(device, tag))
+    pub fn set_timer(&mut self, delay: SimDuration, tag: u32) -> u64 {
+        let event = Event::SchedTimer(Dev::of(self.dev), tag);
+        self.world.queue.schedule(self.world.now + delay, event)
     }
 
     /// Cancels a pending policy timer.
@@ -2429,6 +2473,12 @@ mod tests {
 
     fn multi_world_config(config: WorldConfig, placement: PlacementKind) -> World {
         World::with_devices(config, placement.build(), |_| Box::new(DirectAccess::new()))
+    }
+
+    #[test]
+    #[should_panic(expected = "a host holds at most 65536 devices, not 65537")]
+    fn a_host_with_more_devices_than_an_event_can_name_is_refused() {
+        multi_world(MAX_DEVICES + 1, PlacementKind::LeastLoaded);
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl Scheduler for TrapPerRequest {
         FaultDecision::Allow
     }
     fn on_poll(&mut self, _ctx: &mut SchedCtx<'_>) {}
-    fn on_timer(&mut self, _ctx: &mut SchedCtx<'_>, _tag: u64) {}
+    fn on_timer(&mut self, _ctx: &mut SchedCtx<'_>, _tag: u32) {}
     fn on_completion(&mut self, _ctx: &mut SchedCtx<'_>, _done: &CompletedRequest) {}
 }
 

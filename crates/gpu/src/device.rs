@@ -103,11 +103,22 @@ struct Rotation {
 
 /// The modeled accelerator.
 ///
-/// Besides the hardware state, a `Gpu` keeps the ground truth the
-/// schedulers cannot see: a dense *usage ledger* of the device time
-/// each task has occupied, read through [`Gpu::usage_of`] by the
-/// end-of-run report and by vendor-statistics DFQ. Every completion,
-/// preemption and teardown abort charges it with one indexed add.
+/// Channel ids are never reused, so the channel table keeps every
+/// channel ever created. Nothing that runs per request, per poll or per
+/// task exit walks that table; three indexes answer instead:
+///
+/// - the *usage ledger*, the ground truth the schedulers cannot see:
+///   the device time each task has occupied, read through
+///   [`Gpu::usage_of`] by the end-of-run report and by
+///   vendor-statistics DFQ. Every completion, preemption and teardown
+///   abort charges it with one indexed add;
+/// - each task's *active channels*, beside the ledger, which serve
+///   [`Gpu::channels_of`], [`Gpu::task_drained`] and
+///   [`Gpu::destroy_task`];
+/// - a count of the *queued requests*, for [`Gpu::queued_requests`].
+///
+/// [`Gpu::is_fully_drained`] reads the three arbitration rotations,
+/// which hold every enabled channel with queued work.
 pub struct Gpu {
     id: DeviceId,
     config: GpuConfig,
@@ -134,6 +145,12 @@ pub struct Gpu {
     /// its entry (present or not) outlives the task's teardown, since
     /// the end-of-run report reads it.
     usage: Vec<SimDuration>,
+    /// Each task's active channels, in id order, indexed like `usage`.
+    /// A task's list is emptied when [`Gpu::destroy_task`] tears it
+    /// down.
+    task_channels: Vec<Vec<ChannelId>>,
+    /// Requests queued across all channels, running ones not counted.
+    queued: usize,
     /// Total requests completed, for sanity accounting.
     completed_requests: u64,
 }
@@ -173,6 +190,8 @@ impl Gpu {
             next_request: 0,
             graphics_blocked_until: SimTime::ZERO,
             usage: Vec::new(),
+            task_channels: Vec::new(),
+            queued: 0,
             completed_requests: 0,
         }
     }
@@ -206,6 +225,7 @@ impl Gpu {
         self.contexts.insert(ctx, task);
         if self.usage.len() <= task.index() {
             self.usage.resize(task.index() + 1, SimDuration::ZERO);
+            self.task_channels.resize_with(task.index() + 1, Vec::new);
         }
         self.live_contexts += 1;
         Ok(ctx)
@@ -232,6 +252,7 @@ impl Gpu {
         let id = ChannelId::from_index(self.channels.len());
         self.channels
             .push(Channel::new(id, ctx, task, kind, self.config.ring_capacity));
+        self.task_channels[task.index()].push(id);
         self.live_channels += 1;
         Ok(id)
     }
@@ -308,6 +329,7 @@ impl Gpu {
             let kind = channel.kind();
             self.rotation_for(kind).order.push_back(ch);
         }
+        self.queued += 1;
         Ok((id, reference))
     }
 
@@ -327,6 +349,7 @@ impl Gpu {
             // lint: allow(unchecked-unwrap) — channels enter the submit
             // rotation only while they hold queued work
             .expect("rotation pointed at empty channel");
+        self.queued -= 1;
         let switch = self.config.context_switch;
         let finish_at = self.engine_mut(engine).start(now, request, switch);
         Some(DispatchOutcome { request, finish_at })
@@ -410,6 +433,7 @@ impl Gpu {
         if channel.is_active() {
             let was_empty = channel.is_quiesced();
             channel.requeue_front(remainder);
+            self.queued += 1;
             if was_empty && channel.is_enabled() {
                 let kind = channel.kind();
                 let ch = remainder.channel;
@@ -427,24 +451,22 @@ impl Gpu {
     /// the driver's exit protocol after a process kill.
     pub fn destroy_task(&mut self, now: SimTime, task: TaskId) -> AbortSummary {
         let mut summary = AbortSummary::default();
-        let owned: Vec<ChannelId> = self
-            .channels
-            .iter()
-            .filter(|c| c.task() == task && c.is_active())
-            .map(|c| c.id())
-            .collect();
-        for ch in &owned {
-            summary.dropped_requests += self.channels[ch.index()].destroy();
+        let owned = self
+            .task_channels
+            .get_mut(task.index())
+            .map(std::mem::take)
+            .unwrap_or_default();
+        for ch in owned {
+            let channel = &mut self.channels[ch.index()];
+            let dropped = channel.destroy();
+            let kind = channel.kind();
+            summary.dropped_requests += dropped;
             summary.destroyed_channels += 1;
+            self.queued -= dropped;
             self.live_channels -= 1;
-            for rot in [
-                &mut self.compute_rotation,
-                &mut self.graphics_rotation,
-                &mut self.dma_rotation,
-            ] {
-                if let Some(pos) = rot.order.iter().position(|c| c == ch) {
-                    rot.order.remove(pos);
-                }
+            let rot = self.rotation_for(kind);
+            if let Some(pos) = rot.order.iter().position(|&c| c == ch) {
+                rot.order.remove(pos);
             }
         }
         let owned_contexts: Vec<ContextId> = self
@@ -490,23 +512,35 @@ impl Gpu {
         self.channels.iter()
     }
 
-    /// Active channels belonging to `task`.
+    /// Active channels belonging to `task`, in id order. O(the task's
+    /// channels).
     pub fn channels_of(&self, task: TaskId) -> impl Iterator<Item = &Channel> {
-        self.channels
-            .iter()
-            .filter(move |c| c.task() == task && c.is_active())
+        self.task_channels
+            .get(task.index())
+            .into_iter()
+            .flatten()
+            .map(|ch| &self.channels[ch.index()])
     }
 
     /// `true` if nothing is queued on an *enabled* channel or running
     /// on an engine. Work parked on OS-disabled (suspended) channels
-    /// does not block a barrier: it cannot be dispatched.
+    /// does not block a barrier: it cannot be dispatched. Every enabled
+    /// channel with queued work is in its kind's rotation, so only the
+    /// rotations are read.
     pub fn is_fully_drained(&self) -> bool {
         self.compute_engine.is_idle()
             && self.dma_engine.is_idle()
-            && self
-                .channels
-                .iter()
-                .all(|c| c.is_quiesced() || !c.is_enabled())
+            && [
+                &self.compute_rotation,
+                &self.graphics_rotation,
+                &self.dma_rotation,
+            ]
+            .iter()
+            .all(|rot| {
+                rot.order
+                    .iter()
+                    .all(|ch| self.channels[ch.index()].is_quiesced())
+            })
     }
 
     /// `true` if every request submitted on `task`'s channels has
@@ -544,7 +578,7 @@ impl Gpu {
 
     /// Total requests queued across all channels (not counting running).
     pub fn queued_requests(&self) -> usize {
-        self.channels.iter().map(|c| c.queued()).sum()
+        self.queued
     }
 
     // ------------------------------------------------------------------

@@ -1,6 +1,8 @@
 //! Property tests for device-level conservation invariants.
 
-use neon_gpu::{EngineClass, Gpu, GpuConfig, RequestKind, SubmitSpec, TaskId};
+use neon_gpu::{
+    ChannelId, ContextId, EngineClass, Gpu, GpuConfig, RequestKind, SubmitSpec, TaskId,
+};
 use neon_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -13,7 +15,118 @@ fn drain(gpu: &mut Gpu, mut now: SimTime) -> SimTime {
     now
 }
 
+/// Tasks the index property draws from.
+const TASKS: u32 = 4;
+
+/// The scan `Gpu::queued_requests` used to make over every channel ever
+/// created.
+fn scanned_queued(gpu: &Gpu) -> usize {
+    gpu.channels().map(|c| c.queued()).sum()
+}
+
+/// The scan `Gpu::is_fully_drained` used to make.
+fn scanned_fully_drained(gpu: &Gpu) -> bool {
+    EngineClass::ALL.iter().all(|&e| gpu.running(e).is_none())
+        && gpu.channels().all(|c| c.is_quiesced() || !c.is_enabled())
+}
+
+/// The scan `Gpu::channels_of` used to make.
+fn scanned_channels_of(gpu: &Gpu, task: TaskId) -> Vec<ChannelId> {
+    gpu.channels()
+        .filter(|c| c.task() == task && c.is_active())
+        .map(|c| c.id())
+        .collect()
+}
+
+/// The scan `Gpu::task_drained` used to make.
+fn scanned_task_drained(gpu: &Gpu, task: TaskId) -> bool {
+    let queued_or_unfinished = gpu
+        .channels()
+        .filter(|c| c.task() == task && c.is_active())
+        .any(|c| !c.drained() || !c.is_quiesced());
+    let running = EngineClass::ALL
+        .iter()
+        .any(|&e| gpu.running(e).is_some_and(|r| r.request.task == task));
+    !queued_or_unfinished && !running
+}
+
 proptest! {
+    /// The device's indexes (each task's active channels, the queued
+    /// count, the drain check over the arbitration rotations) answer
+    /// exactly what a scan of every channel ever created answers,
+    /// after every step of a random mix of allocation, submission,
+    /// dispatch, completion, preemption, masking and teardown.
+    #[test]
+    fn indexes_match_channel_table_scans(
+        ops in proptest::collection::vec((0u8..8, 0u32..64, 1u64..400), 1..160)
+    ) {
+        let mut gpu = Gpu::new(GpuConfig {
+            total_contexts: 3,
+            total_channels: 6,
+            ring_capacity: 3,
+            ..GpuConfig::default()
+        });
+        let mut now = SimTime::ZERO;
+        let mut contexts: Vec<ContextId> = Vec::new();
+        let mut channels: Vec<ChannelId> = Vec::new();
+        for (op, a, b) in ops {
+            let engine = EngineClass::ALL[a as usize % 2];
+            match op {
+                0 => {
+                    if let Ok(ctx) = gpu.create_context(TaskId::new(a % TASKS)) {
+                        contexts.push(ctx);
+                    }
+                }
+                1 if !contexts.is_empty() => {
+                    let ctx = contexts[a as usize % contexts.len()];
+                    let kind = RequestKind::ALL[b as usize % 3];
+                    if let Ok(ch) = gpu.create_channel(ctx, kind) {
+                        channels.push(ch);
+                    }
+                }
+                2 if !channels.is_empty() => {
+                    let ch = channels[a as usize % channels.len()];
+                    let kind = gpu.channel(ch).unwrap().kind();
+                    let spec = if b % 23 == 0 {
+                        SubmitSpec::infinite_loop()
+                    } else {
+                        SubmitSpec { kind, ..SubmitSpec::compute(SimDuration::from_micros(b)) }
+                    };
+                    let _ = gpu.submit(now, ch, spec);
+                }
+                3 => {
+                    gpu.try_dispatch(now, engine);
+                }
+                4 => {
+                    let finish = gpu.running(engine).map(|r| r.finish_at);
+                    if let Some(finish) = finish.filter(|&f| f != SimTime::MAX) {
+                        now = now.max(finish);
+                        gpu.complete_running(finish, engine);
+                    }
+                }
+                5 => {
+                    now += SimDuration::from_micros(b);
+                    gpu.preempt_running(now, engine);
+                }
+                6 if !channels.is_empty() => {
+                    let ch = channels[a as usize % channels.len()];
+                    gpu.set_channel_enabled(ch, b % 2 == 0);
+                }
+                7 => {
+                    gpu.destroy_task(now, TaskId::new(a % TASKS));
+                }
+                _ => {}
+            }
+            prop_assert_eq!(gpu.queued_requests(), scanned_queued(&gpu));
+            prop_assert_eq!(gpu.is_fully_drained(), scanned_fully_drained(&gpu));
+            for t in (0..TASKS).map(TaskId::new) {
+                let indexed: Vec<ChannelId> = gpu.channels_of(t).map(|c| c.id()).collect();
+                prop_assert_eq!(indexed, scanned_channels_of(&gpu, t));
+                prop_assert_eq!(gpu.task_drained(t), scanned_task_drained(&gpu, t));
+            }
+        }
+    }
+
     /// Per-task usage sums exactly to engine busy time, and busy time
     /// never exceeds the makespan.
     #[test]

@@ -6,6 +6,14 @@
 //! tie-breaking). Stability is what makes whole-simulation determinism
 //! possible, so it is load-bearing, tested, and guaranteed.
 //!
+//! **Payloads should be register-sized.** Every event is copied in by
+//! [`EventQueue::schedule`] and out by [`EventQueue::pop`], and a near
+//! run entry carries its payload inline, so the payload's size is paid
+//! on every event: an 8-byte payload travels in a register and makes a
+//! run entry 32 bytes. Put bulky per-event data in a table the payload
+//! indexes. The simulation world pins its own event at 8 bytes with a
+//! compile-time assertion.
+//!
 //! # Design: a bounded near run in front of a monotone radix heap
 //!
 //! Keys are ordered by the 128-bit *rank* `(at << 64) | seq`. The keys

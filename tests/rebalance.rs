@@ -14,11 +14,13 @@
 //!    migrations (cooldown + gain veto), and never migrates at all
 //!    when the transfer cost exceeds the estimated gain.
 //! 3. **Same-device guard** — a buggy policy returning the source
-//!    device must not tear down and re-create the task's state.
-//! 4. **Tenant counters** — the per-device live-tenant counters match
-//!    a scan of the task table through churn, migrations and kills.
+//!    device must not tear down and re-create the task's state; nor may
+//!    an unsound plan (dead task, unknown, full or offline target) run.
+//! 4. **Tenant counters** — the per-device resident counts match a
+//!    scan of the task table through churn, migrations and kills.
 
 use disengaged_scheduling::core::cost::SchedParams;
+use disengaged_scheduling::core::fault::{FaultConfig, FaultKind, FaultPlan};
 use disengaged_scheduling::core::placement::{DeviceLoad, PlacementKind};
 use disengaged_scheduling::core::rebalance::{
     Migration, MigrationCandidate, Rebalance, RebalanceKind,
@@ -449,11 +451,87 @@ fn unsound_migration_plans_are_refused_not_executed() {
     }
 }
 
-/// The live-tenant counters behind `DeviceLoad::tenants` and
+/// A policy that sends the first candidate to device 1, whatever state
+/// device 1 is in.
+struct ToDeviceOne;
+
+impl Rebalance for ToDeviceOne {
+    fn name(&self) -> &'static str {
+        "to-device-one"
+    }
+
+    fn plan(
+        &mut self,
+        _now: SimTime,
+        _topology: &Topology,
+        _loads: &[DeviceLoad],
+        candidates: &[MigrationCandidate],
+    ) -> Option<Migration> {
+        candidates.first().map(|c| Migration {
+            task: c.task,
+            to: neon_gpu::DeviceId::new(1),
+        })
+    }
+}
+
+/// The built-in policies never see a hot-removed device, but a custom
+/// one may name it. The plan must be refused (the device would dispatch
+/// nothing until a hot-add), not executed.
+#[test]
+fn migration_to_an_offline_device_is_refused() {
+    let mut plan = FaultPlan::new(FaultConfig::default());
+    plan.push(
+        SimTime::ZERO + ms(1),
+        FaultKind::DeviceRemove {
+            device: neon_gpu::DeviceId::new(1),
+        },
+    );
+    let config = WorldConfig {
+        topology: Topology::symmetric(2, GpuConfig::default()),
+        seed: 0x0FF1,
+        faults: Some(plan),
+        ..WorldConfig::default()
+    };
+    let mut world = World::with_devices(config, PlacementKind::RoundRobin.build(), |_| {
+        SchedulerKind::Direct.build(SchedParams::default())
+    });
+    world.set_rebalance_policy(Box::new(ToDeviceOne));
+    world.trace.set_enabled(true);
+    // Everyone arrives after the removal, so everyone lands on device 0;
+    // each visitor's departure consults the policy.
+    for i in 0..2 {
+        world.spawn_task_at(
+            SimTime::ZERO + ms(2),
+            Box::new(FixedLoop::endless(format!("t{i}"), us(80), us(5))),
+        );
+    }
+    for i in 0..3u64 {
+        world.spawn_task_for(
+            SimTime::ZERO + ms(3 + 4 * i),
+            Box::new(FixedLoop::endless(format!("v{i}"), us(80), us(5))),
+            ms(2),
+        );
+    }
+    let report = world.run(ms(30));
+    assert_eq!(
+        report.migrations, 0,
+        "no task may land on an offline device"
+    );
+    assert_eq!(report.devices[1].tenants, 0);
+    assert_eq!(report.devices[1].migrations_in, 0);
+    let refusals = world
+        .trace
+        .iter()
+        .filter(|e| format!("{e}").contains("target is offline"))
+        .count();
+    assert_eq!(refusals, 3, "each departure's plan is refused and traced");
+}
+
+/// The per-device resident indexes behind `DeviceLoad::tenants` and
 /// `DeviceReport::tenants` stay consistent with a scan of the task
-/// table through churn, migrations, and scheduler kills. (The world
-/// also `debug_assert`s counter == scan on every load snapshot, so
-/// any in-run drift would abort these debug-build tests.)
+/// table through churn, migrations, and scheduler kills. (Debug builds
+/// of the world also check each index against that scan on every
+/// attach and detach, so any in-run drift would abort these tests.)
 #[test]
 fn live_tenant_counters_match_the_task_table_scan() {
     // Churn + migrations (count-diff keeps both devices busy moving).
