@@ -63,6 +63,7 @@ use neon_sim::{SimDuration, SimTime};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::placement::shortage;
 use crate::report::{groups_of, round_count, round_distribution, GroupReport, RunReport};
+use crate::telemetry::StatKey;
 use crate::workload::BoxedWorkload;
 use crate::world::World;
 
@@ -504,8 +505,7 @@ pub struct FleetReport {
     pub cluster_transfer_stall: SimDuration,
     /// Arrivals rejected at the cluster boundary: no host's ledger had
     /// room. Host-level rejections (ground-truth admission control)
-    /// are counted in each host's
-    /// [`RunReport::rejected_admissions`] instead.
+    /// are counted in each host's [`RunReport::stats`] instead.
     pub fleet_rejected: u64,
     /// Whole-host failures injected from the fleet's
     /// [`FaultPlan`] (multi-host fleets only).
@@ -542,7 +542,7 @@ impl FleetReport {
             + self
                 .hosts
                 .iter()
-                .map(|h| h.rejected_admissions)
+                .map(|h| h.stats.get(StatKey::RejectedAdmissions))
                 .sum::<u64>()
     }
 
@@ -647,11 +647,6 @@ impl Fleet {
     pub fn set_faults(&mut self, plan: FaultPlan) {
         assert!(!self.started, "set_faults after Fleet::run");
         self.faults = Some(plan);
-    }
-
-    /// Number of hosts.
-    pub fn host_count(&self) -> usize {
-        self.hosts.len()
     }
 
     /// The host world at index `h` (trace access for tests and

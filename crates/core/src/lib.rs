@@ -38,7 +38,7 @@
 //! [`world::World::spawn_task_at`] stages a future arrival whose device
 //! resources are allocated at the arrival instant — and may be
 //! *rejected* if the device is exhausted (§6.3), counted in
-//! [`report::RunReport::rejected_admissions`] —
+//! [`report::RunReport::stats`] as `rejected_admissions` —
 //! and [`world::World::spawn_task_for`] additionally schedules a
 //! graceful mid-run departure. Every policy handles mid-run
 //! [`sched::Scheduler::on_task_admitted`] / `on_task_exit` churn; the
@@ -96,9 +96,9 @@ pub use fleet::{
 pub use placement::{DeviceLoad, Placement, PlacementKind};
 pub use rebalance::{Migration, MigrationCandidate, Rebalance, RebalanceKind};
 pub use report::{DeviceReport, GroupReport, RunReport, TaskReport};
-pub use sched::{FaultDecision, Scheduler, SchedulerKind};
+pub use sched::{FaultDecision, SchedCtx, Scheduler, SchedulerKind};
 pub use telemetry::{
     labels, DeviceSample, MetricsMode, SimStats, StatKey, Timeline, TimelineSample,
 };
 pub use workload::{BoxedWorkload, QueueIndex, TaskAction, Workload};
-pub use world::{SchedCtx, World, WorldConfig};
+pub use world::{World, WorldConfig};

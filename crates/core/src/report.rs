@@ -140,13 +140,6 @@ pub struct DeviceReport {
     pub dma_busy: SimDuration,
     /// Live tenants on the device when the run ended.
     pub tenants: usize,
-    /// Admissions this device refused (pinned arrivals finding it full,
-    /// or placed arrivals whose channels did not fit).
-    pub rejected: u64,
-    /// Tasks migrated onto this device by rebalancing.
-    pub migrations_in: u64,
-    /// Tasks rebalancing moved off this device.
-    pub migrations_out: u64,
     /// Working-set movement charged on this device: admission staging
     /// onto it plus migration transfers landing here. Per-device slices
     /// of [`RunReport::transfer_stall`]; zero on free interconnects.
@@ -154,11 +147,11 @@ pub struct DeviceReport {
     /// Simulated time this device spent hot-removed (offline); a
     /// device still offline at the horizon is charged through it.
     pub degraded: SimDuration,
-    /// This device's structured stats block. Only per-device events
-    /// are counted here (faults, rejections, preemptions, kills,
-    /// denials, sampling windows, migrations in/out); run-wide
-    /// counters such as `events` and `polls` live in
-    /// [`RunReport::stats`].
+    /// This device's structured stats block, its only counters. Only
+    /// per-device events are counted here (faults, refused admissions,
+    /// preemptions, kills, denials, sampling windows, migrations in and
+    /// out, fault recovery); run-wide counters such as `events` and
+    /// `polls` live in [`RunReport::stats`].
     pub stats: SimStats,
 }
 
@@ -190,48 +183,23 @@ pub struct RunReport {
     /// Ground-truth busy time of the DMA engines, summed across
     /// devices.
     pub dma_busy: SimDuration,
-    /// Total page faults (interceptions) taken.
-    pub faults: u64,
-    /// Polling-thread wakeups.
-    pub polls: u64,
-    /// Direct (unintercepted) submissions.
-    pub direct_submits: u64,
-    /// Mid-run admissions refused because no device could host the
-    /// arrival (the §6.3 DoS condition observed as an open-loop
-    /// arrival being turned away).
-    pub rejected_admissions: u64,
-    /// Tasks moved between devices by departure-triggered rebalancing.
-    pub migrations: u64,
     /// Total simulated time tasks spent stalled on working-set
     /// movement (staging + migration transfers) across the run.
     pub transfer_stall: SimDuration,
-    /// Fault events injected from the attached
-    /// [`FaultPlan`](crate::fault::FaultPlan); zero without one.
-    pub injected_faults: u64,
-    /// Tasks the per-device watchdog killed for request stagnation.
-    pub watchdog_kills: u64,
-    /// Recovery retries scheduled (watchdog requeues, transient
-    /// submission-error retries, park retries).
-    pub fault_retries: u64,
-    /// Tasks recovered from a fault: drain-migrated off a hot-removed
-    /// device or re-staged after parking.
-    pub recovered_tasks: u64,
-    /// Tasks lost to faults: crashed, watchdog retry budget exhausted,
-    /// or parked past the retry bound.
-    pub lost_tasks: u64,
-    /// Device hot-remove events that took a device offline.
-    pub hot_removes: u64,
     /// Degraded-capacity time: simulated device-offline time summed
     /// across devices (a device still offline at the horizon is
     /// charged through it).
     pub degraded: SimDuration,
     /// Discrete events the simulation loop processed — with host wall
     /// time, the events/second throughput of the simulator itself (the
-    /// perf-trajectory metric `neon bench` reports).
+    /// perf-trajectory metric `neon bench` reports). Equal to the
+    /// [`StatKey::Events`](crate::telemetry::StatKey::Events) counter.
     pub events: u64,
-    /// The structured stats block: every counter above plus the
-    /// policy-level ones (preemptions, kills, denials, sampling
-    /// windows, rebalance decisions), under stable emission labels.
+    /// The structured stats block, the run's only counters: events,
+    /// faults, polls, direct submissions, refused admissions,
+    /// migrations, fault injection and recovery, and the policy-level
+    /// ones (preemptions, kills, denials, sampling windows, rebalance
+    /// decisions), under stable emission labels.
     pub stats: SimStats,
     /// Per-workload-name telemetry (streaming mode only; empty in
     /// exact mode), derived at report time from
@@ -435,18 +403,7 @@ mod tests {
             devices: vec![],
             compute_busy: SimDuration::from_millis(5),
             dma_busy: SimDuration::ZERO,
-            faults: 0,
-            polls: 0,
-            direct_submits: 0,
-            rejected_admissions: 0,
-            migrations: 0,
             transfer_stall: SimDuration::ZERO,
-            injected_faults: 0,
-            watchdog_kills: 0,
-            fault_retries: 0,
-            recovered_tasks: 0,
-            lost_tasks: 0,
-            hot_removes: 0,
             degraded: SimDuration::ZERO,
             events: 0,
             stats: SimStats::new(),
@@ -464,9 +421,6 @@ mod tests {
             compute_busy: SimDuration::from_millis(busy_ms),
             dma_busy: SimDuration::ZERO,
             tenants: 1,
-            rejected: 0,
-            migrations_in: 0,
-            migrations_out: 0,
             transfer_stall: SimDuration::ZERO,
             degraded: SimDuration::ZERO,
             stats: SimStats::new(),
@@ -478,18 +432,7 @@ mod tests {
             devices: vec![dev(0, 10), dev(1, 5)],
             compute_busy: SimDuration::from_millis(15),
             dma_busy: SimDuration::ZERO,
-            faults: 0,
-            polls: 0,
-            direct_submits: 0,
-            rejected_admissions: 0,
-            migrations: 0,
             transfer_stall: SimDuration::ZERO,
-            injected_faults: 0,
-            watchdog_kills: 0,
-            fault_retries: 0,
-            recovered_tasks: 0,
-            lost_tasks: 0,
-            hot_removes: 0,
             degraded: SimDuration::ZERO,
             events: 0,
             stats: SimStats::new(),

@@ -48,9 +48,8 @@ use neon_gpu::{ChannelId, CompletedRequest, TaskId};
 use neon_sim::{SimDuration, SimTime};
 
 use crate::cost::SchedParams;
-use crate::sched::{FaultDecision, Scheduler};
+use crate::sched::{FaultDecision, SchedCtx, Scheduler};
 use crate::telemetry::StatKey;
-use crate::world::SchedCtx;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -207,7 +206,9 @@ impl DisengagedFairQueueing {
             // Hardware statistics make the whole episode a bookkeeping
             // step: charge exact usage deltas and decide, with the
             // device still running.
-            for t in ctx.live_tasks() {
+            let mut live = Vec::new();
+            ctx.live_tasks_into(&mut live);
+            for t in live {
                 let total = ctx.vendor_usage(t);
                 let last = self
                     .last_vendor_usage
@@ -230,15 +231,13 @@ impl DisengagedFairQueueing {
         self.phase = Phase::Sampling;
         // Sample every task that issued requests in the preceding
         // free-run (any active tick) or is eager right now (parked).
-        let mut queue: Vec<TaskId> = ctx
-            .live_tasks()
-            .into_iter()
-            .filter(|t| {
-                let bit = 1u64 << (t.raw() % 64);
-                let was_active = self.tick_masks.iter().any(|m| m & bit != 0);
-                was_active || ctx.is_parked(*t)
-            })
-            .collect();
+        let mut queue = Vec::new();
+        ctx.live_tasks_into(&mut queue);
+        queue.retain(|t| {
+            let bit = 1u64 << (t.raw() % 64);
+            let was_active = self.tick_masks.iter().any(|m| m & bit != 0);
+            was_active || ctx.is_parked(*t)
+        });
         queue.sort();
         self.sample_queue = queue.into();
         let queued = self.sample_queue.len();
@@ -334,7 +333,8 @@ impl DisengagedFairQueueing {
         // active tick, device time divides proportionally to the
         // sampled mean request run times.
         let tick = ctx.cost().polling_period;
-        let live = ctx.live_tasks();
+        let mut live = Vec::new();
+        ctx.live_tasks_into(&mut live);
         let fallback = self.mean_sample().unwrap_or(100.0);
         let mut charge: BTreeMap<TaskId, f64> = BTreeMap::new(); // µs
         let charge_masks: &[u64] = if self.vendor_stats {
@@ -706,11 +706,11 @@ mod tests {
         let mut world = dfq_world(&[(50, 0), (500, 0)]);
         let report = world.run(SimDuration::from_millis(500));
         // The bulk of submissions bypass the kernel entirely.
-        let total = report.faults + report.direct_submits;
+        let total = report.stats.get(StatKey::Faults) + report.stats.get(StatKey::DirectSubmits);
         assert!(
-            report.direct_submits as f64 > 0.7 * total as f64,
+            report.stats.get(StatKey::DirectSubmits) as f64 > 0.7 * total as f64,
             "only {}/{} submissions were direct",
-            report.direct_submits,
+            report.stats.get(StatKey::DirectSubmits),
             total
         );
     }

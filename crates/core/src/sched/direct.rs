@@ -7,8 +7,7 @@
 
 use neon_gpu::{ChannelId, CompletedRequest, TaskId};
 
-use crate::sched::{FaultDecision, Scheduler};
-use crate::world::SchedCtx;
+use crate::sched::{FaultDecision, SchedCtx, Scheduler};
 
 /// The no-scheduling baseline.
 #[derive(Debug, Default)]

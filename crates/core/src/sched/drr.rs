@@ -25,8 +25,7 @@ use neon_gpu::{ChannelId, CompletedRequest, TaskId};
 use neon_sim::SimDuration;
 
 use crate::cost::SchedParams;
-use crate::sched::{FaultDecision, Scheduler};
-use crate::world::SchedCtx;
+use crate::sched::{FaultDecision, SchedCtx, Scheduler};
 
 /// Per-turn quantum.
 const QUANTUM: SimDuration = SimDuration::from_millis(1);

@@ -1,7 +1,7 @@
 //! The scheduler interface and the policy implementations.
 //!
-//! A [`Scheduler`] is a passive policy object driven by the simulation
-//! [`World`](crate::world::World) through a small set of events — page
+//! A [`Scheduler`] is a passive policy object driven by the
+//! simulation's event loop through a small set of events — page
 //! faults on protected channel registers, polling-thread ticks, policy
 //! timers, and (when the policy is entitled to synchronous knowledge,
 //! i.e. during engaged operation) request completions. The policy acts
@@ -25,10 +25,11 @@ pub use drr::EngagedDrr;
 pub use sfq::EngagedSfq;
 pub use timeslice::Timeslice;
 
+pub use crate::world::ctx::SchedCtx;
+
 use neon_gpu::{ChannelId, CompletedRequest, TaskId};
 
 use crate::cost::SchedParams;
-use crate::world::SchedCtx;
 
 /// What to do with an intercepted submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -15,8 +15,7 @@ use neon_gpu::{ChannelId, CompletedRequest, TaskId};
 use neon_sim::SimTime;
 
 use crate::cost::SchedParams;
-use crate::sched::{FaultDecision, Scheduler};
-use crate::world::SchedCtx;
+use crate::sched::{FaultDecision, SchedCtx, Scheduler};
 
 /// Virtual-time unit: microseconds as f64.
 type Tag = f64;

@@ -26,8 +26,7 @@ use neon_gpu::{ChannelId, CompletedRequest, TaskId};
 use neon_sim::{SimDuration, SimTime};
 
 use crate::cost::SchedParams;
-use crate::sched::{FaultDecision, Scheduler};
-use crate::world::SchedCtx;
+use crate::sched::{FaultDecision, SchedCtx, Scheduler};
 
 /// The timeslice policy; construct via [`Timeslice::engaged`] or
 /// [`Timeslice::disengaged`].
@@ -125,7 +124,7 @@ impl Timeslice {
         let Some(holder) = self.holder else {
             return;
         };
-        if !self.draining || !ctx.task_drained(holder) {
+        if !self.draining || ctx.has_outstanding(holder) {
             return;
         }
         // Overuse = how far past the slice edge the kernel observed the
@@ -238,6 +237,7 @@ impl Scheduler for Timeslice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::StatKey;
     use crate::workload::FixedLoop;
     use crate::world::{World, WorldConfig};
 
@@ -291,10 +291,10 @@ mod tests {
     #[test]
     fn engaged_variant_traps_every_submission() {
         let report = run_two(false, us(50), us(60), SimDuration::from_millis(200));
-        assert_eq!(report.direct_submits, 0);
+        assert_eq!(report.stats.get(StatKey::DirectSubmits), 0);
         let submitted: u64 = report.tasks.iter().map(|t| t.submitted_requests).sum();
         assert!(
-            report.faults >= submitted,
+            report.stats.get(StatKey::Faults) >= submitted,
             "each submission faults at least once"
         );
     }
@@ -304,9 +304,9 @@ mod tests {
         let report = run_two(true, us(50), us(60), SimDuration::from_millis(200));
         let submitted: u64 = report.tasks.iter().map(|t| t.submitted_requests).sum();
         assert!(
-            report.direct_submits > submitted * 9 / 10,
+            report.stats.get(StatKey::DirectSubmits) > submitted * 9 / 10,
             "most submissions ({}/{submitted}) should bypass the kernel",
-            report.direct_submits
+            report.stats.get(StatKey::DirectSubmits)
         );
     }
 

@@ -67,117 +67,84 @@ impl MetricsMode {
     }
 }
 
-/// Every structured counter a run maintains. Keys index a dense
-/// [`Counters`] block ([`SimStats`]); labels are the stable names used
-/// by JSON/CSV emission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StatKey {
-    /// Discrete events the simulation loop processed.
-    Events,
-    /// Page faults (protected-page interceptions) taken.
-    Faults,
-    /// Polling-thread wakeups.
-    Polls,
-    /// Direct (unintercepted) submissions.
-    DirectSubmits,
-    /// Admissions refused because no device could host the arrival.
-    RejectedAdmissions,
-    /// Hardware preemptions (channel suspensions) issued by policies.
-    Preemptions,
-    /// Tasks killed by a scheduler.
-    Kills,
-    /// Submission-admission denials during fair-queueing free-run.
-    Denials,
-    /// Exclusive sampling windows opened by disengaged policies.
-    SamplingWindowsOpened,
-    /// Sampling windows that ran to completion and were charged.
-    SamplingWindowsClosed,
-    /// Rebalance plans executed (a task actually moved).
-    RebalanceAccepted,
-    /// Candidate moves a cost-aware policy rejected on cost grounds.
-    RebalanceVetoed,
-    /// Candidate moves skipped because the task migrated too recently.
-    RebalanceCooledDown,
-    /// Tasks migrated onto a device (equals total migrations run-wide).
-    MigrationsIn,
-    /// Tasks migrated off a device (equals total migrations run-wide).
-    MigrationsOut,
-    /// Fault events injected from a [`FaultPlan`](crate::fault::FaultPlan).
-    InjectedFaults,
-    /// Tasks killed by the per-device watchdog (stagnant running
-    /// request past the configured timeout).
-    WatchdogKills,
-    /// Fault-recovery retries: watchdog requeues, transient-submit
-    /// retries, and park re-admission attempts that found no room yet.
-    FaultRetries,
-    /// Tasks that survived a device hot-remove (drain-migrated at the
-    /// removal instant, or re-staged later from parking).
-    RecoveredTasks,
-    /// Tasks permanently lost to faults: crashes, exhausted watchdog
-    /// retry budgets, and exhausted park retries.
-    LostTasks,
-    /// Device hot-remove events executed.
-    HotRemoves,
-    /// Device hot-add events executed.
-    HotAdds,
+/// Declares [`StatKey`] from one list — each key with its doc and its
+/// emission label, in emission order — so the enum, [`CounterKey::ALL`]
+/// and the labels cannot drift apart.
+macro_rules! stat_keys {
+    ($($(#[doc = $doc:literal])* $key:ident => $label:literal,)*) => {
+        /// Every structured counter a run maintains. Keys index a dense
+        /// [`Counters`] block ([`SimStats`]); labels are the stable names
+        /// used by JSON/CSV emission.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum StatKey {
+            $($(#[doc = $doc])* $key,)*
+        }
+
+        impl CounterKey for StatKey {
+            const ALL: &'static [StatKey] = &[$(StatKey::$key),*];
+
+            fn index(self) -> usize {
+                self as usize
+            }
+
+            fn label(self) -> &'static str {
+                match self {
+                    $(StatKey::$key => $label,)*
+                }
+            }
+        }
+    };
 }
 
-impl CounterKey for StatKey {
-    const ALL: &'static [StatKey] = &[
-        StatKey::Events,
-        StatKey::Faults,
-        StatKey::Polls,
-        StatKey::DirectSubmits,
-        StatKey::RejectedAdmissions,
-        StatKey::Preemptions,
-        StatKey::Kills,
-        StatKey::Denials,
-        StatKey::SamplingWindowsOpened,
-        StatKey::SamplingWindowsClosed,
-        StatKey::RebalanceAccepted,
-        StatKey::RebalanceVetoed,
-        StatKey::RebalanceCooledDown,
-        StatKey::MigrationsIn,
-        StatKey::MigrationsOut,
-        StatKey::InjectedFaults,
-        StatKey::WatchdogKills,
-        StatKey::FaultRetries,
-        StatKey::RecoveredTasks,
-        StatKey::LostTasks,
-        StatKey::HotRemoves,
-        StatKey::HotAdds,
-    ];
-
-    fn index(self) -> usize {
-        self as usize
-    }
-
-    fn label(self) -> &'static str {
-        match self {
-            StatKey::Events => "events",
-            StatKey::Faults => "faults",
-            StatKey::Polls => "polls",
-            StatKey::DirectSubmits => "direct_submits",
-            StatKey::RejectedAdmissions => "rejected_admissions",
-            StatKey::Preemptions => "preemptions",
-            StatKey::Kills => "kills",
-            StatKey::Denials => "denials",
-            StatKey::SamplingWindowsOpened => "sampling_windows_opened",
-            StatKey::SamplingWindowsClosed => "sampling_windows_closed",
-            StatKey::RebalanceAccepted => "rebalance_accepted",
-            StatKey::RebalanceVetoed => "rebalance_vetoed",
-            StatKey::RebalanceCooledDown => "rebalance_cooled_down",
-            StatKey::MigrationsIn => "migrations_in",
-            StatKey::MigrationsOut => "migrations_out",
-            StatKey::InjectedFaults => "injected_faults",
-            StatKey::WatchdogKills => "watchdog_kills",
-            StatKey::FaultRetries => "fault_retries",
-            StatKey::RecoveredTasks => "recovered_tasks",
-            StatKey::LostTasks => "lost_tasks",
-            StatKey::HotRemoves => "hot_removes",
-            StatKey::HotAdds => "hot_adds",
-        }
-    }
+stat_keys! {
+    /// Discrete events the simulation loop processed.
+    Events => "events",
+    /// Page faults (protected-page interceptions) taken.
+    Faults => "faults",
+    /// Polling-thread wakeups.
+    Polls => "polls",
+    /// Direct (unintercepted) submissions.
+    DirectSubmits => "direct_submits",
+    /// Admissions refused because no device could host the arrival.
+    RejectedAdmissions => "rejected_admissions",
+    /// Hardware preemptions (channel suspensions) issued by policies.
+    Preemptions => "preemptions",
+    /// Tasks killed by a scheduler.
+    Kills => "kills",
+    /// Submission-admission denials during fair-queueing free-run.
+    Denials => "denials",
+    /// Exclusive sampling windows opened by disengaged policies.
+    SamplingWindowsOpened => "sampling_windows_opened",
+    /// Sampling windows that ran to completion and were charged.
+    SamplingWindowsClosed => "sampling_windows_closed",
+    /// Rebalance plans executed (a task actually moved).
+    RebalanceAccepted => "rebalance_accepted",
+    /// Candidate moves a cost-aware policy rejected on cost grounds.
+    RebalanceVetoed => "rebalance_vetoed",
+    /// Candidate moves skipped because the task migrated too recently.
+    RebalanceCooledDown => "rebalance_cooled_down",
+    /// Tasks migrated onto a device (equals total migrations run-wide).
+    MigrationsIn => "migrations_in",
+    /// Tasks migrated off a device (equals total migrations run-wide).
+    MigrationsOut => "migrations_out",
+    /// Fault events injected from a [`FaultPlan`](crate::fault::FaultPlan).
+    InjectedFaults => "injected_faults",
+    /// Tasks killed by the per-device watchdog (stagnant running
+    /// request past the configured timeout).
+    WatchdogKills => "watchdog_kills",
+    /// Fault-recovery retries: watchdog requeues, transient-submit
+    /// retries, and park re-admission attempts that found no room yet.
+    FaultRetries => "fault_retries",
+    /// Tasks that survived a device hot-remove (drain-migrated at the
+    /// removal instant, or re-staged later from parking).
+    RecoveredTasks => "recovered_tasks",
+    /// Tasks permanently lost to faults: crashes, exhausted watchdog
+    /// retry budgets, and exhausted park retries.
+    LostTasks => "lost_tasks",
+    /// Device hot-remove events executed.
+    HotRemoves => "hot_removes",
+    /// Device hot-add events executed.
+    HotAdds => "hot_adds",
 }
 
 /// The structured stats block of a run (or of one device).

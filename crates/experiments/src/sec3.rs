@@ -19,8 +19,8 @@
 //! `World`s running the same stacks (tested below).
 
 use neon_core::cost::{CostModel, SchedParams};
+use neon_core::sched::SchedCtx;
 use neon_core::sched::{FaultDecision, Scheduler, SchedulerKind};
-use neon_core::world::SchedCtx;
 use neon_gpu::{ChannelId, CompletedRequest, TaskId};
 use neon_metrics::Table;
 use neon_scenario::{sweep, ScenarioSpec, TenantGroup, WorkloadSpec};

@@ -94,8 +94,10 @@ pub struct AbortSummary {
 }
 
 /// A round-robin rotation of channels with pending work. Channels
-/// leave the rotation when their queue empties and re-enter on
-/// submission.
+/// leave the rotation when their queue empties (or they are disabled or
+/// destroyed) and re-enter on submission (or re-enabling). Invariant:
+/// every entry is an active, enabled channel with queued work, and
+/// appears once.
 #[derive(Debug, Default)]
 struct Rotation {
     order: VecDeque<ChannelId>,
@@ -113,12 +115,11 @@ struct Rotation {
 ///   vendor-statistics DFQ. Every completion, preemption and teardown
 ///   abort charges it with one indexed add;
 /// - each task's *active channels*, beside the ledger, which serve
-///   [`Gpu::channels_of`], [`Gpu::task_drained`] and
-///   [`Gpu::destroy_task`];
+///   [`Gpu::channels_of`] and [`Gpu::destroy_task`];
 /// - a count of the *queued requests*, for [`Gpu::queued_requests`].
 ///
 /// [`Gpu::is_fully_drained`] reads the three arbitration rotations,
-/// which hold every enabled channel with queued work.
+/// which hold exactly the enabled channels with queued work.
 pub struct Gpu {
     id: DeviceId,
     config: GpuConfig,
@@ -405,13 +406,13 @@ impl Gpu {
         channel.set_enabled(enabled);
         let kind = channel.kind();
         let has_work = !channel.is_quiesced();
-        let rot = self.rotation_for(kind);
-        if enabled {
-            if has_work && !rot.order.contains(&ch) {
+        if has_work {
+            let rot = self.rotation_for(kind);
+            if enabled {
                 rot.order.push_back(ch);
+            } else if let Some(pos) = rot.order.iter().position(|c| *c == ch) {
+                rot.order.remove(pos);
             }
-        } else if let Some(pos) = rot.order.iter().position(|c| *c == ch) {
-            rot.order.remove(pos);
         }
     }
 
@@ -436,11 +437,7 @@ impl Gpu {
             self.queued += 1;
             if was_empty && channel.is_enabled() {
                 let kind = channel.kind();
-                let ch = remainder.channel;
-                let rot = self.rotation_for(kind);
-                if !rot.order.contains(&ch) {
-                    rot.order.push_back(ch);
-                }
+                self.rotation_for(kind).order.push_back(remainder.channel);
             }
         }
         Some(remainder)
@@ -512,6 +509,17 @@ impl Gpu {
         self.channels.iter()
     }
 
+    /// The arbitration rotation of `kind`'s channels, head first: the
+    /// enabled channels with queued work, each once.
+    pub fn rotation(&self, kind: RequestKind) -> impl Iterator<Item = ChannelId> + '_ {
+        let rot = match kind {
+            RequestKind::Compute => &self.compute_rotation,
+            RequestKind::Graphics => &self.graphics_rotation,
+            RequestKind::Dma => &self.dma_rotation,
+        };
+        rot.order.iter().copied()
+    }
+
     /// Active channels belonging to `task`, in id order. O(the task's
     /// channels).
     pub fn channels_of(&self, task: TaskId) -> impl Iterator<Item = &Channel> {
@@ -524,38 +532,15 @@ impl Gpu {
 
     /// `true` if nothing is queued on an *enabled* channel or running
     /// on an engine. Work parked on OS-disabled (suspended) channels
-    /// does not block a barrier: it cannot be dispatched. Every enabled
-    /// channel with queued work is in its kind's rotation, so only the
-    /// rotations are read.
+    /// does not block a barrier: it cannot be dispatched. The rotations
+    /// hold exactly the enabled channels with queued work, so they are
+    /// empty.
     pub fn is_fully_drained(&self) -> bool {
         self.compute_engine.is_idle()
             && self.dma_engine.is_idle()
-            && [
-                &self.compute_rotation,
-                &self.graphics_rotation,
-                &self.dma_rotation,
-            ]
-            .iter()
-            .all(|rot| {
-                rot.order
-                    .iter()
-                    .all(|ch| self.channels[ch.index()].is_quiesced())
-            })
-    }
-
-    /// `true` if every request submitted on `task`'s channels has
-    /// completed and none is running — the per-task drain condition the
-    /// kernel checks via reference counters.
-    pub fn task_drained(&self, task: TaskId) -> bool {
-        let queued_or_unfinished = self
-            .channels_of(task)
-            .any(|c| !c.drained() || !c.is_quiesced());
-        let running = EngineClass::ALL.iter().any(|&e| {
-            self.engine(e)
-                .running()
-                .is_some_and(|r| r.request.task == task)
-        });
-        !queued_or_unfinished && !running
+            && self.compute_rotation.order.is_empty()
+            && self.graphics_rotation.order.is_empty()
+            && self.dma_rotation.order.is_empty()
     }
 
     /// Ground-truth cumulative occupancy charged to `task`.
@@ -610,19 +595,11 @@ impl Gpu {
     /// Pops the head of a rotation for service, keeping the channel in
     /// the rotation (at the back) if more requests remain queued.
     fn take_head(rot: &mut Rotation, channels: &[Channel]) -> Option<ChannelId> {
-        while let Some(&head) = rot.order.front() {
-            let queued = channels[head.index()].queued();
-            if queued == 0 {
-                rot.order.pop_front();
-                continue;
-            }
-            rot.order.pop_front();
-            if queued > 1 {
-                rot.order.push_back(head);
-            }
-            return Some(head);
+        let head = rot.order.pop_front()?;
+        if channels[head.index()].queued() > 1 {
+            rot.order.push_back(head);
         }
-        None
+        Some(head)
     }
 
     /// Next channel to service.
@@ -638,11 +615,7 @@ impl Gpu {
         if class == EngineClass::Dma {
             return Self::take_head(&mut self.dma_rotation, &self.channels);
         }
-        let compute_pending = self
-            .compute_rotation
-            .order
-            .iter()
-            .any(|ch| !self.channels[ch.index()].is_quiesced());
+        let compute_pending = !self.compute_rotation.order.is_empty();
         let graphics_due = !compute_pending || now >= self.graphics_blocked_until;
         if graphics_due {
             if let Some(ch) = Self::take_head(&mut self.graphics_rotation, &self.channels) {
@@ -871,7 +844,7 @@ mod tests {
         // Occupancy = 4µs context switch + 50µs service.
         assert_eq!(done.occupancy, us(54));
         assert_eq!(gpu.usage_of(TaskId::new(0)), us(54));
-        assert!(gpu.task_drained(TaskId::new(0)));
+        assert!(gpu.channel(ch0).unwrap().drained());
     }
 
     #[test]

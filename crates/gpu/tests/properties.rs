@@ -38,24 +38,39 @@ fn scanned_channels_of(gpu: &Gpu, task: TaskId) -> Vec<ChannelId> {
         .collect()
 }
 
-/// The scan `Gpu::task_drained` used to make.
-fn scanned_task_drained(gpu: &Gpu, task: TaskId) -> bool {
-    let queued_or_unfinished = gpu
-        .channels()
-        .filter(|c| c.task() == task && c.is_active())
-        .any(|c| !c.drained() || !c.is_quiesced());
-    let running = EngineClass::ALL
-        .iter()
-        .any(|&e| gpu.running(e).is_some_and(|r| r.request.task == task));
-    !queued_or_unfinished && !running
+/// The rotation invariant: each kind's rotation holds exactly the
+/// active, enabled channels of that kind with queued work, each once.
+fn rotations_hold_exactly_the_dispatchable_channels(gpu: &Gpu) -> Result<(), String> {
+    for kind in RequestKind::ALL {
+        let mut rotation: Vec<ChannelId> = gpu.rotation(kind).collect();
+        let len = rotation.len();
+        rotation.sort();
+        rotation.dedup();
+        if rotation.len() != len {
+            return Err(format!("{kind:?} rotation repeats a channel"));
+        }
+        let dispatchable: Vec<ChannelId> = gpu
+            .channels()
+            .filter(|c| c.kind() == kind && c.is_active() && c.is_enabled() && c.queued() > 0)
+            .map(|c| c.id())
+            .collect();
+        if rotation != dispatchable {
+            return Err(format!(
+                "{kind:?} rotation {rotation:?}, dispatchable {dispatchable:?}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 proptest! {
     /// The device's indexes (each task's active channels, the queued
     /// count, the drain check over the arbitration rotations) answer
-    /// exactly what a scan of every channel ever created answers,
-    /// after every step of a random mix of allocation, submission,
-    /// dispatch, completion, preemption, masking and teardown.
+    /// exactly what a scan of every channel ever created answers, and
+    /// each rotation holds exactly the dispatchable channels of its
+    /// kind, after every step of a random mix of allocation,
+    /// submission, dispatch, completion, preemption, masking and
+    /// teardown.
     #[test]
     fn indexes_match_channel_table_scans(
         ops in proptest::collection::vec((0u8..8, 0u32..64, 1u64..400), 1..160)
@@ -119,10 +134,10 @@ proptest! {
             }
             prop_assert_eq!(gpu.queued_requests(), scanned_queued(&gpu));
             prop_assert_eq!(gpu.is_fully_drained(), scanned_fully_drained(&gpu));
+            prop_assert_eq!(rotations_hold_exactly_the_dispatchable_channels(&gpu), Ok(()));
             for t in (0..TASKS).map(TaskId::new) {
                 let indexed: Vec<ChannelId> = gpu.channels_of(t).map(|c| c.id()).collect();
                 prop_assert_eq!(indexed, scanned_channels_of(&gpu, t));
-                prop_assert_eq!(gpu.task_drained(t), scanned_task_drained(&gpu, t));
             }
         }
     }

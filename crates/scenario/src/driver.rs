@@ -25,6 +25,7 @@ use neon_core::fleet::{Fleet, FleetPlacementKind, FleetReport, WorkloadFactory};
 use neon_core::placement::PlacementKind;
 use neon_core::rebalance::RebalanceKind;
 use neon_core::sched::SchedulerKind;
+use neon_core::telemetry::{SimStats, StatKey};
 use neon_core::world::{World, WorldConfig};
 use neon_core::RunReport;
 use neon_gpu::DeviceId;
@@ -235,13 +236,30 @@ pub struct CellResult {
 }
 
 impl CellResult {
+    /// Every host's report: the fleet's hosts, or the one world of a
+    /// single-host cell.
+    fn hosts(&self) -> &[RunReport] {
+        match &self.fleet {
+            Some(fleet) => &fleet.hosts,
+            None => std::slice::from_ref(&self.report),
+        }
+    }
+
     /// Simulated events of the cell, summed over all hosts
     /// ([`CellResult::report`] alone holds only host 0 of a fleet).
     pub fn events(&self) -> u64 {
-        match &self.fleet {
-            Some(fleet) => fleet.hosts.iter().map(|h| h.events).sum(),
-            None => self.report.events,
+        self.hosts().iter().map(|h| h.events).sum()
+    }
+
+    /// The run-wide structured counters of the cell, merged over all
+    /// hosts ([`CellResult::report`] alone holds only host 0 of a
+    /// fleet).
+    pub fn stats(&self) -> SimStats {
+        let mut all = SimStats::new();
+        for h in self.hosts() {
+            all.merge(&h.stats);
         }
+        all
     }
 }
 
@@ -513,7 +531,7 @@ fn summarize(
     elapsed: std::time::Duration,
 ) -> CellSummary {
     let tasks = || fleet.hosts.iter().flat_map(|h| &h.tasks);
-    let sum = |f: fn(&RunReport) -> u64| fleet.hosts.iter().map(f).sum::<u64>();
+    let stat = |key: StatKey| fleet.hosts.iter().map(|h| h.stats.get(key)).sum::<u64>();
     let sum_duration = |f: fn(&RunReport) -> SimDuration| fleet.hosts.iter().map(f).sum();
     let min_presence = spec.horizon / 20;
     let shares: Vec<f64> = tasks()
@@ -538,10 +556,10 @@ fn summarize(
         .map(|d| DeviceSummary {
             device: d.device,
             utilization: d.utilization(spec.horizon),
-            rejected: d.rejected,
+            rejected: d.stats.get(StatKey::RejectedAdmissions),
             tenants: d.tenants,
-            migrations_in: d.migrations_in,
-            migrations_out: d.migrations_out,
+            migrations_in: d.stats.get(StatKey::MigrationsIn),
+            migrations_out: d.stats.get(StatKey::MigrationsOut),
             transfer_stall: d.transfer_stall,
         })
         .collect();
@@ -555,7 +573,7 @@ fn summarize(
                 devices: h.devices.len(),
                 utilization: h.utilization(),
                 admitted: h.tasks.len(),
-                rejected: h.rejected_admissions,
+                rejected: h.stats.get(StatKey::RejectedAdmissions),
                 rounds: h.total_rounds(),
             })
             .collect()
@@ -581,24 +599,24 @@ fn summarize(
         killed: tasks().filter(|t| t.killed).count(),
         total_rounds: rounds.count(),
         completed_requests: tasks().map(|t| t.completed_requests).sum(),
-        faults: sum(|h| h.faults),
-        direct_submits: sum(|h| h.direct_submits),
+        faults: stat(StatKey::Faults),
+        direct_submits: stat(StatKey::DirectSubmits),
         utilization: fleet.utilization(),
         fairness,
         round_p50: rounds.quantile(50.0),
         round_p95: rounds.quantile(95.0),
         round_p99: rounds.quantile(99.0),
-        migrations: sum(|h| h.migrations),
+        migrations: stat(StatKey::MigrationsIn),
         transfer_stall: sum_duration(|h| h.transfer_stall),
         cross_host_migrations: fleet.cross_host_migrations,
         cluster_transfer_stall: fleet.cluster_transfer_stall,
         fleet_rejected: fleet.fleet_rejected,
-        injected_faults: sum(|h| h.injected_faults) + fleet.host_failures,
-        watchdog_kills: sum(|h| h.watchdog_kills),
-        fault_retries: sum(|h| h.fault_retries),
-        recovered_tasks: sum(|h| h.recovered_tasks) + fleet.fleet_fault_recovered,
-        lost_tasks: sum(|h| h.lost_tasks) + fleet.fleet_lost_tasks,
-        hot_removes: sum(|h| h.hot_removes),
+        injected_faults: stat(StatKey::InjectedFaults) + fleet.host_failures,
+        watchdog_kills: stat(StatKey::WatchdogKills),
+        fault_retries: stat(StatKey::FaultRetries),
+        recovered_tasks: stat(StatKey::RecoveredTasks) + fleet.fleet_fault_recovered,
+        lost_tasks: stat(StatKey::LostTasks) + fleet.fleet_lost_tasks,
+        hot_removes: stat(StatKey::HotRemoves),
         degraded: sum_duration(|h| h.degraded) + fleet.host_degraded,
         per_device,
         per_host,

@@ -223,7 +223,7 @@ const SUMMARY: &[Col<CellResult>] = {
         col("degraded_us", At(35), |r| Micros(r.summary.degraded), None),
         col("per_device", No, |r| Json(json_array(DEVICE, &r.summary.per_device)), None),
         col("per_host", No, |r| Json(json_array(HOST, &r.summary.per_host)), None),
-        col("stats", No, |r| Json(stats_json(&r.report.stats)), None),
+        col("stats", No, |r| Json(stats_json(&r.stats())), None),
         col("elapsed_ms", At(14), |r| Real(r.summary.elapsed.as_secs_f64() * 1e3, 3), tab("ms", 13, Always, 1)),
         col("peak_rss_bytes", At(22), |r| Maybe(r.summary.peak_rss_bytes), None),
     ]
@@ -839,9 +839,6 @@ mod tests {
                     compute_busy: SimDuration::from_millis(90),
                     dma_busy: SimDuration::ZERO,
                     tenants: 2,
-                    rejected: 1,
-                    migrations_in: 0,
-                    migrations_out: 2,
                     transfer_stall: SimDuration::ZERO,
                     degraded: SimDuration::ZERO,
                     stats: SimStats::new(),
@@ -851,9 +848,6 @@ mod tests {
                     compute_busy: SimDuration::from_millis(85),
                     dma_busy: SimDuration::ZERO,
                     tenants: 1,
-                    rejected: 0,
-                    migrations_in: 2,
-                    migrations_out: 0,
                     transfer_stall: SimDuration::from_micros(250),
                     degraded: SimDuration::ZERO,
                     stats: SimStats::new(),
@@ -861,18 +855,7 @@ mod tests {
             ],
             compute_busy: SimDuration::from_millis(175),
             dma_busy: SimDuration::ZERO,
-            faults: 9,
-            polls: 100,
-            direct_submits: 1291,
-            rejected_admissions: 1,
-            migrations: 2,
             transfer_stall: SimDuration::from_micros(250),
-            injected_faults: 0,
-            watchdog_kills: 0,
-            fault_retries: 0,
-            recovered_tasks: 0,
-            lost_tasks: 0,
-            hot_removes: 0,
             degraded: SimDuration::ZERO,
             events: 12_345,
             stats,
@@ -1155,6 +1138,50 @@ mod tests {
             json.contains(&format!("\"peak_rss_bytes\": {}", 64 * 1024 * 1024)),
             "{json}"
         );
+    }
+
+    #[test]
+    fn json_stats_of_a_multi_host_cell_sum_every_host() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../examples/scenarios/churn.toml"
+        );
+        let text = std::fs::read_to_string(path).expect("example scenario exists");
+        let mut spec = crate::from_toml(&text, "churn").expect("example scenario parses");
+        spec.hosts = 2;
+        let out = crate::sweep::run_serial(&crate::sweep::plan([spec]));
+        let json = to_json(&out);
+        let blocks: Vec<&str> = json
+            .split("\"stats\": {")
+            .skip(1)
+            .map(|b| &b[..b.find('}').expect("stats block closes")])
+            .collect();
+        assert_eq!(blocks.len(), out.results.len(), "one stats block per cell");
+        let stat = |block: &str, key: &str| -> u64 {
+            let key = format!("\"{key}\": ");
+            let rest = &block[block.find(&key).expect("stats key present") + key.len()..];
+            let end = rest
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(rest.len());
+            rest[..end].parse().expect("stats values are integers")
+        };
+        for (r, block) in out.results.iter().zip(blocks) {
+            let s = &r.summary;
+            assert_eq!(s.hosts, 2);
+            assert_eq!(stat(block, "faults"), s.faults, "{}", s.scheduler);
+            assert_eq!(
+                stat(block, "direct_submits"),
+                s.direct_submits,
+                "{}",
+                s.scheduler
+            );
+            assert_eq!(
+                stat(block, "migrations_in"),
+                s.migrations,
+                "{}",
+                s.scheduler
+            );
+        }
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! all) to within ~15 % of disengaged-ts.
 
 use disengaged_scheduling::core::cost::SchedParams;
+use disengaged_scheduling::core::telemetry::StatKey;
 use disengaged_scheduling::core::world::{World, WorldConfig};
 use disengaged_scheduling::core::{RunReport, SchedulerKind};
 use disengaged_scheduling::workloads::adversary::Batcher;
@@ -115,7 +116,7 @@ fn freerun_cap_only_binds_on_inflated_engagements() {
         }
         let r = world.run(SimDuration::from_millis(400));
         (
-            r.faults,
+            r.stats.get(StatKey::Faults),
             r.tasks[0].rounds.clone(),
             r.tasks[1].rounds.clone(),
         )

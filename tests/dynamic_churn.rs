@@ -4,6 +4,7 @@
 
 use disengaged_scheduling::core::cost::SchedParams;
 use disengaged_scheduling::core::placement::PlacementKind;
+use disengaged_scheduling::core::telemetry::StatKey;
 use disengaged_scheduling::core::world::{World, WorldConfig};
 use disengaged_scheduling::core::{RunReport, SchedulerKind};
 use disengaged_scheduling::gpu::{GpuConfig, Topology};
@@ -147,7 +148,7 @@ fn exhausted_arrivals_are_rejected_not_fatal_for_every_policy() {
         // Long enough for every resident to hold the 30ms token at
         // least once under the timeslice policies.
         let report = world.run(ms(250));
-        assert_eq!(report.rejected_admissions, 4, "{kind}");
+        assert_eq!(report.stats.get(StatKey::RejectedAdmissions), 4, "{kind}");
         assert_eq!(report.tasks.len(), 3, "{kind}");
         for t in &report.tasks {
             assert!(t.rounds_completed() > 0, "{kind}: resident starved");
@@ -161,7 +162,11 @@ fn churn_scenarios_are_deterministic_for_every_policy() {
         let a = run_churn(kind, 0x5EED, ms(300));
         let b = run_churn(kind, 0x5EED, ms(300));
         assert_eq!(a.compute_busy, b.compute_busy, "{kind}");
-        assert_eq!(a.faults, b.faults, "{kind}");
+        assert_eq!(
+            a.stats.get(StatKey::Faults),
+            b.stats.get(StatKey::Faults),
+            "{kind}"
+        );
         for (ta, tb) in a.tasks.iter().zip(&b.tasks) {
             assert_eq!(ta.rounds, tb.rounds, "{kind}: {}", ta.name);
             assert_eq!(ta.usage, tb.usage, "{kind}");

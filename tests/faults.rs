@@ -10,6 +10,7 @@ use disengaged_scheduling::core::cost::SchedParams;
 use disengaged_scheduling::core::fault::{FaultConfig, FaultKind, FaultPlan};
 use disengaged_scheduling::core::placement::PlacementKind;
 use disengaged_scheduling::core::rebalance::RebalanceKind;
+use disengaged_scheduling::core::telemetry::StatKey;
 use disengaged_scheduling::core::workload::FixedLoop;
 use disengaged_scheduling::core::world::{World, WorldConfig};
 use disengaged_scheduling::core::{labels, RunReport, SchedulerKind};
@@ -116,10 +117,18 @@ fn watchdog_kills_and_requeues_a_hung_task() {
     plan.push(at_ms(1), FaultKind::TaskHang { task: None });
     for kind in ALL_SCHEDULERS {
         let (report, _) = run_faulted(kind, PlacementKind::RoundRobin, 1, plan.clone(), ms(30));
-        assert_eq!(report.injected_faults, 1, "{kind}");
-        assert_eq!(report.watchdog_kills, 1, "{kind}");
-        assert_eq!(report.fault_retries, 1, "{kind}: one requeue scheduled");
-        assert_eq!(report.lost_tasks, 0, "{kind}: budget not exhausted");
+        assert_eq!(report.stats.get(StatKey::InjectedFaults), 1, "{kind}");
+        assert_eq!(report.stats.get(StatKey::WatchdogKills), 1, "{kind}");
+        assert_eq!(
+            report.stats.get(StatKey::FaultRetries),
+            1,
+            "{kind}: one requeue scheduled"
+        );
+        assert_eq!(
+            report.stats.get(StatKey::LostTasks),
+            0,
+            "{kind}: budget not exhausted"
+        );
         // The requeue is a fresh admission: 3 residents + 1 visitor + 1.
         assert_eq!(report.tasks.len(), 5, "{kind}");
         let (_, killed, _) = outcome_buckets(&report);
@@ -147,9 +156,13 @@ fn watchdog_retry_budget_exhaustion_loses_the_lineage() {
         plan,
         ms(30),
     );
-    assert_eq!(report.watchdog_kills, 1);
-    assert_eq!(report.fault_retries, 0, "no budget, no requeue");
-    assert_eq!(report.lost_tasks, 1);
+    assert_eq!(report.stats.get(StatKey::WatchdogKills), 1);
+    assert_eq!(
+        report.stats.get(StatKey::FaultRetries),
+        0,
+        "no budget, no requeue"
+    );
+    assert_eq!(report.stats.get(StatKey::LostTasks), 1);
     assert_eq!(report.tasks.len(), 4, "no requeued admission");
 }
 
@@ -171,8 +184,8 @@ fn hang_without_watchdog_wedges_until_the_horizon() {
         plan,
         ms(30),
     );
-    assert_eq!(report.watchdog_kills, 0);
-    assert_eq!(report.lost_tasks, 0);
+    assert_eq!(report.stats.get(StatKey::WatchdogKills), 0);
+    assert_eq!(report.stats.get(StatKey::LostTasks), 0);
     let victim = &report.tasks[0];
     assert!(victim.finished_at.is_none(), "wedged, not killed");
     assert!(
@@ -196,9 +209,13 @@ fn crash_loses_the_victim_immediately() {
     );
     for kind in ALL_SCHEDULERS {
         let (report, _) = run_faulted(kind, PlacementKind::RoundRobin, 1, plan.clone(), ms(30));
-        assert_eq!(report.lost_tasks, 1, "{kind}");
-        assert_eq!(report.watchdog_kills, 0, "{kind}");
-        assert_eq!(report.fault_retries, 0, "{kind}: a crash is not retried");
+        assert_eq!(report.stats.get(StatKey::LostTasks), 1, "{kind}");
+        assert_eq!(report.stats.get(StatKey::WatchdogKills), 0, "{kind}");
+        assert_eq!(
+            report.stats.get(StatKey::FaultRetries),
+            0,
+            "{kind}: a crash is not retried"
+        );
         assert_eq!(report.tasks.len(), 4, "{kind}");
         let victim = &report.tasks[1];
         assert!(victim.killed, "{kind}");
@@ -222,12 +239,13 @@ fn submit_error_is_retried_and_the_task_recovers() {
         plan,
         ms(30),
     );
-    assert_eq!(report.injected_faults, 1);
+    assert_eq!(report.stats.get(StatKey::InjectedFaults), 1);
     assert_eq!(
-        report.fault_retries, 1,
+        report.stats.get(StatKey::FaultRetries),
+        1,
         "the failed submission retried once"
     );
-    assert_eq!(report.lost_tasks, 0);
+    assert_eq!(report.stats.get(StatKey::LostTasks), 0);
     let victim = &report.tasks[0];
     assert!(!victim.killed);
     assert!(
@@ -251,13 +269,20 @@ fn hot_remove_drains_residents_to_the_survivor() {
     );
     for kind in ALL_SCHEDULERS {
         let (report, _) = run_faulted(kind, PlacementKind::RoundRobin, 2, plan.clone(), ms(30));
-        assert_eq!(report.hot_removes, 1, "{kind}");
-        assert!(report.recovered_tasks >= 1, "{kind}: residents drained");
+        assert_eq!(report.stats.get(StatKey::HotRemoves), 1, "{kind}");
         assert!(
-            report.migrations >= 1,
+            report.stats.get(StatKey::RecoveredTasks) >= 1,
+            "{kind}: residents drained"
+        );
+        assert!(
+            report.stats.get(StatKey::MigrationsIn) >= 1,
             "{kind}: drain uses the migration path"
         );
-        assert_eq!(report.lost_tasks, 0, "{kind}: the survivor had room");
+        assert_eq!(
+            report.stats.get(StatKey::LostTasks),
+            0,
+            "{kind}: the survivor had room"
+        );
         // Offline from 5ms through the 30ms horizon.
         assert_eq!(report.degraded, ms(25), "{kind}");
         for t in report.tasks.iter().filter(|t| t.finished_at.is_none()) {
@@ -295,11 +320,19 @@ fn hot_add_restages_parked_tasks_and_bounds_degraded_time() {
         plan,
         ms(30),
     );
-    assert_eq!(report.hot_removes, 1);
-    assert_eq!(report.lost_tasks, 0, "everyone re-staged");
-    assert_eq!(report.recovered_tasks, 3, "the three residents came back");
+    assert_eq!(report.stats.get(StatKey::HotRemoves), 1);
+    assert_eq!(
+        report.stats.get(StatKey::LostTasks),
+        0,
+        "everyone re-staged"
+    );
+    assert_eq!(
+        report.stats.get(StatKey::RecoveredTasks),
+        3,
+        "the three residents came back"
+    );
     assert!(
-        report.fault_retries >= 1,
+        report.stats.get(StatKey::FaultRetries) >= 1,
         "parked retries fired before the add"
     );
     assert_eq!(report.degraded, ms(5), "offline exactly 5ms..10ms");
@@ -386,12 +419,19 @@ fn every_lifecycle_path_returns_device_state_and_tenancy() {
             let seen = world.trace.with_label(label).next().is_some();
             assert!(seen, "{kind}: no {label} in the trace");
         }
-        assert_eq!(report.injected_faults, 5, "{kind}");
-        assert_eq!(report.watchdog_kills, 1, "{kind}");
-        assert_eq!(report.lost_tasks, 1, "{kind}: the crash victim");
+        assert_eq!(report.stats.get(StatKey::InjectedFaults), 5, "{kind}");
+        assert_eq!(report.stats.get(StatKey::WatchdogKills), 1, "{kind}");
+        assert_eq!(
+            report.stats.get(StatKey::LostTasks),
+            1,
+            "{kind}: the crash victim"
+        );
         assert_eq!(report.tasks.len(), 6, "{kind}: five tenants + one requeue");
-        assert!(report.recovered_tasks >= 1, "{kind}: the restage");
-        assert!(report.migrations >= 1, "{kind}");
+        assert!(
+            report.stats.get(StatKey::RecoveredTasks) >= 1,
+            "{kind}: the restage"
+        );
+        assert!(report.stats.get(StatKey::MigrationsIn) >= 1, "{kind}");
         assert_eq!(world.free_capacity(), fresh, "{kind}: capacity leaked");
         for d in &report.devices {
             assert_eq!(d.tenants, 0, "{kind}: {} still counts tenants", d.device);
@@ -425,9 +465,13 @@ fn park_retry_bound_loses_tasks_when_capacity_never_returns() {
         plan,
         ms(30),
     );
-    assert_eq!(report.hot_removes, 1);
-    assert_eq!(report.recovered_tasks, 0);
-    assert_eq!(report.lost_tasks, 3, "every parked resident hit the bound");
+    assert_eq!(report.stats.get(StatKey::HotRemoves), 1);
+    assert_eq!(report.stats.get(StatKey::RecoveredTasks), 0);
+    assert_eq!(
+        report.stats.get(StatKey::LostTasks),
+        3,
+        "every parked resident hit the bound"
+    );
     assert_eq!(report.degraded, ms(25));
     let (_, killed, _) = outcome_buckets(&report);
     assert_eq!(killed, 3);
@@ -526,7 +570,7 @@ proptest! {
                 // simulated span of the run, not host time
                 prop_assert!(report.wall <= horizon, "{kind} × {placement}");
                 prop_assert_eq!(
-                    report.injected_faults,
+                    report.stats.get(StatKey::InjectedFaults),
                     raw.len() as u64,
                     "{} × {}: every scheduled event fires once",
                     kind,
@@ -560,8 +604,8 @@ proptest! {
                     run_faulted(kind, placement, 2, plan.clone(), horizon);
                 prop_assert_eq!(hash, replay_hash, "{} × {}", kind, placement);
                 prop_assert_eq!(
-                    (replay.watchdog_kills, replay.lost_tasks, replay.recovered_tasks),
-                    (report.watchdog_kills, report.lost_tasks, report.recovered_tasks),
+                    (replay.stats.get(StatKey::WatchdogKills), replay.stats.get(StatKey::LostTasks), replay.stats.get(StatKey::RecoveredTasks)),
+                    (report.stats.get(StatKey::WatchdogKills), report.stats.get(StatKey::LostTasks), report.stats.get(StatKey::RecoveredTasks)),
                     "{} × {}",
                     kind,
                     placement

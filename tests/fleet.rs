@@ -8,7 +8,7 @@
 use disengaged_scheduling::core::cost::SchedParams;
 use disengaged_scheduling::core::fleet::{Fleet, FleetPlacementKind, FleetRebalanceKind};
 use disengaged_scheduling::core::placement::PlacementKind;
-use disengaged_scheduling::core::telemetry::MetricsMode;
+use disengaged_scheduling::core::telemetry::{MetricsMode, StatKey};
 use disengaged_scheduling::core::workload::FixedLoop;
 use disengaged_scheduling::core::world::{World, WorldConfig};
 use disengaged_scheduling::core::SchedulerKind;
@@ -112,10 +112,15 @@ fn one_host_fleet_is_byte_identical_to_bare_world() {
             assert_eq!(fleet_report.hosts.len(), 1, "{tag}");
             let host = &fleet_report.hosts[0];
             assert_eq!(host.compute_busy, bare_report.compute_busy, "{tag}");
-            assert_eq!(host.faults, bare_report.faults, "{tag}");
+            assert_eq!(
+                host.stats.get(StatKey::Faults),
+                bare_report.stats.get(StatKey::Faults),
+                "{tag}"
+            );
             assert_eq!(host.events, bare_report.events, "{tag}");
             assert_eq!(
-                host.rejected_admissions, bare_report.rejected_admissions,
+                host.stats.get(StatKey::RejectedAdmissions),
+                bare_report.stats.get(StatKey::RejectedAdmissions),
                 "{tag}"
             );
             let rounds = |r: &disengaged_scheduling::core::RunReport| {
@@ -460,7 +465,7 @@ proptest! {
             policy
         );
         let host_rejections: u64 =
-            report.hosts.iter().map(|h| h.rejected_admissions).sum();
+            report.hosts.iter().map(|h| h.stats.get(StatKey::RejectedAdmissions)).sum();
         prop_assert_eq!(
             host_rejections, 0,
             "{}: the ledger is exact here, hosts must reject nothing",

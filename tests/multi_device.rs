@@ -6,6 +6,7 @@
 use disengaged_scheduling::core::cost::SchedParams;
 use disengaged_scheduling::core::placement::PlacementKind;
 use disengaged_scheduling::core::rebalance::RebalanceKind;
+use disengaged_scheduling::core::telemetry::StatKey;
 use disengaged_scheduling::core::world::{World, WorldConfig};
 use disengaged_scheduling::core::SchedulerKind;
 use disengaged_scheduling::gpu::{
@@ -114,7 +115,7 @@ fn one_device_world_reproduces_pre_refactor_traces_exactly() {
         let mut world = golden_world(g.kind);
         let report = world.run(ms(120));
         assert_eq!(report.compute_busy.as_nanos(), g.busy_ns, "{}", g.kind);
-        assert_eq!(report.faults, g.faults, "{}", g.kind);
+        assert_eq!(report.stats.get(StatKey::Faults), g.faults, "{}", g.kind);
         let rounds: Vec<usize> = report.tasks.iter().map(|t| t.rounds_completed()).collect();
         assert_eq!(rounds, g.rounds, "{}", g.kind);
         let mut log = String::new();
@@ -207,7 +208,11 @@ fn every_placement_admits_everything_while_capacity_lasts() {
     for placement in PlacementKind::ALL {
         let mut world = churny_multi_world(2, SchedulerKind::Direct, placement, 7);
         let report = world.run(ms(100));
-        assert_eq!(report.rejected_admissions, 0, "{placement}");
+        assert_eq!(
+            report.stats.get(StatKey::RejectedAdmissions),
+            0,
+            "{placement}"
+        );
         assert_eq!(report.tasks.len(), 7, "{placement}");
         for t in &report.tasks {
             assert!(
@@ -255,9 +260,9 @@ fn pinning_is_exact_and_rejections_are_per_device() {
         );
     }
     let report = world.run(ms(30));
-    assert_eq!(report.rejected_admissions, 3);
-    assert_eq!(report.devices[0].rejected, 3);
-    assert_eq!(report.devices[1].rejected, 0);
+    assert_eq!(report.stats.get(StatKey::RejectedAdmissions), 3);
+    assert_eq!(report.devices[0].stats.get(StatKey::RejectedAdmissions), 3);
+    assert_eq!(report.devices[1].stats.get(StatKey::RejectedAdmissions), 0);
     assert_eq!(report.devices[1].tenants, 0, "nothing spilled to dev1");
 }
 
@@ -302,7 +307,7 @@ fn rebalancing_under_dfq_survives_churn_and_keeps_tasks_running() {
     };
     let report = run();
     assert!(
-        report.migrations >= 1,
+        report.stats.get(StatKey::MigrationsIn) >= 1,
         "churn of this shape must trigger at least one rebalance migration"
     );
     for t in &report.tasks[..2] {
@@ -314,7 +319,10 @@ fn rebalancing_under_dfq_survives_churn_and_keeps_tasks_running() {
     }
     // And the whole dance is reproducible.
     let again = run();
-    assert_eq!(report.migrations, again.migrations);
+    assert_eq!(
+        report.stats.get(StatKey::MigrationsIn),
+        again.stats.get(StatKey::MigrationsIn)
+    );
     for (a, b) in report.tasks.iter().zip(&again.tasks) {
         assert_eq!(a.rounds, b.rounds);
         assert_eq!(a.device, b.device);
@@ -377,7 +385,7 @@ proptest! {
             report.tasks.len(), arrivals, total
         );
         prop_assert_eq!(
-            report.rejected_admissions,
+            report.stats.get(StatKey::RejectedAdmissions),
             (arrivals - expected_admitted) as u64
         );
         // And no device was over- or under-filled while others starved:

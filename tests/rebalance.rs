@@ -25,6 +25,7 @@ use disengaged_scheduling::core::placement::{DeviceLoad, PlacementKind};
 use disengaged_scheduling::core::rebalance::{
     Migration, MigrationCandidate, Rebalance, RebalanceKind,
 };
+use disengaged_scheduling::core::telemetry::StatKey;
 use disengaged_scheduling::core::world::{World, WorldConfig};
 use disengaged_scheduling::core::SchedulerKind;
 use disengaged_scheduling::gpu::{DeviceSlotSpec, GpuConfig, InterconnectParams, Topology};
@@ -141,9 +142,11 @@ fn count_diff_reproduces_the_legacy_rebalance_path_exactly() {
             g.placement
         );
         assert_eq!(
-            report.migrations, g.migrations,
+            report.stats.get(StatKey::MigrationsIn),
+            g.migrations,
             "{} {}",
-            g.kind, g.placement
+            g.kind,
+            g.placement
         );
         let mut log = String::new();
         for e in world.trace.iter() {
@@ -239,10 +242,10 @@ fn cost_aware_bounds_migrations_under_a_departure_storm() {
         r.tasks.iter().map(|t| t.migrations).max().unwrap_or(0)
     };
     assert!(
-        baseline.migrations >= 8 && max_moves(&baseline) >= 6,
+        baseline.stats.get(StatKey::MigrationsIn) >= 8 && max_moves(&baseline) >= 6,
         "the storm must actually ping-pong under the baseline \
          (total {}, worst task {})",
-        baseline.migrations,
+        baseline.stats.get(StatKey::MigrationsIn),
         max_moves(&baseline)
     );
     assert!(
@@ -253,10 +256,10 @@ fn cost_aware_bounds_migrations_under_a_departure_storm() {
         max_moves(&baseline)
     );
     assert!(
-        aware.migrations <= baseline.migrations,
+        aware.stats.get(StatKey::MigrationsIn) <= baseline.stats.get(StatKey::MigrationsIn),
         "cost-aware migrated more ({}) than the baseline ({})",
-        aware.migrations,
-        baseline.migrations
+        aware.stats.get(StatKey::MigrationsIn),
+        baseline.stats.get(StatKey::MigrationsIn)
     );
     assert!(
         aware.transfer_stall <= baseline.transfer_stall,
@@ -280,11 +283,12 @@ fn cost_aware_never_migrates_when_cost_exceeds_gain() {
     let baseline = departure_storm(RebalanceKind::CountDiff, ws);
     let aware = departure_storm(RebalanceKind::CostAware, ws);
     assert!(
-        baseline.migrations >= 1,
+        baseline.stats.get(StatKey::MigrationsIn) >= 1,
         "the charge-blind baseline must still move tasks"
     );
     assert_eq!(
-        aware.migrations, 0,
+        aware.stats.get(StatKey::MigrationsIn),
+        0,
         "no observable gain can amortize a 1.4 s transfer"
     );
     assert_eq!(
@@ -346,7 +350,11 @@ fn migration_to_the_same_device_is_refused_not_replayed() {
         );
     }
     let report = world.run(ms(40));
-    assert_eq!(report.migrations, 0, "a same-device move is not a move");
+    assert_eq!(
+        report.stats.get(StatKey::MigrationsIn),
+        0,
+        "a same-device move is not a move"
+    );
     assert_eq!(report.tasks.iter().map(|t| t.migrations).sum::<u32>(), 0);
     let noop_lines = world
         .trace
@@ -439,7 +447,11 @@ fn unsound_migration_plans_are_refused_not_executed() {
         );
     }
     let report = world.run(ms(40));
-    assert_eq!(report.migrations, 0, "no unsound plan may execute");
+    assert_eq!(
+        report.stats.get(StatKey::MigrationsIn),
+        0,
+        "no unsound plan may execute"
+    );
     let refusals = world
         .trace
         .iter()
@@ -514,11 +526,12 @@ fn migration_to_an_offline_device_is_refused() {
     }
     let report = world.run(ms(30));
     assert_eq!(
-        report.migrations, 0,
+        report.stats.get(StatKey::MigrationsIn),
+        0,
         "no task may land on an offline device"
     );
     assert_eq!(report.devices[1].tenants, 0);
-    assert_eq!(report.devices[1].migrations_in, 0);
+    assert_eq!(report.devices[1].stats.get(StatKey::MigrationsIn), 0);
     let refusals = world
         .trace
         .iter()

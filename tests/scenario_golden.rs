@@ -132,7 +132,7 @@ fn sub_second_examples_emit_pinned_bytes() {
         (
             "churn hosts=2 all fleet placements",
             churn_fleet,
-            (0x1876fe399d5b3d34, 0x18d48636b646134a),
+            (0x7edbcfb83e9fa60c, 0x18d48636b646134a),
         ),
     ];
     let mut drift = Vec::new();

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: scheduler behaviour end-to-end.
 
 use disengaged_scheduling::core::cost::SchedParams;
+use disengaged_scheduling::core::telemetry::StatKey;
 use disengaged_scheduling::core::world::{World, WorldConfig};
 use disengaged_scheduling::core::SchedulerKind;
 use disengaged_scheduling::workloads::adversary::{Batcher, IdleBurst, InfiniteLoop};
@@ -139,13 +140,16 @@ fn disengaged_ts_intercepts_far_fewer_requests_than_engaged() {
     let engaged = run(SchedulerKind::Timeslice);
     let disengaged = run(SchedulerKind::DisengagedTimeslice);
     assert!(
-        engaged.faults > 10 * disengaged.faults.max(1),
+        engaged.stats.get(StatKey::Faults) > 10 * disengaged.stats.get(StatKey::Faults).max(1),
         "engaged {} vs disengaged {} faults",
-        engaged.faults,
-        disengaged.faults
+        engaged.stats.get(StatKey::Faults),
+        disengaged.stats.get(StatKey::Faults)
     );
     // Disengaged mode leaves the bulk of submissions direct.
-    assert!(disengaged.direct_submits > 9 * disengaged.faults.max(1));
+    assert!(
+        disengaged.stats.get(StatKey::DirectSubmits)
+            > 9 * disengaged.stats.get(StatKey::Faults).max(1)
+    );
 }
 
 #[test]
@@ -154,11 +158,11 @@ fn dfq_mostly_disengages_too() {
     w.add_task(Box::new(app::dct())).unwrap();
     w.add_task(Box::new(Throttle::new(us(430)))).unwrap();
     let report = w.run(SimDuration::from_millis(500));
-    let total = report.faults + report.direct_submits;
+    let total = report.stats.get(StatKey::Faults) + report.stats.get(StatKey::DirectSubmits);
     assert!(
-        (report.faults as f64) < 0.25 * total as f64,
+        (report.stats.get(StatKey::Faults) as f64) < 0.25 * total as f64,
         "DFQ intercepted {}/{} submissions",
-        report.faults,
+        report.stats.get(StatKey::Faults),
         total
     );
 }
@@ -219,10 +223,10 @@ fn vendor_statistics_remove_the_estimation_anomalies() {
 
     // And the interception count collapses: no sampling windows at all.
     assert!(
-        hw.faults * 5 < est.faults.max(1),
+        hw.stats.get(StatKey::Faults) * 5 < est.stats.get(StatKey::Faults).max(1),
         "hw mode intercepted {} vs estimation's {}",
-        hw.faults,
-        est.faults
+        hw.stats.get(StatKey::Faults),
+        est.stats.get(StatKey::Faults)
     );
 }
 

@@ -109,7 +109,7 @@ proptest! {
         let a = run_mix(kind, &sizes, seed, 80);
         let b = run_mix(kind, &sizes, seed, 80);
         prop_assert_eq!(a.compute_busy, b.compute_busy);
-        prop_assert_eq!(a.faults, b.faults);
+        prop_assert_eq!(a.stats.get(StatKey::Faults), b.stats.get(StatKey::Faults));
         for (ta, tb) in a.tasks.iter().zip(&b.tasks) {
             prop_assert_eq!(&ta.rounds, &tb.rounds);
             prop_assert_eq!(ta.usage, tb.usage);
@@ -124,12 +124,12 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let direct = run_mix(SchedulerKind::Direct, &sizes, seed, 100);
-        prop_assert_eq!(direct.faults, 0);
-        prop_assert!(direct.direct_submits > 0);
+        prop_assert_eq!(direct.stats.get(StatKey::Faults), 0);
+        prop_assert!(direct.stats.get(StatKey::DirectSubmits) > 0);
 
         let engaged = run_mix(SchedulerKind::Timeslice, &sizes, seed, 100);
-        prop_assert_eq!(engaged.direct_submits, 0, "engaged TS must trap everything");
-        prop_assert!(engaged.faults > 0);
+        prop_assert_eq!(engaged.stats.get(StatKey::DirectSubmits), 0, "engaged TS must trap everything");
+        prop_assert!(engaged.stats.get(StatKey::Faults) > 0);
     }
 }
 
@@ -139,6 +139,7 @@ proptest! {
 
 use disengaged_scheduling::core::fault::{FaultConfig, FaultKind, FaultPlan};
 use disengaged_scheduling::core::placement::PlacementKind;
+use disengaged_scheduling::core::telemetry::StatKey;
 use disengaged_scheduling::gpu::{
     DeviceId, DeviceSlotSpec, GpuConfig, InterconnectParams, Topology,
 };
@@ -311,7 +312,11 @@ fn reset_world_matches_fresh_world() {
         for e in world.trace.iter() {
             log.push_str(&format!("{e}\n"));
         }
-        (fnv1a(log.as_bytes()), report.faults, report.tasks.len())
+        (
+            fnv1a(log.as_bytes()),
+            report.stats.get(StatKey::Faults),
+            report.tasks.len(),
+        )
     }
     let schedulers = [
         SchedulerKind::Direct,
@@ -378,11 +383,12 @@ fn reset_world_matches_fresh_world() {
                     .unwrap();
                 let dirty = reused.run(SimDuration::from_millis(15));
                 assert!(
-                    dirty.watchdog_kills >= 1 && dirty.hot_removes == 1,
+                    dirty.stats.get(StatKey::WatchdogKills) >= 1
+                        && dirty.stats.get(StatKey::HotRemoves) == 1,
                     "dirty run must actually exercise the fault paths \
                      (kills={}, removes={})",
-                    dirty.watchdog_kills,
-                    dirty.hot_removes
+                    dirty.stats.get(StatKey::WatchdogKills),
+                    dirty.stats.get(StatKey::HotRemoves)
                 );
                 assert_eq!(dirty.devices.len(), dirty_devices);
                 assert_eq!(

@@ -21,6 +21,7 @@
 use disengaged_scheduling::core::cost::SchedParams;
 use disengaged_scheduling::core::placement::PlacementKind;
 use disengaged_scheduling::core::rebalance::RebalanceKind;
+use disengaged_scheduling::core::telemetry::StatKey;
 use disengaged_scheduling::core::workload::WithWorkingSet;
 use disengaged_scheduling::core::world::{World, WorldConfig};
 use disengaged_scheduling::core::SchedulerKind;
@@ -207,12 +208,14 @@ fn migration_stall_at(tier: LinkTier, working_set: u64) -> SimDuration {
     world.depart_task_at(SimTime::ZERO + ms(6), TaskId::new(3));
     let report = world.run(ms(40));
     assert_eq!(
-        report.migrations, 1,
+        report.stats.get(StatKey::MigrationsIn),
+        1,
         "{tier}: exactly one migration expected"
     );
     let migrated = report.tasks.iter().find(|t| t.migrations > 0).unwrap();
     assert_eq!(
-        report.devices[1].migrations_in, 1,
+        report.devices[1].stats.get(StatKey::MigrationsIn),
+        1,
         "{tier}: the migration must land on the drained device"
     );
     migrated.transfer_stall.saturating_sub(staging)
@@ -383,7 +386,7 @@ proptest! {
             placement, report.tasks.len(), arrivals, total
         );
         prop_assert_eq!(
-            report.rejected_admissions,
+            report.stats.get(StatKey::RejectedAdmissions),
             (arrivals - expected_admitted) as u64
         );
         // If anything was rejected, every device must be full.
