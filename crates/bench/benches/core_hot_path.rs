@@ -12,8 +12,12 @@
 //! one (its miss), and a `Gpu` after long churn (`gpu_after_churn`:
 //! ~1,600 channels created and destroyed, 10 live tasks), whose drain
 //! check, queued count and task teardown cost O(live channels), not
-//! O(channels ever created). `neon bench <scenario>` measures the same
-//! path end to end and emits `BENCH_core.json` for the perf trajectory.
+//! O(channels ever created). `tiny_rounds_world` is the world's task
+//! chain almost alone: eight 10 us fixed-loop residents with a 1 us gap,
+//! under `direct` and `disengaged-fq`, where most events are a task's
+//! own next step or store and run without entering the queue.
+//! `neon bench <scenario>` measures the same path end to end and emits
+//! `BENCH_core.json` for the perf trajectory.
 //!
 //! Every case runs in the one process, so what the cases before it
 //! allocated moves its figure: quote a case only from its own process,
@@ -56,6 +60,22 @@ fn churn_world(trace: bool) -> World {
             Box::new(FixedLoop::endless(format!("visitor{i}"), us(120), us(10))),
             SimDuration::from_millis(8),
         );
+    }
+    world
+}
+
+/// Eight tiny-round fixed-loop residents (10 us service, 1 us gap) on
+/// one device under `kind`: long-tenant's resident-small group alone.
+fn tiny_rounds_world(kind: SchedulerKind) -> World {
+    let mut world = World::new(WorldConfig::default(), kind.build(SchedParams::default()));
+    for i in 0..8 {
+        world
+            .add_task(Box::new(FixedLoop::endless(
+                format!("tiny{i}"),
+                us(10),
+                us(1),
+            )))
+            .unwrap();
     }
     world
 }
@@ -315,6 +335,16 @@ fn bench(c: &mut Criterion) {
             std::hint::black_box(world.run(SimDuration::from_millis(100)))
         })
     });
+
+    for kind in [SchedulerKind::Direct, SchedulerKind::DisengagedFairQueueing] {
+        let name = format!("core_hot_path/tiny_rounds_world/{}", kind.label());
+        c.bench_function(&name, |b| {
+            b.iter(|| {
+                let mut world = tiny_rounds_world(kind);
+                std::hint::black_box(world.run(SimDuration::from_millis(50)))
+            })
+        });
+    }
 }
 
 criterion_group! {

@@ -47,6 +47,22 @@
 //! - `recovery.rs` — faults, the watchdog, hot-remove/add and the parked
 //!   set (the `Recovery` block);
 //! - `report.rs` — the sampler (the `Sampler` block) and the run report.
+//!
+//! # The event loop
+//!
+//! Most events are one task's chain: the step after a `CpuWork` or an
+//! `EndRound`, the `DeviceSubmit` of a store, the step after a
+//! non-blocking submit. The handlers on that chain (`task_step`,
+//! `attempt_submit` and `device_submit`) return their task's successor
+//! instead of scheduling it, and the loop runs it in place when every
+//! queued event is strictly later; otherwise it queues it as the
+//! handler would have. This is exact. The successor is always the
+//! handler's last schedule, so every queued key has a lower sequence
+//! number than it would have taken: when each is also strictly later,
+//! the successor is precisely the event the queue would have popped
+//! next. A queued event at the very same instant fires first, which is
+//! why the test is strict. The sequence number it never takes changes
+//! no relative order, and it still sets `now` and counts one event.
 
 pub(crate) mod ctx;
 mod lifecycle;
@@ -208,6 +224,11 @@ enum Event {
 // Every event is copied into and out of the queue; at 8 bytes it moves
 // in a register (the event queue's module doc).
 const _: () = assert!(std::mem::size_of::<Event>() == 8);
+
+/// A task handler's successor: the task's own next event and its
+/// instant, which the event loop runs in place or queues (the module
+/// doc's "event loop").
+type Successor = Option<(SimTime, Event)>;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TaskState {
@@ -428,24 +449,47 @@ impl World {
         Self::build(config, placement, &mut sched_factory)
     }
 
-    /// One slot per device of the topology, each with its own scheduler.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topology names more than [`MAX_DEVICES`] devices,
-    /// more than an event can address.
+    /// A fresh world: one slot per device of the topology, each with its
+    /// own scheduler ([`World::device_slots`]).
     fn build(
         config: WorldConfig,
         placement: Box<dyn Placement>,
         sched_factory: &mut dyn FnMut(DeviceId) -> Box<dyn Scheduler>,
     ) -> Self {
-        let topology = &config.topology;
+        World {
+            queue: EventQueue::new(),
+            now: SimTime::ZERO,
+            devices: Self::device_slots(&config.topology, sched_factory),
+            placement,
+            rebalance: config.rebalance.build(),
+            tasks: Vec::new(),
+            task_pool: Vec::new(),
+            pending_arrivals: Vec::new(),
+            trace: Trace::new(),
+            stats: SimStats::new(),
+            sampler: Sampler::new(&config),
+            recovery: Recovery::default(),
+            started: false,
+            config,
+        }
+    }
+
+    /// Fresh device slots for `topology`, each with its own scheduler.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology names more than [`MAX_DEVICES`] devices,
+    /// more than an event can address.
+    fn device_slots(
+        topology: &Topology,
+        sched_factory: &mut dyn FnMut(DeviceId) -> Box<dyn Scheduler>,
+    ) -> Vec<DeviceSlot> {
         assert!(
             topology.len() <= MAX_DEVICES,
             "a host holds at most {MAX_DEVICES} devices, not {}",
             topology.len()
         );
-        let devices = topology
+        topology
             .configs()
             .into_iter()
             .enumerate()
@@ -465,32 +509,16 @@ impl World {
                     hung_engines: [false; EngineClass::ALL.len()],
                 }
             })
-            .collect();
-        World {
-            queue: EventQueue::new(),
-            now: SimTime::ZERO,
-            devices,
-            placement,
-            rebalance: config.rebalance.build(),
-            tasks: Vec::new(),
-            task_pool: Vec::new(),
-            pending_arrivals: Vec::new(),
-            trace: Trace::new(),
-            stats: SimStats::new(),
-            sampler: Sampler::new(&config),
-            recovery: Recovery::default(),
-            started: false,
-            config,
-        }
+            .collect()
     }
 
     /// Returns this world to a freshly-constructed state under a new
-    /// configuration: the world is rebuilt, but keeps the event queue's
-    /// slab and heap, the trace ring, the task table, the
-    /// pending-arrival table, and the retired tasks' buffers (kept as
-    /// empty, capacity-only shells). A sweep worker builds one `World`
-    /// and resets it between cells instead of constructing a new one
-    /// per cell.
+    /// configuration: everything a new world is built with is made afresh,
+    /// but the world keeps the event queue's slab and buckets, the trace
+    /// ring, the task table, the pending-arrival table, and the retired
+    /// tasks' buffers (kept as empty, capacity-only shells), emptied in
+    /// place. A sweep worker builds one `World` and resets it between
+    /// cells instead of constructing a new one per cell.
     ///
     /// Behavior is exactly that of `World::with_devices(config,
     /// placement, sched_factory)` — a reset world's trace is
@@ -503,18 +531,39 @@ impl World {
         placement: Box<dyn Placement>,
         mut sched_factory: impl FnMut(DeviceId) -> Box<dyn Scheduler>,
     ) {
-        let fresh = Self::build(config, placement, &mut sched_factory);
-        let mut old = std::mem::replace(self, fresh);
-        old.queue.clear();
-        old.trace.reset();
-        old.pending_arrivals.clear();
-        old.task_pool
-            .extend(old.tasks.drain(..).map(TaskShell::retire));
-        self.queue = old.queue;
-        self.trace = old.trace;
-        self.tasks = old.tasks;
-        self.task_pool = old.task_pool;
-        self.pending_arrivals = old.pending_arrivals;
+        // Field by field, so the kept buffers never leave `self` and no
+        // fresh queue or trace ring is built only to be dropped. Every
+        // field is named (no `..`): a new one fails to compile here
+        // until it is given the value `build` gives it.
+        let World {
+            queue,
+            now,
+            devices,
+            placement: placement_slot,
+            rebalance,
+            tasks,
+            task_pool,
+            config: config_slot,
+            pending_arrivals,
+            trace,
+            stats,
+            sampler,
+            recovery,
+            started,
+        } = self;
+        queue.clear();
+        trace.reset();
+        pending_arrivals.clear();
+        task_pool.extend(tasks.drain(..).map(TaskShell::retire));
+        *now = SimTime::ZERO;
+        *devices = Self::device_slots(&config.topology, &mut sched_factory);
+        *placement_slot = placement;
+        *rebalance = config.rebalance.build();
+        *stats = SimStats::new();
+        *sampler = Sampler::new(&config);
+        *recovery = Recovery::default();
+        *started = false;
+        *config_slot = config;
     }
 
     /// Number of devices in this world.
@@ -583,48 +632,79 @@ impl World {
         self.schedule_fault_plan();
         self.queue.schedule(SimTime::ZERO + horizon, Event::Horizon);
 
-        while let Some((at, event)) = self.queue.pop() {
-            self.now = at;
-            self.stats.bump(StatKey::Events);
-            match event {
-                Event::Horizon => break,
-                Event::TaskStep(t) => self.task_step(t),
-                Event::DeviceSubmit(t) => self.device_submit(t),
-                Event::EngineDone(dev, class) => self.engine_done(dev.index(), class),
-                Event::Poll => {
-                    self.stats.bump(StatKey::Polls);
-                    for dev in 0..self.devices.len() {
-                        self.dispatch_sched(dev, |s, ctx| s.on_poll(ctx));
+        'run: while let Some((mut at, mut event)) = self.queue.pop() {
+            // A task's chain runs on here while each successor is the
+            // next event (the module doc's inline rule).
+            loop {
+                self.now = at;
+                self.stats.bump(StatKey::Events);
+                let successor = match event {
+                    Event::Horizon => break 'run,
+                    Event::TaskStep(t) => self.task_step(t),
+                    Event::DeviceSubmit(t) => self.device_submit(t),
+                    Event::EngineDone(dev, class) => {
+                        self.engine_done(dev.index(), class);
+                        None
                     }
-                    let next = self.now + self.config.cost.polling_period;
-                    self.queue.schedule(next, Event::Poll);
-                }
-                Event::SchedTimer(dev, tag) => {
-                    self.dispatch_sched(dev.index(), |s, ctx| s.on_timer(ctx, tag));
-                }
-                Event::TaskArrival(idx) => self.task_arrival(idx),
-                Event::TaskDeparture(id) => {
-                    if self.tasks.get(id.index()).is_some_and(|t| t.live) {
-                        trace_event!(self.trace, self.now, labels::DEPART, "{id}");
-                        self.detach(id, Detach::Exit);
-                        self.maybe_rebalance();
+                    Event::Poll => {
+                        self.stats.bump(StatKey::Polls);
+                        for dev in 0..self.devices.len() {
+                            self.dispatch_sched(dev, |s, ctx| s.on_poll(ctx));
+                        }
+                        let next = self.now + self.config.cost.polling_period;
+                        self.queue.schedule(next, Event::Poll);
+                        None
                     }
-                }
-                Event::Sample => {
-                    self.take_sample();
-                    let every = self
-                        .config
-                        .sample_every
-                        // lint: allow(unchecked-unwrap) — Sample events are
-                        // only scheduled when sample_every is set
-                        .expect("Sample events exist only when a cadence is set");
-                    self.queue.schedule(self.now + every, Event::Sample);
-                }
-                Event::Fault(i) => self.inject_fault(i),
-                Event::Watchdog(dev) => self.watchdog_tick(dev.index()),
-                Event::ParkRetry(id) => {
-                    self.tasks[id.index()].park_token = None;
-                    self.park_retry(id);
+                    Event::SchedTimer(dev, tag) => {
+                        self.dispatch_sched(dev.index(), |s, ctx| s.on_timer(ctx, tag));
+                        None
+                    }
+                    Event::TaskArrival(idx) => {
+                        self.task_arrival(idx);
+                        None
+                    }
+                    Event::TaskDeparture(id) => {
+                        if self.tasks.get(id.index()).is_some_and(|t| t.live) {
+                            trace_event!(self.trace, self.now, labels::DEPART, "{id}");
+                            self.detach(id, Detach::Exit);
+                            self.maybe_rebalance();
+                        }
+                        None
+                    }
+                    Event::Sample => {
+                        self.take_sample();
+                        let every = self
+                            .config
+                            .sample_every
+                            // lint: allow(unchecked-unwrap) — Sample events are
+                            // only scheduled when sample_every is set
+                            .expect("Sample events exist only when a cadence is set");
+                        self.queue.schedule(self.now + every, Event::Sample);
+                        None
+                    }
+                    Event::Fault(i) => {
+                        self.inject_fault(i);
+                        None
+                    }
+                    Event::Watchdog(dev) => {
+                        self.watchdog_tick(dev.index());
+                        None
+                    }
+                    Event::ParkRetry(id) => {
+                        self.tasks[id.index()].park_token = None;
+                        self.park_retry(id);
+                        None
+                    }
+                };
+                match successor {
+                    Some(next) if self.queue.peek_time().is_none_or(|first| next.0 < first) => {
+                        (at, event) = next;
+                    }
+                    Some((next_at, next)) => {
+                        self.enqueue(next_at, next);
+                        break;
+                    }
+                    None => break,
                 }
             }
         }
@@ -635,31 +715,24 @@ impl World {
     // Task execution
     // ------------------------------------------------------------------
 
-    fn task_step(&mut self, id: TaskId) {
+    /// Runs task `id`'s next workload action; returns the task's
+    /// successor event, if the action leads to one.
+    fn task_step(&mut self, id: TaskId) -> Successor {
         {
             let task = &mut self.tasks[id.index()];
             task.step_token = None;
             if !task.live {
-                return;
+                return None;
             }
             task.state = TaskState::Ready;
         }
         // A parked or capacity-stalled submission is retried first.
         if let Some((queue, spec)) = self.tasks[id.index()].pending_submit.take() {
-            self.attempt_submit(id, queue, spec);
-            return;
+            return self.attempt_submit(id, queue, spec);
         }
-        let action = {
-            let task = &mut self.tasks[id.index()];
-            let mut rng = task.rng.clone();
-            let action = task.workload.next_action(&mut rng);
-            task.rng = rng;
-            action
-        };
-        match action {
-            TaskAction::CpuWork(d) => {
-                self.schedule_step(id, d.max(SimDuration::from_nanos(1)));
-            }
+        let task = &mut self.tasks[id.index()];
+        match task.workload.next_action(&mut task.rng) {
+            TaskAction::CpuWork(d) => self.step_after(id, d.max(SimDuration::from_nanos(1))),
             TaskAction::Submit { queue, spec } => {
                 let task = &self.tasks[id.index()];
                 assert!(
@@ -671,15 +744,16 @@ impl World {
                     let task = &mut self.tasks[id.index()];
                     task.pending_submit = Some((queue, spec));
                     task.state = TaskState::WaitingSlot;
-                    return;
+                    return None;
                 }
-                self.attempt_submit(id, queue, spec);
+                self.attempt_submit(id, queue, spec)
             }
             TaskAction::WaitAll => {
                 if self.tasks[id.index()].outstanding == 0 {
-                    self.schedule_step(id, SimDuration::from_nanos(1));
+                    self.step_after(id, SimDuration::from_nanos(1))
                 } else {
                     self.tasks[id.index()].state = TaskState::WaitingAll;
+                    None
                 }
             }
             TaskAction::EndRound => {
@@ -690,22 +764,25 @@ impl World {
                     MetricsMode::Streaming => task.rounds_hist.record(len),
                 }
                 task.round_start = self.now;
-                self.schedule_step(id, SimDuration::from_nanos(1));
+                self.step_after(id, SimDuration::from_nanos(1))
             }
             TaskAction::Done => {
                 self.detach(id, Detach::Exit);
                 self.maybe_rebalance();
+                None
             }
         }
     }
 
     /// Submission path: direct store or fault, per protection state.
-    fn attempt_submit(&mut self, id: TaskId, queue: QueueIndex, spec: SubmitSpec) {
+    /// Returns the store's `DeviceSubmit` unless the attempt parks or
+    /// fails.
+    fn attempt_submit(&mut self, id: TaskId, queue: QueueIndex, spec: SubmitSpec) -> Successor {
         // An armed transient submission error consumes this attempt.
         // The recovery gate keeps this a single integer compare on
         // fault-free runs.
         if self.recovery.submit_errors_armed() && self.take_submit_error(id, queue, spec) {
-            return;
+            return None;
         }
         let dev = self.tasks[id.index()].device.index();
         let ch = self.tasks[id.index()].channels[queue];
@@ -716,40 +793,48 @@ impl World {
             let decision = self.dispatch_sched(dev, |s, ctx| s.on_fault(ctx, id, ch));
             match decision {
                 FaultDecision::Allow => {
-                    self.finish_submit(id, queue, spec, self.config.cost.fault_intercept);
+                    self.finish_submit(id, queue, spec, self.config.cost.fault_intercept)
                 }
                 FaultDecision::Park => {
                     let task = &mut self.tasks[id.index()];
                     task.pending_submit = Some((queue, spec));
                     task.state = TaskState::Parked;
+                    None
                 }
             }
         } else {
             self.stats.bump(StatKey::DirectSubmits);
-            self.finish_submit(id, queue, spec, self.config.cost.direct_submit);
+            self.finish_submit(id, queue, spec, self.config.cost.direct_submit)
         }
     }
 
     /// Starts the submission's CPU phase (direct store or fault
-    /// handling); the device sees the request when it ends.
-    fn finish_submit(&mut self, id: TaskId, queue: QueueIndex, spec: SubmitSpec, cpu: SimDuration) {
+    /// handling); the device sees the request at the returned
+    /// `DeviceSubmit`, when it ends.
+    fn finish_submit(
+        &mut self,
+        id: TaskId,
+        queue: QueueIndex,
+        spec: SubmitSpec,
+        cpu: SimDuration,
+    ) -> Successor {
         let task = &mut self.tasks[id.index()];
         debug_assert!(
             task.inflight_submit.is_none(),
             "submission already in flight"
         );
         task.inflight_submit = Some((queue, spec));
-        self.queue.schedule(self.now + cpu, Event::DeviceSubmit(id));
+        Some((self.now + cpu, Event::DeviceSubmit(id)))
     }
 
     /// The channel-register write retires: the device accepts the
-    /// request.
-    fn device_submit(&mut self, id: TaskId) {
+    /// request. Returns the submitter's next step unless it blocks.
+    fn device_submit(&mut self, id: TaskId) -> Successor {
         let Some((queue, spec)) = self.tasks[id.index()].inflight_submit.take() else {
-            return; // task was killed while the store was in flight
+            return None; // task was killed while the store was in flight
         };
         if !self.tasks[id.index()].live {
-            return;
+            return None;
         }
         let dev = self.tasks[id.index()].device.index();
         let ch = self.tasks[id.index()].channels[queue];
@@ -782,13 +867,11 @@ impl World {
             }
         }
         self.pump_engines(dev);
-        let task = &mut self.tasks[id.index()];
         if spec.blocking {
-            task.state = TaskState::BlockedOnRequest(rid);
-        } else {
-            let _ = task;
-            self.schedule_step(id, SimDuration::ZERO);
+            self.tasks[id.index()].state = TaskState::BlockedOnRequest(rid);
+            return None;
         }
+        self.step_after(id, SimDuration::ZERO)
     }
 
     fn engine_done(&mut self, dev: usize, class: EngineClass) {
@@ -871,14 +954,33 @@ impl World {
         }
     }
 
+    /// Queues task `id`'s next step `delay` from now, unless one is
+    /// already pending or the task is gone.
     fn schedule_step(&mut self, id: TaskId, delay: SimDuration) {
+        if let Some((at, event)) = self.step_after(id, delay) {
+            self.enqueue(at, event);
+        }
+    }
+
+    /// Task `id`'s next step `delay` from now as a successor, under
+    /// [`World::schedule_step`]'s guard: `None` if a step is already
+    /// pending or the task is gone.
+    fn step_after(&mut self, id: TaskId, delay: SimDuration) -> Successor {
         let task = &mut self.tasks[id.index()];
         if task.step_token.is_some() || !task.live {
-            return;
+            return None;
         }
-        let token = self.queue.schedule(self.now + delay, Event::TaskStep(id));
-        task.step_token = Some(token);
         task.state = TaskState::Ready;
+        Some((self.now + delay, Event::TaskStep(id)))
+    }
+
+    /// Queues a successor; a step keeps its token, so a kill, park or
+    /// exit can cancel it.
+    fn enqueue(&mut self, at: SimTime, event: Event) {
+        let token = self.queue.schedule(at, event);
+        if let Event::TaskStep(id) = event {
+            self.tasks[id.index()].step_token = Some(token);
+        }
     }
 }
 
@@ -1373,5 +1475,183 @@ mod tests {
                 .collect();
             assert_eq!(tenants.len(), 2);
         }
+    }
+
+    // ------------------------------------------------------------------
+    // The event loop's inline rule
+    // ------------------------------------------------------------------
+
+    /// Replays a fixed list of actions on one compute queue, then exits.
+    #[derive(Debug, Clone)]
+    struct Script(Vec<TaskAction>);
+
+    impl Script {
+        fn boxed(actions: &[TaskAction]) -> BoxedWorkload {
+            Box::new(Script(actions.iter().rev().copied().collect()))
+        }
+    }
+
+    impl crate::workload::Workload for Script {
+        fn name(&self) -> &str {
+            "script"
+        }
+        fn queues(&self) -> Vec<RequestKind> {
+            vec![RequestKind::Compute]
+        }
+        fn next_action(&mut self, _rng: &mut DetRng) -> TaskAction {
+            self.0.pop().unwrap_or(TaskAction::Done)
+        }
+        fn box_clone(&self) -> BoxedWorkload {
+            Box::new(self.clone())
+        }
+    }
+
+    /// Protects every task and allows every fault, tracing each poll
+    /// tick under `"poll"`; with `kill`, it first kills the faulting
+    /// task.
+    struct Probe {
+        kill: bool,
+    }
+
+    impl Scheduler for Probe {
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+        fn init(&mut self, _ctx: &mut crate::sched::SchedCtx<'_>) {}
+        fn on_task_admitted(&mut self, ctx: &mut crate::sched::SchedCtx<'_>, task: TaskId) {
+            ctx.protect_task(task);
+        }
+        fn on_task_exit(&mut self, _ctx: &mut crate::sched::SchedCtx<'_>, _task: TaskId) {}
+        fn on_fault(
+            &mut self,
+            ctx: &mut crate::sched::SchedCtx<'_>,
+            task: TaskId,
+            _channel: ChannelId,
+        ) -> FaultDecision {
+            if self.kill {
+                ctx.kill_task(task);
+            }
+            FaultDecision::Allow
+        }
+        fn on_poll(&mut self, ctx: &mut crate::sched::SchedCtx<'_>) {
+            ctx.trace_with("poll", String::new);
+        }
+        fn on_timer(&mut self, _ctx: &mut crate::sched::SchedCtx<'_>, _tag: u32) {}
+        fn on_completion(
+            &mut self,
+            _ctx: &mut crate::sched::SchedCtx<'_>,
+            _done: &neon_gpu::CompletedRequest,
+        ) {
+        }
+    }
+
+    fn probe_world(kill: bool, scripts: &[&[TaskAction]]) -> World {
+        let mut world = World::new(WorldConfig::default(), Box::new(Probe { kill }));
+        world.trace.set_enabled(true);
+        for script in scripts {
+            world.add_task(Script::boxed(script)).unwrap();
+        }
+        world
+    }
+
+    fn submit() -> TaskAction {
+        TaskAction::Submit {
+            queue: 0,
+            spec: SubmitSpec::compute(us(10)),
+        }
+    }
+
+    /// `(label, detail)` of every trace entry at `at`, in order.
+    fn traced_at(world: &World, at: SimTime) -> Vec<(&'static str, String)> {
+        world
+            .trace
+            .iter()
+            .filter(|e| e.at == at)
+            .map(|e| (e.label, e.detail.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn a_step_on_a_poll_instant_runs_after_the_poll() {
+        // Task 0's step after its CpuWork lands on the first poll tick,
+        // queued at start with a lower sequence number: the tick fires
+        // first, then the step faults.
+        let poll = WorldConfig::default().cost.polling_period;
+        let mut world = probe_world(false, &[&[TaskAction::CpuWork(poll), submit()]]);
+        world.run(SimDuration::from_millis(2));
+        let order: Vec<_> = traced_at(&world, SimTime::ZERO + poll)
+            .into_iter()
+            .map(|(label, _)| label)
+            .collect();
+        assert_eq!(order, ["poll", labels::FAULT]);
+    }
+
+    #[test]
+    fn a_step_on_another_tasks_step_instant_runs_after_it() {
+        // Task 1 starts one stagger after task 0, whose successor after
+        // a CpuWork of one stagger lands on that very instant: task 1's
+        // queued first step goes first.
+        let mut world = probe_world(
+            false,
+            &[&[TaskAction::CpuWork(START_STAGGER), submit()], &[submit()]],
+        );
+        world.run(SimDuration::from_micros(500));
+        let faults: Vec<_> = traced_at(&world, SimTime::ZERO + START_STAGGER)
+            .into_iter()
+            .map(|(label, detail)| {
+                assert_eq!(label, labels::FAULT);
+                detail
+            })
+            .collect();
+        assert_eq!(faults.len(), 2, "{faults:?}");
+        assert!(
+            faults[0].starts_with(&TaskId::new(1).to_string()),
+            "{faults:?}"
+        );
+        assert!(
+            faults[1].starts_with(&TaskId::new(0).to_string()),
+            "{faults:?}"
+        );
+    }
+
+    #[test]
+    fn a_step_at_the_horizon_instant_never_runs() {
+        let horizon = us(50);
+        let mut world = direct_world();
+        world
+            .add_task(Script::boxed(&[TaskAction::CpuWork(horizon), submit()]))
+            .unwrap();
+        let report = world.run(horizon);
+        // The first step and the horizon; the step the horizon ties
+        // with was queued after it and never fires.
+        assert_eq!(report.stats.get(StatKey::Events), 2);
+        assert_eq!(report.stats.get(StatKey::DirectSubmits), 0);
+        assert_eq!(report.tasks[0].submitted_requests, 0);
+    }
+
+    #[test]
+    fn a_store_of_a_task_killed_in_on_fault_does_nothing() {
+        // The policy kills the task inside on_fault and still allows
+        // the store; its DeviceSubmit, the next event, runs in place
+        // and finds the task gone.
+        let mut world = probe_world(true, &[&[submit(), submit()]]);
+        let report = world.run(us(500));
+        assert_eq!(
+            traced_at(&world, SimTime::ZERO),
+            [
+                (
+                    labels::FAULT,
+                    format!("{} on {}", TaskId::new(0), ChannelId::new(0))
+                ),
+                (labels::KILL, TaskId::new(0).to_string()),
+            ]
+        );
+        // The step, the store and the horizon.
+        assert_eq!(report.stats.get(StatKey::Events), 3);
+        let task = &report.tasks[0];
+        assert!(task.killed);
+        assert_eq!((task.submitted_requests, task.completed_requests), (0, 0));
+        assert_eq!(report.compute_busy, SimDuration::ZERO);
+        assert_eq!(world.devices[0].gpu.queued_requests(), 0);
     }
 }

@@ -25,6 +25,11 @@
 //! handler pops an event and schedules its successor, which is most
 //! often the new minimum. Such an event is appended to the run and
 //! popped straight back, without touching a bucket or any other table.
+//! The simulation world skips even that for its tasks' own chains: a
+//! successor strictly earlier than [`EventQueue::peek_time`] runs in
+//! place and never reaches the queue. What the world does schedule is
+//! the rest: completions, ticks, timers, and successors that are not the
+//! next event.
 //!
 //! **The radix buckets** hold everything else: a monotone radix heap
 //! (Ahuja, Mehlhorn, Orlin & Tarjan, 1990). The heap remembers a
