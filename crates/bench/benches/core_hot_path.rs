@@ -129,9 +129,9 @@ fn near_future_mix(q: &mut EventQueue<u64>, next: &mut impl FnMut() -> u64) -> u
 /// With `exits`, on ~2% of pops one of the last four tasks to run
 /// exits, as `World::task_exit` does — its pending event is cancelled
 /// — and a newcomer takes its place within 64 ns. A recently run
-/// task's pending event is usually a key born in the queue's near run
-/// (~70% of these cancels use a run-born token; a random task's would
-/// almost never). Returns the number of events popped.
+/// task's pending event is usually in the queue's near run (~70% of
+/// these cancels find it there; a random task's would almost never).
+/// Returns the number of events popped.
 fn hold_pattern(tasks: u64, pops: u64, exits: bool) -> u64 {
     const STAGED: u64 = u64::MAX;
     let mut q: EventQueue<u64> = EventQueue::new();

@@ -514,11 +514,11 @@ impl World {
 
     /// Returns this world to a freshly-constructed state under a new
     /// configuration: everything a new world is built with is made afresh,
-    /// but the world keeps the event queue's slab and buckets, the trace
-    /// ring, the task table, the pending-arrival table, and the retired
-    /// tasks' buffers (kept as empty, capacity-only shells), emptied in
-    /// place. A sweep worker builds one `World` and resets it between
-    /// cells instead of constructing a new one per cell.
+    /// but the world keeps the event queue's run, heap and payload map,
+    /// the trace ring, the task table, the pending-arrival table, and the
+    /// retired tasks' buffers (kept as empty, capacity-only shells),
+    /// emptied in place. A sweep worker builds one `World` and resets it
+    /// between cells instead of constructing a new one per cell.
     ///
     /// Behavior is exactly that of `World::with_devices(config,
     /// placement, sched_factory)` — a reset world's trace is

@@ -16,9 +16,6 @@ use neon_metrics::Table;
 
 use crate::fig9;
 
-/// Configuration: identical to Figure 9's (the runs are shared).
-pub type Config = fig9::Config;
-
 /// One efficiency cell.
 #[derive(Debug, Clone)]
 pub struct Row {
@@ -31,11 +28,6 @@ pub struct Row {
     /// Loss relative to direct access at the same off ratio (present
     /// when the sweep includes the direct column).
     pub loss_vs_direct: Option<f64>,
-}
-
-/// Runs the Figure 9 sweep and projects efficiencies.
-pub fn run(cfg: &Config) -> Vec<Row> {
-    from_fig9(&fig9::run(cfg))
 }
 
 /// Projects efficiency rows out of Figure 9 rows.

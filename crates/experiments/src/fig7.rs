@@ -15,9 +15,6 @@ use neon_metrics::Table;
 
 use crate::fig6;
 
-/// Configuration: identical to Figure 6's (the runs are shared).
-pub type Config = fig6::Config;
-
 /// One efficiency cell.
 #[derive(Debug, Clone)]
 pub struct Row {
@@ -29,11 +26,6 @@ pub struct Row {
     pub scheduler: neon_core::sched::SchedulerKind,
     /// Concurrency efficiency Σ(tᵢ/tᶜᵢ).
     pub efficiency: f64,
-}
-
-/// Runs the Figure 6 sweep and projects the efficiency column.
-pub fn run(cfg: &Config) -> Vec<Row> {
-    from_fig6(&fig6::run(cfg))
 }
 
 /// Projects efficiency rows out of already-computed Figure 6 rows.

@@ -23,9 +23,12 @@
 //!
 //! Each harness module exposes `run(&Config) -> Vec<Row>` (pure data)
 //! and a `render` function producing the table printed by the
-//! corresponding binary in `src/bin/`. Every harness builds its runs as
-//! `neon-scenario` cells and executes them through the parallel sweep
-//! runner; only §6.3, which drives the device layer directly, does not.
+//! corresponding binary in `src/bin/`. Figures 7 and 10 have no runs of
+//! their own: [`fig7::from_fig6`] and [`fig10::from_fig9`] project the
+//! Figure 6 and Figure 9 rows, and the `fig6` and `fig9` binaries print
+//! both tables. Every harness builds its runs as `neon-scenario` cells
+//! and executes them through the parallel sweep runner; only §6.3,
+//! which drives the device layer directly, does not.
 
 pub mod ablation;
 pub mod fig10;

@@ -417,7 +417,7 @@ pub fn run_cell(
 
 /// The cell executor: builds each host [`World`] on first use and
 /// [`World::reset`]s it for every later cell, so a sweep worker pays
-/// world construction (event-queue slab, trace ring, task table) once
+/// world construction (event queue, trace ring, task table) once
 /// per host instead of per cell. Results are byte-identical to fresh
 /// worlds — pinned by the runner-equivalence and world-reuse tests.
 #[derive(Default)]

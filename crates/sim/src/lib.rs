@@ -32,7 +32,7 @@ pub mod rng;
 pub mod time;
 pub mod trace;
 
-pub use event::{EventQueue, ScheduledEvent};
+pub use event::EventQueue;
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceEntry};

@@ -266,7 +266,7 @@ proptest! {
 /// The firing time for a schedule op of the wide-range model test:
 /// `class` picks a tie at now, a sub-microsecond offset, an offset up
 /// to 2^40 ns, or an absolute time within 1 µs of `u64::MAX` ns, so
-/// keys land in every radix bucket, including the top ones.
+/// ranks span the whole time range, up to its top.
 fn wide_time(now: SimTime, class: u8, raw: u64) -> SimTime {
     let ns = now.as_nanos();
     match class {
@@ -342,13 +342,9 @@ proptest! {
 /// keys, and they are always the smallest live ones.
 const NEAR: usize = 32;
 
-/// The tag bit of a token issued to a key born in the near run.
-const RUN_BORN: u64 = 1 << 63;
-
 /// One case of [`hold_pattern_queue_matches_reference_model`]. Returns
-/// how many cancels hit a spilled run-born key: a live key whose token
-/// is run-born but which has at least [`NEAR`] live keys ranked below
-/// it, so it cannot be in the run — a spill moved it to the buckets.
+/// how many cancels hit a far key: a live key with at least [`NEAR`]
+/// live keys ranked below it, so it cannot be in the run.
 fn hold_pattern_case(staged: &[u64], ops: &[(u8, u64, u64)]) -> Result<usize, String> {
     let mut q: EventQueue<u64> = EventQueue::new();
     let mut model: ModelQueue<u64> = ModelQueue::new();
@@ -356,7 +352,7 @@ fn hold_pattern_case(staged: &[u64], ops: &[(u8, u64, u64)]) -> Result<usize, St
     let mut q_tokens = Vec::new();
     let mut m_tokens = Vec::new();
     let mut payload = 0u64;
-    let mut spilled_run_born_cancels = 0;
+    let mut far_cancels = 0;
     let mut schedule = |q: &mut EventQueue<u64>,
                         model: &mut ModelQueue<u64>,
                         q_tokens: &mut Vec<u64>,
@@ -403,7 +399,7 @@ fn hold_pattern_case(staged: &[u64], ops: &[(u8, u64, u64)]) -> Result<usize, St
             17..=20 => {
                 // Cancel one of the newest tokens (the keys most likely
                 // to sit in the near tier), one from about the last
-                // burst (keys a spill moved to the buckets), or any.
+                // burst (keys a full run pushed to the far tier), or any.
                 if !q_tokens.is_empty() {
                     let back = match pick % 3 {
                         0 => pick % 4,
@@ -424,8 +420,8 @@ fn hold_pattern_case(staged: &[u64], ops: &[(u8, u64, u64)]) -> Result<usize, St
                     let a = q.cancel(tok);
                     let b = if e == epoch { model.cancel(seq) } else { None };
                     prop_assert_eq!(a, b, "cancel outcomes diverged");
-                    if tok & RUN_BORN != 0 && a.is_some() && below >= NEAR {
-                        spilled_run_born_cancels += 1;
+                    if a.is_some() && below >= NEAR {
+                        far_cancels += 1;
                     }
                 }
             }
@@ -457,28 +453,28 @@ fn hold_pattern_case(staged: &[u64], ops: &[(u8, u64, u64)]) -> Result<usize, St
             break;
         }
     }
-    Ok(spilled_run_born_cancels)
+    Ok(far_cancels)
 }
 
 /// The queue agrees with the reference model on the simulator's usual
 /// stream, a "hold" pattern: most schedules land below every queued key
 /// (the event a handler schedules is usually the next to fire), over a
 /// backlog of staged far-future arrivals. Bursts of up to 64 near-future
-/// schedules overflow the queue's bounded near tier, so runs spill and
-/// refill; cancels hit keys in either tier, by either token form,
-/// including run-born keys a spill moved to the buckets (the test
-/// checks that this case occurs); `clear()` lands with a non-empty near
-/// tier, and tokens taken before it stay in play.
+/// schedules overflow the queue's bounded near tier, so keys leave the
+/// run and are refilled into it; cancels hit keys in either tier,
+/// including keys ranked too high to be in the run (the test checks
+/// that this case occurs); `clear()` lands with a non-empty near tier,
+/// and tokens taken before it stay in play.
 ///
-/// Written out rather than through `proptest!` so the tally of spilled
-/// run-born cancels can be checked once all 300 cases have run.
+/// Written out rather than through `proptest!` so the tally of far
+/// cancels can be checked once all 300 cases have run.
 #[test]
 fn hold_pattern_queue_matches_reference_model() {
     use proptest::strategy::Strategy;
     use proptest::test_runner::TestRng;
     let staged_inputs = proptest::collection::vec(1_000u64..1_000_000_000, 0..200);
     let op_inputs = proptest::collection::vec((0u8..32, any::<u64>(), 0u64..10_000), 1..600);
-    let mut spilled_run_born_cancels = 0;
+    let mut far_cancels = 0;
     for case in 0..300 {
         let mut rng = TestRng::for_case(
             concat!(
@@ -490,14 +486,14 @@ fn hold_pattern_queue_matches_reference_model() {
         let staged = staged_inputs.generate(&mut rng);
         let ops = op_inputs.generate(&mut rng);
         match hold_pattern_case(&staged, &ops) {
-            Ok(n) => spilled_run_born_cancels += n,
+            Ok(n) => far_cancels += n,
             Err(msg) => panic!(
                 "property failed at case {case}: {msg}\n    inputs: staged = {staged:?}; ops = {ops:?}"
             ),
         }
     }
     assert!(
-        spilled_run_born_cancels > 0,
-        "no cancel hit a spilled run-born key: the mix no longer covers that path"
+        far_cancels > 0,
+        "no cancel hit a key outside the near run: the mix no longer covers that path"
     );
 }
