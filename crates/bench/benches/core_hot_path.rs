@@ -16,8 +16,8 @@
 //! chain almost alone: eight 10 us fixed-loop residents with a 1 us gap,
 //! under `direct` and `disengaged-fq`, where most events are a task's
 //! own next step or store and run without entering the queue.
-//! `neon bench <scenario>` measures the same path end to end and emits
-//! `BENCH_core.json` for the perf trajectory.
+//! The benchmark (`python3 perfbench/run.py`) measures the same path
+//! end to end.
 //!
 //! Every case runs in the one process, so what the cases before it
 //! allocated moves its figure: quote a case only from its own process,

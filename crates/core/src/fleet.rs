@@ -58,7 +58,7 @@
 pub use neon_gpu::HostId;
 use neon_gpu::{ClusterInterconnect, GpuError, TaskId};
 use neon_metrics::Distribution;
-use neon_sim::{SimDuration, SimTime};
+use neon_sim::{EventQueue, SimDuration, SimTime};
 
 use crate::fault::{FaultKind, FaultPlan};
 use crate::placement::shortage;
@@ -457,32 +457,11 @@ struct Resident {
 }
 
 /// A planning-pass action.
-#[derive(Clone, Copy)]
 enum Act {
     Arrival(usize),
     Departure(usize),
     HostFail(usize),
     HostRecover(usize),
-}
-
-/// The planning pass's actions in (time, creation order): same-instant
-/// actions run in creation order, so the pass is deterministic.
-#[derive(Default)]
-struct Agenda {
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, usize)>>,
-    acts: Vec<Act>,
-}
-
-impl Agenda {
-    fn push(&mut self, at: SimTime, act: Act) {
-        self.heap.push(std::cmp::Reverse((at, self.acts.len())));
-        self.acts.push(act);
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, Act)> {
-        let std::cmp::Reverse((at, seq)) = self.heap.pop()?;
-        Some((at, self.acts[seq]))
-    }
 }
 
 /// Whole-fleet outcome: per-host reports plus the cluster-level view.
@@ -777,7 +756,10 @@ impl Fleet {
         if !self.multi() {
             return;
         }
-        let mut agenda = Agenda::default();
+        // The planning pass's actions in (time, creation order):
+        // same-instant actions run in creation order, so the pass is
+        // deterministic.
+        let mut agenda: EventQueue<Act> = EventQueue::new();
         // Host faults enqueue first: a failure at an arrival's instant
         // is visible to that arrival's placement decision.
         for ev in self.faults.iter().flat_map(|plan| plan.host_events()) {
@@ -786,10 +768,10 @@ impl Fleet {
                 FaultKind::HostRecover { host } => Act::HostRecover(host as usize),
                 _ => continue,
             };
-            agenda.push(ev.at, act);
+            agenda.schedule(ev.at, act);
         }
         for (i, spawn) in self.spawns.iter().enumerate() {
-            agenda.push(spawn.at, Act::Arrival(i));
+            agenda.schedule(spawn.at, Act::Arrival(i));
         }
         let mut state = self.ledger.clone();
         let mut residents: Vec<Resident> = Vec::new();
@@ -931,7 +913,7 @@ impl Fleet {
     /// would end on the wire. The caller releases the source residence.
     fn relocate(
         &mut self,
-        agenda: &mut Agenda,
+        agenda: &mut EventQueue<Act>,
         residents: &mut Vec<Resident>,
         state: &mut [HostState],
         r: usize,
@@ -960,7 +942,7 @@ impl Fleet {
     /// it as a resident and schedules its departure.
     fn reside(
         &mut self,
-        agenda: &mut Agenda,
+        agenda: &mut EventQueue<Act>,
         residents: &mut Vec<Resident>,
         state: &mut [HostState],
         spawn: usize,
@@ -970,7 +952,7 @@ impl Fleet {
         state[host].occupy(s.channels);
         s.host = Some(host);
         if let Some(l) = s.lifetime {
-            agenda.push(s.at + l, Act::Departure(residents.len()));
+            agenda.schedule(s.at + l, Act::Departure(residents.len()));
         }
         residents.push(Resident {
             spawn,

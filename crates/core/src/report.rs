@@ -192,7 +192,7 @@ pub struct RunReport {
     pub degraded: SimDuration,
     /// Discrete events the simulation loop processed — with host wall
     /// time, the events/second throughput of the simulator itself (the
-    /// perf-trajectory metric `neon bench` reports). Equal to the
+    /// benchmark's `events_per_s`). Equal to the
     /// [`StatKey::Events`](crate::telemetry::StatKey::Events) counter.
     pub events: u64,
     /// The structured stats block, the run's only counters: events,

@@ -100,8 +100,8 @@ inline: sim-affecting crates have no legitimate use at all.
 Fix: thread `ctx.now()` / the world clock through; justify a
 deliberate exception with `// lint: allow(wall-clock) — <why>`.
 
-History: the PR 7 work-stealing sweep runner is byte-identical to
-serial *only* because no sim-side code can observe which worker or
+History: the parallel sweep runner is byte-identical to serial
+*only* because no sim-side code can observe which worker or
 wall moment ran a cell; this rule keeps it that way.",
         test_code: false,
     },
@@ -159,8 +159,8 @@ new eager sites from creeping back in.",
 unchecked-unwrap: `unwrap()`/`expect()` in library (non-test,
 non-bin) code must carry a justification.
 
-A panic in library code doesn't just kill one run: the PR 7
-work-stealing sweep executes many cells on shared worker threads, so
+A panic in library code doesn't just kill one run: the parallel
+sweep executes many cells on shared worker threads, so
 one unwrap tearing through a worker poisons a whole sweep's results.
 Library code should return errors; where a panic encodes a real
 invariant (\"rotation nonempty: checked three lines up\"), say so.
@@ -183,7 +183,7 @@ conclusions, written down next to the code.",
 panic-path: flag `panic!`, `todo!` and `unimplemented!` invocations in
 sim-affecting code.
 
-A panic in the simulation core tears through the work-stealing sweep:
+A panic in the simulation core tears through the parallel sweep:
 one cell's abort poisons a shared worker thread and takes the rest of
 the sweep's cells with it. Worse, `todo!` and `unimplemented!` are
 placeholders that *compile* — a half-wired code path ships silently

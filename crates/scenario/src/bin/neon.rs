@@ -8,7 +8,6 @@
 //!                             [--metrics exact|streaming] [--sample-every DUR]
 //!                             [--timeline FILE] [--trace-out FILE]
 //! neon check <scenario.toml>...
-//! neon bench <scenario.toml>... [--threads N[,N...]] [--trials N] [--out FILE]
 //! ```
 //!
 //! - `run` executes every (scenario × scheduler × placement × fleet
@@ -18,14 +17,10 @@
 //! - `check` parses and validates files and prints the expanded plan.
 //!   The loader rejects unknown or misplaced keys outright (with a
 //!   "did you mean" hint).
-//! - `bench` runs the same plan once serially as a warm-up, then
-//!   `--trials N` times (default 1) a serial run followed by one
-//!   parallel run per requested thread count (`--threads 1,2,4,8`;
-//!   default: one run at the host's available parallelism). It reports
-//!   the median wall-clock speedups and simulator throughput
-//!   (simulated events per host second) with their p10/p90 spread, and
-//!   emits the machine-readable perf-trajectory document (stdout, or
-//!   `--out BENCH_core.json`).
+//!
+//! `neon` times nothing beyond the run's own wall clock: the repo's one
+//! benchmark is `perfbench/` (`python3 perfbench/run.py`), which times
+//! these same sweeps serially and on two threads.
 //!
 //! `--devices`, `--hosts`, `--placement`, `--fleet-placement`,
 //! `--rebalance` and `--faults` override the scenario files, so any
@@ -48,19 +43,13 @@ use neon_core::fleet::FleetPlacementKind;
 use neon_core::placement::PlacementKind;
 use neon_core::rebalance::RebalanceKind;
 use neon_core::telemetry::MetricsMode;
-use neon_scenario::{
-    emit, parse_axis, parse_duration, sweep, toml_file, CellResult, Labeled, ScenarioSpec,
-};
+use neon_scenario::{emit, parse_axis, parse_duration, sweep, toml_file, Labeled, ScenarioSpec};
 use neon_sim::SimDuration;
 
 struct Options {
     files: Vec<PathBuf>,
     serial: bool,
-    /// `--threads` accepts a comma list; `run` requires a single
-    /// value, `bench` sweeps one parallel run per entry.
-    threads: Option<Vec<usize>>,
-    /// `bench` only: measured trials after the warm-up pass.
-    trials: Option<usize>,
+    threads: Option<usize>,
     out: Option<PathBuf>,
     csv: Option<PathBuf>,
     quiet: bool,
@@ -86,8 +75,6 @@ const USAGE: &str = "usage:
   neon check <scenario.toml>... [--devices N] [--hosts N] [--placement P[,P...]]
                                 [--fleet-placement F[,F...]] [--rebalance R[,R...]]
                                 [--faults M[,M...]]
-  neon bench <scenario.toml>... [--out FILE] [--threads N[,N...]] [--trials N]
-                                [--devices N] [--placement P[,P...]] [--rebalance R[,R...]]
 
 Scenario files describe tenant groups (workload, arrival process,
 lifetime, optional device pinning, working_set), the host topology
@@ -107,8 +94,6 @@ replaces heterogeneous [[device]] topologies and any topology.*
 interconnect timing with a flat free-interconnect host of that size;
 --hosts N replaces any [[host]] blocks with N identical hosts of
 --devices (or the scenario's devices =) GPUs each.
-bench runs a serial warm-up, then --trials N (default 1) interleaved
-serial and parallel trials, and reports medians with p10/p90 spread.
 Telemetry: --metrics exact|streaming picks the percentile pipeline
 (streaming bounds per-task memory), --timeline FILE enables the
 periodic device sampler and writes its output (JSON, or CSV when FILE
@@ -133,7 +118,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         files: Vec::new(),
         serial: false,
         threads: None,
-        trials: None,
         out: None,
         csv: None,
         quiet: false,
@@ -155,20 +139,11 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--quiet" => opts.quiet = true,
             "--threads" => {
                 let v = it.next().ok_or("--threads needs a value")?;
-                let list: Result<Vec<usize>, _> = v.split(',').map(str::parse).collect();
-                let list = list.map_err(|_| "bad --threads value".to_string())?;
-                if list.is_empty() || list.contains(&0) {
-                    return Err("--threads entries must be at least 1".into());
-                }
-                opts.threads = Some(list);
-            }
-            "--trials" => {
-                let v = it.next().ok_or("--trials needs a value")?;
-                let n: usize = v.parse().map_err(|_| "bad --trials value".to_string())?;
+                let n: usize = v.parse().map_err(|_| "bad --threads value".to_string())?;
                 if n == 0 {
-                    return Err("--trials must be at least 1".into());
+                    return Err("--threads must be at least 1".into());
                 }
-                opts.trials = Some(n);
+                opts.threads = Some(n);
             }
             "--devices" => {
                 let v = it.next().ok_or("--devices needs a value")?;
@@ -349,23 +324,11 @@ fn cmd_run(opts: &Options) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let threads = match opts.threads.as_deref() {
-        Some([t]) => Some(*t),
-        Some(_) => {
-            eprintln!("neon: run takes a single --threads value (a list is for bench)");
-            return ExitCode::FAILURE;
-        }
-        None => None,
-    };
-    if opts.trials.is_some() {
-        eprintln!("neon: --trials is for bench");
-        return ExitCode::FAILURE;
-    }
     let cells = sweep::plan(specs);
     let outcome = if opts.serial {
         sweep::run_serial(&cells)
     } else {
-        sweep::run_parallel(&cells, threads)
+        sweep::run_parallel(&cells, opts.threads)
     };
     if !opts.quiet {
         eprintln!(
@@ -435,77 +398,6 @@ fn cmd_run(opts: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_bench(opts: &Options) -> ExitCode {
-    let specs = match load_specs(opts) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("neon: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let cells = sweep::plan(specs);
-    let trial_count = opts.trials.unwrap_or(1);
-    eprintln!(
-        "benchmarking {} cells: a serial warm-up, then {trial_count} trial(s)...",
-        cells.len()
-    );
-    // The warm-up pass is not timed into the document; its results
-    // carry the plan's simulated events (every run of the plan
-    // simulates the same ones).
-    let plan = sweep::run_serial(&cells);
-    let events: u64 = plan.results.iter().map(CellResult::events).sum();
-    // Each trial: a serial run, then one parallel run per requested
-    // thread count (default: one run at the host's available
-    // parallelism), back to back so each speedup pairs runs that saw
-    // the same host conditions. Progress goes to stderr; stdout
-    // carries only the JSON document (when no --out is given), so
-    // `neon bench ... > file.json` works.
-    let thread_counts: Vec<Option<usize>> = match &opts.threads {
-        Some(list) => list.iter().map(|&t| Some(t)).collect(),
-        None => vec![None],
-    };
-    let mut trials = Vec::with_capacity(trial_count);
-    for n in 1..=trial_count {
-        let mut trial = emit::BenchTrial::new(&sweep::run_serial(&cells));
-        let serial_s = trial.serial.as_secs_f64();
-        eprintln!(
-            "  trial {n}: serial {:>9.1} ms, {:.2}M events/s",
-            serial_s * 1e3,
-            events as f64 / 1e6 / serial_s.max(1e-9),
-        );
-        for want in &thread_counts {
-            let run = sweep::run_parallel(&cells, *want);
-            // Per-row footprint: an instantaneous RSS sample taken as
-            // this run completes, so rows don't inherit the process
-            // high-water mark reached by earlier (or wider) runs.
-            trial.push(&run, neon_scenario::current_rss_bytes());
-            eprintln!(
-                "    threads {:>2}: {:>9.1} ms, speedup {:.2}x",
-                run.threads,
-                run.wall.as_secs_f64() * 1e3,
-                serial_s / run.wall.as_secs_f64().max(1e-9),
-            );
-        }
-        trials.push(trial);
-    }
-    eprintln!("  {:.2}M simulated events per run", events as f64 / 1e6);
-    // The perf-trajectory document (conventionally BENCH_core.json):
-    // median events/sec and wall time with their spread, overall, per
-    // thread count, and per reference scenario.
-    let json = emit::bench_json(&plan, &trials);
-    match &opts.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &json) {
-                eprintln!("neon: cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            eprintln!("bench JSON written to {}", path.display());
-        }
-        None => print!("{json}"),
-    }
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {
@@ -518,7 +410,6 @@ fn main() -> ExitCode {
     match command.as_str() {
         "run" => cmd_run(&opts),
         "check" => cmd_check(&opts),
-        "bench" => cmd_bench(&opts),
         other => fail(&format!("unknown command {other:?}")),
     }
 }
@@ -541,5 +432,35 @@ mod tests {
             let e = load_specs(&opts).expect_err("a 2^32-device cell is refused");
             assert!(e.contains(&format!("{key} = 4294967296")), "{e}");
         }
+    }
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_options(&args.iter().copied().map(String::from).collect::<Vec<_>>())
+    }
+
+    /// The error `args` are refused with.
+    fn refusal(args: &[&str]) -> String {
+        match parse(args) {
+            Ok(_) => panic!("{args:?} parsed"),
+            Err(e) => e,
+        }
+    }
+
+    #[test]
+    fn threads_takes_one_positive_count() {
+        let opts = parse(&["a.toml", "--threads", "2"]).expect("one count parses");
+        assert_eq!(opts.threads, Some(2));
+        let zero = refusal(&["a.toml", "--threads", "0"]);
+        assert_eq!(zero, "--threads must be at least 1");
+        let list = refusal(&["a.toml", "--threads", "1,2"]);
+        assert_eq!(list, "bad --threads value");
+    }
+
+    #[test]
+    fn trials_is_an_unknown_flag() {
+        assert_eq!(
+            refusal(&["a.toml", "--trials", "3"]),
+            "unknown flag --trials"
+        );
     }
 }

@@ -32,40 +32,17 @@ use neon_gpu::DeviceId;
 use neon_metrics::jain_index;
 use neon_sim::{DetRng, SimDuration, SimTime};
 
-/// A field of `/proc/self/status`, parsed as bytes.
-#[cfg(target_os = "linux")]
-fn proc_status_bytes(field: &str) -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with(field))?;
-    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb * 1024)
-}
-
 /// Peak resident-set size of *this process* in bytes (Linux `VmHWM`),
 /// `None` where unavailable. A process-wide high-water mark: on a
 /// sweep it is monotone across cells, so per-cell values show which
-/// cell first pushed the peak, not independent footprints. For
-/// comparable per-row figures use [`current_rss_bytes`].
+/// cell first pushed the peak, not independent footprints.
 pub fn peak_rss_bytes() -> Option<u64> {
     #[cfg(target_os = "linux")]
     {
-        proc_status_bytes("VmHWM:")
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        None
-    }
-}
-
-/// Current resident-set size of *this process* in bytes (Linux
-/// `VmRSS`), `None` where unavailable. An instantaneous sample, not a
-/// high-water mark: sampling it after each sweep in a series yields
-/// per-row figures that are independently comparable instead of each
-/// inheriting every earlier row's peak.
-pub fn current_rss_bytes() -> Option<u64> {
-    #[cfg(target_os = "linux")]
-    {
-        proc_status_bytes("VmRSS:")
+        let status = std::fs::read_to_string("/proc/self/status").ok()?;
+        let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+        let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+        Some(kb * 1024)
     }
     #[cfg(not(target_os = "linux"))]
     {

@@ -18,7 +18,6 @@
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
-use std::time::Duration;
 
 use neon_core::fault::FaultMode;
 use neon_core::telemetry::{DeviceSample, SimStats, TimelineSample};
@@ -430,233 +429,6 @@ pub fn timeline_csv(outcome: &SweepOutcome) -> String {
     o
 }
 
-/// Host measurements of one `neon bench` trial: a serial run of the
-/// plan followed by one parallel run per requested thread count.
-/// Trials keep only times and RSS samples, so running many of them
-/// does not hold many sweeps' results in memory.
-#[derive(Debug, Clone)]
-pub struct BenchTrial {
-    /// The serial run's whole-plan wall time.
-    pub serial: Duration,
-    /// Each cell's host time in the serial run, in plan order.
-    pub cells: Vec<Duration>,
-    /// Each parallel run's worker threads, wall time and current-RSS
-    /// sample (taken as the run completed; `None` off Linux), in run
-    /// order.
-    pub parallel: Vec<(usize, Duration, Option<u64>)>,
-}
-
-impl BenchTrial {
-    /// Starts a trial from its serial run.
-    pub fn new(serial: &SweepOutcome) -> Self {
-        BenchTrial {
-            serial: serial.wall,
-            cells: serial.results.iter().map(|r| r.summary.elapsed).collect(),
-            parallel: Vec::new(),
-        }
-    }
-
-    /// Adds the trial's next parallel run and the RSS sampled after it.
-    pub fn push(&mut self, run: &SweepOutcome, rss: Option<u64>) {
-        self.parallel.push((run.threads, run.wall, rss));
-    }
-}
-
-/// One parallel configuration of a bench, summarized over trials:
-/// `[p10, median, p90]` of its wall time (seconds) and of its speedup
-/// over the same trial's serial run.
-struct ThreadsRow {
-    threads: usize,
-    wall: [f64; 3],
-    speedup: [f64; 3],
-    rss: Option<u64>,
-}
-
-/// Nearest-rank p10, median and p90 of `values` (zeros when empty).
-fn spread(values: &[f64]) -> [f64; 3] {
-    let mut v = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    [0.1, 0.5, 0.9].map(|p| {
-        let rank = ((p * v.len() as f64).ceil() as usize).clamp(1, v.len().max(1));
-        v.get(rank - 1).copied().unwrap_or(0.0)
-    })
-}
-
-/// Serializes a `neon bench` run as the machine-readable perf
-/// trajectory document (`BENCH_core.json`): wall times, simulated
-/// discrete-event counts and simulator throughput (events per host
-/// second), overall and per reference scenario. `plan` is a serial
-/// run of the plan (the warm-up pass), which supplies the cells'
-/// simulated results; `trials` holds the host times of every measured
-/// trial, each a run of that *same* plan, so the document carries one
-/// event count. Fleet cells count the events of every host
-/// ([`CellResult::events`]).
-///
-/// Schema `neon-bench-core/4`:
-/// - the header carries a `schema` tag, a reproducible
-///   (revision-free) `created_by` string, the `scenario_set` the
-///   plan covered, so trajectory tooling can detect plan drift
-///   between snapshots, and the number of `trials`;
-/// - every time, speedup and throughput is the **median** over trials
-///   (nearest rank). A speedup pairs each trial's serial and parallel
-///   runs, which ran back to back, before taking the median. The
-///   `*_p10`/`*_p90` keys give the spread of the same per-trial values;
-/// - the headline fields (`threads`, `parallel_ms`, `speedup`,
-///   `events_per_sec_parallel`) describe the widest parallel run, and
-///   `threads_sweep` carries one row per parallel run — `threads`,
-///   `parallel_ms`, `speedup`, `events_per_sec`, `peak_rss_bytes` and
-///   their spread — in the order the runs executed;
-/// - each `threads_sweep` row's `peak_rss_bytes` is the median of
-///   **per-row current-RSS samples** (Linux `VmRSS`, read as each
-///   trial's run completed), so rows are comparable to each other and
-///   can go down as well as up; per-scenario rows report the
-///   high-water mark (`VmHWM` max over the scenario's cells in
-///   `plan`). `null` off Linux.
-pub fn bench_json(plan: &SweepOutcome, trials: &[BenchTrial]) -> String {
-    let total_events: u64 = plan.results.iter().map(CellResult::events).sum();
-    let serial: Vec<f64> = trials.iter().map(|t| t.serial.as_secs_f64()).collect();
-    let [serial_p10, serial_s, serial_p90] = spread(&serial);
-    let runs = trials.first().map_or(0, |t| t.parallel.len());
-    let rows: Vec<ThreadsRow> = (0..runs)
-        .map(|k| {
-            let walls: Vec<f64> = trials
-                .iter()
-                .map(|t| t.parallel[k].1.as_secs_f64())
-                .collect();
-            let speedups: Vec<f64> = walls
-                .iter()
-                .zip(&serial)
-                .map(|(w, s)| s / w.max(1e-9))
-                .collect();
-            let rss: Vec<f64> = trials
-                .iter()
-                .filter_map(|t| t.parallel[k].2)
-                .map(|b| b as f64)
-                .collect();
-            ThreadsRow {
-                threads: trials[0].parallel[k].0,
-                wall: spread(&walls),
-                speedup: spread(&speedups),
-                rss: (!rss.is_empty()).then(|| spread(&rss)[1] as u64),
-            }
-        })
-        .collect();
-    // The headline parallel run: the widest one (ties: the last); the
-    // serial run itself when there was none.
-    let (threads, [_, headline_s, _], [speedup_p10, speedup, speedup_p90]) = rows
-        .iter()
-        .enumerate()
-        .max_by_key(|(i, row)| (row.threads, *i))
-        .map_or((1, [serial_s; 3], [1.0; 3]), |(_, row)| {
-            (row.threads, row.wall, row.speedup)
-        });
-    let mut scenario_set: Vec<&str> = Vec::new();
-    for r in &plan.results {
-        let name = r.summary.scenario.as_str();
-        if !scenario_set.contains(&name) {
-            scenario_set.push(name);
-        }
-    }
-    let mut o = String::new();
-    o.push_str("{\n");
-    let _ = writeln!(
-        o,
-        "  \"schema\": \"neon-bench-core/4\", \"created_by\": \"neon bench\",",
-    );
-    let _ = writeln!(
-        o,
-        "  \"scenario_set\": [{}],",
-        scenario_set
-            .iter()
-            .map(|n| format!("\"{}\"", json_escape(n)))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    let _ = writeln!(
-        o,
-        "  \"bench\": \"core\", \"cells\": {}, \"threads\": {threads},",
-        plan.results.len(),
-    );
-    let _ = writeln!(
-        o,
-        "  \"serial_ms\": {}, \"parallel_ms\": {}, \"speedup\": {},",
-        json_f64(serial_s * 1e3),
-        json_f64(headline_s * 1e3),
-        json_f64(speedup),
-    );
-    let _ = writeln!(
-        o,
-        "  \"trials\": {}, \"serial_ms_p10\": {}, \"serial_ms_p90\": {}, \
-\"speedup_p10\": {}, \"speedup_p90\": {},",
-        trials.len(),
-        json_f64(serial_p10 * 1e3),
-        json_f64(serial_p90 * 1e3),
-        json_f64(speedup_p10),
-        json_f64(speedup_p90),
-    );
-    let _ = writeln!(
-        o,
-        "  \"sim_events\": {}, \"events_per_sec_serial\": {}, \
-\"events_per_sec_parallel\": {},",
-        total_events,
-        json_f64(total_events as f64 / serial_s.max(1e-9)),
-        json_f64(total_events as f64 / headline_s.max(1e-9)),
-    );
-    o.push_str("  \"threads_sweep\": [\n");
-    let thread_rows: Vec<String> = rows
-        .iter()
-        .map(|row| {
-            let [wall_p10, wall, wall_p90] = row.wall;
-            let [speedup_p10, speedup, speedup_p90] = row.speedup;
-            format!(
-                "    {{\"threads\": {}, \"parallel_ms\": {}, \"speedup\": {}, \
-\"events_per_sec\": {}, \"peak_rss_bytes\": {}, \"parallel_ms_p10\": {}, \
-\"parallel_ms_p90\": {}, \"speedup_p10\": {}, \"speedup_p90\": {}}}",
-                row.threads,
-                json_f64(wall * 1e3),
-                json_f64(speedup),
-                json_f64(total_events as f64 / wall.max(1e-9)),
-                row.rss.map_or("null".to_string(), |b| b.to_string()),
-                json_f64(wall_p10 * 1e3),
-                json_f64(wall_p90 * 1e3),
-                json_f64(speedup_p10),
-                json_f64(speedup_p90),
-            )
-        })
-        .collect();
-    o.push_str(&thread_rows.join(",\n"));
-    o.push_str("\n  ],\n");
-    o.push_str("  \"scenarios\": [\n");
-    let mut rows: Vec<String> = Vec::new();
-    for &name in &scenario_set {
-        let in_scenario = |i: &usize| plan.results[*i].summary.scenario == name;
-        let cells: Vec<usize> = (0..plan.results.len()).filter(in_scenario).collect();
-        let events: u64 = cells.iter().map(|&i| plan.results[i].events()).sum();
-        let peak_rss = cells
-            .iter()
-            .filter_map(|&i| plan.results[i].summary.peak_rss_bytes)
-            .max();
-        let walls: Vec<f64> = trials
-            .iter()
-            .map(|t| cells.iter().map(|&i| t.cells[i].as_secs_f64()).sum())
-            .collect();
-        let wall = spread(&walls)[1];
-        rows.push(format!(
-            "    {{\"scenario\": \"{}\", \"cells\": {}, \"sim_events\": {}, \
-\"serial_ms\": {}, \"events_per_sec\": {}, \"peak_rss_bytes\": {}}}",
-            json_escape(name),
-            cells.len(),
-            events,
-            json_f64(wall * 1e3),
-            json_f64(events as f64 / wall.max(1e-9)),
-            peak_rss.map_or("null".to_string(), |b| b.to_string()),
-        ));
-    }
-    o.push_str(&rows.join(",\n"));
-    o.push_str("\n  ]\n}\n");
-    o
-}
-
 /// Serializes a sweep outcome as CSV (header + one row per cell): the
 /// summary columns, then one `dev<i>_*` group per device and one
 /// `host<i>_*` group per host, sized to the widest cell in the sweep
@@ -874,115 +646,6 @@ mod tests {
         }
     }
 
-    /// One bench trial: `serial`, then each parallel run with the RSS
-    /// sampled after it.
-    fn trial(serial: &SweepOutcome, parallel: &[(&SweepOutcome, Option<u64>)]) -> BenchTrial {
-        let mut t = BenchTrial::new(serial);
-        for &(run, rss) in parallel {
-            t.push(run, rss);
-        }
-        t
-    }
-
-    #[test]
-    fn bench_json_reports_events_per_sec() {
-        let serial = outcome();
-        let parallel = outcome();
-        let json = bench_json(&serial, &[trial(&serial, &[(&parallel, None)])]);
-        assert!(json.contains("\"bench\": \"core\""), "{json}");
-        assert!(json.contains("\"sim_events\": 12345"), "{json}");
-        assert!(json.contains("\"events_per_sec_serial\""), "{json}");
-        assert!(json.contains("\"scenarios\": ["), "{json}");
-        // 12_345 events over the cell's 12 ms elapsed ≈ 1.029M ev/s.
-        assert!(json.contains("\"events_per_sec\": 1028750.0"), "{json}");
-        // One scenario group for the single cell.
-        assert_eq!(json.matches("\"cells\": 1").count(), 2, "{json}");
-    }
-
-    #[test]
-    fn bench_json_threads_sweep_has_one_row_per_run() {
-        let serial = outcome();
-        let mut narrow = outcome();
-        narrow.threads = 1;
-        narrow.wall = Duration::from_millis(30);
-        let wide = outcome(); // 4 threads, 15 ms
-        let json = bench_json(
-            &serial,
-            &[trial(
-                &serial,
-                &[(&narrow, Some(9_000_000)), (&wide, Some(7_500_000))],
-            )],
-        );
-        assert!(json.contains("\"threads_sweep\": ["), "{json}");
-        // One row per parallel run, in execution order.
-        assert!(
-            json.contains("{\"threads\": 1, \"parallel_ms\": 30.000000, \"speedup\": 0.500000"),
-            "{json}"
-        );
-        assert!(
-            json.contains("{\"threads\": 4, \"parallel_ms\": 15.000000, \"speedup\": 1.000000"),
-            "{json}"
-        );
-        // Headline fields describe the widest run.
-        assert!(json.contains("\"threads\": 4,\n"), "{json}");
-        assert!(json.contains("\"speedup\": 1.000000,\n"), "{json}");
-        // Each thread row carries its own current-RSS sample — not a
-        // shared run-wide high-water mark — so a later row may report
-        // *less* than an earlier one.
-        assert!(json.contains("\"peak_rss_bytes\": 9000000"), "{json}");
-        assert!(json.contains("\"peak_rss_bytes\": 7500000"), "{json}");
-        // The scenario row still reports the per-cell VmHWM max.
-        assert_eq!(
-            json.matches(&format!("\"peak_rss_bytes\": {}", 64 * 1024 * 1024))
-                .count(),
-            1,
-            "{json}"
-        );
-    }
-
-    #[test]
-    fn bench_json_rows_without_a_sample_emit_null() {
-        let serial = outcome();
-        let run = outcome();
-        let json = bench_json(&serial, &[trial(&serial, &[(&run, None)])]);
-        assert!(json.contains("\"peak_rss_bytes\": null"), "{json}");
-    }
-
-    #[test]
-    fn bench_json_reports_medians_and_spread_over_trials() {
-        let at = |serial_ms: u64, parallel_ms: u64| {
-            let mut serial = outcome();
-            serial.wall = Duration::from_millis(serial_ms);
-            let mut run = outcome(); // 4 threads
-            run.wall = Duration::from_millis(parallel_ms);
-            trial(&serial, &[(&run, Some(parallel_ms))])
-        };
-        // Paired speedups 1.0, 2.0 and 0.5: the median pairs runs
-        // within a trial, not the median walls (20 / 10 = 2.0).
-        let json = bench_json(&outcome(), &[at(10, 10), at(20, 10), at(30, 60)]);
-        assert!(
-            json.contains(
-                "\"serial_ms\": 20.000000, \"parallel_ms\": 10.000000, \"speedup\": 1.000000,\n"
-            ),
-            "{json}"
-        );
-        assert!(
-            json.contains(
-                "\"trials\": 3, \"serial_ms_p10\": 10.000000, \"serial_ms_p90\": 30.000000, \
-\"speedup_p10\": 0.500000, \"speedup_p90\": 2.000000,"
-            ),
-            "{json}"
-        );
-        assert!(
-            json.contains(
-                "{\"threads\": 4, \"parallel_ms\": 10.000000, \"speedup\": 1.000000, \
-\"events_per_sec\": 1234500.000000, \"peak_rss_bytes\": 10, \"parallel_ms_p10\": 10.000000, \
-\"parallel_ms_p90\": 60.000000, \"speedup_p10\": 0.500000, \"speedup_p90\": 2.000000}"
-            ),
-            "{json}"
-        );
-    }
-
     #[test]
     fn json_escapes_and_structures() {
         let json = to_json(&outcome());
@@ -1182,45 +845,6 @@ mod tests {
                 s.scheduler
             );
         }
-    }
-
-    #[test]
-    fn bench_json_counts_every_fleet_host() {
-        // A fleet cell's `report` is host 0 only; the document must sum
-        // the events of every host.
-        let mut serial = outcome();
-        let cell = &mut serial.results[0];
-        let mut host1 = cell.report.clone();
-        host1.events = 1_000;
-        cell.fleet = Some(neon_core::fleet::FleetReport {
-            wall: cell.report.wall,
-            hosts: vec![cell.report.clone(), host1],
-            groups: vec![],
-            cross_host_migrations: 0,
-            cluster_transfer_stall: SimDuration::ZERO,
-            fleet_rejected: 0,
-            host_failures: 0,
-            fleet_lost_tasks: 0,
-            fleet_fault_recovered: 0,
-            host_degraded: SimDuration::ZERO,
-        });
-        let json = bench_json(&serial, &[trial(&serial, &[])]);
-        assert_eq!(json.matches("\"sim_events\": 13345").count(), 2, "{json}");
-    }
-
-    #[test]
-    fn bench_json_carries_schema_and_scenario_set() {
-        let json = bench_json(&outcome(), &[trial(&outcome(), &[(&outcome(), Some(1))])]);
-        assert!(json.contains("\"schema\": \"neon-bench-core/4\""), "{json}");
-        assert!(json.contains("\"created_by\": \"neon bench\""), "{json}");
-        assert!(
-            json.contains("\"scenario_set\": [\"say \\\"hi\\\", ok\"]"),
-            "{json}"
-        );
-        assert!(
-            json.contains(&format!("\"peak_rss_bytes\": {}", 64 * 1024 * 1024)),
-            "{json}"
-        );
     }
 
     #[test]

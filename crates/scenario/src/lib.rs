@@ -84,7 +84,7 @@ pub mod spec;
 pub mod sweep;
 pub mod toml;
 
-pub use driver::{current_rss_bytes, run_cell, CellResult, CellRunner, CellSummary, HostSummary};
+pub use driver::{run_cell, CellResult, CellRunner, CellSummary, HostSummary};
 pub use spec::{
     ArrivalSpec, CustomScheduler, LifetimeSpec, ScenarioSpec, SpecError, TenantGroup, WorkloadSpec,
 };

@@ -2,21 +2,17 @@
 //!
 //! A sweep is the cross product of scenarios × schedulers × placements
 //! × fleet placements × rebalance policies × seeds. Every cell is an
-//! independent,
-//! deterministic simulation, so cells fan out perfectly across OS
-//! threads. The runner is a **work-stealing** scheme over scoped
-//! `std::thread` workers:
+//! independent, deterministic simulation, so cells fan out across OS
+//! threads. The runner is a plain pool of scoped `std::thread`
+//! workers:
 //!
-//! - The plan is pre-chunked into per-worker deques, contiguous in
-//!   plan order and weighted by a per-cell cost estimate
-//!   (horizon × member count ≈ simulated events), so workers start on
-//!   balanced shares without any shared counter.
-//! - A worker drains its own deque from the front; when empty, it
-//!   steals one cell from the *back* of the busiest victim's deque.
+//! - Each worker claims the next plan index from one shared counter
+//!   and stops once the index passes the end of the plan. Cells are
+//!   about a millisecond each, so one counter balances them.
 //! - Each worker runs its cells through one [`CellRunner`], which
 //!   recycles its host [`World`](neon_core::world::World)s — one, or as
 //!   many as the widest fleet cell — across cells, and buffers results
-//!   in its own pre-sized `Vec` — no per-cell locking. Buffers are merged
+//!   in its own `Vec`, with no per-cell locking. Buffers are merged
 //!   into plan order once, at the end.
 //!
 //! Determinism comes from the *output discipline*, not the execution
@@ -24,9 +20,8 @@
 //! and results are reassembled in plan order, so any thread count —
 //! including the serial path — produces identical results.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use neon_core::fault::FaultMode;
@@ -105,25 +100,25 @@ pub struct SweepOutcome {
     pub threads: usize,
 }
 
+/// Runs one cell of the plan on `runner`.
+fn run_one(runner: &mut CellRunner, c: &SweepCell) -> CellResult {
+    runner.run(
+        &c.spec,
+        c.scheduler,
+        c.placement,
+        c.fleet_placement,
+        c.rebalance,
+        c.faults,
+        c.seed,
+    )
+}
+
 /// Runs every cell on the calling thread, in plan order, recycling one
 /// [`CellRunner`]'s host worlds across cells.
 pub fn run_serial(cells: &[SweepCell]) -> SweepOutcome {
     let started = Instant::now();
     let mut runner = CellRunner::new();
-    let results = cells
-        .iter()
-        .map(|c| {
-            runner.run(
-                &c.spec,
-                c.scheduler,
-                c.placement,
-                c.fleet_placement,
-                c.rebalance,
-                c.faults,
-                c.seed,
-            )
-        })
-        .collect();
+    let results = cells.iter().map(|c| run_one(&mut runner, c)).collect();
     SweepOutcome {
         results,
         wall: started.elapsed(),
@@ -131,92 +126,10 @@ pub fn run_serial(cells: &[SweepCell]) -> SweepOutcome {
     }
 }
 
-/// Estimated relative cost of a cell — the work-stealing runner's
-/// chunking weight. Simulated events scale with horizon × tenant
-/// count, so that product is the estimate; it only steers the initial
-/// partition (stealing corrects any error), so it need not be exact.
-fn cell_cost(cell: &SweepCell) -> u64 {
-    let members: u64 = cell
-        .spec
-        .groups
-        .iter()
-        .map(|g| g.count as u64)
-        .sum::<u64>()
-        .max(1);
-    (cell.spec.horizon.as_micros_f64() as u64).max(1) * members
-}
-
-/// One worker's deque of pending cell indices. The owner pops from the
-/// front (preserving plan-order locality of its contiguous chunk);
-/// thieves take from the back, where the chunk's coldest work sits.
-/// `len` mirrors the deque length so victim selection never takes a
-/// lock.
-struct WorkDeque {
-    jobs: Mutex<VecDeque<usize>>,
-    len: AtomicUsize,
-}
-
-impl WorkDeque {
-    fn new(jobs: VecDeque<usize>) -> Self {
-        let len = AtomicUsize::new(jobs.len());
-        WorkDeque {
-            jobs: Mutex::new(jobs),
-            len,
-        }
-    }
-
-    fn pop_front(&self) -> Option<usize> {
-        // lint: allow(unchecked-unwrap) — a poisoned deque means another
-        // worker already panicked; propagating is the only sound option
-        let mut jobs = self.jobs.lock().expect("work deque poisoned");
-        let job = jobs.pop_front();
-        if job.is_some() {
-            self.len.fetch_sub(1, Ordering::Relaxed);
-        }
-        job
-    }
-
-    fn steal_back(&self) -> Option<usize> {
-        // lint: allow(unchecked-unwrap) — a poisoned deque means another
-        // worker already panicked; propagating is the only sound option
-        let mut jobs = self.jobs.lock().expect("work deque poisoned");
-        let job = jobs.pop_back();
-        if job.is_some() {
-            self.len.fetch_sub(1, Ordering::Relaxed);
-        }
-        job
-    }
-
-    fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
-    }
-}
-
-/// Splits the plan into `threads` contiguous, cost-balanced chunks:
-/// walking plan order, a cell goes to the current worker until that
-/// worker's share of the total estimated cost is filled.
-fn chunk_plan(cells: &[SweepCell], threads: usize) -> Vec<VecDeque<usize>> {
-    let costs: Vec<u64> = cells.iter().map(cell_cost).collect();
-    let total: u128 = costs.iter().map(|&c| c as u128).sum();
-    let mut chunks: Vec<VecDeque<usize>> = (0..threads).map(|_| VecDeque::new()).collect();
-    let mut spent: u128 = 0;
-    let mut worker = 0usize;
-    for (i, &cost) in costs.iter().enumerate() {
-        // Advance to the worker whose cost budget this cell falls in;
-        // the last worker absorbs any rounding remainder.
-        while worker + 1 < threads && spent * threads as u128 >= total * (worker as u128 + 1) {
-            worker += 1;
-        }
-        chunks[worker].push_back(i);
-        spent += cost as u128;
-    }
-    chunks
-}
-
-/// Runs the plan across `threads` work-stealing workers (defaulting to
-/// the machine's available parallelism), each recycling its
-/// [`CellRunner`]'s host worlds across its cells. Results are identical to [`run_serial`] for every
-/// thread count — see the module docs for why.
+/// Runs the plan across `threads` workers (defaulting to the machine's
+/// available parallelism), each recycling its [`CellRunner`]'s host
+/// worlds across its cells. Results are identical to [`run_serial`]
+/// for every thread count — see the module docs for why.
 pub fn run_parallel(cells: &[SweepCell], threads: Option<usize>) -> SweepOutcome {
     let threads = threads
         .unwrap_or_else(|| {
@@ -225,82 +138,40 @@ pub fn run_parallel(cells: &[SweepCell], threads: Option<usize>) -> SweepOutcome
                 .unwrap_or(1)
         })
         .clamp(1, cells.len().max(1));
-    if threads <= 1 || cells.len() <= 1 {
+    if threads <= 1 {
         return run_serial(cells);
     }
     let started = Instant::now();
-    let deques: Vec<WorkDeque> = chunk_plan(cells, threads)
-        .into_iter()
-        .map(WorkDeque::new)
-        .collect();
-    let mut buffers: Vec<Vec<(usize, CellResult)>> = Vec::with_capacity(threads);
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<CellResult>> = (0..cells.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
-        let deques = &deques;
-        let handles: Vec<_> = (0..threads)
-            .map(|me| {
-                scope.spawn(move || {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
                     let mut runner = CellRunner::new();
-                    // Pre-size for the initial chunk plus room for a
-                    // few stolen cells, so result pushes don't grow.
-                    let mut out: Vec<(usize, CellResult)> =
-                        Vec::with_capacity(deques[me].len() + 4);
+                    let mut out = Vec::new();
                     loop {
-                        let job = deques[me].pop_front().or_else(|| {
-                            // Own deque empty: steal one cell from the
-                            // back of the busiest victim.
-                            (0..deques.len())
-                                .filter(|&v| v != me)
-                                .max_by_key(|&v| deques[v].len())
-                                .and_then(|v| deques[v].steal_back())
-                        });
-                        match job {
-                            Some(i) => {
-                                let c = &cells[i];
-                                out.push((
-                                    i,
-                                    runner.run(
-                                        &c.spec,
-                                        c.scheduler,
-                                        c.placement,
-                                        c.fleet_placement,
-                                        c.rebalance,
-                                        c.faults,
-                                        c.seed,
-                                    ),
-                                ));
-                            }
-                            None => {
-                                // A steal can race another thief; only
-                                // quit once every deque is drained
-                                // (lengths never grow, so this is
-                                // stable once observed).
-                                if deques.iter().all(|d| d.len() == 0) {
-                                    break;
-                                }
-                                std::thread::yield_now();
-                            }
-                        }
+                        // Relaxed: the counter publishes no data, only
+                        // claims; results come back through `join`.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(c) = cells.get(i) else { break out };
+                        out.push((i, run_one(&mut runner, c)));
                     }
-                    out
                 })
             })
             .collect();
-        for handle in handles {
+        for worker in workers {
             // lint: allow(unchecked-unwrap) — re-raises a worker panic on the
             // coordinating thread
-            buffers.push(handle.join().expect("sweep worker panicked"));
+            for (i, result) in worker.join().expect("sweep worker panicked") {
+                slots[i] = Some(result);
+            }
         }
     });
-    // Single merge back into plan order — the only post-run pass.
-    let mut slots: Vec<Option<CellResult>> = (0..cells.len()).map(|_| None).collect();
-    for (i, result) in buffers.into_iter().flatten() {
-        debug_assert!(slots[i].is_none(), "cell {i} ran twice");
-        slots[i] = Some(result);
-    }
     let results = slots
         .into_iter()
-        // lint: allow(unchecked-unwrap) — the work deque hands each cell
-        // index to exactly one worker
+        // lint: allow(unchecked-unwrap) — the shared counter hands each
+        // plan index to exactly one worker
         .map(|r| r.expect("every cell was claimed by exactly one worker"))
         .collect();
     SweepOutcome {

@@ -149,7 +149,7 @@ use neon_sim::SimTime;
 /// A skew-prone sweep plan: scenarios of widely varying cost (horizon ×
 /// tenant count × host count all drawn by the caller), two schedulers,
 /// per-scenario seeds — the shape that makes naive static partitioning
-/// imbalanced and forces the runner to steal. Mixed host counts make
+/// imbalanced, so workers finish their cells out of plan order. Mixed host counts make
 /// every worker recycle fleet hosts across cells of different widths.
 fn skewed_plan(shapes: &[(u64, u32, usize)], seeds: &[u64]) -> Vec<SweepCell> {
     let specs: Vec<ScenarioSpec> = shapes
@@ -256,9 +256,9 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// The work-stealing runner is invisible: for any thread count and
-    /// any steal-prone skew of cell costs, `run_parallel` produces the
-    /// same cell results as `run_serial`, in the same plan order.
+    /// The worker pool is invisible: for any thread count and any skew
+    /// of cell costs, `run_parallel` produces the same cell results as
+    /// `run_serial`, in the same plan order.
     #[test]
     fn work_stealing_sweep_matches_serial_for_any_thread_count(
         threads in 1usize..=16,
