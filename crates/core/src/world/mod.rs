@@ -63,6 +63,20 @@
 //! next. A queued event at the very same instant fires first, which is
 //! why the test is strict. The sequence number it never takes changes
 //! no relative order, and it still sets `now` and counts one event.
+//!
+//! `engine_done` returns one more successor: the step that wakes the
+//! completion's submitter. That step is not the handler's last
+//! schedule, since the policy's `on_completion` and the engine pump
+//! schedule after it. So the handler takes the step's sequence number
+//! with [`EventQueue::reserve`] where it decides the wake, sets the
+//! task's step token to it and marks the task ready: the callback, the
+//! pump, a kill and `step_after`'s guard all see a pending step, as
+//! they would a queued one. If the token is still that number after the
+//! pump, the step is the successor. The loop runs it in place under the
+//! same strict test, or files it under its reserved number
+//! ([`EventQueue::schedule_reserved`]), where it ties exactly as a key
+//! scheduled at the decision would. A kill in between cancels a token
+//! that names no queued key, and the step is dropped.
 
 pub(crate) mod ctx;
 mod lifecycle;
@@ -642,10 +656,7 @@ impl World {
                     Event::Horizon => break 'run,
                     Event::TaskStep(t) => self.task_step(t),
                     Event::DeviceSubmit(t) => self.device_submit(t),
-                    Event::EngineDone(dev, class) => {
-                        self.engine_done(dev.index(), class);
-                        None
-                    }
+                    Event::EngineDone(dev, class) => self.engine_done(dev.index(), class),
                     Event::Poll => {
                         self.stats.bump(StatKey::Polls);
                         for dev in 0..self.devices.len() {
@@ -874,7 +885,10 @@ impl World {
         self.step_after(id, SimDuration::ZERO)
     }
 
-    fn engine_done(&mut self, dev: usize, class: EngineClass) {
+    /// An engine finishes its request. Returns the step that wakes the
+    /// submitter, under the `seq` reserved when the wake was decided, if
+    /// the wake survives the policy's callback and the engine pump.
+    fn engine_done(&mut self, dev: usize, class: EngineClass) -> Successor {
         self.devices[dev].engine_tokens[class as usize] = None;
         let done = self.devices[dev].gpu.complete_running(self.now, class);
         let id = done.task;
@@ -902,11 +916,22 @@ impl World {
             TaskState::WaitingSlot => task.outstanding < task.max_outstanding,
             _ => false,
         };
-        if wake && task.live {
-            self.schedule_step(id, detect);
-        }
+        // The step takes its place in schedule order now, as a queued
+        // one would, so the callback and the pump see it pending.
+        let step = if wake {
+            self.step_after(id, detect)
+        } else {
+            None
+        };
+        let seq = step.map(|_| {
+            let seq = self.queue.reserve();
+            self.tasks[id.index()].step_token = Some(seq);
+            seq
+        });
         self.dispatch_sched(dev, |s, ctx| s.on_completion(ctx, &done));
         self.pump_engines(dev);
+        // A kill in between took the token, and with it the step.
+        step.filter(|_| self.tasks[id.index()].step_token == seq)
     }
 
     /// Dispatches idle engines of device `dev` onto pending work and
@@ -975,11 +1000,17 @@ impl World {
     }
 
     /// Queues a successor; a step keeps its token, so a kill, park or
-    /// exit can cancel it.
+    /// exit can cancel it. A step whose token is already set was
+    /// reserved by [`World::engine_done`] and is filed under it.
     fn enqueue(&mut self, at: SimTime, event: Event) {
-        let token = self.queue.schedule(at, event);
-        if let Event::TaskStep(id) = event {
-            self.tasks[id.index()].step_token = Some(token);
+        let Event::TaskStep(id) = event else {
+            self.queue.schedule(at, event);
+            return;
+        };
+        let task = &mut self.tasks[id.index()];
+        match task.step_token {
+            Some(seq) => self.queue.schedule_reserved(at, seq, event),
+            None => task.step_token = Some(self.queue.schedule(at, event)),
         }
     }
 }
@@ -1507,10 +1538,23 @@ mod tests {
     }
 
     /// Protects every task and allows every fault, tracing each poll
-    /// tick under `"poll"`; with `kill`, it first kills the faulting
-    /// task.
+    /// tick under `"poll"` and each timer under `"timer"`; with `kill`,
+    /// it first kills the faulting task. `done` says what it does on a
+    /// completion.
     struct Probe {
         kill: bool,
+        done: OnDone,
+    }
+
+    /// A [`Probe`]'s completion callback.
+    #[derive(Clone, Copy)]
+    enum OnDone {
+        Nothing,
+        /// Arms a timer that fires exactly when the woken submitter's
+        /// step is due.
+        TimerAtWake,
+        /// Kills the completing task.
+        Kill,
     }
 
     impl Scheduler for Probe {
@@ -1536,17 +1580,36 @@ mod tests {
         fn on_poll(&mut self, ctx: &mut crate::sched::SchedCtx<'_>) {
             ctx.trace_with("poll", String::new);
         }
-        fn on_timer(&mut self, _ctx: &mut crate::sched::SchedCtx<'_>, _tag: u32) {}
+        fn on_timer(&mut self, ctx: &mut crate::sched::SchedCtx<'_>, _tag: u32) {
+            ctx.trace_with("timer", String::new);
+        }
         fn on_completion(
             &mut self,
-            _ctx: &mut crate::sched::SchedCtx<'_>,
-            _done: &neon_gpu::CompletedRequest,
+            ctx: &mut crate::sched::SchedCtx<'_>,
+            done: &neon_gpu::CompletedRequest,
         ) {
+            match self.done {
+                OnDone::Nothing => {}
+                OnDone::TimerAtWake => {
+                    ctx.set_timer(WorldConfig::default().cost.completion_detect, 0);
+                }
+                OnDone::Kill => ctx.kill_task(done.task),
+            }
         }
     }
 
     fn probe_world(kill: bool, scripts: &[&[TaskAction]]) -> World {
-        let mut world = World::new(WorldConfig::default(), Box::new(Probe { kill }));
+        probe_world_with(
+            Probe {
+                kill,
+                done: OnDone::Nothing,
+            },
+            scripts,
+        )
+    }
+
+    fn probe_world_with(probe: Probe, scripts: &[&[TaskAction]]) -> World {
+        let mut world = World::new(WorldConfig::default(), Box::new(probe));
         world.trace.set_enabled(true);
         for script in scripts {
             world.add_task(Script::boxed(script)).unwrap();
@@ -1653,5 +1716,50 @@ mod tests {
         assert_eq!((task.submitted_requests, task.completed_requests), (0, 0));
         assert_eq!(report.compute_busy, SimDuration::ZERO);
         assert_eq!(world.devices[0].gpu.queued_requests(), 0);
+    }
+
+    #[test]
+    fn a_woken_step_runs_before_a_timer_armed_for_its_instant() {
+        // The completion wakes the blocked submitter one detection
+        // latency later, and on_completion arms a timer for that very
+        // instant. The wake was decided before the callback, so the
+        // step goes first and faults on its second store.
+        let probe = Probe {
+            kill: false,
+            done: OnDone::TimerAtWake,
+        };
+        let mut world = probe_world_with(probe, &[&[submit(), submit()]]);
+        world.run(us(500));
+        let timers: Vec<SimTime> = world
+            .trace
+            .iter()
+            .filter(|e| e.label == "timer")
+            .map(|e| e.at)
+            .collect();
+        assert_eq!(timers.len(), 2, "one timer per completion");
+        let order: Vec<_> = traced_at(&world, timers[0])
+            .into_iter()
+            .map(|(label, _)| label)
+            .collect();
+        assert_eq!(order, [labels::FAULT, "timer"]);
+    }
+
+    #[test]
+    fn a_task_killed_in_on_completion_never_steps_again() {
+        // The completion decides to wake the submitter, then the policy
+        // kills it: the wake must not run.
+        let probe = Probe {
+            kill: false,
+            done: OnDone::Kill,
+        };
+        let mut world = probe_world_with(probe, &[&[submit(), submit()]]);
+        let report = world.run(us(500));
+        let faults = world.trace.iter().filter(|e| e.label == labels::FAULT);
+        assert_eq!(faults.count(), 1, "only the first store faults");
+        // The step, the store, the completion and the horizon.
+        assert_eq!(report.stats.get(StatKey::Events), 4);
+        let task = &report.tasks[0];
+        assert!(task.killed);
+        assert_eq!((task.submitted_requests, task.completed_requests), (1, 1));
     }
 }

@@ -180,6 +180,7 @@ impl Channel {
     /// Panics if the channel is destroyed or the ring is full (callers
     /// check [`Channel::is_full`] first; the task models bound their
     /// pipeline depth below the ring capacity).
+    #[inline]
     pub(crate) fn enqueue(&mut self, now: SimTime, build: impl FnOnce(u64) -> Request) -> u64 {
         assert!(self.is_active(), "submit on destroyed channel {}", self.id);
         assert!(!self.is_full(), "ring overflow on channel {}", self.id);
@@ -192,6 +193,7 @@ impl Channel {
     }
 
     /// Removes the head-of-line request for dispatch.
+    #[inline]
     pub(crate) fn pop_front(&mut self) -> Option<Request> {
         self.ring.pop_front()
     }
@@ -203,6 +205,7 @@ impl Channel {
 
     /// Records a completion: the device writes `reference` to the
     /// channel's reference counter.
+    #[inline]
     pub(crate) fn record_completion(&mut self, reference: u64) {
         debug_assert!(
             reference > self.completed_reference,

@@ -294,6 +294,7 @@ impl Gpu {
     ///
     /// [`GpuError::NoSuchChannel`], [`GpuError::ChannelDestroyed`], or
     /// [`GpuError::RingFull`].
+    #[inline]
     pub fn submit(
         &mut self,
         now: SimTime,
@@ -340,6 +341,7 @@ impl Gpu {
 
     /// If `engine` is idle and work is pending, starts the next request
     /// per weighted round-robin and returns its completion time.
+    #[inline]
     pub fn try_dispatch(&mut self, now: SimTime, engine: EngineClass) -> Option<DispatchOutcome> {
         if !self.engine(engine).is_idle() {
             return None;
@@ -363,6 +365,7 @@ impl Gpu {
     ///
     /// Panics if the engine is idle (a stale completion event — driver
     /// bugs, not runtime conditions).
+    #[inline]
     pub fn complete_running(&mut self, now: SimTime, engine: EngineClass) -> CompletedRequest {
         let run = self.engine_mut(engine).finish(now);
         let request = run.request;
@@ -570,6 +573,7 @@ impl Gpu {
     // Internals
     // ------------------------------------------------------------------
 
+    #[inline]
     fn engine(&self, class: EngineClass) -> &Engine {
         match class {
             EngineClass::Compute => &self.compute_engine,
@@ -577,6 +581,7 @@ impl Gpu {
         }
     }
 
+    #[inline]
     fn engine_mut(&mut self, class: EngineClass) -> &mut Engine {
         match class {
             EngineClass::Compute => &mut self.compute_engine,
@@ -584,6 +589,7 @@ impl Gpu {
         }
     }
 
+    #[inline]
     fn rotation_for(&mut self, kind: RequestKind) -> &mut Rotation {
         match kind {
             RequestKind::Compute => &mut self.compute_rotation,
@@ -594,6 +600,7 @@ impl Gpu {
 
     /// Pops the head of a rotation for service, keeping the channel in
     /// the rotation (at the back) if more requests remain queued.
+    #[inline]
     fn take_head(rot: &mut Rotation, channels: &[Channel]) -> Option<ChannelId> {
         let head = rot.order.pop_front()?;
         if channels[head.index()].queued() > 1 {
@@ -611,6 +618,7 @@ impl Gpu {
     /// observation that graphics requests complete at a fraction of a
     /// small-request compute co-runner's rate, with the disparity
     /// vanishing for large co-runner requests.
+    #[inline]
     fn pick_next_channel(&mut self, now: SimTime, class: EngineClass) -> Option<ChannelId> {
         if class == EngineClass::Dma {
             return Self::take_head(&mut self.dma_rotation, &self.channels);

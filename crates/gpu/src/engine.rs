@@ -72,6 +72,7 @@ impl Engine {
     /// Begins executing `request` at `now`, charging `switch_cost` if the
     /// context differs from the previous request's. Returns the finish
     /// time.
+    #[inline]
     pub(crate) fn start(
         &mut self,
         now: SimTime,
@@ -106,6 +107,7 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if the engine is idle.
+    #[inline]
     pub(crate) fn finish(&mut self, now: SimTime) -> RunningRequest {
         // lint: allow(unchecked-unwrap) — a finish event is only scheduled
         // while a run is in flight

@@ -154,6 +154,7 @@ impl StreamingHistogram {
         StreamingHistogram::default()
     }
 
+    #[inline]
     fn bucket_of(v: u64) -> u16 {
         if v < SUB_COUNT {
             // lint: allow(narrowing-cast) — the branch guarantees v <
@@ -196,11 +197,13 @@ impl StreamingHistogram {
     }
 
     /// Records one sample.
+    #[inline]
     pub fn record(&mut self, d: SimDuration) {
         self.record_n(d, 1);
     }
 
     /// Records `n` identical samples in one bump.
+    #[inline]
     pub fn record_n(&mut self, d: SimDuration, n: u64) {
         if n == 0 {
             return;

@@ -1220,6 +1220,45 @@ lifetime = "exp(40ms)"
     }
 
     #[test]
+    fn root_rows_state_the_defaults_the_loader_applies() {
+        // A root row that says `(default X)` must mean what omitting the
+        // key gives: setting it to X loads the same spec. A default
+        // changed in code fails here until its row changes too.
+        let base = "horizon = \"10ms\"\n[[group]]\nworkload = \"throttle\"\nrequest = \"1ms\"\n";
+        let omitted = format!("{:?}", from_toml(base, "stem").unwrap());
+        let mut checked = Vec::new();
+        for k in KEYS.iter().filter(|k| matches!(k.owner, Owner::Root)) {
+            let Some((_, stated)) = k.doc.split_once("(default ") else {
+                continue;
+            };
+            let stated = stated
+                .strip_suffix(')')
+                .expect("the default closes the row");
+            let value = match k.ty {
+                Ty::Ints => stated.to_string(),
+                Ty::Label(_) | Ty::Axis(_) => format!("{stated:?}"),
+                _ => panic!("{}: no TOML form for a {} default", k.path, k.ty),
+            };
+            let text = format!("{} = {value}\n{base}", k.path);
+            let given = format!("{:?}", from_toml(&text, "stem").unwrap());
+            assert_eq!(given, omitted, "{}: row says default {stated}", k.path);
+            checked.push(k.path);
+        }
+        assert_eq!(
+            checked,
+            [
+                "seeds",
+                "schedulers",
+                "placement",
+                "fleet_placement",
+                "fleet_rebalance",
+                "rebalance",
+                "metrics"
+            ]
+        );
+    }
+
+    #[test]
     fn durations_parse_all_units() {
         assert_eq!(
             parse_duration("134ns").unwrap(),

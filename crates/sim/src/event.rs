@@ -27,11 +27,14 @@
 //! handler pops an event and schedules its successor, which is most
 //! often the new minimum. Such an event is appended to the run and
 //! popped straight back, without touching any other table. The
-//! simulation world skips even that for its tasks' own chains: a
-//! successor strictly earlier than [`EventQueue::peek_time`] runs in
-//! place and never reaches the queue. What the world does schedule is
-//! the rest: completions, ticks, timers, and successors that are not the
-//! next event.
+//! simulation world skips even that for its tasks' own chains, and for
+//! the step that wakes a completion's submitter: a successor strictly
+//! earlier than [`EventQueue::peek_time`] runs in place and never
+//! reaches the queue. What the world does schedule is the rest:
+//! completions, ticks, timers, and successors that are not the next
+//! event. A wake that is not is filed under a `seq` the world took with
+//! [`EventQueue::reserve`] when it decided the wake, so it ties exactly
+//! as a key scheduled then would.
 //!
 //! **The far heap** holds everything else: a [`BinaryHeap`] of ranks,
 //! with each payload in a map keyed by its `seq`. These are mostly the
@@ -53,7 +56,8 @@
 //! to the top, and once stale ranks outnumber live ones a `retain`
 //! clears them all, so the heap stays within about twice its live keys
 //! and a mass cancellation costs linear time in all. A `seq` found in
-//! neither tier has fired or been cancelled, or was never issued.
+//! neither tier has fired or been cancelled, is reserved but not yet
+//! filed, or was never issued.
 //! Sequence numbers keep counting across [`EventQueue::clear`], so a
 //! token from before a clear names no later key.
 //!
@@ -63,6 +67,9 @@
 //!   usually zero or one step, since the new key is usually the new
 //!   minimum: O(`NEAR`) at worst, plus O(log n) for an eviction. Into
 //!   the heap it is O(log n).
+//! - **reserve** is one increment of the sequence counter, O(1);
+//!   `schedule` is a `reserve` followed by a `schedule_reserved`, which
+//!   files the key as above whatever its `seq`.
 //! - **pop** takes the run's last entry, O(1). An empty run is refilled
 //!   first: one heap pop per live key moved and per stale rank dropped.
 //! - **cancel** is an O(`NEAR`) scan, then an O(1) map removal; the
@@ -203,20 +210,45 @@ impl<E> EventQueue<E> {
     /// Panics if `at` is earlier than the most recently popped event's
     /// time: the simulator may not schedule into its own past.
     pub fn schedule(&mut self, at: SimTime, event: E) -> u64 {
+        let seq = self.reserve();
+        self.schedule_reserved(at, seq, event);
+        seq
+    }
+
+    /// Takes the next sequence number without scheduling anything: the
+    /// place in schedule order, and the token, of a key that
+    /// [`EventQueue::schedule_reserved`] may file later. Until then the
+    /// token names no key, so cancelling it returns `None`; a reserved
+    /// `seq` that is never filed changes no relative order.
+    pub fn reserve(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Schedules `event` at `at` under `seq`, a number taken by
+    /// [`EventQueue::reserve`] and not yet filed. The key ranks exactly
+    /// as if it had been scheduled when `seq` was reserved: before every
+    /// key of the same instant scheduled since.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than the most recently popped event's
+    /// time, as [`EventQueue::schedule`] does.
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: E) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: {} < {}",
             at,
             self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        debug_assert!(seq < self.next_seq, "seq {seq} was never reserved");
         let rank = rank(at, seq);
         let above_heap = self.heap.peek().is_some_and(|&Reverse(top)| top < rank);
         let full = self.run.len() == NEAR;
         if above_heap || full && self.run[0].rank() < rank {
             self.push_far(rank, event);
-            return seq;
+            return;
         }
         if full {
             let evicted = self.run.remove(0);
@@ -227,7 +259,6 @@ impl<E> EventQueue<E> {
             i -= 1;
         }
         self.run.insert(i, Near { at, seq, event });
-        seq
     }
 
     /// Files a key into the far heap, its payload into the map.

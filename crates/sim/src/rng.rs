@@ -47,6 +47,7 @@ impl DetRng {
     /// `spread` is clamped to `[0, 1]`. With `spread == 0` the mean is
     /// returned unchanged (and the generator state is *not* advanced, so
     /// zero-jitter workloads are insensitive to draw order).
+    #[inline]
     pub fn jittered(&mut self, mean: SimDuration, spread: f64) -> SimDuration {
         let spread = spread.clamp(0.0, 1.0);
         if spread == 0.0 || mean.is_zero() {

@@ -75,6 +75,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `earlier` is later than `self`.
+    #[inline]
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         assert!(
             earlier.0 <= self.0,
@@ -84,6 +85,7 @@ impl SimTime {
     }
 
     /// The span from `earlier` to `self`, or zero if `earlier` is later.
+    #[inline]
     pub fn saturating_duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
@@ -187,6 +189,7 @@ impl SimDuration {
 
     /// Multiplies the span by a float factor (for jitter and scaling).
     /// Negative factors clamp to zero.
+    #[inline]
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         if factor <= 0.0 {
             SimDuration::ZERO
@@ -239,6 +242,7 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(
             self.0
@@ -252,6 +256,7 @@ impl Sub<SimDuration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         self.duration_since(rhs)
     }
@@ -272,6 +277,7 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0
@@ -284,6 +290,7 @@ impl Sub for SimDuration {
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         *self = *self - rhs;
     }

@@ -497,3 +497,132 @@ fn hold_pattern_queue_matches_reference_model() {
         "no cancel hit a key outside the near run: the mix no longer covers that path"
     );
 }
+
+/// One case of [`reserved_seq_keys_pop_where_they_were_reserved`]. A
+/// reservation in the queue is a schedule in the model, at the same
+/// instant, so the model holds the key from the moment its `seq` was
+/// taken. The queue files it later, after other schedules and before
+/// the next peek or pop, as the world files a wake after the callback
+/// and pump that follow its decision.
+fn reserved_seq_case(ops: &[(u8, u64, u64)]) -> Result<(), String> {
+    let mut q: EventQueue<u64> = EventQueue::new();
+    let mut model: ModelQueue<u64> = ModelQueue::new();
+    // (queue token, model token) of every key scheduled or reserved.
+    let mut tokens: Vec<(u64, u64)> = Vec::new();
+    // Reserved keys not yet filed: (seq, at, payload).
+    let mut pending: Vec<(u64, SimTime, u64)> = Vec::new();
+    let mut payload = 0u64;
+    for &(op, raw, pick) in ops {
+        let now = q.now();
+        // Ties at now or a few nanoseconds after, so reserved keys share
+        // their instant with keys scheduled in between.
+        let at = now + SimDuration::from_nanos(raw % 4);
+        match op {
+            0..=5 => {
+                payload += 1;
+                tokens.push((q.schedule(at, payload), model.schedule(at, payload)));
+            }
+            6..=8 => {
+                payload += 1;
+                let seq = q.reserve();
+                pending.push((seq, at, payload));
+                tokens.push((seq, model.schedule(at, payload)));
+            }
+            9..=10 => {
+                // A burst: enough keys to fill the near run around a
+                // pending reservation.
+                for i in 0..raw % 70 {
+                    payload += 1;
+                    let at = now + SimDuration::from_nanos((raw >> 8).wrapping_add(i) % 4);
+                    tokens.push((q.schedule(at, payload), model.schedule(at, payload)));
+                }
+            }
+            11..=13 => {
+                if !tokens.is_empty() {
+                    let (tok, m_tok) = tokens.swap_remove(pick as usize % tokens.len());
+                    let b = model.cancel(m_tok);
+                    if let Some(i) = pending.iter().position(|&(seq, _, _)| seq == tok) {
+                        // Cancelled before it was filed: the queue has
+                        // no such key, and the key is never filed.
+                        prop_assert_eq!(q.cancel(tok), None);
+                        prop_assert_eq!(Some(pending.swap_remove(i).2), b);
+                    } else {
+                        prop_assert_eq!(q.cancel(tok), b, "cancel outcomes diverged");
+                    }
+                }
+            }
+            _ => {
+                // File every pending key, newest first, then compare.
+                while let Some((seq, at, p)) = pending.pop() {
+                    q.schedule_reserved(at, seq, p);
+                }
+                if op < 17 {
+                    prop_assert_eq!(q.peek_time(), model.peek_time(), "peek diverged");
+                } else {
+                    prop_assert_eq!(q.pop(), model.pop(), "pop diverged");
+                    prop_assert_eq!(q.now(), model.now());
+                }
+            }
+        }
+        prop_assert_eq!(q.len() + pending.len(), model.payloads.len());
+    }
+    while let Some((seq, at, p)) = pending.pop() {
+        q.schedule_reserved(at, seq, p);
+    }
+    loop {
+        let (a, b) = (q.pop(), model.pop());
+        prop_assert_eq!(&a, &b, "drain diverged");
+        if a.is_none() {
+            break;
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
+
+    /// A key filed under a reserved `seq` pops exactly where the model,
+    /// which scheduled it when the `seq` was reserved, pops it: before
+    /// every same-instant key scheduled in between, whether it lands in
+    /// the near run or the far heap. Its token cancels like any other,
+    /// and before it is filed it cancels nothing.
+    #[test]
+    fn reserved_seq_keys_pop_where_they_were_reserved(
+        ops in proptest::collection::vec((0u8..24, any::<u64>(), any::<u64>()), 1..400),
+    ) {
+        reserved_seq_case(&ops)?;
+    }
+}
+
+/// A reserved key filed into a full near run, behind [`NEAR`] keys of
+/// its own instant scheduled after the reservation, pops first; one
+/// filed above them all goes to the far heap and cancels from there.
+#[test]
+fn a_reserved_key_filed_into_a_full_run_pops_first_of_its_instant() {
+    let t = SimTime::from_micros(5);
+    let later = t + SimDuration::from_nanos(1);
+    let mut q: EventQueue<u64> = EventQueue::new();
+    let mut model: ModelQueue<u64> = ModelQueue::new();
+    let first = q.reserve();
+    model.schedule(t, 0);
+    let last = q.reserve();
+    let m_last = model.schedule(later, 1);
+    for i in 0..NEAR as u64 {
+        q.schedule(t, 10 + i);
+        model.schedule(t, 10 + i);
+    }
+    q.schedule_reserved(t, first, 0);
+    q.schedule_reserved(later, last, 1);
+    assert_eq!(q.len(), NEAR + 2);
+    assert_eq!(q.cancel(last), model.cancel(m_last));
+    assert_eq!(q.pop(), Some((t, 0)));
+    assert_eq!(model.pop(), Some((t, 0)));
+    loop {
+        let (a, b) = (q.pop(), model.pop());
+        assert_eq!(a, b);
+        if a.is_none() {
+            break;
+        }
+    }
+}
