@@ -67,329 +67,18 @@ use crate::telemetry::StatKey;
 use crate::workload::BoxedWorkload;
 use crate::world::World;
 
-/// Cluster-observable load of one host at a placement instant — the
-/// fleet analogue of [`DeviceLoad`](crate::placement::DeviceLoad),
-/// built from the fleet's capacity ledger (planned reservations), not
-/// from device ground truth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HostLoad {
-    /// The host.
-    pub host: HostId,
-    /// Tenants currently resident (planned) on the host.
-    pub tenants: usize,
-    /// Contexts still reservable, summed across the host's devices.
-    pub free_contexts: usize,
-    /// Channels still reservable, summed across the host's devices.
-    pub free_channels: usize,
-    /// Devices the host exposes — the capacity-scale signal that lets
-    /// policies normalize load across heterogeneous host sizes.
-    pub devices: usize,
-}
+mod policy;
 
-impl HostLoad {
-    /// `true` if a tenant needing `channels` channels (and one context)
-    /// can be reserved here.
-    pub fn fits(&self, channels: usize) -> bool {
-        self.free_contexts >= 1 && self.free_channels >= channels
-    }
-}
+pub use policy::{
+    FewestTenantsHost, FleetCountDiff, FleetOff, FleetPlacement, FleetPlacementKind,
+    FleetRebalance, FleetRebalanceKind, HostLoad, HostMigration, HostMigrationCandidate,
+    LeastLoadedHost, RoundRobinHost,
+};
 
-/// A tenant-to-host placement policy.
-///
-/// `place` must return a host whose [`HostLoad::fits`] holds for
-/// `channels`, or `None` when no host has room (the arrival is then
-/// rejected at the cluster boundary and counted in
-/// [`FleetReport::fleet_rejected`]).
-pub trait FleetPlacement: Send {
-    /// Short policy name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Chooses a host for an arriving tenant needing `channels`
-    /// channels. `loads` is ordered by host id.
-    fn place(&mut self, loads: &[HostLoad], channels: usize) -> Option<HostId>;
-}
-
-/// Picks the fitting host with the most free channels — absolute
-/// headroom, so bigger hosts absorb proportionally more tenants. Ties
-/// by fewer tenants, then host id.
-#[derive(Debug, Default)]
-pub struct LeastLoadedHost;
-
-impl FleetPlacement for LeastLoadedHost {
-    fn name(&self) -> &'static str {
-        "least-loaded"
-    }
-
-    fn place(&mut self, loads: &[HostLoad], channels: usize) -> Option<HostId> {
-        loads
-            .iter()
-            .filter(|l| l.fits(channels))
-            .max_by(|a, b| {
-                (a.free_channels, std::cmp::Reverse(a.tenants), b.host).cmp(&(
-                    b.free_channels,
-                    std::cmp::Reverse(b.tenants),
-                    a.host,
-                ))
-            })
-            .map(|l| l.host)
-    }
-}
-
-/// Cycles through hosts in id order, skipping full ones.
-#[derive(Debug, Default)]
-pub struct RoundRobinHost {
-    next: usize,
-}
-
-impl FleetPlacement for RoundRobinHost {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
-    fn place(&mut self, loads: &[HostLoad], channels: usize) -> Option<HostId> {
-        if loads.is_empty() {
-            return None;
-        }
-        for i in 0..loads.len() {
-            let idx = (self.next + i) % loads.len();
-            if loads[idx].fits(channels) {
-                self.next = (idx + 1) % loads.len();
-                return Some(loads[idx].host);
-            }
-        }
-        None
-    }
-}
-
-/// Picks the fitting host with the fewest resident tenants (ties by
-/// host id) — balances population regardless of host size.
-#[derive(Debug, Default)]
-pub struct FewestTenantsHost;
-
-impl FleetPlacement for FewestTenantsHost {
-    fn name(&self) -> &'static str {
-        "fewest-tenants"
-    }
-
-    fn place(&mut self, loads: &[HostLoad], channels: usize) -> Option<HostId> {
-        loads
-            .iter()
-            .filter(|l| l.fits(channels))
-            .min_by_key(|l| (l.tenants, l.host))
-            .map(|l| l.host)
-    }
-}
-
-/// The fleet placement policies available to experiments, as a
-/// sweepable axis (mirrors
-/// [`PlacementKind`](crate::placement::PlacementKind) one level down).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FleetPlacementKind {
-    /// [`LeastLoadedHost`].
-    LeastLoaded,
-    /// [`RoundRobinHost`].
-    RoundRobin,
-    /// [`FewestTenantsHost`].
-    FewestTenants,
-}
-
-impl FleetPlacementKind {
-    /// Every policy, for exhaustive sweeps.
-    pub const ALL: [FleetPlacementKind; 3] = [
-        FleetPlacementKind::LeastLoaded,
-        FleetPlacementKind::RoundRobin,
-        FleetPlacementKind::FewestTenants,
-    ];
-
-    /// Instantiates the policy.
-    pub fn build(self) -> Box<dyn FleetPlacement> {
-        match self {
-            FleetPlacementKind::LeastLoaded => Box::new(LeastLoadedHost),
-            FleetPlacementKind::RoundRobin => Box::new(RoundRobinHost::default()),
-            FleetPlacementKind::FewestTenants => Box::new(FewestTenantsHost),
-        }
-    }
-
-    /// Parses the label form back into a kind (`"least-loaded"`,
-    /// `"round-robin"`, `"fewest-tenants"`).
-    pub fn from_label(label: &str) -> Option<FleetPlacementKind> {
-        FleetPlacementKind::ALL
-            .into_iter()
-            .find(|k| k.to_string() == label)
-    }
-}
-
-impl std::fmt::Display for FleetPlacementKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FleetPlacementKind::LeastLoaded => f.write_str("least-loaded"),
-            FleetPlacementKind::RoundRobin => f.write_str("round-robin"),
-            FleetPlacementKind::FewestTenants => f.write_str("fewest-tenants"),
-        }
-    }
-}
-
-/// A planned tenant a [`FleetRebalance`] policy is allowed to move,
-/// with the attributes migration pricing needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HostMigrationCandidate {
-    /// Candidate ordinal — candidates are presented in admission order,
-    /// so the last entry is the most recent admission (the same recency
-    /// discipline the device-level policies use).
-    pub ord: usize,
-    /// The host the tenant currently lives on.
-    pub host: HostId,
-    /// Channels the tenant holds (what the target must fit).
-    pub channels: usize,
-    /// Working-set size in bytes — what a cross-host move ships over
-    /// the cluster interconnect.
-    pub working_set: u64,
-}
-
-/// One cross-host migration a policy asks the fleet to perform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HostMigration {
-    /// Ordinal of the chosen [`HostMigrationCandidate`].
-    pub candidate: usize,
-    /// The host to move it to.
-    pub to: HostId,
-}
-
-/// A departure-triggered cross-host rebalancing policy — the fleet
-/// analogue of [`Rebalance`](crate::rebalance::Rebalance). After every
-/// planned departure on a multi-host fleet, the policy sees the
-/// post-departure [`HostLoad`] snapshot and the movable tenants, and
-/// names at most one migration; the fleet prices it with the
-/// [`ClusterInterconnect`] and restages the tenant on the target.
-pub trait FleetRebalance: Send {
-    /// Short policy name for reports.
-    fn name(&self) -> &'static str;
-
-    /// `false` if the policy never migrates — lets the fleet skip
-    /// building snapshots on the departure path entirely.
-    fn active(&self) -> bool {
-        true
-    }
-
-    /// Picks at most one migration given the post-departure state.
-    fn plan(
-        &mut self,
-        now: SimTime,
-        loads: &[HostLoad],
-        candidates: &[HostMigrationCandidate],
-    ) -> Option<HostMigration>;
-}
-
-/// Never migrates across hosts.
-#[derive(Debug, Default)]
-pub struct FleetOff;
-
-impl FleetRebalance for FleetOff {
-    fn name(&self) -> &'static str {
-        "off"
-    }
-
-    fn active(&self) -> bool {
-        false
-    }
-
-    fn plan(
-        &mut self,
-        _now: SimTime,
-        _loads: &[HostLoad],
-        _candidates: &[HostMigrationCandidate],
-    ) -> Option<HostMigration> {
-        None
-    }
-}
-
-/// The count-difference heuristic one level up: when the most- and
-/// least-populated hosts differ by ≥ 2 tenants, move the most recently
-/// admitted movable tenant from the former to the latter (if it fits).
-/// Charge-blind — the cluster transfer is charged but never weighed.
-#[derive(Debug, Default)]
-pub struct FleetCountDiff;
-
-impl FleetRebalance for FleetCountDiff {
-    fn name(&self) -> &'static str {
-        "count-diff"
-    }
-
-    fn plan(
-        &mut self,
-        _now: SimTime,
-        loads: &[HostLoad],
-        candidates: &[HostMigrationCandidate],
-    ) -> Option<HostMigration> {
-        let mut max_i = 0;
-        let mut min_i = 0;
-        for (i, l) in loads.iter().enumerate() {
-            if l.tenants > loads[max_i].tenants {
-                max_i = i;
-            }
-            if l.tenants < loads[min_i].tenants {
-                min_i = i;
-            }
-        }
-        if loads[max_i].tenants < loads[min_i].tenants + 2 {
-            return None;
-        }
-        let target = &loads[min_i];
-        candidates
-            .iter()
-            .rev()
-            .find(|c| c.host == loads[max_i].host && target.fits(c.channels))
-            .map(|c| HostMigration {
-                candidate: c.ord,
-                to: target.host,
-            })
-    }
-}
-
-/// The fleet rebalancing policies, as a configuration axis (mirrors
-/// [`RebalanceKind`](crate::rebalance::RebalanceKind)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FleetRebalanceKind {
-    /// [`FleetOff`]: never migrate across hosts.
-    Off,
-    /// [`FleetCountDiff`]: the charge-blind population heuristic.
-    CountDiff,
-}
-
-impl FleetRebalanceKind {
-    /// Every policy.
-    pub const ALL: [FleetRebalanceKind; 2] =
-        [FleetRebalanceKind::Off, FleetRebalanceKind::CountDiff];
-
-    /// Instantiates the policy.
-    pub fn build(self) -> Box<dyn FleetRebalance> {
-        match self {
-            FleetRebalanceKind::Off => Box::new(FleetOff),
-            FleetRebalanceKind::CountDiff => Box::new(FleetCountDiff),
-        }
-    }
-
-    /// Parses the label form back into a kind (`"off"`,
-    /// `"count-diff"`).
-    pub fn from_label(label: &str) -> Option<FleetRebalanceKind> {
-        FleetRebalanceKind::ALL
-            .into_iter()
-            .find(|k| k.to_string() == label)
-    }
-}
-
-impl std::fmt::Display for FleetRebalanceKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FleetRebalanceKind::Off => f.write_str("off"),
-            FleetRebalanceKind::CountDiff => f.write_str("count-diff"),
-        }
-    }
-}
-
-/// Builds continuation instances of a migratable tenant's workload —
+/// Builds the continuation instance of a migratable tenant's workload —
 /// cross-host migration is teardown-and-restage, so the target host
-/// needs a fresh instance.
+/// needs a fresh instance. Called once per cross-host move, never at
+/// spawn time: the first instance is passed in alongside the factory.
 pub type WorkloadFactory = Box<dyn FnMut() -> BoxedWorkload + Send>;
 
 /// One recorded future arrival, and where planning routed it.
@@ -454,6 +143,55 @@ struct Resident {
     working_set: u64,
     migratable: bool,
     live: bool,
+}
+
+/// Every resident the planning pass has routed, in admission order,
+/// plus an ascending index of the live migratable ones: a departure's
+/// rebalance candidates then cost the live population, not every
+/// resident ever routed. Residents are read through the slice;
+/// [`Residents::retire`] is the only way to end one, so the index
+/// cannot drift from the `live` flags.
+#[derive(Default)]
+struct Residents {
+    all: Vec<Resident>,
+    /// Indices into `all` of the live migratable residents, ascending.
+    movable: Vec<usize>,
+}
+
+impl Residents {
+    fn push(&mut self, resident: Resident) {
+        if resident.migratable {
+            self.movable.push(self.all.len());
+        }
+        self.all.push(resident);
+    }
+
+    /// Ends resident `r`'s residence: marks it dead and unlists it.
+    fn retire(&mut self, r: usize) {
+        self.all[r].live = false;
+        if let Ok(i) = self.movable.binary_search(&r) {
+            self.movable.remove(i);
+        }
+    }
+
+    /// `true` when the index lists exactly the live migratable
+    /// residents, in order — what a scan of `all` would find.
+    fn index_matches_scan(&self) -> bool {
+        let scan = self
+            .all
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.live && c.migratable);
+        self.movable.iter().copied().eq(scan.map(|(r, _)| r))
+    }
+}
+
+impl std::ops::Deref for Residents {
+    type Target = [Resident];
+
+    fn deref(&self) -> &[Resident] {
+        &self.all
+    }
 }
 
 /// A planning-pass action.
@@ -692,14 +430,20 @@ impl Fleet {
         self.record_spawn(at, Some(lifetime), workload, None);
     }
 
-    /// Schedules a *migratable* tenant: `factory` builds its workload
-    /// instances, so a cross-host migration can tear the tenant down
-    /// on the source host and restage a fresh instance on the target
-    /// (workload progress does not survive the move — the same
-    /// restart-from-zero price a process pays when a cluster scheduler
-    /// relocates it).
-    pub fn spawn_migratable_at(&mut self, at: SimTime, mut factory: WorkloadFactory) {
-        let workload = factory();
+    /// Schedules a *migratable* tenant: `workload` is the instance it
+    /// arrives with, and `factory` builds the continuation a cross-host
+    /// migration restages on the target after tearing the tenant down
+    /// on the source (workload progress does not survive the move — the
+    /// same restart-from-zero price a process pays when a cluster
+    /// scheduler relocates it). The factory runs only for tenants that
+    /// actually move, so `workload` should be what a call to it would
+    /// return: a fresh instance, or a clone of one that has not run.
+    pub fn spawn_migratable_at(
+        &mut self,
+        at: SimTime,
+        workload: BoxedWorkload,
+        factory: WorkloadFactory,
+    ) {
         self.record_spawn(at, None, workload, Some(factory));
     }
 
@@ -708,10 +452,10 @@ impl Fleet {
     pub fn spawn_migratable_for(
         &mut self,
         at: SimTime,
-        mut factory: WorkloadFactory,
+        workload: BoxedWorkload,
+        factory: WorkloadFactory,
         lifetime: SimDuration,
     ) {
-        let workload = factory();
         self.record_spawn(at, Some(lifetime), workload, Some(factory));
     }
 
@@ -774,30 +518,31 @@ impl Fleet {
             agenda.schedule(spawn.at, Act::Arrival(i));
         }
         let mut state = self.ledger.clone();
-        let mut residents: Vec<Resident> = Vec::new();
+        let mut residents = Residents::default();
         let mut down = vec![false; state.len()];
         let mut down_since: Vec<Option<SimTime>> = vec![None; state.len()];
+        // One load snapshot and one candidate list, refilled at every
+        // decision of the pass.
+        let mut loads: Vec<HostLoad> = Vec::with_capacity(state.len());
+        let mut candidates: Vec<HostMigrationCandidate> = Vec::new();
         // A down host advertises zero free capacity, so no placement
         // policy can route an arrival (or a re-admission) to it.
-        fn masked_loads(state: &[HostState], down: &[bool]) -> Vec<HostLoad> {
-            state
-                .iter()
-                .enumerate()
-                .map(|(h, s)| {
-                    let mut l = s.load(h);
-                    if down[h] {
-                        l.free_contexts = 0;
-                        l.free_channels = 0;
-                    }
-                    l
-                })
-                .collect()
+        fn masked_loads(state: &[HostState], down: &[bool], loads: &mut Vec<HostLoad>) {
+            loads.clear();
+            loads.extend(state.iter().enumerate().map(|(h, s)| {
+                let mut l = s.load(h);
+                if down[h] {
+                    l.free_contexts = 0;
+                    l.free_channels = 0;
+                }
+                l
+            }));
         }
         let rebalance_active = self.rebalance.active();
         while let Some((now, act)) = agenda.pop() {
             match act {
                 Act::Arrival(i) => {
-                    let loads = masked_loads(&state, &down);
+                    masked_loads(&state, &down, &mut loads);
                     match self.placement.place(&loads, self.spawns[i].channels) {
                         Some(h) => {
                             self.reside(&mut agenda, &mut residents, &mut state, i, h.index())
@@ -809,26 +554,29 @@ impl Fleet {
                     if !residents[r].live {
                         continue;
                     }
-                    residents[r].live = false;
+                    residents.retire(r);
                     state[residents[r].host].release(residents[r].channels);
+                    debug_assert!(
+                        residents.index_matches_scan(),
+                        "the movable index must list exactly the live migratable residents"
+                    );
                     if !rebalance_active {
                         continue;
                     }
                     // Post-departure snapshot + movable tenants, in
                     // admission order (continuations are already
                     // non-migratable, so one move per tenant).
-                    let loads = masked_loads(&state, &down);
-                    let candidates: Vec<HostMigrationCandidate> = residents
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| c.live && c.migratable)
-                        .map(|(ord, c)| HostMigrationCandidate {
+                    masked_loads(&state, &down, &mut loads);
+                    candidates.clear();
+                    candidates.extend(residents.movable.iter().map(|&ord| {
+                        let c = &residents[ord];
+                        HostMigrationCandidate {
                             ord,
                             host: HostId::from_index(c.host),
                             channels: c.channels,
                             working_set: c.working_set,
-                        })
-                        .collect();
+                        }
+                    }));
                     let Some(m) = self.rebalance.plan(now, &loads, &candidates) else {
                         continue;
                     };
@@ -846,7 +594,7 @@ impl Fleet {
                     let (src, channels) = (residents[mover].host, residents[mover].channels);
                     if self.relocate(&mut agenda, &mut residents, &mut state, mover, to, now) {
                         state[src].release(channels);
-                        residents[mover].live = false;
+                        residents.retire(mover);
                     }
                 }
                 Act::HostFail(h) => {
@@ -867,11 +615,11 @@ impl Fleet {
                         .map(|(r, _)| r)
                         .collect();
                     for r in victims {
-                        residents[r].live = false;
+                        residents.retire(r);
                         state[h].release(residents[r].channels);
                         self.spawns[residents[r].spawn].truncated_at = Some(now);
                         let to = if residents[r].migratable {
-                            let loads = masked_loads(&state, &down);
+                            masked_loads(&state, &down, &mut loads);
                             let to = self.placement.place(&loads, residents[r].channels);
                             to.map(|to| to.index())
                         } else {
@@ -914,7 +662,7 @@ impl Fleet {
     fn relocate(
         &mut self,
         agenda: &mut EventQueue<Act>,
-        residents: &mut Vec<Resident>,
+        residents: &mut Residents,
         state: &mut [HostState],
         r: usize,
         to: usize,
@@ -943,7 +691,7 @@ impl Fleet {
     fn reside(
         &mut self,
         agenda: &mut EventQueue<Act>,
-        residents: &mut Vec<Resident>,
+        residents: &mut Residents,
         state: &mut [HostState],
         spawn: usize,
         host: usize,
@@ -1131,5 +879,134 @@ mod tests {
             );
         }
         assert_eq!(FleetRebalanceKind::from_label("cost-aware"), None);
+    }
+
+    /// A count-diff policy that records every decision it is asked for.
+    struct Recording {
+        seen: std::sync::Arc<std::sync::Mutex<Vec<Seen>>>,
+    }
+
+    /// One recorded departure: its instant, the candidates and the
+    /// migration the policy named.
+    type Seen = (SimTime, Vec<HostMigrationCandidate>, Option<HostMigration>);
+
+    impl FleetRebalance for Recording {
+        fn name(&self) -> &'static str {
+            "recording"
+        }
+
+        fn plan(
+            &mut self,
+            now: SimTime,
+            loads: &[HostLoad],
+            candidates: &[HostMigrationCandidate],
+        ) -> Option<HostMigration> {
+            let pick = FleetCountDiff.plan(now, loads, candidates);
+            let mut seen = self.seen.lock().unwrap();
+            seen.push((now, candidates.to_vec(), pick));
+            pick
+        }
+    }
+
+    /// Every departure's candidate list must name exactly the live
+    /// migratable residents. `Fleet::plan` asserts its index against a
+    /// scan at each departure (debug builds); this drives that check
+    /// through departures, relocations and a host failure on a
+    /// churning 3-host fleet, and checks the lists from outside: a
+    /// candidate is inside its scheduled stay, never on a down host,
+    /// and never again after it moved.
+    #[test]
+    fn rebalance_candidates_are_the_live_migratable_residents() {
+        use crate::cost::SchedParams;
+        use crate::fault::FaultPlan;
+        use crate::placement::PlacementKind;
+        use crate::sched::SchedulerKind;
+        use crate::workload::{FixedLoop, WithWorkingSet};
+        use crate::world::WorldConfig;
+        use neon_sim::DetRng;
+
+        let ms = SimDuration::from_millis;
+        let host = |seed: u64| {
+            let config = WorldConfig {
+                seed,
+                ..WorldConfig::default()
+            };
+            World::with_devices(config, PlacementKind::LeastLoaded.build(), |_| {
+                SchedulerKind::Direct.build(SchedParams::default())
+            })
+        };
+        let seen = std::sync::Arc::default();
+        let mut fleet = Fleet::new(
+            vec![host(1), host(2), host(3)],
+            FleetPlacementKind::RoundRobin.build(),
+            Box::new(Recording {
+                seen: std::sync::Arc::clone(&seen),
+            }),
+            ClusterInterconnect::free(),
+        );
+        let (fail_at, recover_at) = (SimTime::ZERO + ms(10), SimTime::ZERO + ms(16));
+        let mut plan = FaultPlan::default();
+        plan.push(fail_at, FaultKind::HostFail { host: 1 });
+        plan.push(recover_at, FaultKind::HostRecover { host: 1 });
+        fleet.set_faults(plan);
+        // A migratable tenant's working set names its spawn, so each
+        // candidate maps back to its scheduled stay.
+        let member = |ws: u64| -> BoxedWorkload {
+            let inner = FixedLoop::endless("m", SimDuration::from_micros(90), SimDuration::ZERO);
+            Box::new(WithWorkingSet::new(Box::new(inner), ws))
+        };
+        let mut stays: Vec<(u64, SimTime, Option<SimTime>)> = Vec::new();
+        let mut rng = DetRng::seed_from(0xF1EE7);
+        for i in 0..60u64 {
+            let at = SimTime::ZERO + SimDuration::from_micros(400 * i + 100);
+            let lifetime = (i % 7 != 3).then(|| rng.uniform(ms(1), ms(12)));
+            let ws = (i + 1) << 20;
+            if i % 3 == 2 {
+                match lifetime {
+                    Some(l) => fleet.spawn_task_for(at, member(ws), l),
+                    None => fleet.spawn_task_at(at, member(ws)),
+                }
+                continue;
+            }
+            stays.push((ws, at, lifetime.map(|l| at + l)));
+            let factory: WorkloadFactory = Box::new(move || member(ws));
+            match lifetime {
+                Some(l) => fleet.spawn_migratable_for(at, member(ws), factory, l),
+                None => fleet.spawn_migratable_at(at, member(ws), factory),
+            }
+        }
+        let report = fleet.run(ms(40));
+        assert_eq!(report.host_failures, 1);
+        assert!(report.fleet_fault_recovered > 0, "the failure re-admits");
+        assert!(report.cross_host_migrations > report.fleet_fault_recovered);
+
+        let seen = seen.lock().unwrap();
+        assert!(seen.len() > 20, "the churn departs often: {}", seen.len());
+        let mut moved: Vec<u64> = Vec::new();
+        for (now, candidates, pick) in seen.iter() {
+            assert!(candidates.windows(2).all(|w| w[0].ord < w[1].ord));
+            for c in candidates {
+                let &(ws, at, ends) = stays.iter().find(|s| s.0 == c.working_set).unwrap();
+                assert!(
+                    at <= *now && ends.is_none_or(|e| *now <= e),
+                    "{ws} outside its stay"
+                );
+                let down = (fail_at..recover_at).contains(now);
+                assert!(
+                    !(down && c.host == HostId::new(1)),
+                    "{ws} listed on a down host"
+                );
+                assert!(!moved.contains(&ws), "{ws} listed after it moved");
+            }
+            // A pick at the instant its stay ends does not move (the
+            // stay would end on the wire), so it is not counted.
+            if let Some(m) = pick {
+                let c = candidates.iter().find(|c| c.ord == m.candidate).unwrap();
+                let &(_, _, ends) = stays.iter().find(|s| s.0 == c.working_set).unwrap();
+                if ends.is_none_or(|e| *now < e) {
+                    moved.push(c.working_set);
+                }
+            }
+        }
     }
 }

@@ -16,6 +16,11 @@
 //! Arrival and lifetime draws depend only on (seed, group index,
 //! member index) — never on the scheduler, placement policy, or host
 //! count — so every policy in a sweep faces exactly the same churn.
+//!
+//! A cell's setup costs what its tenants do: each group's workload is
+//! built once and cloned for every member, and the process high-water
+//! mark ([`peak_rss_bytes`]) is read once per sweep, after its last
+//! cell, not per cell.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -33,9 +38,9 @@ use neon_metrics::jain_index;
 use neon_sim::{DetRng, SimDuration, SimTime};
 
 /// Peak resident-set size of *this process* in bytes (Linux `VmHWM`),
-/// `None` where unavailable. A process-wide high-water mark: on a
-/// sweep it is monotone across cells, so per-cell values show which
-/// cell first pushed the peak, not independent footprints.
+/// `None` where unavailable. A process-wide high-water mark, not a
+/// per-cell footprint: [`run_cell`] and the sweep runners read it once,
+/// after their last cell, and stamp it on every row they return.
 pub fn peak_rss_bytes() -> Option<u64> {
     #[cfg(target_os = "linux")]
     {
@@ -186,8 +191,10 @@ pub struct CellSummary {
     pub per_host: Vec<HostSummary>,
     /// Host wall-clock time this cell took to simulate.
     pub elapsed: std::time::Duration,
-    /// Process peak RSS in bytes when this cell finished (see
-    /// [`peak_rss_bytes`]); `None` off Linux.
+    /// Process peak RSS in bytes ([`peak_rss_bytes`]), read once per
+    /// sweep after its last cell and shared by every row of it.
+    /// [`CellRunner::run`] leaves it `None`; [`run_cell`] and the sweep
+    /// runners fill it in. `None` off Linux.
     pub peak_rss_bytes: Option<u64>,
 }
 
@@ -324,38 +331,42 @@ fn build_member(group: &TenantGroup) -> neon_core::BoxedWorkload {
 /// letting a fleet rebalance policy move it across hosts. Pinned
 /// groups exist only on single-host cells (validation), so they stage
 /// straight on host 0's world.
+///
+/// Each group's workload is built once per cell; every member gets a
+/// clone of that unrun prototype, which is the state a fresh build
+/// starts in. Factories build only the continuations of tenants that
+/// move across hosts.
 fn stage(fleet: &mut Fleet, spec: &ScenarioSpec, seed: u64) -> u64 {
     let mut prerun_rejected = 0u64;
     let mut root = DetRng::seed_from(seed ^ 0x5CEA_7A11);
     for (gi, group) in spec.groups.iter().enumerate() {
         let mut rng = root.fork(gi as u64 + 1);
         let arrivals = arrival_times(group, &mut rng);
+        let proto = build_member(group);
         // One copy of the group backs every migratable member's factory.
         let mut shared: Option<Arc<TenantGroup>> = None;
         for at in arrivals {
             let stay = lifetime(group, &mut rng);
             let pin = group.device.map(DeviceId::new);
+            let member = proto.box_clone();
             if at == SimTime::ZERO && stay.is_none() {
                 let rejected = match pin {
-                    Some(d) => fleet
-                        .host_mut(0)
-                        .add_task_pinned(build_member(group), d)
-                        .is_err(),
-                    None => fleet.add_task(build_member(group)).is_err(),
+                    Some(d) => fleet.host_mut(0).add_task_pinned(member, d).is_err(),
+                    None => fleet.add_task(member).is_err(),
                 };
                 prerun_rejected += u64::from(rejected);
             } else if let Some(d) = pin {
                 let host = fleet.host_mut(0);
                 match stay {
-                    Some(stay) => host.spawn_task_for_on(at, build_member(group), stay, d),
-                    None => host.spawn_task_at_on(at, build_member(group), d),
+                    Some(stay) => host.spawn_task_for_on(at, member, stay, d),
+                    None => host.spawn_task_at_on(at, member, d),
                 }
             } else {
                 let g = Arc::clone(shared.get_or_insert_with(|| Arc::new(group.clone())));
                 let factory: WorkloadFactory = Box::new(move || build_member(&g));
                 match stay {
-                    Some(stay) => fleet.spawn_migratable_for(at, factory, stay),
-                    None => fleet.spawn_migratable_at(at, factory),
+                    Some(stay) => fleet.spawn_migratable_for(at, member, factory, stay),
+                    None => fleet.spawn_migratable_at(at, member, factory),
                 }
             }
         }
@@ -381,7 +392,7 @@ pub fn run_cell(
     faults: FaultMode,
     seed: u64,
 ) -> CellResult {
-    CellRunner::new().run(
+    let mut result = CellRunner::new().run(
         spec,
         scheduler,
         placement,
@@ -389,7 +400,9 @@ pub fn run_cell(
         rebalance,
         faults,
         seed,
-    )
+    );
+    stamp_peak_rss(std::slice::from_mut(&mut result));
+    result
 }
 
 /// The cell executor: builds each host [`World`] on first use and
@@ -598,7 +611,16 @@ fn summarize(
         per_device,
         per_host,
         elapsed,
-        peak_rss_bytes: peak_rss_bytes(),
+        peak_rss_bytes: None,
+    }
+}
+
+/// Stamps the process's high-water mark, read once now, on every result:
+/// the one [`CellSummary::peak_rss_bytes`] of a finished sweep.
+pub(crate) fn stamp_peak_rss(results: &mut [CellResult]) {
+    let peak = peak_rss_bytes();
+    for r in results {
+        r.summary.peak_rss_bytes = peak;
     }
 }
 

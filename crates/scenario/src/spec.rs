@@ -1165,4 +1165,69 @@ mod tests {
             "{e}"
         );
     }
+
+    /// The driver stages every member of a group as a clone of one
+    /// built prototype; that is only sound if a clone of an unrun
+    /// member is indistinguishable from a fresh build.
+    #[test]
+    fn a_cloned_member_behaves_as_a_built_one() {
+        let mut workloads = vec![
+            WorkloadSpec::Throttle {
+                request: us(120),
+                off_ratio: 0.0,
+                jitter: 0.02,
+            },
+            WorkloadSpec::Throttle {
+                request: us(430),
+                off_ratio: 0.6,
+                jitter: 0.1,
+            },
+            WorkloadSpec::FixedLoop {
+                service: us(80),
+                gap: us(5),
+                rounds: None,
+            },
+            WorkloadSpec::FixedLoop {
+                service: us(80),
+                gap: us(5),
+                rounds: Some(40),
+            },
+            WorkloadSpec::Batcher { batch: us(900) },
+            WorkloadSpec::IdleBurst {
+                idle: us(2_000),
+                burst_requests: 6,
+                request: us(150),
+            },
+            WorkloadSpec::InfiniteLoop {
+                warmup_rounds: 30,
+                request: us(100),
+            },
+        ];
+        workloads.extend(app::all_apps().into_iter().map(|a| WorkloadSpec::App {
+            name: a.name.to_string(),
+        }));
+        for (i, workload) in workloads.into_iter().enumerate() {
+            for working_set in [None, Some(3 << 20)] {
+                let mut group = TenantGroup::new("g", workload.clone());
+                group.working_set = working_set;
+                let mut built = group.build_member().unwrap();
+                let mut cloned = group.build_member().unwrap().box_clone();
+                let what = format!("{workload:?} with working set {working_set:?}");
+                assert_eq!(built.name(), cloned.name(), "{what}");
+                assert_eq!(built.queues(), cloned.queues(), "{what}");
+                assert_eq!(built.max_outstanding(), cloned.max_outstanding(), "{what}");
+                assert_eq!(
+                    built.working_set_bytes(),
+                    cloned.working_set_bytes(),
+                    "{what}"
+                );
+                let mut a = neon_sim::DetRng::seed_from(i as u64 + 11);
+                let mut b = neon_sim::DetRng::seed_from(i as u64 + 11);
+                for step in 0..1_000 {
+                    let want = built.next_action(&mut a);
+                    assert_eq!(cloned.next_action(&mut b), want, "{what}, step {step}");
+                }
+            }
+        }
+    }
 }

@@ -30,7 +30,7 @@ use neon_core::placement::PlacementKind;
 use neon_core::rebalance::RebalanceKind;
 use neon_core::sched::SchedulerKind;
 
-use crate::driver::{CellResult, CellRunner};
+use crate::driver::{stamp_peak_rss, CellResult, CellRunner};
 use crate::spec::ScenarioSpec;
 
 /// One cell of a sweep plan.
@@ -114,11 +114,13 @@ fn run_one(runner: &mut CellRunner, c: &SweepCell) -> CellResult {
 }
 
 /// Runs every cell on the calling thread, in plan order, recycling one
-/// [`CellRunner`]'s host worlds across cells.
+/// [`CellRunner`]'s host worlds across cells. The process high-water
+/// mark is read once, after the last cell, and stamped on every row.
 pub fn run_serial(cells: &[SweepCell]) -> SweepOutcome {
     let started = Instant::now();
     let mut runner = CellRunner::new();
-    let results = cells.iter().map(|c| run_one(&mut runner, c)).collect();
+    let mut results: Vec<CellResult> = cells.iter().map(|c| run_one(&mut runner, c)).collect();
+    stamp_peak_rss(&mut results);
     SweepOutcome {
         results,
         wall: started.elapsed(),
@@ -129,7 +131,8 @@ pub fn run_serial(cells: &[SweepCell]) -> SweepOutcome {
 /// Runs the plan across `threads` workers (defaulting to the machine's
 /// available parallelism), each recycling its [`CellRunner`]'s host
 /// worlds across its cells. Results are identical to [`run_serial`]
-/// for every thread count — see the module docs for why.
+/// for every thread count — see the module docs for why. As there, the
+/// high-water mark is read once, after every worker has joined.
 pub fn run_parallel(cells: &[SweepCell], threads: Option<usize>) -> SweepOutcome {
     let threads = threads
         .unwrap_or_else(|| {
@@ -168,12 +171,13 @@ pub fn run_parallel(cells: &[SweepCell], threads: Option<usize>) -> SweepOutcome
             }
         }
     });
-    let results = slots
+    let mut results: Vec<CellResult> = slots
         .into_iter()
         // lint: allow(unchecked-unwrap) — the shared counter hands each
         // plan index to exactly one worker
         .map(|r| r.expect("every cell was claimed by exactly one worker"))
         .collect();
+    stamp_peak_rss(&mut results);
     SweepOutcome {
         results,
         wall: started.elapsed(),
@@ -266,6 +270,24 @@ mod tests {
         // Fleet-placement-major within a scheduler.
         assert_eq!(cells[0].scheduler, cells[2].scheduler);
         assert_ne!(cells[2].scheduler, cells[3].scheduler);
+    }
+
+    #[test]
+    fn every_row_of_a_sweep_carries_one_high_water_read() {
+        let cells = plan([small_spec("rss", vec![1, 2])]);
+        let alone = run_one(&mut CellRunner::new(), &cells[0]);
+        assert_eq!(
+            alone.summary.peak_rss_bytes, None,
+            "a runner's cell is unstamped"
+        );
+        for outcome in [run_serial(&cells), run_parallel(&cells, Some(2))] {
+            let first = outcome.results[0].summary.peak_rss_bytes;
+            assert_eq!(first.is_some(), cfg!(target_os = "linux"));
+            assert!(outcome
+                .results
+                .iter()
+                .all(|r| r.summary.peak_rss_bytes == first));
+        }
     }
 
     #[test]

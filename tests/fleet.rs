@@ -212,6 +212,7 @@ fn churny_fleet(cluster: ClusterInterconnect) -> disengaged_scheduling::core::Fl
     // t3→h0 (endless, migratable), t4→h1 (dies at 14 ms).
     fleet.spawn_migratable_at(
         SimTime::ZERO + ms(1),
+        Box::new(Throttle::new(us(150))),
         Box::new(|| Box::new(Throttle::new(us(150))) as _),
     );
     fleet.spawn_task_for(
@@ -221,6 +222,7 @@ fn churny_fleet(cluster: ClusterInterconnect) -> disengaged_scheduling::core::Fl
     );
     fleet.spawn_migratable_at(
         SimTime::ZERO + ms(3),
+        Box::new(Throttle::new(us(150))),
         Box::new(|| Box::new(Throttle::new(us(150))) as _),
     );
     fleet.spawn_task_for(
@@ -345,6 +347,7 @@ fn streaming_fleet_groups_are_derived_from_member_tasks() {
         if name == "mover" {
             fleet.spawn_migratable_at(
                 at,
+                Box::new(FixedLoop::endless("mover", us(150), us(5))),
                 Box::new(|| Box::new(FixedLoop::endless("mover", us(150), us(5))) as _),
             );
         } else {
@@ -504,11 +507,13 @@ fn faulted_fleet(plan: FaultPlan) -> disengaged_scheduling::core::FleetReport {
     // 1-vs-1 tie (migratable); all endless.
     fleet.spawn_migratable_at(
         SimTime::ZERO + ms(1),
+        Box::new(Throttle::new(us(150))),
         Box::new(|| Box::new(Throttle::new(us(150))) as _),
     );
     fleet.spawn_task_at(SimTime::ZERO + ms(2), Box::new(Throttle::new(us(150))));
     fleet.spawn_migratable_at(
         SimTime::ZERO + ms(3),
+        Box::new(Throttle::new(us(150))),
         Box::new(|| Box::new(Throttle::new(us(150))) as _),
     );
     fleet.run(ms(40))
