@@ -28,8 +28,8 @@
 //!    Arrivals consult the placement policy against a capacity ledger;
 //!    departures free the ledger and give the rebalance policy a
 //!    chance to name one cross-host migration. A migration truncates
-//!    the tenant's residence on the source host and restages a fresh
-//!    instance on the target after the cluster transfer delay —
+//!    the tenant's residence on the source host and restages a clone
+//!    of its unrun instance on the target after the cluster transfer delay —
 //!    teardown-and-restage semantics, exactly what moving a process
 //!    between machines costs.
 //! 2. **Run** — every host world is staged with its share of the plan
@@ -75,12 +75,6 @@ pub use policy::{
     LeastLoadedHost, RoundRobinHost,
 };
 
-/// Builds the continuation instance of a migratable tenant's workload —
-/// cross-host migration is teardown-and-restage, so the target host
-/// needs a fresh instance. Called once per cross-host move, never at
-/// spawn time: the first instance is passed in alongside the factory.
-pub type WorkloadFactory = Box<dyn FnMut() -> BoxedWorkload + Send>;
-
 /// One recorded future arrival, and where planning routed it.
 struct FleetSpawn {
     at: SimTime,
@@ -89,9 +83,12 @@ struct FleetSpawn {
     channels: usize,
     working_set: u64,
     /// The instance staged on the placed host; taken at stage time.
+    /// Until then it has not run, so a cross-host move's continuation
+    /// is a [`Workload::box_clone`](crate::workload::Workload::box_clone)
+    /// of it.
     workload: Option<BoxedWorkload>,
-    /// Continuation builder; `None` marks the tenant non-migratable.
-    factory: Option<WorkloadFactory>,
+    /// Whether the rebalance planner and host failures may move it.
+    migratable: bool,
     /// The host planning routed this spawn to; `None` = rejected at
     /// the cluster boundary (or not planned yet).
     host: Option<usize>,
@@ -421,30 +418,24 @@ impl Fleet {
     /// Schedules a non-migratable tenant to arrive at `at`; planning
     /// routes it to a host at that instant.
     pub fn spawn_task_at(&mut self, at: SimTime, workload: BoxedWorkload) {
-        self.record_spawn(at, None, workload, None);
+        self.record_spawn(at, None, workload, false);
     }
 
     /// Like [`Fleet::spawn_task_at`], departing `lifetime` after
     /// admission.
     pub fn spawn_task_for(&mut self, at: SimTime, workload: BoxedWorkload, lifetime: SimDuration) {
-        self.record_spawn(at, Some(lifetime), workload, None);
+        self.record_spawn(at, Some(lifetime), workload, false);
     }
 
-    /// Schedules a *migratable* tenant: `workload` is the instance it
-    /// arrives with, and `factory` builds the continuation a cross-host
-    /// migration restages on the target after tearing the tenant down
-    /// on the source (workload progress does not survive the move — the
+    /// Schedules a *migratable* tenant: a cross-host migration tears
+    /// it down on the source and restages a
+    /// [`box_clone`](crate::workload::Workload::box_clone) of `workload`
+    /// on the target (workload progress does not survive the move — the
     /// same restart-from-zero price a process pays when a cluster
-    /// scheduler relocates it). The factory runs only for tenants that
-    /// actually move, so `workload` should be what a call to it would
-    /// return: a fresh instance, or a clone of one that has not run.
-    pub fn spawn_migratable_at(
-        &mut self,
-        at: SimTime,
-        workload: BoxedWorkload,
-        factory: WorkloadFactory,
-    ) {
-        self.record_spawn(at, None, workload, Some(factory));
+    /// scheduler relocates it). Planning clones before anything runs, so
+    /// the continuation starts where `workload` does.
+    pub fn spawn_migratable_at(&mut self, at: SimTime, workload: BoxedWorkload) {
+        self.record_spawn(at, None, workload, true);
     }
 
     /// Like [`Fleet::spawn_migratable_at`], departing `lifetime` after
@@ -453,10 +444,9 @@ impl Fleet {
         &mut self,
         at: SimTime,
         workload: BoxedWorkload,
-        factory: WorkloadFactory,
         lifetime: SimDuration,
     ) {
-        self.record_spawn(at, Some(lifetime), workload, Some(factory));
+        self.record_spawn(at, Some(lifetime), workload, true);
     }
 
     fn record_spawn(
@@ -464,7 +454,7 @@ impl Fleet {
         at: SimTime,
         lifetime: Option<SimDuration>,
         workload: BoxedWorkload,
-        factory: Option<WorkloadFactory>,
+        migratable: bool,
     ) {
         assert!(!self.started, "spawn after Fleet::run");
         if !self.multi() {
@@ -483,7 +473,7 @@ impl Fleet {
             channels: workload.queues().len(),
             working_set: workload.working_set_bytes(),
             workload: Some(workload),
-            factory,
+            migratable,
             host: None,
             truncated_at: None,
         });
@@ -707,7 +697,7 @@ impl Fleet {
             host,
             channels: s.channels,
             working_set: s.working_set,
-            migratable: s.factory.is_some(),
+            migratable: s.migratable,
             live: true,
         });
     }
@@ -780,13 +770,13 @@ fn mover_continuation(
     at: SimTime,
     lifetime: Option<SimDuration>,
 ) -> usize {
-    let mut factory = spawns[source]
-        .factory
-        .take()
-        // lint: allow(unchecked-unwrap) — the rebalance planner only migrates
-        // spawns staged with a rebuildable factory, each at most once
-        .expect("only migratable spawns migrate");
-    let workload = factory();
+    let workload = spawns[source]
+        .workload
+        .as_ref()
+        // lint: allow(unchecked-unwrap) — planning runs before staging
+        // takes any spawn's workload
+        .expect("a planned spawn still holds its workload")
+        .box_clone();
     let channels = workload.queues().len();
     let working_set = workload.working_set_bytes();
     spawns.push(FleetSpawn {
@@ -795,7 +785,7 @@ fn mover_continuation(
         channels,
         working_set,
         workload: Some(workload),
-        factory: None,
+        migratable: false,
         host: None,
         truncated_at: None,
     });
@@ -969,10 +959,9 @@ mod tests {
                 continue;
             }
             stays.push((ws, at, lifetime.map(|l| at + l)));
-            let factory: WorkloadFactory = Box::new(move || member(ws));
             match lifetime {
-                Some(l) => fleet.spawn_migratable_for(at, member(ws), factory, l),
-                None => fleet.spawn_migratable_at(at, member(ws), factory),
+                Some(l) => fleet.spawn_migratable_for(at, member(ws), l),
+                None => fleet.spawn_migratable_at(at, member(ws)),
             }
         }
         let report = fleet.run(ms(40));

@@ -22,11 +22,10 @@
 //! mark ([`peak_rss_bytes`]) is read once per sweep, after its last
 //! cell, not per cell.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use neon_core::fault::{FaultMode, FaultPlan};
-use neon_core::fleet::{Fleet, FleetPlacementKind, FleetReport, WorkloadFactory};
+use neon_core::fleet::{Fleet, FleetPlacementKind, FleetReport};
 use neon_core::placement::PlacementKind;
 use neon_core::rebalance::RebalanceKind;
 use neon_core::sched::SchedulerKind;
@@ -327,15 +326,14 @@ fn build_member(group: &TenantGroup) -> neon_core::BoxedWorkload {
 /// Closed-loop members present from the start take the classic
 /// admission path (staggered first steps), so a purely static scenario
 /// reproduces the legacy harnesses byte for byte. Every other arrival
-/// is staged migratable (a factory rebuilding the member's workload),
-/// letting a fleet rebalance policy move it across hosts. Pinned
+/// is staged migratable, letting a fleet rebalance policy move it
+/// across hosts. Pinned
 /// groups exist only on single-host cells (validation), so they stage
 /// straight on host 0's world.
 ///
-/// Each group's workload is built once per cell; every member gets a
-/// clone of that unrun prototype, which is the state a fresh build
-/// starts in. Factories build only the continuations of tenants that
-/// move across hosts.
+/// Each group's workload is built once per cell; every member, and
+/// every continuation of a member that moves across hosts, is a clone
+/// of that unrun prototype — the state a fresh build starts in.
 fn stage(fleet: &mut Fleet, spec: &ScenarioSpec, seed: u64) -> u64 {
     let mut prerun_rejected = 0u64;
     let mut root = DetRng::seed_from(seed ^ 0x5CEA_7A11);
@@ -343,8 +341,6 @@ fn stage(fleet: &mut Fleet, spec: &ScenarioSpec, seed: u64) -> u64 {
         let mut rng = root.fork(gi as u64 + 1);
         let arrivals = arrival_times(group, &mut rng);
         let proto = build_member(group);
-        // One copy of the group backs every migratable member's factory.
-        let mut shared: Option<Arc<TenantGroup>> = None;
         for at in arrivals {
             let stay = lifetime(group, &mut rng);
             let pin = group.device.map(DeviceId::new);
@@ -362,11 +358,9 @@ fn stage(fleet: &mut Fleet, spec: &ScenarioSpec, seed: u64) -> u64 {
                     None => host.spawn_task_at_on(at, member, d),
                 }
             } else {
-                let g = Arc::clone(shared.get_or_insert_with(|| Arc::new(group.clone())));
-                let factory: WorkloadFactory = Box::new(move || build_member(&g));
                 match stay {
-                    Some(stay) => fleet.spawn_migratable_for(at, member, factory, stay),
-                    None => fleet.spawn_migratable_at(at, member, factory),
+                    Some(stay) => fleet.spawn_migratable_for(at, member, stay),
+                    None => fleet.spawn_migratable_at(at, member),
                 }
             }
         }

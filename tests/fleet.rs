@@ -210,21 +210,13 @@ fn churny_fleet(cluster: ClusterInterconnect) -> disengaged_scheduling::core::Fl
     // Arrival order alternates hosts under fewest-tenants:
     // t1→h0 (endless, migratable), t2→h1 (dies at 12 ms),
     // t3→h0 (endless, migratable), t4→h1 (dies at 14 ms).
-    fleet.spawn_migratable_at(
-        SimTime::ZERO + ms(1),
-        Box::new(Throttle::new(us(150))),
-        Box::new(|| Box::new(Throttle::new(us(150))) as _),
-    );
+    fleet.spawn_migratable_at(SimTime::ZERO + ms(1), Box::new(Throttle::new(us(150))));
     fleet.spawn_task_for(
         SimTime::ZERO + ms(2),
         Box::new(Throttle::new(us(150))),
         ms(10),
     );
-    fleet.spawn_migratable_at(
-        SimTime::ZERO + ms(3),
-        Box::new(Throttle::new(us(150))),
-        Box::new(|| Box::new(Throttle::new(us(150))) as _),
-    );
+    fleet.spawn_migratable_at(SimTime::ZERO + ms(3), Box::new(Throttle::new(us(150))));
     fleet.spawn_task_for(
         SimTime::ZERO + ms(4),
         Box::new(Throttle::new(us(150))),
@@ -345,11 +337,7 @@ fn streaming_fleet_groups_are_derived_from_member_tasks() {
     for (i, name) in ["mover", "late", "mover", "late"].into_iter().enumerate() {
         let at = SimTime::ZERO + ms(i as u64 + 1);
         if name == "mover" {
-            fleet.spawn_migratable_at(
-                at,
-                Box::new(FixedLoop::endless("mover", us(150), us(5))),
-                Box::new(|| Box::new(FixedLoop::endless("mover", us(150), us(5))) as _),
-            );
+            fleet.spawn_migratable_at(at, Box::new(FixedLoop::endless("mover", us(150), us(5))));
         } else {
             fleet.spawn_task_for(
                 at,
@@ -505,17 +493,9 @@ fn faulted_fleet(plan: FaultPlan) -> disengaged_scheduling::core::FleetReport {
     fleet.set_faults(plan);
     // t1 → h0 (migratable), t2 → h1 (NOT migratable), t3 → h0 on the
     // 1-vs-1 tie (migratable); all endless.
-    fleet.spawn_migratable_at(
-        SimTime::ZERO + ms(1),
-        Box::new(Throttle::new(us(150))),
-        Box::new(|| Box::new(Throttle::new(us(150))) as _),
-    );
+    fleet.spawn_migratable_at(SimTime::ZERO + ms(1), Box::new(Throttle::new(us(150))));
     fleet.spawn_task_at(SimTime::ZERO + ms(2), Box::new(Throttle::new(us(150))));
-    fleet.spawn_migratable_at(
-        SimTime::ZERO + ms(3),
-        Box::new(Throttle::new(us(150))),
-        Box::new(|| Box::new(Throttle::new(us(150))) as _),
-    );
+    fleet.spawn_migratable_at(SimTime::ZERO + ms(3), Box::new(Throttle::new(us(150))));
     fleet.run(ms(40))
 }
 
