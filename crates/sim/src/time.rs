@@ -109,22 +109,6 @@ impl SimTime {
     }
 }
 
-/// `x.round() as u64`, without the software `round` that baseline
-/// x86-64 calls for `f64::round`. Truncation saturates (NaN and
-/// negatives give 0, ∞ and anything from 2⁶⁴ up give `u64::MAX`), and
-/// below 2⁵² `x - t` is the exact fraction, so ties go away from zero
-/// and 0.49999999999999994 stays 0. From 2⁵² up every `f64` is an
-/// integer and the fraction is 0.
-#[inline]
-fn round_nonneg(x: f64) -> u64 {
-    let t = x as u64;
-    if x - t as f64 >= 0.5 {
-        t.saturating_add(1)
-    } else {
-        t
-    }
-}
-
 impl SimDuration {
     /// The empty span.
     pub const ZERO: SimDuration = SimDuration(0);
@@ -159,7 +143,7 @@ impl SimDuration {
         if us <= 0.0 {
             SimDuration::ZERO
         } else {
-            SimDuration(round_nonneg(us * 1_000.0))
+            SimDuration((us * 1_000.0).round() as u64)
         }
     }
 
@@ -210,7 +194,7 @@ impl SimDuration {
         if factor <= 0.0 {
             SimDuration::ZERO
         } else {
-            SimDuration(round_nonneg(self.0 as f64 * factor))
+            SimDuration((self.0 as f64 * factor).round() as u64)
         }
     }
 
@@ -358,52 +342,6 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DetRng;
-
-    #[test]
-    fn round_nonneg_matches_f64_round() {
-        let same = |x: f64| assert_eq!(round_nonneg(x), x.round() as u64, "x = {x:e}");
-        let edges = [
-            0.0,
-            -0.0,
-            0.5,
-            0.49999999999999994,
-            1.5,
-            2.5,
-            -0.5,
-            -2.7,
-            4_503_599_627_370_495.5, // 2^52 - 0.5
-            4_503_599_627_370_496.0 + 0.5,
-            9_007_199_254_740_993.0,      // 2^53 + 1
-            18_446_744_073_709_551_616.0, // 2^64
-            1e30,
-            f64::MAX,
-            f64::MIN_POSITIVE,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
-        ];
-        for x in edges {
-            same(x);
-        }
-        // Random bit patterns cover every exponent; scaled uniforms
-        // cover the nanosecond ranges the simulator rounds; the last
-        // arm lands on a half-integer or one ulp either side of it.
-        let mut rng = DetRng::seed_from(0xD5);
-        for i in 0..20_000_000u64 {
-            let bits = rng.raw();
-            let x = match i % 4 {
-                0 => f64::from_bits(bits),
-                1 => (bits >> 11) as f64 / (1u64 << 53) as f64 * 4.0,
-                2 => (bits >> 11) as f64 / (1u64 << 20) as f64,
-                _ => {
-                    let half = ((bits >> 12) as f64 + 0.5).to_bits();
-                    f64::from_bits(half + (bits & 1) - ((bits >> 1) & 1))
-                }
-            };
-            same(x);
-        }
-    }
 
     #[test]
     fn construction_round_trips() {

@@ -535,7 +535,7 @@ fn host_failure_loses_nonmigratable_tenants_and_recovery_bounds_degraded_time() 
     assert_eq!(report.host_failures, 1);
     assert_eq!(
         report.fleet_lost_tasks, 1,
-        "host 1's tenant has no factory, so it cannot restage"
+        "host 1's tenant is not migratable, so it cannot restage"
     );
     assert_eq!(report.fleet_fault_recovered, 0);
     assert_eq!(report.cross_host_migrations, 0);
