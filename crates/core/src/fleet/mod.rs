@@ -29,9 +29,9 @@
 //!    departures free the ledger and give the rebalance policy a
 //!    chance to name one cross-host migration. A migration truncates
 //!    the tenant's residence on the source host and restages a clone
-//!    of its unrun instance on the target after the cluster transfer delay —
-//!    teardown-and-restage semantics, exactly what moving a process
-//!    between machines costs.
+//!    of its unrun instance on the target after the cluster transfer
+//!    delay — teardown-and-restage semantics, exactly what moving a
+//!    process between machines costs.
 //! 2. **Run** — every host world is staged with its share of the plan
 //!    (in deterministic record order) and run to the horizon; the
 //!    per-host [`RunReport`]s are merged into a [`FleetReport`], with
