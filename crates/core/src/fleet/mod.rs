@@ -48,6 +48,24 @@
 //! host's own admission control (which sees ground truth) still
 //! applies underneath and may refuse an arrival the ledger accepted.
 //!
+//! # Host lanes
+//!
+//! After planning nothing couples two hosts, so [`Fleet::run`] runs a
+//! multi-host fleet's worlds in parallel *lanes*, at most one per
+//! available CPU. The hosts are split into contiguous blocks. The
+//! calling thread runs the first block, then takes back and runs every
+//! later block that no worker has started ("claim-back"), and waits
+//! only for the blocks workers are running; on a busy or one-CPU
+//! machine the caller simply runs every host itself. Worlds move into
+//! and out of a block by value and are put back in host order, so the
+//! report and the recycled worlds are byte-identical at any lane count.
+//! The workers are process-wide threads, parked on a channel between
+//! blocks, which is why [`Workload`](crate::workload::Workload) and
+//! [`Scheduler`](crate::sched::Scheduler) are `Send`. A single-host
+//! fleet never starts one: once a process has a second thread, the
+//! allocator leaves its single-thread fast path for good, which added
+//! about 8% to a single-host sweep's setup time.
+//!
 //! A **single-host fleet is transparent**: the cluster tier has no
 //! decision to make, so every arrival is staged straight on the host
 //! at call time — mirroring how a single-device [`World`] bypasses its
@@ -67,6 +85,7 @@ use crate::telemetry::StatKey;
 use crate::workload::BoxedWorkload;
 use crate::world::World;
 
+mod lanes;
 mod policy;
 
 pub use policy::{
@@ -704,7 +723,21 @@ impl Fleet {
 
     /// Runs the whole fleet to `horizon` and merges the per-host
     /// reports. Call once.
+    ///
+    /// Planning and staging run on the calling thread. The host worlds
+    /// then run in up to one lane per available CPU: the caller runs
+    /// the first block of hosts, takes back every later block no
+    /// worker has started, and collects the rest (the module doc's
+    /// "Host lanes"). The report is the same for any lane count. A
+    /// single-host fleet runs on the calling thread and starts no
+    /// worker, so it keeps the allocator's single-thread fast path. A
+    /// panic in any host's run resumes here.
     pub fn run(&mut self, horizon: SimDuration) -> FleetReport {
+        self.run_in_lanes(horizon, lanes::lanes_for(self.hosts.len()))
+    }
+
+    /// [`Fleet::run`] over at most `lanes` lanes.
+    fn run_in_lanes(&mut self, horizon: SimDuration, lanes: usize) -> FleetReport {
         assert!(!self.started, "a Fleet runs once");
         self.started = true;
         self.plan(horizon);
@@ -731,7 +764,7 @@ impl Fleet {
                 None => self.hosts[host].spawn_task_at(at, workload),
             }
         }
-        let hosts: Vec<RunReport> = self.hosts.iter_mut().map(|w| w.run(horizon)).collect();
+        let hosts = lanes::run(&mut self.hosts, horizon, lanes);
         // A host reports groups only in streaming mode (and only if it
         // admitted anyone), so this skips exact hosts' tasks.
         let groups = groups_of(

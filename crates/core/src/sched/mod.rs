@@ -46,8 +46,10 @@ pub enum FaultDecision {
 /// A scheduling policy.
 ///
 /// All methods receive a [`SchedCtx`] giving controlled access to the
-/// kernel-observable system state.
-pub trait Scheduler {
+/// kernel-observable system state. Implementations must be `Send`: a
+/// multi-host [`Fleet`](crate::fleet::Fleet) may run a host's world,
+/// and with it each device's scheduler, on another thread.
+pub trait Scheduler: Send {
     /// Short policy name for reports.
     fn name(&self) -> &'static str;
 

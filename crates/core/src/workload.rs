@@ -43,8 +43,10 @@ pub enum TaskAction {
 /// A generative application model.
 ///
 /// Implementations must be deterministic given the [`DetRng`] handed to
-/// [`Workload::next_action`].
-pub trait Workload {
+/// [`Workload::next_action`], and `Send`: a multi-host
+/// [`Fleet`](crate::fleet::Fleet) may run a host's world, and with it
+/// every workload staged there, on another thread.
+pub trait Workload: Send {
     /// Human-readable application name (used in reports).
     fn name(&self) -> &str;
 
