@@ -1,15 +1,9 @@
 //! Host lanes: a multi-host fleet's worlds, run in parallel once the
 //! planning pass has fixed every cross-host route (the `fleet` module
 //! doc's "Host lanes").
-//!
-//! Workers are process-wide and start with the first multi-host run
-//! that wants them, never more than one per later block of the widest
-//! run so far; between blocks they are parked on a channel.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::panic::resume_unwind;
+use std::sync::OnceLock;
 use std::thread;
 
 use neon_sim::SimDuration;
@@ -20,192 +14,44 @@ use crate::world::World;
 /// The lanes a fleet of `hosts` hosts runs on: one per host, at most one
 /// per available CPU.
 pub(super) fn lanes_for(hosts: usize) -> usize {
+    // Read once: `available_parallelism` reads the affinity mask and the
+    // cgroup quota on every call, and every fleet run asks.
     static CPUS: OnceLock<usize> = OnceLock::new();
     let cpus = *CPUS.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()));
     hosts.min(cpus)
 }
 
-/// Runs every world in `hosts` to `horizon` over `lanes` blocks and
-/// returns the reports in host order, with the worlds back in `hosts`
-/// in their order. One lane is the serial loop, on the calling thread.
-/// A panic in any block resumes on the calling thread.
-pub(super) fn run(hosts: &mut Vec<World>, horizon: SimDuration, lanes: usize) -> Vec<RunReport> {
-    let (n, lanes) = (hosts.len(), lanes.min(hosts.len()));
-    if lanes <= 1 {
+/// Runs every world in `hosts` to `horizon` over at most `lanes`
+/// contiguous blocks of `ceil(hosts / lanes)` hosts and returns the
+/// reports in host order. The calling thread runs the first block and a
+/// scoped thread each later one. One lane, one host, or a zero horizon
+/// (nothing to simulate past the first instant) is the serial loop on
+/// the calling thread. A panic in any block resumes on the calling
+/// thread once every block has ended.
+pub(super) fn run(hosts: &mut [World], horizon: SimDuration, lanes: usize) -> Vec<RunReport> {
+    if lanes <= 1 || hosts.len() <= 1 || horizon.is_zero() {
         return run_block(hosts, horizon);
     }
-    // Contiguous blocks, the first `n % lanes` one host longer.
-    let mut worlds = std::mem::take(hosts).into_iter();
-    let (size, longer) = (n / lanes, n % lanes);
-    let mut block = |i: usize| -> Vec<World> {
-        worlds
-            .by_ref()
-            .take(size + usize::from(i < longer))
-            .collect()
-    };
-    let mut first = block(0);
-    let (tx, rx) = channel();
-    let blocks: Arc<[Block]> = (1..lanes)
-        .map(|i| Block::new(block(i), tx.clone()))
-        .collect();
-    drop(tx);
-    offer(&blocks, horizon);
-
-    let mut ran: Vec<Option<Ran>> = Vec::with_capacity(lanes);
-    let reports = run_block(&mut first, horizon);
-    ran.push(Some((first, reports)));
-    let mut on_workers = 0;
-    for b in blocks.iter() {
-        match b.take() {
-            Some((mut worlds, _)) => {
-                let reports = run_block(&mut worlds, horizon);
-                ran.push(Some((worlds, reports)));
-            }
-            None => {
-                on_workers += 1;
-                ran.push(None);
+    let size = hosts.len().div_ceil(lanes);
+    thread::scope(|s| {
+        let mut blocks = hosts.chunks_mut(size);
+        let first = blocks.next().unwrap_or_default();
+        let later: Vec<_> = blocks
+            .map(|block| s.spawn(move || run_block(block, horizon)))
+            .collect();
+        let mut reports = run_block(first, horizon);
+        for lane in later {
+            match lane.join() {
+                Ok(block) => reports.extend(block),
+                Err(payload) => resume_unwind(payload),
             }
         }
-    }
-    // Every block is taken now: the only senders left are those of the
-    // blocks on workers, so a worker that ended without sending
-    // disconnects the channel instead of hanging this loop.
-    for _ in 0..on_workers {
-        let (i, outcome) = rx
-            .recv()
-            // lint: allow(unchecked-unwrap) — a worker catches its block's
-            // panic and sends the outcome either way, so it never drops
-            // its sender unsent
-            .expect("a host lane's worker sends its block back");
-        match outcome {
-            Ok(block) => ran[i] = Some(block),
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-    let mut reports = Vec::with_capacity(n);
-    for (worlds, block_reports) in ran.into_iter().flatten() {
-        hosts.extend(worlds);
-        reports.extend(block_reports);
-    }
-    reports
+        reports
+    })
 }
 
 fn run_block(worlds: &mut [World], horizon: SimDuration) -> Vec<RunReport> {
     worlds.iter_mut().map(|w| w.run(horizon)).collect()
-}
-
-/// A block's worlds and their reports, in host order.
-type Ran = (Vec<World>, Vec<RunReport>);
-
-/// A worker's answer for block `i`: what it ran, or its panic.
-type Outcome = (usize, thread::Result<Ran>);
-
-/// A later block of one run: its worlds and the sender its outcome goes
-/// back on, until one thread takes them.
-struct Block {
-    /// Set by whichever thread takes the block, exactly once. It only
-    /// elects that thread; the mutex below publishes the worlds.
-    taken: AtomicBool,
-    /// Only the thread that set `taken` locks this, so it is never
-    /// contended; it makes the by-value hand-off shareable.
-    lane: Mutex<Option<(Vec<World>, Sender<Outcome>)>>,
-}
-
-impl Block {
-    fn new(worlds: Vec<World>, tx: Sender<Outcome>) -> Self {
-        Block {
-            taken: AtomicBool::new(false),
-            lane: Mutex::new(Some((worlds, tx))),
-        }
-    }
-
-    /// The block's worlds and sender for the first thread to ask; `None`
-    /// once another has taken them.
-    fn take(&self) -> Option<(Vec<World>, Sender<Outcome>)> {
-        if self.taken.swap(true, Ordering::AcqRel) {
-            return None;
-        }
-        self.lane
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-    }
-}
-
-/// Worker side: takes the last block still untaken, if any, runs it
-/// and sends it back, panic or not.
-fn work(blocks: &[Block], horizon: SimDuration) {
-    let Some((i, (mut worlds, tx))) = blocks
-        .iter()
-        .enumerate()
-        .rev()
-        .find_map(|(i, b)| b.take().map(|lane| (i + 1, lane)))
-    else {
-        return;
-    };
-    let outcome = catch_unwind(AssertUnwindSafe(move || {
-        let reports = run_block(&mut worlds, horizon);
-        (worlds, reports)
-    }));
-    // The caller is gone only if it unwound already; nothing then
-    // waits for this block.
-    let _ = tx.send((i, outcome));
-}
-
-/// A worker's job: one run's later blocks, to take one of.
-type Job = (Arc<[Block]>, SimDuration);
-
-/// The process-wide workers, parked on one job channel.
-struct Pool {
-    jobs: Sender<Job>,
-    queue: Arc<Mutex<Receiver<Job>>>,
-    workers: usize,
-}
-
-static POOL: Mutex<Option<Pool>> = Mutex::new(None);
-
-/// Offers each block of `blocks` to a worker, starting workers until
-/// there is one per block. A worker that cannot start leaves its block
-/// to the caller's claim-back.
-fn offer(blocks: &Arc<[Block]>, horizon: SimDuration) {
-    // No code panics while holding the lock, but a poisoned pool is
-    // still a working one.
-    let mut pool = POOL.lock().unwrap_or_else(PoisonError::into_inner);
-    let pool = pool.get_or_insert_with(|| {
-        let (jobs, queue) = channel();
-        Pool {
-            jobs,
-            queue: Arc::new(Mutex::new(queue)),
-            workers: 0,
-        }
-    });
-    while pool.workers < blocks.len() {
-        let queue = Arc::clone(&pool.queue);
-        // The handle is dropped: a worker lives as long as the process,
-        // and each job catches its own block's panic.
-        let started = thread::Builder::new()
-            .name("neon-host-lane".into())
-            .spawn(move || park(&queue));
-        if started.is_err() {
-            break;
-        }
-        pool.workers += 1;
-    }
-    for _ in 0..blocks.len().min(pool.workers) {
-        // The pool holds the receiving end, so a send cannot fail.
-        let _ = pool.jobs.send((Arc::clone(blocks), horizon));
-    }
-}
-
-/// A worker's life: wait for a job, run it, repeat.
-fn park(queue: &Mutex<Receiver<Job>>) {
-    loop {
-        let job = queue.lock().unwrap_or_else(PoisonError::into_inner).recv();
-        match job {
-            Ok((blocks, horizon)) => work(&blocks, horizon),
-            Err(_) => return,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -315,7 +161,7 @@ mod tests {
         }
 
         fn next_action(&mut self, _rng: &mut DetRng) -> TaskAction {
-            panic!("host 2 fails");
+            panic!("a host fails");
         }
 
         fn box_clone(&self) -> BoxedWorkload {
@@ -323,14 +169,17 @@ mod tests {
         }
     }
 
+    /// At 2 and 4 lanes host 2 is in a later block, which always runs on
+    /// a scoped thread; host 0 is in the caller's own block. Either
+    /// panic reaches the caller with its payload.
     #[test]
     fn a_worker_panic_reaches_the_caller() {
-        for lanes in [2, 4] {
+        for (lanes, boom) in [(2, 2), (4, 2), (2, 0)] {
             let mut fleet = churning_fleet();
-            fleet.host_mut(2).add_task(Box::new(Boom)).unwrap();
+            fleet.host_mut(boom).add_task(Box::new(Boom)).unwrap();
             let panic = catch_unwind(AssertUnwindSafe(|| fleet.run_in_lanes(ms(30), lanes)))
-                .expect_err("host 2 panics");
-            assert_eq!(panic.downcast_ref::<&str>(), Some(&"host 2 fails"));
+                .expect_err("the boom host panics");
+            assert_eq!(panic.downcast_ref::<&str>(), Some(&"a host fails"));
             // Nothing is wedged: the next fleet runs to the end.
             let report = churning_fleet().run(ms(30));
             assert_eq!(report.hosts.len(), 4);

@@ -52,19 +52,18 @@
 //!
 //! After planning nothing couples two hosts, so [`Fleet::run`] runs a
 //! multi-host fleet's worlds in parallel *lanes*, at most one per
-//! available CPU. The hosts are split into contiguous blocks. The
-//! calling thread runs the first block, then takes back and runs every
-//! later block that no worker has started ("claim-back"), and waits
-//! only for the blocks workers are running; on a busy or one-CPU
-//! machine the caller simply runs every host itself. Worlds move into
-//! and out of a block by value and are put back in host order, so the
-//! report and the recycled worlds are byte-identical at any lane count.
-//! The workers are process-wide threads, parked on a channel between
-//! blocks, which is why [`Workload`](crate::workload::Workload) and
+//! available CPU. The hosts are split into contiguous blocks; the
+//! calling thread runs the first and a scoped thread each later one,
+//! and the reports are put back in host order, so the report and the
+//! recycled worlds are byte-identical at any lane count. The threads
+//! end with the run: nothing of a fleet runs after [`Fleet::run`]
+//! returns or unwinds, and a panic in any block resumes on the caller
+//! with its payload. A host's world may run on another thread, which is
+//! why [`Workload`](crate::workload::Workload) and
 //! [`Scheduler`](crate::sched::Scheduler) are `Send`. A single-host
-//! fleet never starts one: once a process has a second thread, the
-//! allocator leaves its single-thread fast path for good, which added
-//! about 8% to a single-host sweep's setup time.
+//! fleet, a one-CPU machine and a zero horizon (nothing to simulate
+//! past the first instant) run every host on the calling thread and
+//! start none.
 //!
 //! A **single-host fleet is transparent**: the cluster tier has no
 //! decision to make, so every arrival is staged straight on the host
@@ -726,12 +725,11 @@ impl Fleet {
     ///
     /// Planning and staging run on the calling thread. The host worlds
     /// then run in up to one lane per available CPU: the caller runs
-    /// the first block of hosts, takes back every later block no
-    /// worker has started, and collects the rest (the module doc's
-    /// "Host lanes"). The report is the same for any lane count. A
-    /// single-host fleet runs on the calling thread and starts no
-    /// worker, so it keeps the allocator's single-thread fast path. A
-    /// panic in any host's run resumes here.
+    /// the first block of hosts and a scoped thread each later block
+    /// (the module doc's "Host lanes"). The report is the same for any
+    /// lane count. A single-host fleet runs on the calling thread and
+    /// starts no thread. A panic in any host's run resumes here, once
+    /// every lane has ended.
     pub fn run(&mut self, horizon: SimDuration) -> FleetReport {
         self.run_in_lanes(horizon, lanes::lanes_for(self.hosts.len()))
     }
